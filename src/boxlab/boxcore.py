@@ -16,6 +16,11 @@ import numpy as np
 
 EPS_VALID = 1e-9  # tolerance for box-table validity checks
 EPS_LP = 1e-7     # tolerance for LP-derived quantities
+# A target of d entries is in a vertex hull iff its elastic-LP slack sum is at
+# most d * EPS_LP_SLACK. Tables that pass the EPS_VALID checks may miss the
+# normalized nonsignaling subspace; the worst found needs 4 * EPS_VALID of
+# slack bipartite (d = 16) and 28 * EPS_VALID tripartite (d = 64).
+EPS_LP_SLACK = 1e-9
 
 PARTY_A = "A"
 PARTY_B = "B"
@@ -70,10 +75,13 @@ def make_box(values, eps: float = EPS_VALID) -> BipartiteBox:
     """Validate a probability table and return the box.
 
     Entries in (-eps, 0) are clamped to 0 (decomposition residuals produce
-    -1e-16 noise). Raises NotNormalizedError, NegativeEntryError or
-    SignalingError naming the offending index.
+    -1e-16 noise). Raises BoxError for NaN or infinite entries, and
+    NotNormalizedError, NegativeEntryError or SignalingError naming the
+    offending index.
     """
     t = _as_table(values)
+    if not np.isfinite(t).all():
+        raise BoxError(f"table has non-finite entries: {t[~np.isfinite(t)]}")
     neg = t < 0
     if neg.any():
         worst = np.unravel_index(np.argmin(t), t.shape)
@@ -275,17 +283,23 @@ def ns_vertex_ids() -> list[VertexId]:
     return all_pr_ids() + all_det_ids()
 
 
+_LABEL_BITS = {"PR": 3, "Det": 4, "MerminMM": 3, "CC": 3, "Tsirelson": 3, "Noise": 0}
+
+
 def parse_vertex_label(label: str) -> VertexId:
-    """Parse compact labels like PR000, Det0101, MerminMM010, MerminNMM17, Noise."""
+    """Parse compact labels like PR000, Det0101, MerminMM010, MerminNMM17, Noise.
+
+    Raises ValueError unless the kind is followed by exactly its number of
+    binary parameters (a variant number 0..31 for MerminNMM).
+    """
     for kind in sorted(VERTEX_KINDS, key=len, reverse=True):
         if label.startswith(kind):
             digits = label[len(kind):]
-            if kind == "Noise" and digits == "":
-                return NOISE_ID
             if kind == "MerminNMM":
-                return mermin_nmm_id(int(digits))
-            params = tuple(int(ch) for ch in digits)
-            return VertexId(kind, params)
+                if digits.isdigit() and int(digits) < 32:
+                    return mermin_nmm_id(int(digits))
+            elif len(digits) == _LABEL_BITS[kind] and set(digits) <= {"0", "1"}:
+                return VertexId(kind, tuple(int(ch) for ch in digits))
     raise ValueError(f"cannot parse vertex label {label!r}")
 
 

@@ -276,6 +276,11 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     numbers = None
     if args.only:
+        known = {str(n) for n in range(1, len(acceptance.ALL_CRITERIA) + 1)}
+        unknown = [n for n in args.only.split(",") if n.strip() not in known]
+        if unknown:
+            raise InputError(f"--only: no criterion {', '.join(unknown)}; "
+                             f"criteria are 1..{len(acceptance.ALL_CRITERIA)}")
         numbers = [int(n) for n in args.only.split(",")]
     results = acceptance.run_all(numbers)
     width = max(len(r.description) for r in results)

@@ -1,6 +1,6 @@
 """Polytope membership tests and canonical convex decompositions.
 
-Membership is decided by small feasibility LPs over named vertex sets
+Membership is decided by elastic LPs over named vertex sets
 (16 deterministic / 24 nonsignaling vertices bipartite; the tripartite sets
 live in :mod:`boxlab.tribox` and reuse :func:`lp_vertex_weights`).
 """
@@ -11,10 +11,11 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 from . import boxcore, discord2
-from .boxcore import EPS_LP, EPS_VALID, BipartiteBox, VertexId
+from .boxcore import EPS_LP, EPS_LP_SLACK, EPS_VALID, BipartiteBox, VertexId
 
 DISCORD_TOL = 1e-6  # residuals of canonical decompositions must be this close to zero
 
@@ -64,28 +65,67 @@ _NS_IDS = boxcore.ns_vertex_ids()
 _DET_MATRIX = vertex_matrix(_DET_IDS)
 _NS_MATRIX = vertex_matrix(_NS_IDS)
 
+_LP_BLOCK = 500  # targets per block-diagonal LP; HiGHS slows on larger ones
+
 
 def lp_vertex_weights(target: np.ndarray, vertices: np.ndarray,
                       tol: float = EPS_LP) -> np.ndarray | None:
-    """Nonnegative weights w with w @ vertices = target, or None if infeasible.
+    """Nonnegative weights w with w @ vertices = target, for one target or a stack.
 
-    `target` is the flattened probability table; the weights sum to 1
-    automatically because every vertex row has the same normalization.
+    `target` is one flattened probability table of shape (d,) or a stack of
+    them, shape (n, d). One target gives its (k,) weights, or None if it lies
+    outside the hull of the k vertex rows; a stack gives (n, k) weights with
+    NaN rows for the targets outside. The weights sum to 1 automatically
+    because every vertex row has the same normalization.
+
+    Each target is posed as an elastic LP, minimise sum(s+ + s-) subject to
+    w @ vertices + s+ - s- = target and w, s+, s- >= 0, which is always
+    feasible. A target is inside exactly when its slack sum is at most
+    d * EPS_LP_SLACK, which covers the error the table validators admit.
+    Stacks are solved _LP_BLOCK targets at a time as one block-diagonal LP,
+    whose optimum splits into the per-target optima. Raises ValueError for
+    a target of any other shape, and LpNumericalFailure when the solver does
+    not report an optimum, or when the weights of a target found inside miss
+    it by more than `tol`.
     """
+    t = np.asarray(target, dtype=float)
+    if t.ndim not in (1, 2) or t.shape[-1] != vertices.shape[1]:
+        raise ValueError(f"target of shape {t.shape} does not match vertices "
+                         f"of {vertices.shape[1]} entries")
+    stack = t.reshape(-1, vertices.shape[1])
+    w = np.empty((len(stack), vertices.shape[0]))
+    for i in range(0, len(stack), _LP_BLOCK):
+        w[i:i + _LP_BLOCK] = _elastic_lp(stack[i:i + _LP_BLOCK], vertices, tol)
+    if t.ndim == 1:
+        return None if np.isnan(w[0, 0]) else w[0]
+    return w
+
+
+def _elastic_lp(targets: np.ndarray, vertices: np.ndarray,
+                tol: float) -> np.ndarray:
+    """Weights of each target, NaN rows for targets outside the hull."""
+    m, (k, d) = len(targets), vertices.shape
+    eye = np.eye(d)
+    # one target's variables are [w, s+, s-]; a block repeats them per target
+    block = np.hstack([vertices.T, eye, -eye])
+    # A single block goes in dense: HiGHS's sparse input handling costs
+    # more than the whole solve of one target.
+    a_eq = block if m == 1 else sparse.kron(sparse.identity(m), block, format="csc")
     res = linprog(
-        c=np.zeros(vertices.shape[0]),
-        A_eq=vertices.T,
-        b_eq=target,
+        c=np.tile(np.concatenate([np.zeros(k), np.ones(2 * d)]), m),
+        A_eq=a_eq,
+        b_eq=targets.reshape(-1),
         bounds=(0, None),
         method="highs",
     )
-    if res.status == 2:
-        return None
     if res.status != 0:
         raise LpNumericalFailure(f"linprog status {res.status}: {res.message}")
-    w = np.clip(res.x, 0.0, None)
-    if np.max(np.abs(w @ vertices - target)) > tol:
+    x = res.x.reshape(m, k + 2 * d)
+    w = np.clip(x[:, :k], 0.0, None)
+    inside = x[:, k:].sum(axis=1) <= d * EPS_LP_SLACK
+    if np.max(np.abs(w[inside] @ vertices - targets[inside]), initial=0.0) > tol:
         raise LpNumericalFailure("LP solution does not reconstruct the target")
+    w[~inside] = np.nan
     return w
 
 

@@ -55,6 +55,8 @@ def density_matrix(mat) -> DensityMatrix:
     m = np.asarray(mat, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (4, 8):
         raise InvalidStateError(f"expected a 4x4 or 8x8 matrix, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise InvalidStateError("matrix has non-finite entries")
     if np.max(np.abs(m - m.conj().T)) > EPS_VALID:
         raise InvalidStateError("matrix is not Hermitian")
     if abs(np.trace(m).real - 1.0) > EPS_VALID or abs(np.trace(m).imag) > EPS_VALID:
@@ -79,7 +81,7 @@ def pure_dm(vec) -> DensityMatrix:
 def _unit(v) -> np.ndarray:
     v = np.asarray(v, dtype=float).reshape(3)
     n = np.linalg.norm(v)
-    if abs(n - 1.0) > EPS_VALID:
+    if not abs(n - 1.0) <= EPS_VALID:
         raise InvalidStateError(f"measurement direction has norm {n:.12f}")
     return v
 

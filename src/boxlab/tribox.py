@@ -8,6 +8,7 @@ Tables are (2,2,2,2,2,2) arrays indexed ``[x][y][z][a][b][c]``. A box in the
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -70,6 +71,8 @@ def make_box3(values, eps: float = EPS_VALID) -> TripartiteBox:
     if t.size != 64:
         raise BoxError(f"expected 64 probabilities, got {t.size}")
     t = t.reshape((2,) * 6).copy()
+    if not np.isfinite(t).all():
+        raise BoxError(f"table has non-finite entries: {t[~np.isfinite(t)]}")
     neg = t < 0
     if neg.any():
         worst = np.unravel_index(np.argmin(t), t.shape)
@@ -328,15 +331,32 @@ def two_way_local_ids() -> list[TriVertexId]:
 
 
 def tri_vertex_matrix(vertex_ids: list[TriVertexId]) -> np.ndarray:
-    return np.stack([tri_vertex(v).table.reshape(-1) for v in vertex_ids])
+    """Vertex tables as rows of a read-only (n_vertices, 64) matrix.
+
+    Each vertex list is stacked once and then served from a cache.
+    """
+    return _stacked_tri_vertices(tuple(vertex_ids))
+
+
+@functools.lru_cache(maxsize=8)
+def _stacked_tri_vertices(vertex_ids: tuple[TriVertexId, ...]) -> np.ndarray:
+    return _freeze(np.stack([tri_vertex(v).table.reshape(-1) for v in vertex_ids]))
+
+
+_TRI_LABEL_BITS = {"Sv": 4, "Det3": 6, "PrAB": 4, "PrAC": 4, "PrBC": 4,
+                   "Mermin3": 4, "Class8Rep": 0, "Noise3": 0}
 
 
 def parse_tri_vertex_label(label: str) -> TriVertexId:
+    """Parse labels like Sv0101, Det3010011, PrAB0110, Mermin30000, Noise3.
+
+    Raises ValueError unless the kind is followed by exactly its number of
+    binary parameters.
+    """
     for kind in sorted(TRI_VERTEX_KINDS, key=len, reverse=True):
-        if label.startswith(kind):
-            digits = label[len(kind):]
-            if digits == "" and kind in ("Class8Rep", "Noise3"):
-                return TriVertexId(kind)
+        digits = label[len(kind):]
+        if (label.startswith(kind) and len(digits) == _TRI_LABEL_BITS[kind]
+                and set(digits) <= {"0", "1"}):
             return TriVertexId(kind, tuple(int(ch) for ch in digits))
     raise ValueError(f"cannot parse tripartite vertex label {label!r}")
 
@@ -553,19 +573,9 @@ def ghz_paradox_check(box: TripartiteBox, eps: float = EPS_VALID) -> bool:
 # ---------------------------------------------------------------------------
 # canonical 3-decomposition inside the Svetlichny-box polytope
 
-_SV_POLY_MATRIX: np.ndarray | None = None
-
-
-def _sv_poly_matrix() -> np.ndarray:
-    global _SV_POLY_MATRIX
-    if _SV_POLY_MATRIX is None:
-        _SV_POLY_MATRIX = tri_vertex_matrix(sv_polytope_ids())
-    return _SV_POLY_MATRIX
-
-
 def in_sv_polytope(box: TripartiteBox) -> bool:
-    return polytope.lp_vertex_weights(box.table.reshape(-1),
-                                      _sv_poly_matrix()) is not None
+    return polytope.lp_vertex_weights(
+        box.table.reshape(-1), tri_vertex_matrix(sv_polytope_ids())) is not None
 
 
 def _argmax_sv_id(box: TripartiteBox) -> TriVertexId:
@@ -874,7 +884,7 @@ def lro3_samples(rng: np.random.Generator, n: int) -> list[Lro3]:
 
 def random_sv_polytope_box(rng: np.random.Generator) -> TripartiteBox:
     """Random mixture of the 128 polytope vertices (flat Dirichlet weights)."""
-    m = _sv_poly_matrix()
+    m = tri_vertex_matrix(sv_polytope_ids())
     w = rng.exponential(size=m.shape[0])
     w /= w.sum()
     return make_box3((w @ m).reshape((2,) * 6))

@@ -91,6 +91,15 @@ def test_make_box_rejects_negative_and_clamps_tiny():
     assert box.prob(0, 0, 0, 1) == 0.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_make_box_rejects_non_finite(bad):
+    # every comparison with NaN is false, so only an explicit check stops it
+    t = np.full((2, 2, 2, 2), 0.25)
+    t[1, 0, 1, 0] = bad
+    with pytest.raises(boxcore.BoxError, match="non-finite"):
+        boxcore.make_box(t)
+
+
 def test_vertex_entries_are_quarters():
     ids = (boxcore.all_pr_ids() + boxcore.all_det_ids() + boxcore.all_mermin_ids()
            + boxcore.all_mermin_nmm_ids() + boxcore.all_cc_ids() + [boxcore.NOISE_ID])
@@ -130,6 +139,13 @@ def test_parse_vertex_label_round_trip():
                   "Tsirelson000", "Noise"):
         vid = boxcore.parse_vertex_label(label)
         assert vid.label() == label
+
+
+@pytest.mark.parametrize("label", ["PR00", "PR0000", "PR002", "Det01", "CC00",
+                                   "Tsirelson", "MerminNMM32", "Noise0"])
+def test_parse_vertex_label_rejects_wrong_parameters(label):
+    with pytest.raises(ValueError):
+        boxcore.parse_vertex_label(label)
 
 
 def test_mix_identity_and_average():

@@ -65,6 +65,13 @@ def test_measure_invalid_box_file(tmp_path, capsys):
     assert run_cli(["measure", "--box", str(path)]) == 2
 
 
+@pytest.mark.parametrize("label", ["PR00", "Sv00"])
+def test_measure_malformed_catalog_label_exit_2(label, capsys):
+    assert run_cli(["measure", "--catalog", label]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
 def test_decompose_isotropic_pr(capsys):
     box = boxcore.mix([boxcore.pr_box(0, 0, 0), boxcore.noise_box()], [0.7, 0.3])
     import tempfile
@@ -161,3 +168,9 @@ def test_verify_subset_runs(capsys):
     out = capsys.readouterr().out
     assert "[PASS]  1" in out and "[PASS] 14" in out
     assert "2/2 criteria passed" in out
+
+
+def test_verify_unknown_criterion_exit_2(capsys):
+    assert run_cli(["verify", "--only", "99"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1

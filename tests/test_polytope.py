@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from boxlab import boxcore, discord2, polytope, qstate
+from scipy.optimize import OptimizeResult
+
+from boxlab import boxcore, discord2, polytope, qstate, tribox
 
 RNG = np.random.default_rng(2024)
 
@@ -206,3 +208,134 @@ def test_random_ns_box_is_valid_and_seeded():
     assert np.array_equal(a, b)
     for t in a:
         boxcore.make_box(t)
+
+
+# -- stacked LP: the regions criterion 10's random boxes never reach ----------
+
+SIGN2 = np.array([[1.0, -1.0], [-1.0, 1.0]])
+DET = polytope.vertex_matrix(boxcore.all_det_ids())
+PR = polytope.vertex_matrix(boxcore.all_pr_ids())
+
+
+def _signed_chsh(tables):
+    """The 8 signed CHSH values of each table in a stack, shape (n, 8)."""
+    e = np.einsum("nxyab,ab->nxy", tables.reshape(-1, 2, 2, 2, 2), SIGN2)
+    return discord2.chsh_values_from_expectations(e).reshape(len(e), -1)
+
+
+def _pr_weighted_mixtures(rng, n):
+    """p * PR + (1 - p) * random NS box, p uniform: about half nonlocal."""
+    p = rng.uniform(size=(n, 1))
+    ns = polytope.random_ns_tables(rng, n).reshape(n, 16)
+    return p * PR[rng.integers(8, size=n)] + (1 - p) * ns
+
+
+def _near_facet_tables(rng, n):
+    """Boxes on the segment from a random local box to a random PR box, placed
+    where the largest CHSH value is 2 +- delta, delta log-uniform in
+    [1e-6, 1e-2]; returns the tables and their signed distance CHSH - 2."""
+    local = rng.dirichlet(np.ones(len(DET)), size=n) @ DET
+    pr = PR[rng.integers(8, size=n)]
+    c_local = _signed_chsh(local)
+    c_pr = _signed_chsh(pr)
+    assert np.all(c_local.max(axis=1) < 2 - 1e-2)
+    delta = rng.choice([-1.0, 1.0], size=n) * 10 ** rng.uniform(-6, -2, size=n)
+    rising = c_pr > c_local
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(rising, (2 + delta[:, None] - c_local) / (c_pr - c_local), np.inf)
+    s = s.min(axis=1)[:, None]
+    tables = (1 - s) * local + s * pr
+    return tables, _signed_chsh(tables).max(axis=1) - 2
+
+
+def _assert_single_calls_match(stack, vertices, weights):
+    """One-at-a-time calls give the stacked verdicts, and weights that, like
+    the stacked ones, reconstruct the target (an inner point has many)."""
+    for target, w in zip(stack, weights):
+        single = polytope.lp_vertex_weights(target, vertices)
+        assert (single is None) == bool(np.isnan(w).all())
+        if single is not None:
+            for u in (single, w):
+                assert u.min() >= 0.0
+                assert np.max(np.abs(u @ vertices - target)) <= boxcore.EPS_LP
+
+
+def test_stacked_lp_agrees_with_chsh_on_pr_weighted_mixtures():
+    rng = np.random.default_rng(4101)
+    tables = _pr_weighted_mixtures(rng, 1000)
+    bmax = _signed_chsh(tables).max(axis=1)
+    keep = np.abs(bmax - 2.0) > boxcore.EPS_LP
+    weights = polytope.lp_vertex_weights(tables[keep], DET)
+    inside = ~np.isnan(weights[:, 0])
+    assert np.array_equal(inside, bmax[keep] < 2.0)
+    assert 0.3 < np.mean(inside) < 0.7
+    _assert_single_calls_match(tables[keep][:100], DET, weights[:100])
+
+
+def test_stacked_lp_agrees_with_chsh_on_near_facet_boxes():
+    # deciding by the residual max|w V - t| <= EPS_LP instead of the slack
+    # sum calls some of these boxes local that lie up to about 1.2e-6 above
+    # the facet
+    rng = np.random.default_rng(4102)
+    tables, gap = _near_facet_tables(rng, 2000)
+    assert np.all((np.abs(gap) >= 0.99e-6) & (np.abs(gap) <= 1.01e-2))
+    weights = polytope.lp_vertex_weights(tables, DET)
+    assert np.array_equal(~np.isnan(weights[:, 0]), gap < 0)
+    _assert_single_calls_match(tables[:100], DET, weights[:100])
+
+
+def test_stack_of_one_matches_single_target():
+    mixture = boxcore.mix([boxcore.pr_box(0, 0, 0), boxcore.noise_box()], [0.3, 0.7])
+    target = mixture.table.reshape(-1)
+    assert np.array_equal(polytope.lp_vertex_weights(target[None], DET)[0],
+                          polytope.lp_vertex_weights(target, DET))
+    assert polytope.lp_vertex_weights(PR[3], DET) is None
+    assert np.isnan(polytope.lp_vertex_weights(PR[3:4], DET)).all()
+    assert polytope.lp_vertex_weights(np.empty((0, 16)), DET).shape == (0, 16)
+    # a vertex has one decomposition, so there the weights must be equal too
+    assert np.allclose(polytope.lp_vertex_weights(DET, DET), np.eye(16),
+                       atol=boxcore.EPS_LP)
+
+
+def test_stacked_lp_over_svetlichny_polytope_all_feasible():
+    rng = np.random.default_rng(4104)
+    vertices = tribox.tri_vertex_matrix(tribox.sv_polytope_ids())
+    w = rng.dirichlet(np.ones(len(vertices)), size=40)
+    w[:20, :16] += 4.0 * rng.dirichlet(np.ones(16), size=20)  # Svetlichny-heavy
+    w /= w.sum(axis=1, keepdims=True)
+    targets = np.vstack([w @ vertices, vertices])
+    weights = polytope.lp_vertex_weights(targets, vertices)
+    assert not np.isnan(weights).any()
+    assert np.max(np.abs(weights @ vertices - targets)) <= boxcore.EPS_LP
+
+
+def test_nonzero_solver_status_raises(monkeypatch):
+    def failing_linprog(**kwargs):
+        return OptimizeResult(status=4, message="numerical difficulties", x=None)
+
+    monkeypatch.setattr(polytope, "linprog", failing_linprog)
+    target = boxcore.noise_box().table.reshape(-1)
+    with pytest.raises(polytope.LpNumericalFailure, match="status 4"):
+        polytope.lp_vertex_weights(target, DET)
+    with pytest.raises(polytope.LpNumericalFailure, match="status 4"):
+        polytope.lp_vertex_weights(np.stack([target, target]), DET)
+
+
+def test_membership_accepts_tables_the_validators_admit(lp_solver):
+    # make_box lets block sums and marginals miss by EPS_VALID, so such a
+    # table needs a positive slack sum however deep inside the hull it lies
+    eps = 0.9 * boxcore.EPS_VALID
+    table = boxcore.noise_box().table.copy()
+    table[0, 0, 0, 0] += eps
+    table[1, 1, 0, 0] -= eps
+    box = boxcore.make_box(table)
+    assert polytope.is_local(box).inside
+    assert polytope.ns_membership(box)
+    weights = polytope.lp_vertex_weights(np.stack([table.reshape(-1)] * 2), DET)
+    assert not np.isnan(weights).any()
+
+
+@pytest.mark.parametrize("shape", [(64,), (2, 2, 2, 2), (3, 15), (2, 3, 16)])
+def test_lp_vertex_weights_rejects_mismatched_target(shape):
+    with pytest.raises(ValueError, match="does not match"):
+        polytope.lp_vertex_weights(np.full(shape, 0.25), DET)

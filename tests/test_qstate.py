@@ -23,6 +23,19 @@ def test_density_matrix_validation():
     qstate.density_matrix(np.eye(4) / 4)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_density_matrix_rejects_non_finite(bad):
+    m = np.eye(4, dtype=complex) / 4
+    m[2, 2] = bad
+    with pytest.raises(qstate.InvalidStateError, match="non-finite"):
+        qstate.density_matrix(m)
+
+
+def test_settings_rejects_non_finite_direction():
+    with pytest.raises(qstate.InvalidStateError):
+        qstate.settings([np.nan, 0, 0], [1, 0, 0], [1, 0, 0], [0, 1, 0])
+
+
 def test_singlet_correlations_minus_cosine():
     rho = qstate.singlet()
     for _ in range(20):

@@ -126,6 +126,21 @@ def test_make_box3_rejects_signaling():
         tribox.make_box3(t)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_make_box3_rejects_non_finite(bad):
+    t = np.full((2,) * 6, 0.125)
+    t[0, 1, 1, 0, 0, 1] = bad
+    with pytest.raises(boxcore.BoxError, match="non-finite"):
+        tribox.make_box3(t)
+
+
+@pytest.mark.parametrize("label", ["Sv00", "Sv00000", "Sv2222", "Det301",
+                                   "PrAB011", "Class8Rep1"])
+def test_parse_tri_vertex_label_rejects_wrong_parameters(label):
+    with pytest.raises(ValueError):
+        tribox.parse_tri_vertex_label(label)
+
+
 def test_discord_groupings_structure():
     groups = tribox.discord_groupings()
     assert len(groups) == 9
@@ -232,6 +247,18 @@ def test_three_decomposition3_werner3():
 def test_three_decomposition3_rejects_outside_polytope():
     with pytest.raises(tribox.NotInPolytopeError):
         tribox.three_decomposition3(tribox.class8_box())
+
+
+def test_sv_polytope_accepts_tables_make_box3_admits(lp_solver):
+    # block sums off by +-eps/2 in a pattern whose marginals stay within
+    # EPS_VALID: the LP needs a slack sum of 8 * eps/2 to reach this box
+    eps = 0.9 * boxcore.EPS_VALID
+    table = tribox.noise3_box().table.copy()
+    for x, y, z in itertools.product(range(2), repeat=3):
+        table[x, y, z, 0, 0, 0] += (-1) ** (x + y + z) * eps / 2
+    box = tribox.make_box3(table)
+    assert tribox.in_sv_polytope(box)
+    assert tribox.three_decomposition3(box).mu == pytest.approx(0.0, abs=1e-7)
 
 
 def test_three_decomposition3_reconstructs_random_polytope_boxes():
