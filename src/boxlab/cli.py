@@ -56,15 +56,17 @@ def _parse_params(pairs) -> dict[str, float]:
     return out
 
 
-def _settings_from_args(args, params):
-    name = args.settings
-    if name is None:
-        raise InputError("need --settings NAME")
-    param = params.pop("settings", None)
+def _frame(name, param):
     try:
         return qstate.settings_catalog(name, param)
     except qstate.UnknownNameError as exc:
         raise InputError(str(exc)) from exc
+
+
+def _settings_from_args(args, params):
+    if args.settings is None:
+        raise InputError("need --settings NAME")
+    return _frame(args.settings, params.pop("settings", None))
 
 
 def _emit(data, args) -> None:
@@ -235,16 +237,16 @@ def cmd_sweep(args) -> int:
     if steps < 2:
         raise InputError("sweep needs at least 2 steps")
     measures = [m.strip() for m in (args.measures or "G,Q,T").split(",")]
-    settings_follows = args.settings_param == "sweep"
+    # the frame moves only when the swept value is its parameter
+    frame_moves = args.settings_param == "sweep" or pname == "settings"
+    if not frame_moves:
+        frame = _frame(args.settings, params.get("settings"))
     rows = []
     for value in np.linspace(start, stop, steps):
+        if frame_moves:
+            frame = _frame(args.settings, float(value))
         point = dict(params)
         point[pname] = float(value)
-        sparam = float(value) if settings_follows else point.get("settings")
-        try:
-            frame = qstate.settings_catalog(args.settings, sparam)
-        except qstate.UnknownNameError as exc:
-            raise InputError(str(exc)) from exc
         point.pop("settings", None)
         state_args = argparse.Namespace(family=args.family)
         rho = _build_state(state_args, point)

@@ -7,6 +7,7 @@ ordering is big-endian (|ab> has index 2a+b, |abc> index 4a+2b+c).
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
@@ -112,8 +113,44 @@ def bloch_operator(n: np.ndarray) -> np.ndarray:
     return n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
 
 
-def projector(n: np.ndarray, outcome: int) -> np.ndarray:
-    return 0.5 * (ID2 + (1.0 if outcome == 0 else -1.0) * bloch_operator(n))
+_PAULI_STACK = np.stack(PAULI)
+_BLOCH_BASIS = np.stack((ID2,) + PAULI)
+_OUTCOME_SIGN = np.array([1.0, -1.0])
+
+
+def _projector_stack(dirs: np.ndarray) -> np.ndarray:
+    """P[x, a] = (1 +/- n_x.sigma)/2 for one party's (2, 3) directions,
+    flattened to a (4, 2, 2) stack indexed 2x + a."""
+    ops = np.einsum("xk,kij->xij", dirs, _PAULI_STACK)
+    p = 0.5 * (ID2 + _OUTCOME_SIGN[:, None, None] * ops[:, None])
+    return p.reshape(4, 2, 2)
+
+
+def _contract(mat: np.ndarray, stacks) -> np.ndarray:
+    """E[m1, .., mn] = Tr(mat O1[m1] (x) .. (x) On[mn]), one stack per party.
+
+    ``mat`` is reshaped to row bits i1..in then column bits j1..jn and the
+    parties are contracted one at a time: pairwise einsums, because a single
+    multi-operand call (and ``optimize=True``, which searches a path on every
+    call) is slower at these sizes.
+    """
+    n = len(stacks)
+    t = mat.reshape((2,) * (2 * n))
+    done, rows, cols = "xyz"[:n], "ikm"[:n], "jln"[:n]
+    for k, ops in enumerate(stacks):
+        spec = (f"{done[:k]}{rows[k:]}{cols[k:]},{done[k]}{cols[k]}{rows[k]}"
+                f"->{done[:k + 1]}{rows[k + 1:]}{cols[k + 1:]}")
+        t = np.einsum(spec, t, ops)
+    return t.real
+
+
+def _born_table(rho: DensityMatrix, parties) -> np.ndarray:
+    """t[x.., a..] = Tr(rho Pi_a^x (x) ..) for one (2, 3) direction pair per party."""
+    n = len(parties)
+    t = _contract(rho.mat, [_projector_stack(d) for d in parties])
+    # axes come out as x, a, y, b, ..; reorder to inputs then outputs
+    return t.reshape((2,) * (2 * n)).transpose(
+        [2 * k for k in range(n)] + [2 * k + 1 for k in range(n)])
 
 
 def born_box2(rho: DensityMatrix, s: MeasurementSettings) -> BipartiteBox:
@@ -122,16 +159,7 @@ def born_box2(rho: DensityMatrix, s: MeasurementSettings) -> BipartiteBox:
         raise InvalidStateError("born_box2 needs a 4x4 density matrix")
     if s.parties != 2:
         raise InvalidStateError("born_box2 needs two-party settings")
-    pa = [[projector(s.a[x], a) for a in range(2)] for x in range(2)]
-    pb = [[projector(s.b[y], b) for b in range(2)] for y in range(2)]
-    t = np.empty((2, 2, 2, 2))
-    for x in range(2):
-        for y in range(2):
-            for a in range(2):
-                for b in range(2):
-                    t[x, y, a, b] = np.trace(
-                        rho.mat @ np.kron(pa[x][a], pb[y][b])).real
-    return boxcore.make_box(t)
+    return boxcore.make_box(_born_table(rho, (s.a, s.b)))
 
 
 def born_box3(rho: DensityMatrix, s: MeasurementSettings) -> TripartiteBox:
@@ -140,20 +168,7 @@ def born_box3(rho: DensityMatrix, s: MeasurementSettings) -> TripartiteBox:
         raise InvalidStateError("born_box3 needs an 8x8 density matrix")
     if s.parties != 3:
         raise InvalidStateError("born_box3 needs three-party settings")
-    pa = [[projector(s.a[x], a) for a in range(2)] for x in range(2)]
-    pb = [[projector(s.b[y], b) for b in range(2)] for y in range(2)]
-    pc = [[projector(s.c[z], c) for c in range(2)] for z in range(2)]
-    t = np.empty((2,) * 6)
-    for x in range(2):
-        for y in range(2):
-            ab = [[np.kron(pa[x][a], pb[y][b]) for b in range(2)] for a in range(2)]
-            for z in range(2):
-                for a in range(2):
-                    for b in range(2):
-                        for c in range(2):
-                            t[x, y, z, a, b, c] = np.trace(
-                                rho.mat @ np.kron(ab[a][b], pc[z][c])).real
-    return tribox.make_box3(t)
+    return tribox.make_box3(_born_table(rho, (s.a, s.b, s.c)))
 
 
 def correlation_data(rho: DensityMatrix):
@@ -164,11 +179,8 @@ def correlation_data(rho: DensityMatrix):
     """
     if rho.dim != 4:
         raise InvalidStateError("correlation_data needs a 4x4 density matrix")
-    r = np.array([np.trace(rho.mat @ np.kron(p, ID2)).real for p in PAULI])
-    s = np.array([np.trace(rho.mat @ np.kron(ID2, p)).real for p in PAULI])
-    c = np.array([[np.trace(rho.mat @ np.kron(pi, pj)).real for pj in PAULI]
-                  for pi in PAULI])
-    return r, s, c
+    t = _contract(rho.mat, (_BLOCH_BASIS, _BLOCH_BASIS))
+    return t[1:, 0], t[0, 1:], t[1:, 1:]
 
 
 def joint_expectations_shortcut(rho: DensityMatrix,
@@ -298,11 +310,16 @@ def settings_catalog(name: str, param: float | None = None) -> MeasurementSettin
 
 # ---------------------------------------------------------------------------
 # state catalog
+#
+# The zero-argument states are cached: DensityMatrix is frozen and its matrix
+# read-only, so every caller can share one validated instance.
 
+@functools.cache
 def bell_psi_plus() -> DensityMatrix:
     return pure_dm([1, 0, 0, 1])
 
 
+@functools.cache
 def singlet() -> DensityMatrix:
     return pure_dm([0, 1, -1, 0])
 
@@ -375,6 +392,7 @@ def qc_state(p0: float, r_hat, s0, s1) -> DensityMatrix:
     return density_matrix(m)
 
 
+@functools.cache
 def ghz_state() -> DensityMatrix:
     return pure_dm([1, 0, 0, 0, 0, 0, 0, 1])
 
@@ -402,6 +420,7 @@ def w_class_state(alpha: float, beta: float, gamma: float) -> DensityMatrix:
     return pure_dm(v)
 
 
+@functools.cache
 def w_state() -> DensityMatrix:
     return w_class_state(1.0, 1.0, 1.0)
 

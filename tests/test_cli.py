@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from boxlab import boxcore, cli, qstate, tribox
+from boxlab import boxcore, cli, discord2, qstate, tribox
 
 
 def run_cli(args):
@@ -145,6 +145,24 @@ def test_sweep_with_swept_settings_parameter(tmp_path):
         assert g == pytest.approx(8 * np.sqrt(1 - p), abs=1e-9)
         assert q == pytest.approx(4 * (np.sqrt(p) - np.sqrt(1 - p)), abs=1e-9)
         assert t == pytest.approx(g + q, abs=1e-9)
+
+
+def test_sweep_of_the_settings_parameter_moves_the_frame(tmp_path):
+    out = tmp_path / "prq.csv"
+    code = run_cli(["sweep", "--family", "Schmidt", "--param", "theta=0.4",
+                    "--sweep", "settings:0.2:1.8:5", "--settings", "PRQ",
+                    "--measures", "G,Q,CHSH", "--out", str(out)])
+    assert code == 0
+    lines = out.read_text().strip().splitlines()
+    assert lines[0] == "settings,G,Q,CHSH"
+    assert len(lines) == 6
+    rho = qstate.schmidt_state(0.4)
+    for line in lines[1:]:
+        tau, g, q, chsh = map(float, line.split(","))
+        box = qstate.born_box2(rho, qstate.settings_catalog("PRQ", tau))
+        assert g == pytest.approx(discord2.bell_discord(box), abs=1e-11)
+        assert q == pytest.approx(discord2.mermin_discord(box), abs=1e-11)
+        assert chsh == pytest.approx(np.max(discord2.chsh_values(box)), abs=1e-11)
 
 
 def test_sweep_rejects_bad_spec():

@@ -2,13 +2,61 @@
 
 import itertools
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from boxlab import boxcore, discord2, qstate, tribox
 
 RNG = np.random.default_rng(31)
 SQRT2 = np.sqrt(2.0)
+
+
+def projector(n, outcome):
+    return 0.5 * (qstate.ID2 + (1.0 if outcome == 0 else -1.0)
+                  * qstate.bloch_operator(n))
+
+
+def party_dirs(frame):
+    return [frame.a, frame.b] + ([] if frame.c is None else [frame.c])
+
+
+def born_table_by_definition(rho, frame):
+    """Oracle: Tr(rho Pi_a^x (x) Pi_b^y (x) ..) one cell at a time."""
+    parties = party_dirs(frame)
+    n = len(parties)
+    t = np.empty((2,) * (2 * n))
+    for idx in itertools.product(range(2), repeat=2 * n):
+        op = np.ones((1, 1))
+        for k, dirs in enumerate(parties):
+            op = np.kron(op, projector(dirs[idx[k]], idx[n + k]))
+        t[idx] = np.trace(rho.mat @ op).real
+    return t
+
+
+def correlation_data_by_definition(rho):
+    """Oracle: r_i = Tr(rho s_i (x) I), s_j = Tr(rho I (x) s_j),
+    C_ij = Tr(rho s_i (x) s_j)."""
+    def ev(p, q):
+        return np.trace(rho.mat @ np.kron(p, q)).real
+
+    r = np.array([ev(p, qstate.ID2) for p in qstate.PAULI])
+    s = np.array([ev(qstate.ID2, p) for p in qstate.PAULI])
+    c = np.array([[ev(pi, pj) for pj in qstate.PAULI] for pi in qstate.PAULI])
+    return r, s, c
+
+
+def random_mixed_state(rng, dim):
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    m = g @ g.conj().T
+    return qstate.density_matrix(m / np.trace(m).real)
+
+
+def born_box(rho, frame):
+    if frame.parties == 2:
+        return qstate.born_box2(rho, frame)
+    return qstate.born_box3(rho, frame)
 
 
 def test_density_matrix_validation():
@@ -225,3 +273,84 @@ def test_settings_json_round_trip():
     frame2 = qstate.settings_from_json(qstate.settings_to_json(
         qstate.settings_catalog("BSb")))
     assert frame2.parties == 2
+
+
+@pytest.mark.parametrize("dim", [4, 8])
+@pytest.mark.parametrize("kind", ["mixed", "pure"])
+def test_born_rule_matches_definition_on_random_states(dim, kind):
+    rng = np.random.default_rng(dim)
+    for _ in range(20):
+        if kind == "mixed":
+            rho = random_mixed_state(rng, dim)
+        else:
+            rho = qstate.random_pure_state(rng, dim)
+        frame = (qstate.random_settings2(rng) if dim == 4
+                 else qstate.random_settings3(rng))
+        box = born_box(rho, frame)
+        assert np.max(np.abs(box.table - born_table_by_definition(rho, frame))) <= 1e-12
+        if dim == 4:
+            for got, want in zip(qstate.correlation_data(rho),
+                                 correlation_data_by_definition(rho)):
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", qstate.settings_names())
+def test_born_rule_matches_definition_on_named_frames(name):
+    rng = np.random.default_rng(sum(map(ord, name)))
+    # 0.4 lies in range for every parametric frame (tau >= 0, p and theta in [0, 1])
+    frame = qstate.settings_catalog(name, 0.4)
+    dim = 4 if frame.parties == 2 else 8
+    for rho in (random_mixed_state(rng, dim), qstate.random_pure_state(rng, dim)):
+        box = born_box(rho, frame)
+        assert np.max(np.abs(box.table - born_table_by_definition(rho, frame))) <= 1e-12
+
+
+def flip_output_at(x):
+    """Relabel that flips one party's output at input x only."""
+    return boxcore.PartyRelabel(input_flip=0, out_by_input=1, out_const=1 - x)
+
+
+def negate_direction(frame, party, x):
+    dirs = party_dirs(frame)
+    flipped = dirs[party].copy()
+    flipped[x] = -flipped[x]
+    dirs[party] = flipped
+    return qstate.settings(*(v for d in dirs for v in d))
+
+
+@hypothesis.settings(deadline=None, derandomize=True, max_examples=40)
+@hypothesis.given(seed=st.integers(0, 2**32 - 1), party=st.integers(0, 1),
+                  x=st.integers(0, 1))
+def test_negating_a_direction_flips_that_output_bipartite(seed, party, x):
+    rng = np.random.default_rng(seed)
+    rho = random_mixed_state(rng, 4)
+    frame = qstate.random_settings2(rng)
+    relabel = {"ab"[party]: flip_output_at(x)}
+    want = boxcore.apply_lro(qstate.born_box2(rho, frame), boxcore.Lro(**relabel))
+    got = qstate.born_box2(rho, negate_direction(frame, party, x))
+    assert got.allclose(want, tol=1e-12)
+
+
+@hypothesis.settings(deadline=None, derandomize=True, max_examples=40)
+@hypothesis.given(seed=st.integers(0, 2**32 - 1), party=st.integers(0, 2),
+                  x=st.integers(0, 1))
+def test_negating_a_direction_flips_that_output_tripartite(seed, party, x):
+    rng = np.random.default_rng(seed)
+    rho = random_mixed_state(rng, 8)
+    frame = qstate.random_settings3(rng)
+    relabels = [boxcore.IDENTITY_RELABEL] * 3
+    relabels[party] = flip_output_at(x)
+    want = tribox.apply_lro3(qstate.born_box3(rho, frame),
+                             tribox.Lro3(relabels=tuple(relabels)))
+    got = qstate.born_box3(rho, negate_direction(frame, party, x))
+    assert got.allclose(want, tol=1e-12)
+
+
+@pytest.mark.parametrize("builder", [qstate.bell_psi_plus, qstate.singlet,
+                                     qstate.ghz_state, qstate.w_state])
+def test_constant_catalog_states_are_shared_and_read_only(builder):
+    rho = builder()
+    assert builder() is rho
+    with pytest.raises(ValueError):
+        rho.mat[0, 0] = 0.0
