@@ -1,0 +1,164 @@
+"""Correlation core shared by the bipartite and tripartite measures.
+
+A box of n parties (n = 2 or 3) is a flat table of 4**n probabilities ordered
+as ``[x_1..x_n, a_1..a_n]``: inputs before outputs, the first party's bit most
+significant. Every Bell, Mermin and Svetlichny quantity goes through three
+steps, each over any leading batch shape:
+
+1. correlators: ``E_i = sum_a (-1)^(a_1 ^ .. ^ a_n) P(a|i)`` for each input
+   string i, shape ``(..., 2**n)``;
+2. operator values: operator l sums ``s_l(i) E_i`` with the sign rule
+   ``s_l(i) = (-1)^(e2(i) ^ l.i)``, where ``e2(i)`` is the XOR of the pairwise
+   input products and ``l.i`` the XOR of the bitwise products. This is CHSH
+   at n = 2 and Svetlichny at n = 3. The Mermin operators keep the same signs
+   on a subset of the inputs: ``x ^ y = beta`` at n = 2, and input parity
+   different from label parity at n = 3. A last output bit negates the value;
+3. discords: the minimum over index groupings of the nested differences of
+   the operator moduli (the 3 pairings at n = 2, 9 groupings at n = 3).
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+
+import numpy as np
+
+
+def _popcount(v, n):
+    return sum((v >> p) & 1 for p in range(n))
+
+
+def _sign_rules(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(operator signs, Mermin signs), each (2**n labels, 2**n inputs)."""
+    label, inp = np.indices((2 ** n, 2 ** n))
+    bits = [(inp >> p) & 1 for p in range(n)]
+    e2 = sum(bits[p] & bits[q] for p, q in combinations(range(n), 2))
+    signs = (-1.0) ** (e2 + _popcount(label & inp, n))
+    if n == 2:
+        keep = bits[0] ^ bits[1] == label & 1
+    else:
+        keep = _popcount(inp, n) % 2 != _popcount(label, n) % 2
+    return signs, signs * keep
+
+
+def _leaf_orders(n: int) -> np.ndarray:
+    """Groupings as leaf orders, shape (n_groupings, 2**n).
+
+    Adjacent leaves pair first, then adjacent pairs, and so on. Each half of
+    the labels (all of them at n = 2; at n = 3 the halves split on one label
+    bit) pairs each label with its XOR under one mask of the remaining bits.
+    """
+    bits = [1 << p for p in reversed(range(n))]
+    orders = []
+    for split in ([0] if n == 2 else bits):
+        halves = [[i for i in range(2 ** n) if i & split == v] for v in sorted({0, split})]
+        free = [b for b in bits if b != split]
+        for mask in (free[0], free[1], free[0] | free[1]):
+            orders.append([k for half in halves for i in half if i < i ^ mask
+                           for k in (i, i ^ mask)])
+    return np.array(orders)
+
+
+_SIGNS = {n: _sign_rules(n) for n in (2, 3)}
+_OUTPUT_PARITY = {n: (-1.0) ** _popcount(np.arange(2 ** n)[:, None] & np.arange(2 ** n), n)
+                  for n in (2, 3)}  # [party mask, outputs]
+GROUPINGS = {n: _leaf_orders(n) for n in (2, 3)}
+_NEGATE = np.array([1.0, -1.0])  # output bit 1 negates an operator value
+_BLOCK = 1 << 15  # rows per gather in nested_min, which bounds its scratch memory
+
+
+def correlators(tables, n: int, parties: int | None = None) -> np.ndarray:
+    """Correlators (..., 2**n) of flat tables (..., 4**n).
+
+    ``parties`` is a bit mask (first party most significant) of the outputs
+    that enter the sign; by default all of them.
+    """
+    t = np.asarray(tables)
+    mask = 2 ** n - 1 if parties is None else parties
+    return np.einsum("...ia,a->...i", t.reshape(t.shape[:-1] + (2 ** n, 2 ** n)),
+                     _OUTPUT_PARITY[n][mask])
+
+
+def _signed_sums(corr, n: int, mermin: bool) -> np.ndarray:
+    """sum_i s_l(i) E_i for every label l, accumulated in input order.
+
+    The labels come first, shape (2**n, ...), so that every step is one long
+    vector operation over the batch.
+    """
+    signs = _SIGNS[n][mermin]
+    corr = np.asarray(corr)
+    out = np.multiply.outer(signs[:, 0], corr[..., 0])
+    for i in range(1, 2 ** n):
+        out += np.multiply.outer(signs[:, i], corr[..., i])
+    return out
+
+
+def _moduli(corr, n: int, mermin: bool) -> np.ndarray:
+    v = _signed_sums(corr, n, mermin)
+    return np.abs(v, out=v)
+
+
+def operator_values(corr, n: int, mermin: bool = False) -> np.ndarray:
+    """Signed operator values (..., 2**n, 2), indexed [label, output bit]."""
+    return np.moveaxis(_signed_sums(corr, n, mermin), 0, -1)[..., None] * _NEGATE
+
+
+def moduli(corr, n: int, mermin: bool = False) -> np.ndarray:
+    """Operator moduli (..., 2**n), one per label."""
+    return np.moveaxis(_moduli(corr, n, mermin), 0, -1)
+
+
+def nested_min(funcs, n: int) -> np.ndarray:
+    """Minimum over GROUPINGS[n] of the nested differences of funcs, shape
+    (2**n, ...) with the labels first."""
+    f = np.asarray(funcs)
+    rows = f.reshape(2 ** n, -1)
+    out = np.empty(rows.shape[1])
+    for start in range(0, rows.shape[1], _BLOCK):
+        x = rows[:, start:start + _BLOCK][GROUPINGS[n]]
+        # each level writes |left - right| over its left operands, in place:
+        # fresh temporaries of this size cost a page fault per 4 kB
+        step = 1
+        while step < 2 ** n:
+            left = x[:, ::2 * step]
+            np.abs(np.subtract(left, x[:, step::2 * step], out=left), out=left)
+            step *= 2
+        out[start:start + _BLOCK] = x[:, 0].min(axis=0)
+    return out.reshape(f.shape[1:])
+
+
+def discord(corr, n: int, mermin: bool = False) -> np.ndarray:
+    """Bell/Svetlichny discord, or the Mermin discord, of correlators (..., 2**n)."""
+    return nested_min(_moduli(corr, n, mermin), n)
+
+
+def _marginal(t: np.ndarray, n: int, parties: int) -> np.ndarray:
+    """Correlators of a party subset, averaged over the other parties' inputs;
+    shape (..., 2, .., 2) with size-1 axes for the other parties."""
+    e = correlators(t, n, parties)
+    e = e.reshape(e.shape[:-1] + (2,) * n)
+    others = tuple(p - n for p in range(n) if not parties >> (n - 1 - p) & 1)
+    return e.mean(axis=others, keepdims=True)
+
+
+def total_correlation(tables, n: int) -> np.ndarray:
+    """min over cuts S|S' of max_l | |V_l(E)| - |V_l(E_S E_S')| |.
+
+    V_l is the CHSH/Svetlichny operator and E_S E_S' the correlators of the
+    box factorized across the cut.
+    """
+    t = np.asarray(tables)
+    f = _moduli(correlators(t, n), n, False)
+    full = 2 ** n - 1
+    best = None
+    for cut in (s for s in range(1, full) if s < full ^ s):
+        e_cut = _marginal(t, n, cut) * _marginal(t, n, full ^ cut)
+        gap = np.abs(f - _moduli(e_cut.reshape(t.shape[:-1] + (2 ** n,)), n, False)).max(axis=0)
+        best = gap if best is None else np.minimum(best, gap)
+    return best
+
+
+def measures(tables, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(discord, Mermin discord, total correlation) of flat tables (..., 4**n)."""
+    e = correlators(tables, n)
+    return discord(e, n), discord(e, n, mermin=True), total_correlation(tables, n)

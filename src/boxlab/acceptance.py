@@ -2,7 +2,7 @@
 
 Each criterion returns a CriterionResult with the worst observed error, so the
 CLI `verify` command and tests/test_acceptance.py share the same code path.
-Closed-form tolerances are 1e-9, LP-derived ones 1e-6.
+Closed-form tolerances are 1e-9; criteria 9, 10 and 11 state their own bounds.
 """
 
 from __future__ import annotations
@@ -11,10 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import boxcore, discord2, polytope, qstate, tribox
+from . import _corr, boxcore, discord2, polytope, qstate, tribox
 
 TOL_CLOSED = 1e-9
-TOL_LP = 1e-6
 SEED = 20240811
 SQRT2 = float(np.sqrt(2.0))
 
@@ -32,34 +31,6 @@ def _result(number, description, max_err, tol, extra="") -> CriterionResult:
     if extra:
         detail += ", " + extra
     return CriterionResult(number, description, bool(max_err <= tol), detail)
-
-
-# -- batched measure helpers -------------------------------------------------
-
-def _tables_joint_expectations(tables: np.ndarray) -> np.ndarray:
-    sign = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    return np.einsum("nxyab,ab->nxy", tables.reshape(-1, 2, 2, 2, 2), sign)
-
-
-def _tables_marginal_expectations(tables: np.ndarray):
-    t = tables.reshape(-1, 2, 2, 2, 2)
-    sign = np.array([1.0, -1.0])
-    ea = np.einsum("nxa,a->nx", t.sum(axis=4).mean(axis=2), sign)
-    eb = np.einsum("nyb,b->ny", t.sum(axis=3).mean(axis=1), sign)
-    return ea, eb
-
-
-def _tables_measures(tables: np.ndarray):
-    """(G, Q, T) for a stack of tables, through the vectorized cores."""
-    e = _tables_joint_expectations(tables)
-    g = discord2.bell_discord_from_expectations(e)
-    q = discord2.mermin_discord_from_expectations(e)
-    ea, eb = _tables_marginal_expectations(tables)
-    e_prod = np.einsum("nx,ny->nxy", ea, eb)
-    b = discord2.bell_functions_from_expectations(e)
-    bp = discord2.bell_functions_from_expectations(e_prod)
-    t = np.max(np.abs(b - bp).reshape(len(b), 4), axis=1)
-    return g, q, t
 
 
 # -- criteria ----------------------------------------------------------------
@@ -211,7 +182,7 @@ def criterion_8() -> CriterionResult:
     and 1e3 random two-qubit state/settings pairs."""
     rng = np.random.default_rng(SEED)
     tables = polytope.random_ns_tables(rng, 10_000)
-    e = _tables_joint_expectations(tables)
+    e = _corr.correlators(tables.reshape(-1, 16), 2).reshape(-1, 2, 2)
     b = discord2.bell_functions_from_expectations(e).reshape(-1, 4)
     pair_max = 0.0
     for i in range(4):
@@ -283,7 +254,7 @@ def criterion_10() -> CriterionResult:
     on 1e4 random NS boxes (eps-boundary cases excluded)."""
     rng = np.random.default_rng(SEED + 2)
     tables = polytope.random_ns_tables(rng, 10_000)
-    e = _tables_joint_expectations(tables)
+    e = _corr.correlators(tables.reshape(-1, 16), 2).reshape(-1, 2, 2)
     bmax = np.max(discord2.bell_functions_from_expectations(e).reshape(-1, 4),
                   axis=1)
     keep = np.abs(bmax - 2.0) > boxcore.EPS_LP
@@ -302,12 +273,8 @@ def criterion_11() -> CriterionResult:
     rng = np.random.default_rng(SEED + 3)
     tables = polytope.random_ns_tables(rng, 100).reshape(100, 16)
     perms = np.stack([boxcore.lro_index_permutation(g) for g in boxcore.lro_group()])
-    g_all = np.empty((128, 100))
-    q_all = np.empty((128, 100))
-    t_all = np.empty((128, 100))
-    for k, perm in enumerate(perms):
-        g_all[k], q_all[k], t_all[k] = _tables_measures(tables[:, perm])
-    spread = max(float(np.max(np.ptp(m, axis=0))) for m in (g_all, q_all, t_all))
+    measures = _corr.measures(tables[:, perms].transpose(1, 0, 2), 2)  # (128, 100) each
+    spread = max(float(np.max(np.ptp(m, axis=0))) for m in measures)
     return _result(11, "LRO invariance of G, Q, T (100 boxes x 128 elements)",
                    spread, 1e-12)
 

@@ -14,6 +14,8 @@ from itertools import product
 
 import numpy as np
 
+from . import _corr
+
 EPS_VALID = 1e-9  # tolerance for box-table validity checks
 EPS_LP = 1e-7     # tolerance for LP-derived quantities
 # A target of d entries is in a vertex hull iff its elastic-LP slack sum is at
@@ -319,8 +321,7 @@ def mix(boxes: list[BipartiteBox], weights) -> BipartiteBox:
 
 def joint_expectations(box: BipartiteBox) -> np.ndarray:
     """All four <A_x B_y> = sum_ab (-1)^(a^b) P(a,b|x,y), shape (2, 2)."""
-    sign = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    return np.einsum("xyab,ab->xy", box.table, sign)
+    return _corr.correlators(box.table.reshape(16), 2).reshape(2, 2)
 
 
 def joint_expectation(box: BipartiteBox, x: int, y: int) -> float:
@@ -373,19 +374,7 @@ IDENTITY_LRO = Lro()
 
 def apply_lro(box: BipartiteBox, g: Lro) -> BipartiteBox:
     """Relabeled box; the party swap acts first, then the per-party relabels."""
-    t = box.table
-    if g.party_swap:
-        t = t.transpose(1, 0, 3, 2)
-    out = np.empty((2, 2, 2, 2))
-    ra, rb = g.a, g.b
-    for x, y, a, b in product(range(2), repeat=4):
-        out[x, y, a, b] = t[
-            x ^ ra.input_flip,
-            y ^ rb.input_flip,
-            a ^ (ra.out_by_input & x) ^ ra.out_const,
-            b ^ (rb.out_by_input & y) ^ rb.out_const,
-        ]
-    return _box_exact(out)
+    return _box_exact(box.table.reshape(16)[lro_index_permutation(g)].reshape(2, 2, 2, 2))
 
 
 def _compose_relabel(first_applied: PartyRelabel, then: PartyRelabel) -> PartyRelabel:
@@ -423,8 +412,8 @@ def invert_lro(g: Lro) -> Lro:
 def lro_index_permutation(g: Lro) -> np.ndarray:
     """Index map so that apply_lro(box, g).table.ravel() == table.ravel()[perm].
 
-    Relabelings only permute the 16 table cells; batch sweeps use the
-    precomputed permutation instead of apply_lro.
+    Relabelings only permute the 16 table cells; batch sweeps gather a
+    stack of tables through precomputed permutations.
     """
     perm = np.empty(16, dtype=np.intp)
     ra, rb = g.a, g.b

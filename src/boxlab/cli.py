@@ -334,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'sweep' to reuse the swept value as the settings parameter")
     p.add_argument("--measures", help="comma list, default G,Q,T")
     p.add_argument("--param", action="append")
-    p.add_argument("--seed", type=int, default=0, help="reserved for randomized measures")
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)
 

@@ -1,30 +1,29 @@
 """Bipartite correlation measures: Bell/Mermin functions, discords, totals, monogamy.
 
 All measures depend on the box only through its joint and marginal
-expectations, so each has an array-level core operating on ``(..., 2, 2)``
-stacks of joint expectations; batch sweeps use the cores directly.
+expectations. The ``*_from_expectations`` functions take ``(..., 2, 2)``
+stacks of joint expectations; they and the single-box functions share the
+sign-rule core in :mod:`boxlab._corr`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
 
 import numpy as np
 
+from . import _corr
 from .boxcore import (
     EPS_VALID,
     BipartiteBox,
     joint_expectations,
-    marginal_expectations,
 )
 
 SQRT2 = float(np.sqrt(2.0))
 STEERING_BOUND = SQRT2
 CHSH_LOCAL_BOUND = 2.0
 
-# the three ways to split four function labels (00,01,10,11) into two pairs
-_PAIRINGS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
+_PAIRS = np.triu_indices(4, 1)  # every pair of the labels 2 * alpha + beta
 
 
 def chsh_value(box: BipartiteBox, alpha: int, beta: int, gamma: int) -> float:
@@ -37,17 +36,14 @@ def chsh_values(box: BipartiteBox) -> np.ndarray:
     return chsh_values_from_expectations(joint_expectations(box))
 
 
+def _flat(e) -> np.ndarray:
+    e = np.asarray(e)
+    return e.reshape(e.shape[:-2] + (4,))
+
+
 def chsh_values_from_expectations(e: np.ndarray) -> np.ndarray:
     e = np.asarray(e)
-    out = np.empty(e.shape[:-2] + (2, 2, 2))
-    for al, be, ga in product(range(2), repeat=3):
-        out[..., al, be, ga] = (
-            (-1.0) ** ga * e[..., 0, 0]
-            + (-1.0) ** (be ^ ga) * e[..., 0, 1]
-            + (-1.0) ** (al ^ ga) * e[..., 1, 0]
-            + (-1.0) ** (al ^ be ^ ga ^ 1) * e[..., 1, 1]
-        )
-    return out
+    return _corr.operator_values(_flat(e), 2).reshape(e.shape[:-2] + (2, 2, 2))
 
 
 def bell_functions(box: BipartiteBox) -> np.ndarray:
@@ -56,20 +52,16 @@ def bell_functions(box: BipartiteBox) -> np.ndarray:
 
 
 def bell_functions_from_expectations(e: np.ndarray) -> np.ndarray:
-    return np.abs(chsh_values_from_expectations(e)[..., 0])
+    return _corr.moduli(_flat(e), 2).reshape(np.shape(e))
 
 
 def mermin_value(box: BipartiteBox, alpha: int, beta: int, gamma: int) -> float:
-    """Signed Mermin operator value; local/steering structure bound sqrt(2)."""
-    e = joint_expectations(box)
-    sg = (-1.0) ** gamma
-    if (alpha, beta) == (0, 0):
-        return float(sg * (e[0, 0] - e[1, 1]))
-    if (alpha, beta) == (0, 1):
-        return float(sg * (e[1, 0] - e[0, 1]))
-    if (alpha, beta) == (1, 0):
-        return float(sg * (e[0, 0] + e[1, 1]))
-    return float(-(e[0, 1] + e[1, 0]))
+    """Signed Mermin operator value; local/steering structure bound sqrt(2).
+
+    (-1)^gamma * sum over x^y = beta of (-1)^(xy ^ alpha x ^ beta y) <A_x B_y>.
+    """
+    values = _corr.operator_values(_flat(joint_expectations(box)), 2, mermin=True)
+    return float(values[2 * alpha + beta, gamma])
 
 
 def mermin_functions(box: BipartiteBox) -> np.ndarray:
@@ -82,23 +74,7 @@ def mermin_functions(box: BipartiteBox) -> np.ndarray:
 
 
 def mermin_functions_from_expectations(e: np.ndarray) -> np.ndarray:
-    e = np.asarray(e)
-    out = np.empty(e.shape[:-2] + (2, 2))
-    out[..., 0, 0] = np.abs(e[..., 0, 0] - e[..., 1, 1])
-    out[..., 0, 1] = np.abs(e[..., 0, 1] - e[..., 1, 0])
-    out[..., 1, 0] = np.abs(e[..., 0, 0] + e[..., 1, 1])
-    out[..., 1, 1] = np.abs(e[..., 0, 1] + e[..., 1, 0])
-    return out
-
-
-def pairing_min(funcs: np.ndarray) -> np.ndarray:
-    """min over the 3 pairings of || |f_i-f_j| - |f_k-f_l| ||, last axis of size 4."""
-    f = np.asarray(funcs)
-    vals = [
-        np.abs(np.abs(f[..., i] - f[..., j]) - np.abs(f[..., k] - f[..., l]))
-        for (i, j), (k, l) in _PAIRINGS
-    ]
-    return np.minimum.reduce(vals)
+    return _corr.moduli(_flat(e), 2, mermin=True).reshape(np.shape(e))
 
 
 def bell_discord(box: BipartiteBox) -> float:
@@ -107,8 +83,7 @@ def bell_discord(box: BipartiteBox) -> float:
 
 
 def bell_discord_from_expectations(e: np.ndarray) -> np.ndarray:
-    b = bell_functions_from_expectations(e)
-    return pairing_min(b.reshape(b.shape[:-2] + (4,)))
+    return _corr.discord(_flat(e), 2)
 
 
 def mermin_discord(box: BipartiteBox) -> float:
@@ -117,8 +92,7 @@ def mermin_discord(box: BipartiteBox) -> float:
 
 
 def mermin_discord_from_expectations(e: np.ndarray) -> np.ndarray:
-    m = mermin_functions_from_expectations(e)
-    return pairing_min(m.reshape(m.shape[:-2] + (4,)))
+    return _corr.discord(_flat(e), 2, mermin=True)
 
 
 def total_correlation(box: BipartiteBox) -> float:
@@ -127,12 +101,7 @@ def total_correlation(box: BipartiteBox) -> float:
     max over (alpha, beta) of |B_{ab} - B^prod_{ab}|, where B^prod is the
     Bell function of the product box built from the single-party expectations.
     """
-    e = joint_expectations(box)
-    ea, eb = marginal_expectations(box)
-    e_prod = np.outer(ea, eb)
-    b = bell_functions_from_expectations(e)
-    b_prod = bell_functions_from_expectations(e_prod)
-    return float(np.max(np.abs(b - b_prod)))
+    return float(_corr.total_correlation(box.table.reshape(16), 2))
 
 
 @dataclass(frozen=True)
@@ -151,9 +120,7 @@ class CorrelationSplit:
 
 
 def correlation_split(box: BipartiteBox) -> CorrelationSplit:
-    t = total_correlation(box)
-    g = bell_discord(box)
-    q = mermin_discord(box)
+    g, q, t = map(float, _corr.measures(box.table.reshape(16), 2))
     diff = t - g - q
     return CorrelationSplit(t, g, q, abs(diff), 1 if diff >= 0 else -1)
 
@@ -194,14 +161,11 @@ class MonogamyReport:
 
 def monogamy_checks(box: BipartiteBox, eps: float = EPS_VALID) -> MonogamyReport:
     """Check B_i + B_j <= 4 for every pair of Bell functions and G + 2Q <= 4."""
-    b = bell_functions(box)
-    labels = [(al, be) for al, be in product(range(2), repeat=2)]
-    worst_pair = (labels[0], labels[1])
-    pair_margin = np.inf
-    for (i, li), (j, lj) in combinations(enumerate(labels), 2):
-        margin = 4.0 - (b[li] + b[lj])
-        if margin < pair_margin:
-            pair_margin, worst_pair = margin, (li, lj)
+    b = bell_functions(box).reshape(4)
+    i, j = _PAIRS
+    margins = 4.0 - (b[i] + b[j])
+    k = int(np.argmin(margins))
+    pair_margin, worst_pair = margins[k], (divmod(int(i[k]), 2), divmod(int(j[k]), 2))
     gq_margin = 4.0 - (bell_discord(box) + 2.0 * mermin_discord(box))
     return MonogamyReport(
         bell_pair_margin=float(pair_margin),

@@ -15,7 +15,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from . import boxcore, discord2, polytope
+from . import _corr, boxcore, discord2, polytope
 from .boxcore import (
     EPS_LP,
     EPS_VALID,
@@ -127,7 +127,6 @@ class TriExpectations:
 
 _S1 = np.array([1.0, -1.0])
 _S2 = np.einsum("a,b->ab", _S1, _S1)
-_S3 = np.einsum("a,b,c->abc", _S1, _S1, _S1)
 
 
 def expectations3(box: TripartiteBox) -> TriExpectations:
@@ -139,7 +138,7 @@ def expectations3(box: TripartiteBox) -> TriExpectations:
         ab=np.einsum("xyzabc,ab->xy", t, _S2) / 2.0,
         ac=np.einsum("xyzabc,ac->xz", t, _S2) / 2.0,
         bc=np.einsum("xyzabc,bc->yz", t, _S2) / 2.0,
-        abc=np.einsum("xyzabc,abc->xyz", t, _S3),
+        abc=_corr.correlators(t.reshape(64), 3).reshape(2, 2, 2),
     )
 
 
@@ -245,22 +244,6 @@ def noise3_box() -> TripartiteBox:
     return _box3_exact(np.full((2,) * 6, 1.0 / 8.0))
 
 
-def _mermin3_coefficients(al: int, be: int, ga: int, ep: int) -> np.ndarray:
-    """Coefficient of <A_i B_j C_k> in the (al,be,ga,ep) tripartite Mermin operator."""
-    coef = np.zeros((2, 2, 2))
-    if al ^ be ^ ga == 0:
-        coef[0, 0, 1] = (-1.0) ** (ga ^ ep)
-        coef[0, 1, 0] = (-1.0) ** (be ^ ep)
-        coef[1, 0, 0] = (-1.0) ** (al ^ ep)
-        coef[1, 1, 1] = (-1.0) ** (al ^ be ^ ga ^ ep ^ 1)
-    else:
-        coef[1, 1, 0] = (-1.0) ** (al ^ be ^ ep ^ 1)
-        coef[1, 0, 1] = (-1.0) ** (al ^ ga ^ ep ^ 1)
-        coef[0, 1, 1] = (-1.0) ** (be ^ ga ^ ep ^ 1)
-        coef[0, 0, 0] = (-1.0) ** ep
-    return coef
-
-
 def mermin3_box(al: int, be: int, ga: int, ep: int) -> TripartiteBox:
     """Maximally three-way contextual vertex of the two-way local polytope.
 
@@ -364,6 +347,10 @@ def parse_tri_vertex_label(label: str) -> TriVertexId:
 # ---------------------------------------------------------------------------
 # Svetlichny / tripartite-Mermin functions and discords
 
+def _correlators3(box: TripartiteBox) -> np.ndarray:
+    return _corr.correlators(box.table.reshape(64), 3)
+
+
 def sv_value(box: TripartiteBox, al: int, be: int, ga: int, ep: int) -> float:
     """Signed Svetlichny operator value; hybrid-local bound 4, maximum 8."""
     return float(sv_values(box)[al, be, ga, ep])
@@ -371,36 +358,23 @@ def sv_value(box: TripartiteBox, al: int, be: int, ga: int, ep: int) -> float:
 
 def sv_values(box: TripartiteBox) -> np.ndarray:
     """All 16 signed values, shape (2,2,2,2) indexed [al,be,ga,ep]."""
-    e3 = expectations3(box).abc
-    out = np.empty((2, 2, 2, 2))
-    for al, be, ga in product(range(2), repeat=3):
-        v = 0.0
-        for i, j, k in product(range(2), repeat=3):
-            sgn = (i & j) ^ (i & k) ^ (j & k) ^ (al & i) ^ (be & j) ^ (ga & k)
-            v += (-1.0) ** sgn * e3[i, j, k]
-        out[al, be, ga, 0] = v
-        out[al, be, ga, 1] = -v
-    return out
+    return _corr.operator_values(_correlators3(box), 3).reshape((2,) * 4)
 
 
 def sv_functions(box: TripartiteBox) -> np.ndarray:
     """The 8 Svetlichny moduli S[al,be,ga] in [0, 8]."""
-    return np.abs(sv_values(box)[..., 0])
+    return _corr.moduli(_correlators3(box), 3).reshape(2, 2, 2)
 
 
 def mermin3_value(box: TripartiteBox, al: int, be: int, ga: int, ep: int) -> float:
     """Signed tripartite Mermin operator value; LHV bound 2, maximum 4."""
-    e3 = expectations3(box).abc
-    return float(np.sum(_mermin3_coefficients(al, be, ga, ep) * e3))
+    values = _corr.operator_values(_correlators3(box), 3, mermin=True)
+    return float(values[4 * al + 2 * be + ga, ep])
 
 
 def mermin3_functions(box: TripartiteBox) -> np.ndarray:
     """The 8 Mermin moduli M[al,be,ga] in [0, 4]."""
-    e3 = expectations3(box).abc
-    out = np.empty((2, 2, 2))
-    for al, be, ga in product(range(2), repeat=3):
-        out[al, be, ga] = abs(np.sum(_mermin3_coefficients(al, be, ga, 0) * e3))
-    return out
+    return _corr.moduli(_correlators3(box), 3, mermin=True).reshape(2, 2, 2)
 
 
 def discord_groupings() -> list[tuple]:
@@ -411,48 +385,19 @@ def discord_groupings() -> list[tuple]:
     either by one of the two remaining bits or diagonally (3 choices).
     Returned as ((pair, pair), (pair, pair)) per grouping.
     """
-    groups = []
-    for outer in range(3):
-        halves = ([i for i in range(8) if not (i >> (2 - outer)) & 1],
-                  [i for i in range(8) if (i >> (2 - outer)) & 1])
-        rest = [u for u in range(3) if u != outer]
-        masks = [1 << (2 - rest[0]), 1 << (2 - rest[1]),
-                 (1 << (2 - rest[0])) | (1 << (2 - rest[1]))]
-        for mask in masks:
-            halved = []
-            for half in halves:
-                pairs, seen = [], set()
-                for i in half:
-                    j = i ^ mask
-                    if i not in seen and j in half:
-                        pairs.append((i, j))
-                        seen.update((i, j))
-                halved.append(tuple(pairs))
-            groups.append(tuple(halved))
-    return groups
+    return [tuple(tuple(zip(map(int, order[h:h + 4:2]), map(int, order[h + 1:h + 4:2])))
+                  for h in (0, 4))
+            for order in _corr.GROUPINGS[3]]
 
 
-_GROUPINGS = discord_groupings()
-
-
-def _grouped_min(funcs8: np.ndarray, groupings=None) -> float:
-    f = funcs8.reshape(8)
-    best = np.inf
-    for (p0, p1), (p2, p3) in (groupings or _GROUPINGS):
-        v0 = abs(abs(f[p0[0]] - f[p0[1]]) - abs(f[p1[0]] - f[p1[1]]))
-        v1 = abs(abs(f[p2[0]] - f[p2[1]]) - abs(f[p3[0]] - f[p3[1]]))
-        best = min(best, abs(v0 - v1))
-    return float(best)
-
-
-def svetlichny_discord(box: TripartiteBox, groupings=None) -> float:
+def svetlichny_discord(box: TripartiteBox) -> float:
     """Irreducible Svetlichny-box content times 8, in [0, 8]."""
-    return _grouped_min(sv_functions(box), groupings)
+    return float(_corr.discord(_correlators3(box), 3))
 
 
-def mermin3_discord(box: TripartiteBox, groupings=None) -> float:
+def mermin3_discord(box: TripartiteBox) -> float:
     """Irreducible tripartite-Mermin-box content times 4, in [0, 4]."""
-    return _grouped_min(mermin3_functions(box), groupings)
+    return float(_corr.discord(_correlators3(box), 3, mermin=True))
 
 
 def class99_value(box: TripartiteBox) -> float:
@@ -483,24 +428,7 @@ def marginal2(box: TripartiteBox, pair: str) -> BipartiteBox:
 def total_correlation3(box: TripartiteBox) -> float:
     """min over the three bipartitions of the maximal Svetlichny-function gap
     between the box and the cut-factorized surrogate."""
-    e = expectations3(box)
-    s = sv_functions(box)
-    cuts = (
-        np.einsum("ij,k->ijk", e.ab, e.c),
-        np.einsum("ik,j->ijk", e.ac, e.b),
-        np.einsum("jk,i->ijk", e.bc, e.a),
-    )
-    best = np.inf
-    for e3cut in cuts:
-        scut = np.empty((2, 2, 2))
-        for al, be, ga in product(range(2), repeat=3):
-            v = 0.0
-            for i, j, k in product(range(2), repeat=3):
-                sgn = (i & j) ^ (i & k) ^ (j & k) ^ (al & i) ^ (be & j) ^ (ga & k)
-                v += (-1.0) ** sgn * e3cut[i, j, k]
-            scut[al, be, ga] = abs(v)
-        best = min(best, float(np.max(np.abs(s - scut))))
-    return best
+    return float(_corr.total_correlation(box.table.reshape(64), 3))
 
 
 @dataclass(frozen=True)
@@ -513,9 +441,7 @@ class CorrelationSplit3:
 
 
 def correlation_split3(box: TripartiteBox) -> CorrelationSplit3:
-    t = total_correlation3(box)
-    g = svetlichny_discord(box)
-    q = mermin3_discord(box)
+    g, q, t = map(float, _corr.measures(box.table.reshape(64), 3))
     diff = t - g - q
     return CorrelationSplit3(t, g, q, abs(diff), 1 if diff >= 0 else -1)
 
@@ -684,104 +610,25 @@ def _screened_frames(box: TripartiteBox, tol: float):
     mu = svetlichny_discord(box) / 8.0                 # invariant across frames
     nu = mermin3_discord(box) / 4.0
     rest = 1.0 - mu - nu
-    sv_tables = np.stack([tri_vertex(v).table.reshape(-1) for v in all_sv_ids()])
-    signed = moved @ _sv_sign_matrix().T               # (n_frames, 16)
+    sv_tables = tri_vertex_matrix(all_sv_ids())
+    signed = _corr.operator_values(_corr.correlators(moved, 3), 3).reshape(-1, 16)
     tie = np.arange(16) * 1e-12
     sel = np.argmax(signed - tie, axis=1)
     hits = np.zeros(len(frames), dtype=bool)
     for cand_idx in range(2):
-        labels = [_mermin3_partner_label(i, cand_idx) for i in range(16)]
-        mm_tables = np.stack([tri_vertex(mermin3_id(*lbl)).table.reshape(-1)
-                              for lbl in labels])
+        mm_tables = tri_vertex_matrix([mermin3_id(*_mermin3_partner_label(i, cand_idx))
+                                       for i in range(16)])
         num = moved - mu * sv_tables[sel] - nu * mm_tables[sel]
         if rest > EPS_VALID:
             good = num.min(axis=1) >= -EPS_VALID * rest
             resid = num[good] / rest
-            g, q = _batched_discords(resid)
-            good[np.flatnonzero(good)] = (g <= tol) & (q <= tol)
+            e = _corr.correlators(resid, 3)
+            good[np.flatnonzero(good)] = ((_corr.discord(e, 3) <= tol)
+                                          & (_corr.discord(e, 3, mermin=True) <= tol))
             hits |= good
         else:
             hits |= np.abs(num).max(axis=1) <= EPS_LP
     return [frames[i] for i in np.flatnonzero(hits)]
-
-
-def _batched_discords(flat_tables: np.ndarray):
-    """Vectorized (svetlichny, mermin) discords for stacked flat tables."""
-    e3 = flat_tables @ _e3_matrix().T                  # (n, 8)
-    s = np.abs(e3 @ _sv_e3_signs().T)
-    m = np.abs(e3 @ _m3_e3_coefs().T)
-    return _grouped_min_batch(s), _grouped_min_batch(m)
-
-
-def _grouped_min_batch(funcs: np.ndarray) -> np.ndarray:
-    best = np.full(funcs.shape[0], np.inf)
-    for (p0, p1), (p2, p3) in _GROUPINGS:
-        v0 = np.abs(np.abs(funcs[:, p0[0]] - funcs[:, p0[1]])
-                    - np.abs(funcs[:, p1[0]] - funcs[:, p1[1]]))
-        v1 = np.abs(np.abs(funcs[:, p2[0]] - funcs[:, p2[1]])
-                    - np.abs(funcs[:, p3[0]] - funcs[:, p3[1]]))
-        best = np.minimum(best, np.abs(v0 - v1))
-    return best
-
-
-_E3_MATRIX: np.ndarray | None = None
-_SV_E3_SIGNS: np.ndarray | None = None
-_M3_E3_COEFS: np.ndarray | None = None
-
-
-def _e3_matrix() -> np.ndarray:
-    """(8, 64) map from a flat table to the three-party expectations."""
-    global _E3_MATRIX
-    if _E3_MATRIX is None:
-        rows = np.zeros((8, 64))
-        for r, (i, j, k) in enumerate(product(range(2), repeat=3)):
-            for a, b, c in product(range(2), repeat=3):
-                flat = ((((i * 2 + j) * 2 + k) * 2 + a) * 2 + b) * 2 + c
-                rows[r, flat] = (-1.0) ** (a ^ b ^ c)
-        _E3_MATRIX = rows
-    return _E3_MATRIX
-
-
-def _sv_e3_signs() -> np.ndarray:
-    global _SV_E3_SIGNS
-    if _SV_E3_SIGNS is None:
-        rows = np.empty((8, 8))
-        for r, (al, be, ga) in enumerate(product(range(2), repeat=3)):
-            for col, (i, j, k) in enumerate(product(range(2), repeat=3)):
-                sgn = ((i & j) ^ (i & k) ^ (j & k)
-                       ^ (al & i) ^ (be & j) ^ (ga & k))
-                rows[r, col] = (-1.0) ** sgn
-        _SV_E3_SIGNS = rows
-    return _SV_E3_SIGNS
-
-
-def _m3_e3_coefs() -> np.ndarray:
-    global _M3_E3_COEFS
-    if _M3_E3_COEFS is None:
-        rows = np.empty((8, 8))
-        for r, (al, be, ga) in enumerate(product(range(2), repeat=3)):
-            rows[r] = _mermin3_coefficients(al, be, ga, 0).reshape(-1)
-        _M3_E3_COEFS = rows
-    return _M3_E3_COEFS
-
-
-_SV_SIGN_MATRIX: np.ndarray | None = None
-
-
-def _sv_sign_matrix() -> np.ndarray:
-    """Rows map a flattened table to the 16 signed Svetlichny values."""
-    global _SV_SIGN_MATRIX
-    if _SV_SIGN_MATRIX is None:
-        rows = np.empty((16, 64))
-        for r, (al, be, ga, ep) in enumerate(product(range(2), repeat=4)):
-            row = np.empty((2,) * 6)
-            for x, y, z, a, b, c in product(range(2), repeat=6):
-                sgn = ((x & y) ^ (x & z) ^ (y & z)
-                       ^ (al & x) ^ (be & y) ^ (ga & z) ^ ep ^ a ^ b ^ c)
-                row[x, y, z, a, b, c] = (-1.0) ** sgn
-            rows[r] = row.reshape(-1)
-        _SV_SIGN_MATRIX = rows
-    return _SV_SIGN_MATRIX
 
 
 def _mermin3_partner_label(sv_index: int, cand_idx: int) -> tuple[int, int, int, int]:
@@ -813,19 +660,7 @@ class Lro3:
 
 
 def apply_lro3(box: TripartiteBox, g: Lro3) -> TripartiteBox:
-    t = box.table
-    p = g.perm
-    t = t.transpose(p[0], p[1], p[2], 3 + p[0], 3 + p[1], 3 + p[2])
-    out = np.empty((2,) * 6)
-    r = g.relabels
-    for x, y, z, a, b, c in product(range(2), repeat=6):
-        out[x, y, z, a, b, c] = t[
-            x ^ r[0].input_flip, y ^ r[1].input_flip, z ^ r[2].input_flip,
-            a ^ (r[0].out_by_input & x) ^ r[0].out_const,
-            b ^ (r[1].out_by_input & y) ^ r[1].out_const,
-            c ^ (r[2].out_by_input & z) ^ r[2].out_const,
-        ]
-    return _box3_exact(out)
+    return _box3_exact(box.table.reshape(64)[lro3_index_permutation(g)].reshape((2,) * 6))
 
 
 def lro3_index_permutation(g: Lro3) -> np.ndarray:

@@ -174,7 +174,7 @@ def test_sweep_rejects_bad_spec():
 
 def test_sweep_deterministic_output(tmp_path):
     args = ["sweep", "--family", "Werner2", "--sweep", "p:0:1:5",
-            "--settings", "MSb", "--measures", "Q", "--seed", "3"]
+            "--settings", "MSb", "--measures", "Q"]
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run_cli(args + ["--out", str(out1)]) == 0
     assert run_cli(args + ["--out", str(out2)]) == 0

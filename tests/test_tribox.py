@@ -302,6 +302,32 @@ def test_svetlichny_linearity_on_canonical_mixtures():
         assert tribox.svetlichny_discord(mixed) == pytest.approx(8 * mu, abs=1e-9)
 
 
+
+def oracle_apply_lro3(table, g):
+    """The per-cell relabeling: party permutation first, then the relabels."""
+    p = g.perm
+    t = table.transpose(p[0], p[1], p[2], 3 + p[0], 3 + p[1], 3 + p[2])
+    out = np.empty((2,) * 6)
+    r = g.relabels
+    for x, y, z, a, b, c in itertools.product(range(2), repeat=6):
+        out[x, y, z, a, b, c] = t[
+            x ^ r[0].input_flip, y ^ r[1].input_flip, z ^ r[2].input_flip,
+            a ^ (r[0].out_by_input & x) ^ r[0].out_const,
+            b ^ (r[1].out_by_input & y) ^ r[1].out_const,
+            c ^ (r[2].out_by_input & z) ^ r[2].out_const,
+        ]
+    return out
+
+
+def test_apply_lro3_matches_per_cell_relabeling():
+    rng = np.random.default_rng(5151)
+    box = tribox.random_sv_polytope_box(rng)
+    flat = box.table.ravel()
+    for g in tribox.lro3_samples(rng, 200):
+        want = oracle_apply_lro3(box.table, g)
+        assert np.array_equal(tribox.apply_lro3(box, g).table, want)
+        assert np.array_equal(flat[tribox.lro3_index_permutation(g)], want.ravel())
+
 def test_lro3_group_and_invariance():
     box = tribox.random_sv_polytope_box(RNG)
     base = (tribox.svetlichny_discord(box), tribox.mermin3_discord(box),
