@@ -415,16 +415,34 @@ def lro_index_permutation(g: Lro) -> np.ndarray:
     Relabelings only permute the 16 table cells; batch sweeps gather a
     stack of tables through precomputed permutations.
     """
-    perm = np.empty(16, dtype=np.intp)
-    ra, rb = g.a, g.b
-    for x, y, a, b in product(range(2), repeat=4):
-        sx, sy = x ^ ra.input_flip, y ^ rb.input_flip
-        sa = a ^ (ra.out_by_input & x) ^ ra.out_const
-        sb = b ^ (rb.out_by_input & y) ^ rb.out_const
-        if g.party_swap:
-            sx, sy, sa, sb = sy, sx, sb, sa
-        perm[((x * 2 + y) * 2 + a) * 2 + b] = ((sx * 2 + sy) * 2 + sa) * 2 + sb
-    return perm
+    return _index_permutation((g.a, g.b), (1, 0) if g.party_swap else (0, 1))
+
+
+def _index_permutation(relabels, targets) -> np.ndarray:
+    """Index map of one relabeling: party slot k is relabeled by relabels[k]
+    and moved to slot targets[k]."""
+    contrib = _SLOT_CONTRIBUTIONS[len(relabels)]
+    return sum(contrib[k, 4 * r.input_flip + 2 * r.out_by_input + r.out_const, t]
+               for k, (r, t) in enumerate(zip(relabels, targets)))
+
+
+def _slot_contributions(n: int) -> np.ndarray:
+    """contrib[k, r, p]: what party slot k of a relabeled n-party box adds to
+    the flat source index when relabel r (party_relabels() order) acts on it
+    and it lands on source slot p; shape (n, 8, n, 4**n)."""
+    cells = np.indices((2,) * (2 * n)).reshape(2 * n, 4 ** n)
+    r = np.arange(8)[:, None]
+    flip, by_input, const = r >> 2 & 1, r >> 1 & 1, r & 1
+    contrib = np.empty((n, 8, n, 4 ** n), dtype=np.intp)
+    for k in range(n):
+        x, a = cells[k], cells[n + k]
+        src_x, src_a = x ^ flip, a ^ (by_input & x) ^ const
+        for p in range(n):
+            contrib[k, :, p] = (src_x << (2 * n - 1 - p)) | (src_a << (n - 1 - p))
+    return contrib
+
+
+_SLOT_CONTRIBUTIONS = {n: _slot_contributions(n) for n in (2, 3)}
 
 
 def party_relabels() -> list[PartyRelabel]:
@@ -436,6 +454,20 @@ def lro_group() -> list[Lro]:
     rels = party_relabels()
     return [Lro(swap, ra, rb)
             for swap in (False, True) for ra in rels for rb in rels]
+
+
+def _group_permutations(targets) -> np.ndarray:
+    """Index maps of a relabeling group, shape (n_frames, 4**n).
+
+    The frames run over the party moves `targets` (a list of n-tuples: party
+    slot k moves to slot targets[k]), then over party_relabels() for each
+    slot in turn: the order of lro_group() and of the tripartite search.
+    """
+    targets = np.asarray(targets)
+    n = targets.shape[1]
+    move, *relabels = np.indices((len(targets),) + (8,) * n).reshape(n + 1, -1)
+    contrib = _SLOT_CONTRIBUTIONS[n]
+    return sum(contrib[k, relabels[k], targets[move, k]] for k in range(n))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 verification failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -106,20 +107,34 @@ def _measure_report2(box) -> dict:
         "epr_steerable": discord2.is_epr_steerable(box),
         "local": membership.inside,
     }
+    mermin = discord2.mermin_values(box)
     for al in range(2):
         for be in range(2):
             for ga in range(2):
                 report[f"chsh_{al}{be}{ga}"] = float(chsh[al, be, ga])
-                report[f"mermin_{al}{be}{ga}"] = discord2.mermin_value(box, al, be, ga)
+                report[f"mermin_{al}{be}{ga}"] = float(mermin[al, be, ga])
     if not membership.inside:
         report["violated_facet"] = membership.violated_facet[0]
         report["violation"] = membership.violated_facet[1]
     return report
 
 
+# Vertex sets of the tripartite membership flags, widest hull first
+_TRI_HULLS = {"in_sv_polytope": tribox.sv_polytope_ids(),
+              "two_way_local": tribox.two_way_local_ids(),
+              "local": tribox.all_det3_ids()}
+
+
 def _measure_report3(box) -> dict:
     split = tribox.correlation_split3(box)
     svv = tribox.sv_values(box)
+    mermin = tribox.mermin3_values(box)
+    # the three membership questions as one block-diagonal LP
+    table = box.table.reshape(-1)
+    weights = polytope.lp_vertex_weights(
+        np.stack([table] * len(_TRI_HULLS)),
+        [tribox.tri_vertex_matrix(ids) for ids in _TRI_HULLS.values()])
+    inside = {flag: w is not None for flag, w in zip(_TRI_HULLS, weights)}
     report = {
         "parties": 3,
         "svetlichny_discord": split.svetlichny,
@@ -131,20 +146,13 @@ def _measure_report3(box) -> dict:
         "mermin3_max": float(np.max(tribox.mermin3_functions(box))),
         "class99_value": tribox.class99_value(box),
         "ghz_paradox": tribox.ghz_paradox_check(box),
-        "in_sv_polytope": tribox.in_sv_polytope(box),
+        **inside,
     }
-    two_way = polytope.lp_vertex_weights(
-        box.table.reshape(-1), tribox.tri_vertex_matrix(tribox.two_way_local_ids()))
-    local = polytope.lp_vertex_weights(
-        box.table.reshape(-1), tribox.tri_vertex_matrix(tribox.all_det3_ids()))
-    report["two_way_local"] = two_way is not None
-    report["local"] = local is not None
     for al in range(2):
         for be in range(2):
             for ga in range(2):
                 report[f"sv_{al}{be}{ga}0"] = float(svv[al, be, ga, 0])
-                report[f"mermin3_{al}{be}{ga}0"] = tribox.mermin3_value(
-                    box, al, be, ga, 0)
+                report[f"mermin3_{al}{be}{ga}0"] = float(mermin[al, be, ga, 0])
     return report
 
 
@@ -344,8 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (InputError, boxcore.BoxError, qstate.InvalidStateError,

@@ -60,8 +60,13 @@ def mermin_value(box: BipartiteBox, alpha: int, beta: int, gamma: int) -> float:
 
     (-1)^gamma * sum over x^y = beta of (-1)^(xy ^ alpha x ^ beta y) <A_x B_y>.
     """
-    values = _corr.operator_values(_flat(joint_expectations(box)), 2, mermin=True)
-    return float(values[2 * alpha + beta, gamma])
+    return float(mermin_values(box)[alpha, beta, gamma])
+
+
+def mermin_values(box: BipartiteBox) -> np.ndarray:
+    """All 8 signed Mermin values, shape (2, 2, 2) indexed [alpha, beta, gamma]."""
+    e = _flat(joint_expectations(box))
+    return _corr.operator_values(e, 2, mermin=True).reshape(2, 2, 2)
 
 
 def mermin_functions(box: BipartiteBox) -> np.ndarray:

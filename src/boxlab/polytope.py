@@ -2,19 +2,21 @@
 
 Membership is decided by elastic LPs over named vertex sets
 (16 deterministic / 24 nonsignaling vertices bipartite; the tripartite sets
-live in :mod:`boxlab.tribox` and reuse :func:`lp_vertex_weights`).
+live in :mod:`boxlab.tribox` and reuse :func:`lp_vertex_weights`). The
+relabeling-frame screen of both three-way decompositions lives here too.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy import sparse
+from scipy import linalg, sparse
 from scipy.optimize import linprog
 
-from . import boxcore, discord2
+from . import _corr, boxcore, discord2
 from .boxcore import EPS_LP, EPS_LP_SLACK, EPS_VALID, BipartiteBox, VertexId
 
 DISCORD_TOL = 1e-6  # residuals of canonical decompositions must be this close to zero
@@ -68,27 +70,36 @@ _NS_MATRIX = vertex_matrix(_NS_IDS)
 _LP_BLOCK = 500  # targets per block-diagonal LP; HiGHS slows on larger ones
 
 
-def lp_vertex_weights(target: np.ndarray, vertices: np.ndarray,
-                      tol: float = EPS_LP) -> np.ndarray | None:
+def lp_vertex_weights(target: np.ndarray, vertices: np.ndarray | list[np.ndarray],
+                      tol: float = EPS_LP) -> np.ndarray | list | None:
     """Nonnegative weights w with w @ vertices = target, for one target or a stack.
 
     `target` is one flattened probability table of shape (d,) or a stack of
     them, shape (n, d). One target gives its (k,) weights, or None if it lies
     outside the hull of the k vertex rows; a stack gives (n, k) weights with
     NaN rows for the targets outside. The weights sum to 1 automatically
-    because every vertex row has the same normalization.
+    because every vertex row has the same normalization. `vertices` may also
+    be a list of n matrices (k_i, d), one per row of an (n, d) stack; the
+    result is then a list of each target's (k_i,) weights or None.
 
     Each target is posed as an elastic LP, minimise sum(s+ + s-) subject to
     w @ vertices + s+ - s- = target and w, s+, s- >= 0, which is always
     feasible. A target is inside exactly when its slack sum is at most
     d * EPS_LP_SLACK, which covers the error the table validators admit.
     Stacks are solved _LP_BLOCK targets at a time as one block-diagonal LP,
-    whose optimum splits into the per-target optima. Raises ValueError for
-    a target of any other shape, and LpNumericalFailure when the solver does
-    not report an optimum, or when the weights of a target found inside miss
-    it by more than `tol`.
+    whose optimum splits into the per-target optima; a list of vertex
+    matrices is one such LP. Raises ValueError for a target of any other
+    shape, and LpNumericalFailure when the solver does not report an
+    optimum, or when the weights of a target found inside miss it by more
+    than `tol`.
     """
     t = np.asarray(target, dtype=float)
+    if isinstance(vertices, list):
+        if t.ndim != 2 or len(t) != len(vertices) or any(
+                v.shape[1] != t.shape[1] for v in vertices):
+            raise ValueError(f"target of shape {t.shape} does not match "
+                             f"{len(vertices)} vertex matrices")
+        return _elastic_lp_per_target(t, vertices, tol)
     if t.ndim not in (1, 2) or t.shape[-1] != vertices.shape[1]:
         raise ValueError(f"target of shape {t.shape} does not match vertices "
                          f"of {vertices.shape[1]} entries")
@@ -101,32 +112,61 @@ def lp_vertex_weights(target: np.ndarray, vertices: np.ndarray,
     return w
 
 
+def _elastic_block(vertices: np.ndarray) -> np.ndarray:
+    """Equality rows of one target; its variables are [w, s+, s-]."""
+    eye = np.eye(vertices.shape[1])
+    return np.hstack([vertices.T, eye, -eye])
+
+
+def _elastic_cost(k: int, d: int) -> np.ndarray:
+    return np.concatenate([np.zeros(k), np.ones(2 * d)])
+
+
+def _solve(c: np.ndarray, a_eq, b_eq: np.ndarray) -> np.ndarray:
+    res = linprog(c=c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    if res.status != 0:
+        raise LpNumericalFailure(f"linprog status {res.status}: {res.message}")
+    return res.x
+
+
 def _elastic_lp(targets: np.ndarray, vertices: np.ndarray,
                 tol: float) -> np.ndarray:
     """Weights of each target, NaN rows for targets outside the hull."""
     m, (k, d) = len(targets), vertices.shape
-    eye = np.eye(d)
-    # one target's variables are [w, s+, s-]; a block repeats them per target
-    block = np.hstack([vertices.T, eye, -eye])
+    block = _elastic_block(vertices)
     # A single block goes in dense: HiGHS's sparse input handling costs
     # more than the whole solve of one target.
     a_eq = block if m == 1 else sparse.kron(sparse.identity(m), block, format="csc")
-    res = linprog(
-        c=np.tile(np.concatenate([np.zeros(k), np.ones(2 * d)]), m),
-        A_eq=a_eq,
-        b_eq=targets.reshape(-1),
-        bounds=(0, None),
-        method="highs",
-    )
-    if res.status != 0:
-        raise LpNumericalFailure(f"linprog status {res.status}: {res.message}")
-    x = res.x.reshape(m, k + 2 * d)
+    x = _solve(np.tile(_elastic_cost(k, d), m), a_eq, targets.reshape(-1))
+    x = x.reshape(m, k + 2 * d)
     w = np.clip(x[:, :k], 0.0, None)
     inside = x[:, k:].sum(axis=1) <= d * EPS_LP_SLACK
     if np.max(np.abs(w[inside] @ vertices - targets[inside]), initial=0.0) > tol:
         raise LpNumericalFailure("LP solution does not reconstruct the target")
     w[~inside] = np.nan
     return w
+
+
+def _elastic_lp_per_target(targets: np.ndarray, vertex_sets: list,
+                           tol: float) -> list:
+    """Each target's weights over its own vertex rows, None outside its hull."""
+    d = targets.shape[1]
+    # dense, as for a single target: a few blocks solve faster that way
+    a_eq = linalg.block_diag(*[_elastic_block(v) for v in vertex_sets])
+    x = _solve(np.concatenate([_elastic_cost(len(v), d) for v in vertex_sets]),
+               a_eq, targets.reshape(-1))
+    out = []
+    for target, vertices, seg in zip(targets, vertex_sets,
+                                     np.split(x, np.cumsum([len(v) + 2 * d for v in vertex_sets]))):
+        k = len(vertices)
+        w = np.clip(seg[:k], 0.0, None)
+        if seg[k:].sum() > d * EPS_LP_SLACK:
+            out.append(None)
+        elif np.max(np.abs(w @ vertices - target)) > tol:
+            raise LpNumericalFailure("LP solution does not reconstruct the target")
+        else:
+            out.append(w)
+    return out
 
 
 def lp_vertex_decomposition(box, vertex_ids: list[VertexId],
@@ -255,26 +295,21 @@ def three_decomposition(box: BipartiteBox,
     mu = bell_discord/4, nu = mermin_discord/2. The PR label is the
     signed-CHSH argmax; the Mermin partner is fixed by the surviving Mermin
     function. A relabeling-frame search over the 128 LRO elements runs before
-    giving up.
+    giving up; only the frames that pass the screen of _screened_frames are
+    tried.
     """
     direct = _three_decomposition_direct(box, tol)
     if direct is not None:
         return direct
-    for g in boxcore.lro_group():
-        moved = boxcore.apply_lro(box, g)
-        result = _three_decomposition_direct(moved, tol)
-        if result is None:
-            continue
-        ginv = boxcore.invert_lro(g)
-        pr = boxcore.apply_lro(boxcore.vertex(result.pr_id), ginv)
-        mm = boxcore.apply_lro(boxcore.vertex(result.mermin_id), ginv)
-        return DecompositionResult(
-            mu=result.mu,
-            nu=result.nu,
-            pr_id=_match_catalog(pr, boxcore.all_pr_ids()),
-            mermin_id=_match_catalog(mm, boxcore.all_mermin_ids()),
-            residual=boxcore.apply_lro(result.residual, ginv),
-        )
+    tables = _lro_frame_tables()
+    mu = discord2.bell_discord(box) / 4.0
+    nu = discord2.mermin_discord(box) / 2.0
+    for f in _screened_frames(box.table.reshape(-1), tables, mu, nu, tol):
+        g = tables.frames[f]
+        result = _three_decomposition_direct(boxcore.apply_lro(box, g), tol)
+        if result is not None:
+            return _mapped_back_result(
+                result, tables, f, boxcore.apply_lro(result.residual, boxcore.invert_lro(g)))
     raise ResidualInvalidError("no frame yields a valid double-zero residual")
 
 
@@ -303,11 +338,134 @@ def _three_decomposition_direct(box: BipartiteBox,
     return None
 
 
-def _match_catalog(box: BipartiteBox, ids: list[VertexId]) -> VertexId | None:
-    for vid in ids:
-        if box.allclose(boxcore.vertex(vid), tol=EPS_LP):
-            return vid
-    return None
+# ---------------------------------------------------------------------------
+# relabeling-frame screen, shared by both party counts
+
+@dataclass(frozen=True)
+class _FrameTables:
+    """The relabeling frames of one party count and what their screen needs.
+
+    `top_ids` are the PR (n = 2) or Svetlichny (n = 3) vertices in the order
+    of the signed operator values, `mermin_ids` the Mermin vertices, `top`
+    and `mermin` their tables as rows, and `partners[s]` the rows of
+    `mermin` of the two Mermin candidates of top vertex s. `top_back[g, s]`
+    is the row of `top` equal to top vertex s mapped back from frame g to
+    the box's own frame, that is top[s] gathered through the inverse of
+    frame g's index permutation; `mermin_back` is the same for `mermin`.
+    """
+
+    n: int
+    frames: list
+    top_ids: list
+    mermin_ids: list
+    top: np.ndarray
+    mermin: np.ndarray
+    partners: np.ndarray     # (len(top), 2)
+    top_back: np.ndarray     # (n_frames, len(top))
+    mermin_back: np.ndarray  # (n_frames, len(mermin))
+
+
+def _build_frame_tables(frames: list, moves: list, top_ids: list, mermin_ids: list,
+                        partners: list, matrix) -> _FrameTables:
+    """Screen tables of `frames`, the group of boxcore._group_permutations(moves)
+    in its order; `partners` lists the two Mermin candidates of each top
+    vertex and `matrix` stacks the tables of a vertex list."""
+    perms = boxcore._group_permutations(moves)
+    inverse = np.empty_like(perms)
+    np.put_along_axis(inverse, perms, np.arange(perms.shape[1]), axis=1)
+    top, mermin = matrix(top_ids), matrix(mermin_ids)
+    rows = [[mermin_ids.index(m) for m in pair] for pair in partners]
+    return _FrameTables(len(moves[0]), frames, top_ids, mermin_ids, top, mermin, np.array(rows),
+                        _mapped_back(top, inverse), _mapped_back(mermin, inverse))
+
+
+def _mapped_back_result(result: DecompositionResult, tables: _FrameTables, f: int,
+                        residual) -> DecompositionResult:
+    """`result`, found in frame f, with its vertices mapped back to the box's
+    own frame; `residual` is its residual mapped back."""
+    top = tables.top_back[f, tables.top_ids.index(result.pr_id)]
+    mermin = tables.mermin_back[f, tables.mermin_ids.index(result.mermin_id)]
+    return DecompositionResult(mu=result.mu, nu=result.nu, pr_id=tables.top_ids[top],
+                               mermin_id=tables.mermin_ids[mermin], residual=residual)
+
+
+def _mapped_back(vertices: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """index[g, v]: the row of `vertices` equal to vertices[v][inverse[g]].
+
+    Rows are matched exactly, as byte strings of small integer codes for
+    their distinct entries, a block of frames at a time. Raises ValueError
+    if a mapped row is not a row of `vertices`.
+    """
+    codes = np.unique(vertices, return_inverse=True)[1].reshape(vertices.shape)
+    codes = codes.astype(np.uint8)
+    row = np.dtype((np.void, vertices.shape[1]))
+    keys = codes.view(row)[:, 0]
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    index = np.empty((len(inverse), len(vertices)), dtype=np.intp)
+    block = 512  # frames per gather, which bounds its scratch memory
+    for start in range(0, len(inverse), block):
+        mapped = np.take(codes, inverse[start:start + block], axis=1).view(row)[..., 0]
+        pos = np.minimum(np.searchsorted(sorted_keys, mapped), len(keys) - 1)
+        if (sorted_keys[pos] != mapped).any():
+            raise ValueError("vertex set is not closed under the relabeling frames")
+        index[start:start + block] = order[pos].T
+    return index
+
+
+def _screened_frames(table: np.ndarray, tables: _FrameTables, mu: float,
+                     nu: float, tol: float) -> np.ndarray:
+    """Indices, in search order, of the frames whose argmax components leave
+    a valid double-zero residual.
+
+    In frame g the split subtracts mu times top vertex s, the one of the
+    largest signed operator value, and nu times one of its two Mermin
+    partners m. Mapped back to the box's own frame, that residual is
+    `table - mu * top[top_back[g, s]] - nu * mermin[mermin_back[g, m]]`, a
+    permutation of the frame's own residual. Entrywise nonnegativity and
+    both discords are relabeling invariants, so each distinct pair of
+    mapped-back rows is judged once and its verdict holds for every frame
+    with that pair. Affine combinations of nonsignaling boxes stay
+    nonsignaling and normalized, so the verdict is nonnegativity plus the
+    discord checks; survivors (usually none or a handful) then go through
+    the exact per-frame path.
+    """
+    n = tables.n
+    # operator s of frame g is operator top_back[g, s] of the box's own frame
+    signed = _corr.operator_values(_corr.correlators(table, n), n).reshape(-1)[tables.top_back]
+    sel = np.argmax(signed - 1e-12 * np.arange(signed.shape[1]), axis=1)
+    frames = np.arange(len(sel))
+    top = tables.top_back[frames, sel]
+    n_mermin = len(tables.mermin)
+    hits = np.zeros(len(sel), dtype=bool)
+    for partner in tables.partners.T:
+        pairs, inverse = np.unique(top * n_mermin + tables.mermin_back[frames, partner[sel]],
+                                   return_inverse=True)
+        top_row, mermin_row = np.divmod(pairs, n_mermin)
+        num = table - mu * tables.top[top_row] - nu * tables.mermin[mermin_row]
+        hits |= _double_zero(num, n, 1.0 - mu - nu, tol)[inverse]
+    return np.flatnonzero(hits)
+
+
+def _double_zero(num: np.ndarray, n: int, rest: float, tol: float) -> np.ndarray:
+    """Whether each residual numerator `num` (rows of 4**n) divided by `rest`
+    is a nonnegative table with both discords at most `tol`; with no weight
+    left, whether the numerator vanishes."""
+    if rest <= EPS_VALID:
+        return np.abs(num).max(axis=1) <= EPS_LP
+    good = num.min(axis=1) >= -EPS_VALID * rest
+    e = _corr.correlators(num[good] / rest, n)
+    good[good] = (_corr.discord(e, n) <= tol) & (_corr.discord(e, n, mermin=True) <= tol)
+    return good
+
+
+@functools.cache
+def _lro_frame_tables() -> _FrameTables:
+    """The 128 bipartite frames with their screen tables, built once."""
+    partners = [[_identify_mermin_mixture(*pid.params, gp) for gp in (0, 1)]
+                for pid in boxcore.all_pr_ids()]
+    return _build_frame_tables(boxcore.lro_group(), [(0, 1), (1, 0)], boxcore.all_pr_ids(),
+                               boxcore.all_mermin_ids(), partners, vertex_matrix)
 
 
 def random_ns_box(rng: np.random.Generator) -> BipartiteBox:

@@ -368,8 +368,12 @@ def sv_functions(box: TripartiteBox) -> np.ndarray:
 
 def mermin3_value(box: TripartiteBox, al: int, be: int, ga: int, ep: int) -> float:
     """Signed tripartite Mermin operator value; LHV bound 2, maximum 4."""
-    values = _corr.operator_values(_correlators3(box), 3, mermin=True)
-    return float(values[4 * al + 2 * be + ga, ep])
+    return float(mermin3_values(box)[al, be, ga, ep])
+
+
+def mermin3_values(box: TripartiteBox) -> np.ndarray:
+    """All 16 signed Mermin values, shape (2,2,2,2) indexed [al,be,ga,ep]."""
+    return _corr.operator_values(_correlators3(box), 3, mermin=True).reshape((2,) * 4)
 
 
 def mermin3_functions(box: TripartiteBox) -> np.ndarray:
@@ -511,15 +515,18 @@ def _argmax_sv_id(box: TripartiteBox) -> TriVertexId:
     return sv_id(*best)
 
 
-def _mermin3_candidates(svid: TriVertexId, box: TripartiteBox) -> list[TriVertexId]:
-    """Both Mermin boxes canonical to the Svetlichny label, best match first."""
+def _mermin3_partners(svid: TriVertexId) -> list[TriVertexId]:
+    """Both Mermin boxes canonical to the Svetlichny label."""
     al, be, ga, ep = svid.params
-    par = al ^ be ^ ga
-    ids = [mermin3_id(al, be, ga, ep),
-           mermin3_id(al ^ 1, be ^ 1, ga ^ 1, ep ^ par ^ 1)]
+    return [mermin3_id(al, be, ga, ep),
+            mermin3_id(al ^ 1, be ^ 1, ga ^ 1, ep ^ al ^ be ^ ga ^ 1)]
+
+
+def _mermin3_candidates(svid: TriVertexId, box: TripartiteBox) -> list[TriVertexId]:
+    """Both Mermin partners of the Svetlichny label, best match first."""
     m_box = mermin3_functions(box)
     scored = []
-    for mid in ids:
+    for mid in _mermin3_partners(svid):
         m_cand = mermin3_functions(tri_vertex(mid))
         idx = np.unravel_index(np.argmax(m_cand), m_cand.shape)
         scored.append((float(m_box[idx]), mid))
@@ -559,92 +566,33 @@ def three_decomposition3(box: TripartiteBox,
 
     mu = svetlichny_discord/8, nu = mermin3_discord/4. Boxes outside the
     128-vertex polytope are rejected. A relabeling-frame search over the 3072
-    group elements runs before raising ResidualInvalidError.
+    group elements runs before raising ResidualInvalidError; only the frames
+    that pass polytope._screened_frames are tried.
     """
     if not in_sv_polytope(box):
         raise NotInPolytopeError("box is outside the Svetlichny-box polytope")
     direct = _three_decomposition3_direct(box, tol)
     if direct is not None:
         return direct
-    for g in _screened_frames(box, tol):
-        moved = apply_lro3(box, g)
-        result = _three_decomposition3_direct(moved, tol)
-        if result is None:
-            continue
-        ginv = invert_lro3(g)
-        svb = apply_lro3(tri_vertex(result.pr_id), ginv)
-        mmb = apply_lro3(tri_vertex(result.mermin_id), ginv)
-        return DecompositionResult(
-            mu=result.mu,
-            nu=result.nu,
-            pr_id=_match_tri_catalog(svb, all_sv_ids()),
-            mermin_id=_match_tri_catalog(mmb, all_mermin3_ids()),
-            residual=apply_lro3(result.residual, ginv),
-        )
+    tables = _frame_tables()
+    mu = svetlichny_discord(box) / 8.0
+    nu = mermin3_discord(box) / 4.0
+    for f in polytope._screened_frames(box.table.reshape(-1), tables, mu, nu, tol):
+        g = tables.frames[f]
+        result = _three_decomposition3_direct(apply_lro3(box, g), tol)
+        if result is not None:
+            return polytope._mapped_back_result(
+                result, tables, f, apply_lro3(result.residual, invert_lro3(g)))
     raise ResidualInvalidError("no frame yields a valid double-zero residual")
 
 
-_FRAME_CACHE: tuple | None = None
-
-
-def _frame_tables():
-    """All 3072 group elements with their flattened-index permutations."""
-    global _FRAME_CACHE
-    if _FRAME_CACHE is None:
-        frames = list(_lro3_search_group())
-        perms = np.stack([lro3_index_permutation(g) for g in frames])
-        _FRAME_CACHE = (frames, perms)
-    return _FRAME_CACHE
-
-
-def _screened_frames(box: TripartiteBox, tol: float):
-    """Frames whose argmax components leave a valid double-zero residual.
-
-    Affine combinations of nonsignaling boxes stay nonsignaling and
-    normalized, so the screen reduces to entrywise nonnegativity plus the
-    vectorized discord checks; survivors (usually none or a handful) then go
-    through the exact per-frame path.
-    """
-    frames, perms = _frame_tables()
-    moved = box.table.reshape(-1)[perms]               # (n_frames, 64)
-    mu = svetlichny_discord(box) / 8.0                 # invariant across frames
-    nu = mermin3_discord(box) / 4.0
-    rest = 1.0 - mu - nu
-    sv_tables = tri_vertex_matrix(all_sv_ids())
-    signed = _corr.operator_values(_corr.correlators(moved, 3), 3).reshape(-1, 16)
-    tie = np.arange(16) * 1e-12
-    sel = np.argmax(signed - tie, axis=1)
-    hits = np.zeros(len(frames), dtype=bool)
-    for cand_idx in range(2):
-        mm_tables = tri_vertex_matrix([mermin3_id(*_mermin3_partner_label(i, cand_idx))
-                                       for i in range(16)])
-        num = moved - mu * sv_tables[sel] - nu * mm_tables[sel]
-        if rest > EPS_VALID:
-            good = num.min(axis=1) >= -EPS_VALID * rest
-            resid = num[good] / rest
-            e = _corr.correlators(resid, 3)
-            good[np.flatnonzero(good)] = ((_corr.discord(e, 3) <= tol)
-                                          & (_corr.discord(e, 3, mermin=True) <= tol))
-            hits |= good
-        else:
-            hits |= np.abs(num).max(axis=1) <= EPS_LP
-    return [frames[i] for i in np.flatnonzero(hits)]
-
-
-def _mermin3_partner_label(sv_index: int, cand_idx: int) -> tuple[int, int, int, int]:
-    al, be, ga, ep = ((sv_index >> 3) & 1, (sv_index >> 2) & 1,
-                      (sv_index >> 1) & 1, sv_index & 1)
-    if cand_idx == 0:
-        return (al, be, ga, ep)
-    par = al ^ be ^ ga
-    return (al ^ 1, be ^ 1, ga ^ 1, ep ^ par ^ 1)
-
-
-def _match_tri_catalog(box: TripartiteBox, ids) -> TriVertexId | None:
-    for vid in ids:
-        if box.allclose(tri_vertex(vid), tol=EPS_LP):
-            return vid
-    return None
+@functools.cache
+def _frame_tables() -> polytope._FrameTables:
+    """All 3072 group elements, in search order, with their screen tables;
+    built once."""
+    return polytope._build_frame_tables(
+        list(_lro3_search_group()), _PARTY_PERMS, all_sv_ids(), all_mermin3_ids(),
+        [_mermin3_partners(s) for s in all_sv_ids()], tri_vertex_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -665,23 +613,7 @@ def apply_lro3(box: TripartiteBox, g: Lro3) -> TripartiteBox:
 
 def lro3_index_permutation(g: Lro3) -> np.ndarray:
     """Index map: apply_lro3(box, g).table.ravel() == table.ravel()[perm]."""
-    inv_perm = [0, 0, 0]
-    for k, pk in enumerate(g.perm):
-        inv_perm[pk] = k
-    perm = np.empty(64, dtype=np.intp)
-    r = g.relabels
-    for x, y, z, a, b, c in product(range(2), repeat=6):
-        ins = (x ^ r[0].input_flip, y ^ r[1].input_flip, z ^ r[2].input_flip)
-        outs = (a ^ (r[0].out_by_input & x) ^ r[0].out_const,
-                b ^ (r[1].out_by_input & y) ^ r[1].out_const,
-                c ^ (r[2].out_by_input & z) ^ r[2].out_const)
-        src = (ins[inv_perm[0]], ins[inv_perm[1]], ins[inv_perm[2]],
-               outs[inv_perm[0]], outs[inv_perm[1]], outs[inv_perm[2]])
-        dst_flat = ((((x * 2 + y) * 2 + z) * 2 + a) * 2 + b) * 2 + c
-        src_flat = ((((src[0] * 2 + src[1]) * 2 + src[2]) * 2
-                     + src[3]) * 2 + src[4]) * 2 + src[5]
-        perm[dst_flat] = src_flat
-    return perm
+    return boxcore._index_permutation(g.relabels, g.perm)
 
 
 def invert_lro3(g: Lro3) -> Lro3:
@@ -694,10 +626,13 @@ def invert_lro3(g: Lro3) -> Lro3:
     return Lro3(perm=tuple(inv_perm), relabels=reordered)
 
 
+_PARTY_PERMS = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+
+
 def _lro3_search_group():
     """Relabel-only frames first (they preserve party roles), then permutations."""
     rels = boxcore.party_relabels()
-    for perm in [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]:
+    for perm in _PARTY_PERMS:
         for ra in rels:
             for rb in rels:
                 for rc in rels:
@@ -707,11 +642,10 @@ def _lro3_search_group():
 def lro3_samples(rng: np.random.Generator, n: int) -> list[Lro3]:
     """n random group elements for sampled invariance tests."""
     rels = boxcore.party_relabels()
-    perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
     out = []
     for _ in range(n):
         out.append(Lro3(
-            perm=perms[rng.integers(len(perms))],
+            perm=_PARTY_PERMS[rng.integers(len(_PARTY_PERMS))],
             relabels=tuple(rels[rng.integers(8)] for _ in range(3)),
         ))
     return out

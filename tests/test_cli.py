@@ -1,11 +1,12 @@
 """CLI surface: subcommands, formats, exit codes."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from boxlab import boxcore, cli, discord2, qstate, tribox
+from boxlab import boxcore, cli, discord2, polytope, qstate, tribox
 
 
 def run_cli(args):
@@ -192,3 +193,53 @@ def test_verify_unknown_criterion_exit_2(capsys):
     assert run_cli(["verify", "--only", "99"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_parser_is_built_once_and_keeps_no_options(tmp_path, capsys):
+    assert cli._parser() is cli._parser()
+    out = tmp_path / "report.json"
+    assert run_cli(["measure", "--catalog", "PR000", "--format", "json", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads(out.read_text())["bell_discord"] == pytest.approx(4.0)
+    out.unlink()
+    assert run_cli(["measure", "--catalog", "Noise"]) == 0
+    assert not out.exists()
+    assert capsys.readouterr().out.startswith("parties")
+
+
+def _report_boxes(parties):
+    rng = np.random.default_rng(8080)
+    if parties == 2:
+        boxes = [boxcore.make_box(t) for t in polytope.random_ns_tables(rng, 4)]
+        return boxes + [boxcore.mermin_box(1, 0, 1), boxcore.pr_box(0, 1, 1)]
+    boxes = [tribox.random_sv_polytope_box(rng) for _ in range(3)]
+    return boxes + [tribox.mermin3_box(1, 0, 1, 1), tribox.class8_box(),
+                    qstate.born_box3(qstate.ghz_state(), qstate.settings_catalog("MDxy"))]
+
+
+def test_measure_reports_take_mermin_values_of_the_per_label_functions():
+    labels = list(itertools.product(range(2), repeat=3))
+    for box in _report_boxes(2):
+        report = cli._measure_report2(box)
+        for al, be, ga in labels:
+            assert report[f"mermin_{al}{be}{ga}"] == discord2.mermin_value(box, al, be, ga)
+    for box in _report_boxes(3):
+        report = cli._measure_report3(box)
+        for al, be, ga in labels:
+            assert report[f"mermin3_{al}{be}{ga}0"] == tribox.mermin3_value(box, al, be, ga, 0)
+
+
+def test_tripartite_membership_flags_match_separate_lps():
+    seen = set()
+    for box in _report_boxes(3):
+        report = cli._measure_report3(box)
+        target = box.table.reshape(-1)
+        flags = []
+        for key, ids in (("in_sv_polytope", tribox.sv_polytope_ids()),
+                         ("two_way_local", tribox.two_way_local_ids()),
+                         ("local", tribox.all_det3_ids())):
+            inside = polytope.lp_vertex_weights(target, tribox.tri_vertex_matrix(ids)) is not None
+            assert report[key] is inside
+            flags.append(inside)
+        seen.add(tuple(flags))
+    assert len(seen) >= 3

@@ -1,5 +1,7 @@
 """LP membership and canonical-decomposition tests."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -339,3 +341,69 @@ def test_membership_accepts_tables_the_validators_admit(lp_solver):
 def test_lp_vertex_weights_rejects_mismatched_target(shape):
     with pytest.raises(ValueError, match="does not match"):
         polytope.lp_vertex_weights(np.full(shape, 0.25), DET)
+
+
+# -- one vertex matrix per target --------------------------------------------
+
+def _tripartite_hull_targets():
+    rng = np.random.default_rng(4105)
+    boxes = [tribox.random_sv_polytope_box(rng) for _ in range(4)]
+    ghz = qstate.ghz_state()
+    boxes += [qstate.born_box3(ghz, qstate.settings_catalog("SMDghz", p)) for p in (0.5, 0.8)]
+    boxes += [tribox.class8_box(), tribox.mermin3_box(0, 1, 1, 0), tribox.noise3_box(),
+              tribox.det3_box(1, 0, 1, 1, 0, 1)]
+    return [b.table.reshape(-1) for b in boxes]
+
+
+TRI_HULLS = [tribox.tri_vertex_matrix(ids) for ids in (
+    tribox.sv_polytope_ids(), tribox.two_way_local_ids(), tribox.all_det3_ids())]
+
+
+def _assert_per_target_matches_single_calls(targets, vertex_sets):
+    weights = polytope.lp_vertex_weights(np.stack(targets), vertex_sets)
+    assert len(weights) == len(targets)
+    verdicts = []
+    for target, vertices, w in zip(targets, vertex_sets, weights):
+        single = polytope.lp_vertex_weights(target, vertices)
+        assert (single is None) == (w is None)
+        if w is not None:
+            assert w.shape == (len(vertices),) and w.min() >= 0.0
+            assert np.max(np.abs(w @ vertices - target)) <= boxcore.EPS_LP
+        verdicts.append(w is not None)
+    return verdicts
+
+
+def test_per_target_vertex_sets_match_separate_calls():
+    seen = set()
+    for target in _tripartite_hull_targets():
+        seen.add(tuple(_assert_per_target_matches_single_calls([target] * 3, TRI_HULLS)))
+    # inside all three, inside only the Svetlichny polytope, outside all
+    assert {(True, True, True), (True, False, False), (False, False, False)} <= seen
+    # targets of different boxes and vertex sets of different sizes, bipartite
+    ns = polytope.vertex_matrix(boxcore.ns_vertex_ids())
+    pr_mix = 0.7 * PR[2] + 0.3 * boxcore.noise_box().table.reshape(-1)
+    assert _assert_per_target_matches_single_calls(
+        [pr_mix, pr_mix, DET[5]], [DET, ns, PR]) == [False, True, False]
+
+
+def test_per_target_vertex_sets_agree_with_chsh_on_near_facet_boxes():
+    tables, gap = _near_facet_tables(np.random.default_rng(4106), 12)
+    weights = polytope.lp_vertex_weights(tables, [DET] * len(tables))
+    assert [w is not None for w in weights] == list(gap < 0)
+    assert 0 < np.sum(gap < 0) < len(gap)
+
+
+def test_per_target_vertex_sets_accept_tables_the_validators_admit(lp_solver):
+    eps = 0.9 * boxcore.EPS_VALID
+    table = tribox.noise3_box().table.copy()
+    for x, y, z in itertools.product(range(2), repeat=3):
+        table[x, y, z, 0, 0, 0] += (-1) ** (x + y + z) * eps / 2
+    target = tribox.make_box3(table).table.reshape(-1)
+    assert _assert_per_target_matches_single_calls([target] * 3, TRI_HULLS) == [True] * 3
+
+
+def test_per_target_vertex_sets_reject_mismatched_shapes():
+    target = boxcore.noise_box().table.reshape(-1)
+    for bad in (np.stack([target] * 3), target, np.stack([target] * 2)[:, :15]):
+        with pytest.raises(ValueError, match="does not match"):
+            polytope.lp_vertex_weights(bad, [DET, DET])
