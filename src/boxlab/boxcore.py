@@ -456,20 +456,6 @@ def lro_group() -> list[Lro]:
             for swap in (False, True) for ra in rels for rb in rels]
 
 
-def _group_permutations(targets) -> np.ndarray:
-    """Index maps of a relabeling group, shape (n_frames, 4**n).
-
-    The frames run over the party moves `targets` (a list of n-tuples: party
-    slot k moves to slot targets[k]), then over party_relabels() for each
-    slot in turn: the order of lro_group() and of the tripartite search.
-    """
-    targets = np.asarray(targets)
-    n = targets.shape[1]
-    move, *relabels = np.indices((len(targets),) + (8,) * n).reshape(n + 1, -1)
-    contrib = _SLOT_CONTRIBUTIONS[n]
-    return sum(contrib[k, relabels[k], targets[move, k]] for k in range(n))
-
-
 # ---------------------------------------------------------------------------
 # JSON interchange
 

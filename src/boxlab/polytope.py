@@ -3,14 +3,14 @@
 Membership is decided by elastic LPs over named vertex sets
 (16 deterministic / 24 nonsignaling vertices bipartite; the tripartite sets
 live in :mod:`boxlab.tribox` and reuse :func:`lp_vertex_weights`). The
-relabeling-frame screen of both three-way decompositions lives here too.
+canonical pair screen of both three-way decompositions lives here too.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 from scipy import linalg, sparse
@@ -203,45 +203,31 @@ def chsh_criterion_local(box: BipartiteBox, eps: float = EPS_VALID) -> bool:
     return bool(np.max(discord2.bell_functions(box)) <= 2.0 + eps)
 
 
-def _argmax_chsh_id(box: BipartiteBox) -> VertexId:
-    """PR label with the largest signed CHSH value, lexicographic tie-break."""
-    chsh = discord2.chsh_values(box)
-    best = max(
-        product(range(2), repeat=3),
-        key=lambda abg: (chsh[abg] - 1e-12 * (4 * abg[0] + 2 * abg[1] + abg[2])),
-    )
-    return boxcore.pr_id(*best)
-
-
-def _valid_zero_discord_residual(table: np.ndarray, need_q_zero: bool,
-                                 tol: float) -> BipartiteBox | None:
+def _zero_bell_residual(table: np.ndarray, tol: float) -> BipartiteBox | None:
     try:
         res = boxcore.make_box(table)
     except boxcore.BoxError:
         return None
-    if discord2.bell_discord(res) > tol:
-        return None
-    if need_q_zero and discord2.mermin_discord(res) > tol:
-        return None
-    return res
+    return res if discord2.bell_discord(res) <= tol else None
 
 
 def canonical_2decomposition(box: BipartiteBox,
                              tol: float = DISCORD_TOL) -> DecompositionResult:
     """Split into an irreducible PR box and a local box with zero Bell discord.
 
-    mu equals bell_discord/4; the PR label is the signed-CHSH argmax. If the
-    direct residual is invalid, mu is lowered by bisection to the largest value
-    giving a valid box, which must still have zero Bell discord.
+    mu equals bell_discord/4; the PR label is the signed-CHSH argmax, the
+    first top of the three-way split's order. If the direct residual is
+    invalid, mu is lowered by bisection to the largest value giving a valid
+    box, which must still have zero Bell discord.
     """
     mu = discord2.bell_discord(box) / 4.0
-    pid = _argmax_chsh_id(box)
+    corr = _corr.correlators(box.table.reshape(-1), 2)
+    pid = _bipartite_pairs().top_ids[_tops_by_value(corr, 2)[0]]
     pr = boxcore.vertex(pid)
     if mu >= 1.0 - EPS_VALID:
         return DecompositionResult(mu=1.0, nu=0.0, pr_id=pid, mermin_id=None,
                                    residual=pr)
-    residual = _valid_zero_discord_residual(
-        (box.table - mu * pr.table) / (1.0 - mu), need_q_zero=False, tol=tol)
+    residual = _zero_bell_residual((box.table - mu * pr.table) / (1.0 - mu), tol)
     if residual is None:
         lo, hi = 0.0, mu
         for _ in range(60):
@@ -252,32 +238,12 @@ def canonical_2decomposition(box: BipartiteBox,
             except boxcore.BoxError:
                 hi = mid
         mu = lo
-        residual = _valid_zero_discord_residual(
-            (box.table - mu * pr.table) / (1.0 - mu), need_q_zero=False, tol=tol)
+        residual = _zero_bell_residual((box.table - mu * pr.table) / (1.0 - mu), tol)
         if residual is None:
             raise ResidualInvalidError(
                 "no valid zero-discord residual for any PR weight")
     return DecompositionResult(mu=mu, nu=0.0, pr_id=pid, mermin_id=None,
                                residual=residual)
-
-
-def _mermin_candidates(pid: VertexId, box: BipartiteBox) -> list[VertexId]:
-    """The two Mermin boxes canonical to a PR label, best-matching first.
-
-    They are the even mixtures of PR(a,b,g) with PR(1-a,1-b,g') for g' in
-    {0,1}; ordering prefers the candidate whose single surviving Mermin
-    function is the box's largest one.
-    """
-    al, be, ga = pid.params
-    cands = []
-    m_box = discord2.mermin_functions(box)
-    for gp in (0, 1):
-        mid = _identify_mermin_mixture(al, be, ga, gp)
-        m_cand = discord2.mermin_functions(boxcore.vertex(mid))
-        idx = np.unravel_index(np.argmax(m_cand), m_cand.shape)
-        cands.append((float(m_box[idx]), mid))
-    cands.sort(key=lambda t: -t[0])
-    return [mid for _, mid in cands]
 
 
 def _identify_mermin_mixture(al: int, be: int, ga: int, gp: int) -> VertexId:
@@ -292,165 +258,111 @@ def three_decomposition(box: BipartiteBox,
                         tol: float = DISCORD_TOL) -> DecompositionResult:
     """Split into PR box, Mermin box and a residual with both discords zero.
 
-    mu = bell_discord/4, nu = mermin_discord/2. The PR label is the
-    signed-CHSH argmax; the Mermin partner is fixed by the surviving Mermin
-    function. A relabeling-frame search over the 128 LRO elements runs before
-    giving up; only the frames that pass the screen of _screened_frames are
-    tried.
+    mu = bell_discord/4, nu = mermin_discord/2, taken over the first of the
+    16 canonical (PR, Mermin) pairs that leaves a valid residual, in the
+    order of _canonical_split. Raises ResidualInvalidError if none does.
     """
-    direct = _three_decomposition_direct(box, tol)
-    if direct is not None:
-        return direct
-    tables = _lro_frame_tables()
-    mu = discord2.bell_discord(box) / 4.0
-    nu = discord2.mermin_discord(box) / 2.0
-    for f in _screened_frames(box.table.reshape(-1), tables, mu, nu, tol):
-        g = tables.frames[f]
-        result = _three_decomposition_direct(boxcore.apply_lro(box, g), tol)
-        if result is not None:
-            return _mapped_back_result(
-                result, tables, f, boxcore.apply_lro(result.residual, boxcore.invert_lro(g)))
-    raise ResidualInvalidError("no frame yields a valid double-zero residual")
+    result = _three_decomposition_direct(box, tol)
+    if result is None:
+        raise ResidualInvalidError("no canonical pair yields a valid double-zero residual")
+    return result
 
 
 def _three_decomposition_direct(box: BipartiteBox,
                                 tol: float) -> DecompositionResult | None:
-    mu = discord2.bell_discord(box) / 4.0
-    nu = discord2.mermin_discord(box) / 2.0
-    pid = _argmax_chsh_id(box)
-    pr = boxcore.vertex(pid)
-    rest = 1.0 - mu - nu
-    for mid in _mermin_candidates(pid, box):
-        mm = boxcore.vertex(mid)
-        if rest <= EPS_VALID:
-            recon = mu * pr.table + nu * mm.table
-            if np.max(np.abs(recon - box.table)) <= EPS_LP:
-                return DecompositionResult(mu=mu, nu=nu, pr_id=pid,
-                                           mermin_id=mid,
-                                           residual=boxcore.noise_box())
-            continue
-        residual = _valid_zero_discord_residual(
-            (box.table - mu * pr.table - nu * mm.table) / rest,
-            need_q_zero=True, tol=tol)
-        if residual is not None:
-            return DecompositionResult(mu=mu, nu=nu, pr_id=pid, mermin_id=mid,
-                                       residual=residual)
-    return None
+    """The split of three_decomposition, or None."""
+    return _canonical_split(box, _bipartite_pairs(), discord2.bell_discord(box) / 4.0,
+                            discord2.mermin_discord(box) / 2.0, tol)
 
 
 # ---------------------------------------------------------------------------
-# relabeling-frame screen, shared by both party counts
+# canonical pair screen, shared by both party counts
 
 @dataclass(frozen=True)
-class _FrameTables:
-    """The relabeling frames of one party count and what their screen needs.
+class _CanonicalPairs:
+    """The top vertices of one party count (PR boxes at n = 2, Svetlichny
+    boxes at n = 3) in label order, each with its two canonical Mermin
+    partners.
 
-    `top_ids` are the PR (n = 2) or Svetlichny (n = 3) vertices in the order
-    of the signed operator values, `mermin_ids` the Mermin vertices, `top`
-    and `mermin` their tables as rows, and `partners[s]` the rows of
-    `mermin` of the two Mermin candidates of top vertex s. `top_back[g, s]`
-    is the row of `top` equal to top vertex s mapped back from frame g to
-    the box's own frame, that is top[s] gathered through the inverse of
-    frame g's index permutation; `mermin_back` is the same for `mermin`.
+    `top` and `partners` hold their flat tables, shapes (T, 4**n) and
+    (T, 2, 4**n); `labels[t, k]` is the label of the one surviving Mermin
+    function of partner k of top t. `make` validates a residual table and
+    `noise()` is the residual when no weight is left.
     """
 
     n: int
-    frames: list
     top_ids: list
-    mermin_ids: list
+    partner_ids: list
     top: np.ndarray
-    mermin: np.ndarray
-    partners: np.ndarray     # (len(top), 2)
-    top_back: np.ndarray     # (n_frames, len(top))
-    mermin_back: np.ndarray  # (n_frames, len(mermin))
+    partners: np.ndarray
+    labels: np.ndarray
+    make: Callable
+    noise: Callable
 
 
-def _build_frame_tables(frames: list, moves: list, top_ids: list, mermin_ids: list,
-                        partners: list, matrix) -> _FrameTables:
-    """Screen tables of `frames`, the group of boxcore._group_permutations(moves)
-    in its order; `partners` lists the two Mermin candidates of each top
-    vertex and `matrix` stacks the tables of a vertex list."""
-    perms = boxcore._group_permutations(moves)
-    inverse = np.empty_like(perms)
-    np.put_along_axis(inverse, perms, np.arange(perms.shape[1]), axis=1)
-    top, mermin = matrix(top_ids), matrix(mermin_ids)
-    rows = [[mermin_ids.index(m) for m in pair] for pair in partners]
-    return _FrameTables(len(moves[0]), frames, top_ids, mermin_ids, top, mermin, np.array(rows),
-                        _mapped_back(top, inverse), _mapped_back(mermin, inverse))
+def _canonical_pairs(n: int, top_ids: list, partner_ids: list, matrix: Callable,
+                     make: Callable, noise: Callable) -> _CanonicalPairs:
+    """Pair tables of the tops `top_ids`, top t with the two partners
+    `partner_ids[t]`; `matrix` stacks the flat tables of a vertex list."""
+    partners = matrix([m for pair in partner_ids for m in pair]).reshape(len(top_ids), 2, -1)
+    mermin = _corr.moduli(_corr.correlators(partners, n), n, mermin=True)
+    return _CanonicalPairs(n, top_ids, partner_ids, matrix(top_ids), partners,
+                           np.argmax(mermin, axis=-1), make, noise)
 
 
-def _mapped_back_result(result: DecompositionResult, tables: _FrameTables, f: int,
-                        residual) -> DecompositionResult:
-    """`result`, found in frame f, with its vertices mapped back to the box's
-    own frame; `residual` is its residual mapped back."""
-    top = tables.top_back[f, tables.top_ids.index(result.pr_id)]
-    mermin = tables.mermin_back[f, tables.mermin_ids.index(result.mermin_id)]
-    return DecompositionResult(mu=result.mu, nu=result.nu, pr_id=tables.top_ids[top],
-                               mermin_id=tables.mermin_ids[mermin], residual=residual)
+def _tops_by_value(corr: np.ndarray, n: int) -> np.ndarray:
+    """Top-vertex labels by descending signed operator value of correlators
+    `corr`; the 1e-12 * label tie-break puts the lowest label first on ties."""
+    signed = _corr.operator_values(corr, n).reshape(-1)
+    return np.argsort(-(signed - 1e-12 * np.arange(signed.size)), kind="stable")
 
 
-def _mapped_back(vertices: np.ndarray, inverse: np.ndarray) -> np.ndarray:
-    """index[g, v]: the row of `vertices` equal to vertices[v][inverse[g]].
+def _canonical_split(box, pairs: _CanonicalPairs, mu: float, nu: float,
+                     tol: float) -> DecompositionResult | None:
+    """box = mu * top + nu * Mermin + (1 - mu - nu) * residual over the first
+    canonical pair whose residual is a valid box with both discords at most
+    `tol`, or None if no pair leaves one.
 
-    Rows are matched exactly, as byte strings of small integer codes for
-    their distinct entries, a block of frames at a time. Raises ValueError
-    if a mapped row is not a row of `vertices`.
+    The pairs run top by top in _tops_by_value order, the two partners of a
+    top best match first: the one whose surviving Mermin function is larger
+    on the box. The first two pairs are thus the split at the argmax top.
+    All residuals are screened at once by _double_zero; the survivors, in
+    order, go through the exact validator and discords, and the first that
+    passes wins. A relabeling maps canonical pairs to canonical pairs, so
+    every pair a relabeling frame of the box would split over is here.
     """
-    codes = np.unique(vertices, return_inverse=True)[1].reshape(vertices.shape)
-    codes = codes.astype(np.uint8)
-    row = np.dtype((np.void, vertices.shape[1]))
-    keys = codes.view(row)[:, 0]
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-    index = np.empty((len(inverse), len(vertices)), dtype=np.intp)
-    block = 512  # frames per gather, which bounds its scratch memory
-    for start in range(0, len(inverse), block):
-        mapped = np.take(codes, inverse[start:start + block], axis=1).view(row)[..., 0]
-        pos = np.minimum(np.searchsorted(sorted_keys, mapped), len(keys) - 1)
-        if (sorted_keys[pos] != mapped).any():
-            raise ValueError("vertex set is not closed under the relabeling frames")
-        index[start:start + block] = order[pos].T
-    return index
-
-
-def _screened_frames(table: np.ndarray, tables: _FrameTables, mu: float,
-                     nu: float, tol: float) -> np.ndarray:
-    """Indices, in search order, of the frames whose argmax components leave
-    a valid double-zero residual.
-
-    In frame g the split subtracts mu times top vertex s, the one of the
-    largest signed operator value, and nu times one of its two Mermin
-    partners m. Mapped back to the box's own frame, that residual is
-    `table - mu * top[top_back[g, s]] - nu * mermin[mermin_back[g, m]]`, a
-    permutation of the frame's own residual. Entrywise nonnegativity and
-    both discords are relabeling invariants, so each distinct pair of
-    mapped-back rows is judged once and its verdict holds for every frame
-    with that pair. Affine combinations of nonsignaling boxes stay
-    nonsignaling and normalized, so the verdict is nonnegativity plus the
-    discord checks; survivors (usually none or a handful) then go through
-    the exact per-frame path.
-    """
-    n = tables.n
-    # operator s of frame g is operator top_back[g, s] of the box's own frame
-    signed = _corr.operator_values(_corr.correlators(table, n), n).reshape(-1)[tables.top_back]
-    sel = np.argmax(signed - 1e-12 * np.arange(signed.shape[1]), axis=1)
-    frames = np.arange(len(sel))
-    top = tables.top_back[frames, sel]
-    n_mermin = len(tables.mermin)
-    hits = np.zeros(len(sel), dtype=bool)
-    for partner in tables.partners.T:
-        pairs, inverse = np.unique(top * n_mermin + tables.mermin_back[frames, partner[sel]],
-                                   return_inverse=True)
-        top_row, mermin_row = np.divmod(pairs, n_mermin)
-        num = table - mu * tables.top[top_row] - nu * tables.mermin[mermin_row]
-        hits |= _double_zero(num, n, 1.0 - mu - nu, tol)[inverse]
-    return np.flatnonzero(hits)
+    n, table = pairs.n, box.table.reshape(-1)
+    corr = _corr.correlators(table, n)
+    tops = _tops_by_value(corr, n)
+    score = _corr.moduli(corr, n, mermin=True)[pairs.labels[tops]]
+    top = np.repeat(tops, 2)
+    partner = ((score[:, 1] > score[:, 0])[:, None] ^ np.arange(2)).reshape(-1)
+    rest = 1.0 - mu - nu
+    num = table - mu * pairs.top[top] - nu * pairs.partners[top, partner]
+    for i in np.flatnonzero(_double_zero(num, n, rest, tol)):
+        if rest <= EPS_VALID:
+            residual = pairs.noise()
+        else:
+            try:
+                residual = pairs.make(num[i] / rest)
+            except boxcore.BoxError:
+                continue
+            e = _corr.correlators(residual.table.reshape(-1), n)
+            if _corr.discord(e, n) > tol or _corr.discord(e, n, mermin=True) > tol:
+                continue
+        t = top[i]
+        return DecompositionResult(mu=mu, nu=nu, pr_id=pairs.top_ids[t],
+                                   mermin_id=pairs.partner_ids[t][partner[i]],
+                                   residual=residual)
+    return None
 
 
 def _double_zero(num: np.ndarray, n: int, rest: float, tol: float) -> np.ndarray:
     """Whether each residual numerator `num` (rows of 4**n) divided by `rest`
     is a nonnegative table with both discords at most `tol`; with no weight
-    left, whether the numerator vanishes."""
+    left, whether the numerator vanishes. Affine combinations of
+    nonsignaling boxes stay nonsignaling and normalized, so these checks
+    decide a residual's validity."""
     if rest <= EPS_VALID:
         return np.abs(num).max(axis=1) <= EPS_LP
     good = num.min(axis=1) >= -EPS_VALID * rest
@@ -460,12 +372,12 @@ def _double_zero(num: np.ndarray, n: int, rest: float, tol: float) -> np.ndarray
 
 
 @functools.cache
-def _lro_frame_tables() -> _FrameTables:
-    """The 128 bipartite frames with their screen tables, built once."""
-    partners = [[_identify_mermin_mixture(*pid.params, gp) for gp in (0, 1)]
-                for pid in boxcore.all_pr_ids()]
-    return _build_frame_tables(boxcore.lro_group(), [(0, 1), (1, 0)], boxcore.all_pr_ids(),
-                               boxcore.all_mermin_ids(), partners, vertex_matrix)
+def _bipartite_pairs() -> _CanonicalPairs:
+    """The 8 PR boxes with their canonical Mermin partners, built once."""
+    tops = boxcore.all_pr_ids()
+    partners = [[_identify_mermin_mixture(*pid.params, gp) for gp in (0, 1)] for pid in tops]
+    return _canonical_pairs(2, tops, partners, vertex_matrix, boxcore.make_box,
+                            boxcore.noise_box)
 
 
 def random_ns_box(rng: np.random.Generator) -> BipartiteBox:

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import _corr, boxcore, discord2, polytope
 from .boxcore import (
-    EPS_LP,
     EPS_VALID,
     BipartiteBox,
     BoxError,
@@ -508,13 +507,6 @@ def in_sv_polytope(box: TripartiteBox) -> bool:
         box.table.reshape(-1), tri_vertex_matrix(sv_polytope_ids())) is not None
 
 
-def _argmax_sv_id(box: TripartiteBox) -> TriVertexId:
-    vals = sv_values(box)
-    best = max(product(range(2), repeat=4),
-               key=lambda p: vals[p] - 1e-12 * int("".join(map(str, p)), 2))
-    return sv_id(*best)
-
-
 def _mermin3_partners(svid: TriVertexId) -> list[TriVertexId]:
     """Both Mermin boxes canonical to the Svetlichny label."""
     al, be, ga, ep = svid.params
@@ -522,77 +514,31 @@ def _mermin3_partners(svid: TriVertexId) -> list[TriVertexId]:
             mermin3_id(al ^ 1, be ^ 1, ga ^ 1, ep ^ al ^ be ^ ga ^ 1)]
 
 
-def _mermin3_candidates(svid: TriVertexId, box: TripartiteBox) -> list[TriVertexId]:
-    """Both Mermin partners of the Svetlichny label, best match first."""
-    m_box = mermin3_functions(box)
-    scored = []
-    for mid in _mermin3_partners(svid):
-        m_cand = mermin3_functions(tri_vertex(mid))
-        idx = np.unravel_index(np.argmax(m_cand), m_cand.shape)
-        scored.append((float(m_box[idx]), mid))
-    scored.sort(key=lambda t: -t[0])
-    return [mid for _, mid in scored]
-
-
-def _three_decomposition3_direct(box: TripartiteBox,
-                                 tol: float) -> DecompositionResult | None:
-    mu = svetlichny_discord(box) / 8.0
-    nu = mermin3_discord(box) / 4.0
-    svid = _argmax_sv_id(box)
-    sv = tri_vertex(svid)
-    rest = 1.0 - mu - nu
-    for mid in _mermin3_candidates(svid, box):
-        mm = tri_vertex(mid)
-        if rest <= EPS_VALID:
-            recon = mu * sv.table + nu * mm.table
-            if np.max(np.abs(recon - box.table)) <= EPS_LP:
-                return DecompositionResult(mu=mu, nu=nu, pr_id=svid,
-                                           mermin_id=mid, residual=noise3_box())
-            continue
-        try:
-            res = make_box3((box.table - mu * sv.table - nu * mm.table) / rest)
-        except BoxError:
-            continue
-        if svetlichny_discord(res) <= tol and mermin3_discord(res) <= tol:
-            return DecompositionResult(mu=mu, nu=nu, pr_id=svid, mermin_id=mid,
-                                       residual=res)
-    return None
-
-
 def three_decomposition3(box: TripartiteBox,
                          tol: float = polytope.DISCORD_TOL) -> DecompositionResult:
     """Split a Svetlichny-polytope box into Svetlichny box, tripartite Mermin
     box and a residual with both discords zero.
 
-    mu = svetlichny_discord/8, nu = mermin3_discord/4. Boxes outside the
-    128-vertex polytope are rejected. A relabeling-frame search over the 3072
-    group elements runs before raising ResidualInvalidError; only the frames
-    that pass polytope._screened_frames are tried.
+    mu = svetlichny_discord/8, nu = mermin3_discord/4, taken over the first
+    of the 32 canonical (Svetlichny, Mermin) pairs that leaves a valid
+    residual, in the order of polytope._canonical_split. Raises
+    NotInPolytopeError for boxes outside the 128-vertex polytope and
+    ResidualInvalidError if no pair splits the box.
     """
     if not in_sv_polytope(box):
         raise NotInPolytopeError("box is outside the Svetlichny-box polytope")
-    direct = _three_decomposition3_direct(box, tol)
-    if direct is not None:
-        return direct
-    tables = _frame_tables()
-    mu = svetlichny_discord(box) / 8.0
-    nu = mermin3_discord(box) / 4.0
-    for f in polytope._screened_frames(box.table.reshape(-1), tables, mu, nu, tol):
-        g = tables.frames[f]
-        result = _three_decomposition3_direct(apply_lro3(box, g), tol)
-        if result is not None:
-            return polytope._mapped_back_result(
-                result, tables, f, apply_lro3(result.residual, invert_lro3(g)))
-    raise ResidualInvalidError("no frame yields a valid double-zero residual")
+    result = polytope._canonical_split(box, _sv_pairs(), svetlichny_discord(box) / 8.0,
+                                       mermin3_discord(box) / 4.0, tol)
+    if result is None:
+        raise ResidualInvalidError("no canonical pair yields a valid double-zero residual")
+    return result
 
 
 @functools.cache
-def _frame_tables() -> polytope._FrameTables:
-    """All 3072 group elements, in search order, with their screen tables;
-    built once."""
-    return polytope._build_frame_tables(
-        list(_lro3_search_group()), _PARTY_PERMS, all_sv_ids(), all_mermin3_ids(),
-        [_mermin3_partners(s) for s in all_sv_ids()], tri_vertex_matrix)
+def _sv_pairs() -> polytope._CanonicalPairs:
+    """The 16 Svetlichny boxes with their canonical Mermin partners, built once."""
+    return polytope._canonical_pairs(3, all_sv_ids(), [_mermin3_partners(s) for s in all_sv_ids()],
+                                     tri_vertex_matrix, make_box3, noise3_box)
 
 
 # ---------------------------------------------------------------------------
@@ -627,16 +573,6 @@ def invert_lro3(g: Lro3) -> Lro3:
 
 
 _PARTY_PERMS = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
-
-
-def _lro3_search_group():
-    """Relabel-only frames first (they preserve party roles), then permutations."""
-    rels = boxcore.party_relabels()
-    for perm in _PARTY_PERMS:
-        for ra in rels:
-            for rb in rels:
-                for rc in rels:
-                    yield Lro3(perm=perm, relabels=(ra, rb, rc))
 
 
 def lro3_samples(rng: np.random.Generator, n: int) -> list[Lro3]:

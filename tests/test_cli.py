@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,6 +92,17 @@ def test_decompose_mermin_box_three_way(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["nu"] == pytest.approx(1.0, abs=1e-12)
     assert report["mermin_component"] == "MerminMM000"
+
+
+@pytest.mark.parametrize("parties", [2, 3])
+def test_decompose_splits_committed_witness_box(parties, capsys):
+    # a planted witness that the relabeling-frame searches refused
+    path = Path(__file__).parent / "data" / f"witness_box{parties}.json"
+    assert run_cli(["decompose", "--box", str(path), "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    planted = json.loads(path.read_text())["planted"]
+    assert report["mu"] == pytest.approx(planted["mu"], abs=1e-9)
+    assert report["nu"] == pytest.approx(planted["nu"], abs=1e-9)
 
 
 def test_state_box_writes_valid_box(tmp_path):
