@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _corr, boxcore, discord2, polytope, qstate, tribox
+from ._tol import TOL_CLOSED
 
-TOL_CLOSED = 1e-9
 SEED = 20240811
 SQRT2 = float(np.sqrt(2.0))
 

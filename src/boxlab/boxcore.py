@@ -15,14 +15,7 @@ from itertools import product
 import numpy as np
 
 from . import _corr
-
-EPS_VALID = 1e-9  # tolerance for box-table validity checks
-EPS_LP = 1e-7     # tolerance for LP-derived quantities
-# A target of d entries is in a vertex hull iff its elastic-LP slack sum is at
-# most d * EPS_LP_SLACK. Tables that pass the EPS_VALID checks may miss the
-# normalized nonsignaling subspace; the worst found needs 4 * EPS_VALID of
-# slack bipartite (d = 16) and 28 * EPS_VALID tripartite (d = 64).
-EPS_LP_SLACK = 1e-9
+from ._tol import EPS_LP, EPS_LP_SLACK, EPS_VALID  # noqa: F401 (EPS_LP* re-exported)
 
 PARTY_A = "A"
 PARTY_B = "B"

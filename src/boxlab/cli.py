@@ -119,22 +119,19 @@ def _measure_report2(box) -> dict:
     return report
 
 
-# Vertex sets of the tripartite membership flags, widest hull first
-_TRI_HULLS = {"in_sv_polytope": tribox.sv_polytope_ids(),
-              "two_way_local": tribox.two_way_local_ids(),
-              "local": tribox.all_det3_ids()}
+# The tripartite membership flags, each with the first row of its hull in
+# sv_polytope_ids(): 16 Svetlichny, 48 embedded PR, then 64 deterministic
+# vertices, so each hull holds the next
+_TRI_FLAGS = {"in_sv_polytope": 0, "two_way_local": 16, "local": 64}
 
 
 def _measure_report3(box) -> dict:
     split = tribox.correlation_split3(box)
     svv = tribox.sv_values(box)
     mermin = tribox.mermin3_values(box)
-    # the three membership questions as one block-diagonal LP
-    table = box.table.reshape(-1)
-    weights = polytope.lp_vertex_weights(
-        np.stack([table] * len(_TRI_HULLS)),
-        [tribox.tri_vertex_matrix(ids) for ids in _TRI_HULLS.values()])
-    inside = {flag: w is not None for flag, w in zip(_TRI_HULLS, weights)}
+    flags = polytope.nested_hull_flags(box.table.reshape(-1),
+                                       tribox.tri_vertex_matrix(tribox.sv_polytope_ids()),
+                                       tuple(_TRI_FLAGS.values()))
     report = {
         "parties": 3,
         "svetlichny_discord": split.svetlichny,
@@ -146,7 +143,7 @@ def _measure_report3(box) -> dict:
         "mermin3_max": float(np.max(tribox.mermin3_functions(box))),
         "class99_value": tribox.class99_value(box),
         "ghz_paradox": tribox.ghz_paradox_check(box),
-        **inside,
+        **dict(zip(_TRI_FLAGS, flags)),
     }
     for al in range(2):
         for be in range(2):

@@ -2,8 +2,10 @@
 
 Membership is decided by elastic LPs over named vertex sets
 (16 deterministic / 24 nonsignaling vertices bipartite; the tripartite sets
-live in :mod:`boxlab.tribox` and reuse :func:`lp_vertex_weights`). The
-canonical pair screen of both three-way decompositions lives here too.
+live in :mod:`boxlab.tribox` and reuse :func:`lp_vertex_weights`), and in
+nested hulls by one LP whose flags are checked by certificates
+(:func:`nested_hull_flags`). The canonical pair screen of both three-way
+decompositions lives here too.
 """
 
 from __future__ import annotations
@@ -16,10 +18,9 @@ import numpy as np
 from scipy import linalg, sparse
 from scipy.optimize import linprog
 
-from . import _corr, boxcore, discord2
-from .boxcore import EPS_LP, EPS_LP_SLACK, EPS_VALID, BipartiteBox, VertexId
-
-DISCORD_TOL = 1e-6  # residuals of canonical decompositions must be this close to zero
+from . import _corr, _tol, boxcore, discord2
+from ._tol import DISCORD_TOL, EPS_LP, EPS_LP_SLACK, EPS_VALID
+from .boxcore import BipartiteBox, VertexId
 
 
 class LpNumericalFailure(RuntimeError):
@@ -118,15 +119,17 @@ def _elastic_block(vertices: np.ndarray) -> np.ndarray:
     return np.hstack([vertices.T, eye, -eye])
 
 
-def _elastic_cost(k: int, d: int) -> np.ndarray:
-    return np.concatenate([np.zeros(k), np.ones(2 * d)])
+def _elastic_cost(weight_cost: np.ndarray, d: int) -> np.ndarray:
+    """Costs of one target's variables: `weight_cost` per vertex, 1 per slack."""
+    return np.concatenate([weight_cost, np.ones(2 * d)])
 
 
-def _solve(c: np.ndarray, a_eq, b_eq: np.ndarray) -> np.ndarray:
+def _solve(c: np.ndarray, a_eq, b_eq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The optimal point and the duals of the equality rows."""
     res = linprog(c=c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if res.status != 0:
         raise LpNumericalFailure(f"linprog status {res.status}: {res.message}")
-    return res.x
+    return res.x, res.eqlin.marginals
 
 
 def _elastic_lp(targets: np.ndarray, vertices: np.ndarray,
@@ -137,7 +140,7 @@ def _elastic_lp(targets: np.ndarray, vertices: np.ndarray,
     # A single block goes in dense: HiGHS's sparse input handling costs
     # more than the whole solve of one target.
     a_eq = block if m == 1 else sparse.kron(sparse.identity(m), block, format="csc")
-    x = _solve(np.tile(_elastic_cost(k, d), m), a_eq, targets.reshape(-1))
+    x, _ = _solve(np.tile(_elastic_cost(np.zeros(k), d), m), a_eq, targets.reshape(-1))
     x = x.reshape(m, k + 2 * d)
     w = np.clip(x[:, :k], 0.0, None)
     inside = x[:, k:].sum(axis=1) <= d * EPS_LP_SLACK
@@ -153,8 +156,8 @@ def _elastic_lp_per_target(targets: np.ndarray, vertex_sets: list,
     d = targets.shape[1]
     # dense, as for a single target: a few blocks solve faster that way
     a_eq = linalg.block_diag(*[_elastic_block(v) for v in vertex_sets])
-    x = _solve(np.concatenate([_elastic_cost(len(v), d) for v in vertex_sets]),
-               a_eq, targets.reshape(-1))
+    x, _ = _solve(np.concatenate([_elastic_cost(np.zeros(len(v)), d) for v in vertex_sets]),
+                  a_eq, targets.reshape(-1))
     out = []
     for target, vertices, seg in zip(targets, vertex_sets,
                                      np.split(x, np.cumsum([len(v) + 2 * d for v in vertex_sets]))):
@@ -167,6 +170,68 @@ def _elastic_lp_per_target(targets: np.ndarray, vertex_sets: list,
         else:
             out.append(w)
     return out
+
+
+def nested_hull_flags(target: np.ndarray, vertices: np.ndarray, starts) -> list[bool]:
+    """Whether one flattened target lies in each of nested vertex hulls.
+
+    Hull h is the hull of vertices[starts[h]:]. `starts` ascends from 0, so
+    the rows run from the outermost tier inwards; there are at most three
+    tiers. Flag h equals `lp_vertex_weights(target, vertices[starts[h]:]) is
+    not None`. One elastic LP over all rows decides the flags. In it a unit
+    of slack costs 1, and a unit of weight costs _tol.NESTED_COST_OUTER on the
+    outermost tier, _tol.NESTED_COST_MIDDLE on the next, nothing on the
+    innermost. Each flag then comes from a certificate:
+
+    - inside, when the slack sum s and the weight W_out on the rows before
+      starts[h] give s + mass * W_out <= d * EPS_LP_SLACK, where `mass` is
+      the row sum every vertex shares (2**n). Dropping those rows then
+      leaves weights on hull h that miss the target by at most that much.
+      They must reconstruct it to EPS_LP, or LpNumericalFailure is raised;
+    - outside, when the LP's duals prove it (_certified_outside);
+    - otherwise, from lp_vertex_weights on hull h alone.
+    """
+    t = np.asarray(target, dtype=float)
+    k, d = vertices.shape
+    if t.shape != (d,):
+        raise ValueError(f"target of shape {t.shape} does not match vertices "
+                         f"of {d} entries")
+    bounds = [*starts, k]
+    if not 1 <= len(starts) <= 3 or starts[0] != 0 or np.any(np.diff(bounds) <= 0):
+        raise ValueError(f"starts {starts} do not ascend from 0 below {k} "
+                         f"in one to three tiers")
+    costs = [_tol.NESTED_COST_OUTER, _tol.NESTED_COST_MIDDLE][:len(starts) - 1] + [0.0]
+    x, y = _solve(_elastic_cost(np.repeat(costs, np.diff(bounds)), d),
+                  _elastic_block(vertices), t)
+    w = np.clip(x[:k], 0.0, None)
+    slack, thr, mass = x[k:].sum(), d * EPS_LP_SLACK, vertices[0].sum()
+    flags = []
+    for start in starts:
+        hull = vertices[start:]
+        if slack + mass * w[:start].sum() <= thr:
+            if np.max(np.abs(w[start:] @ hull - t)) > EPS_LP:
+                raise LpNumericalFailure("LP solution does not reconstruct the target")
+            flags.append(True)
+        elif _certified_outside(t, y, hull, thr):
+            flags.append(False)
+        else:
+            flags.append(lp_vertex_weights(t, hull) is not None)
+    return flags
+
+
+def _certified_outside(t: np.ndarray, y: np.ndarray, hull: np.ndarray,
+                       thr: float) -> bool:
+    """Whether the dual vector `y` proves that no weights w >= 0 on the hull
+    rows bring w @ hull within `thr` of `t` in L1.
+
+    Weak duality, which holds for any y once clipped to [-1, 1]:
+    ||t - w @ hull||_1 >= y.t - sum(w) * max(0, max_i hull_i.y), and weights
+    within `thr` of t have sum(w) <= (sum(t) + thr) / mass, since every row
+    sums to the same mass.
+    """
+    y = np.clip(y, -1.0, 1.0)
+    cap = (t.sum() + thr) / hull[0].sum()
+    return bool(y @ t - cap * max(0.0, np.max(hull @ y)) > thr)
 
 
 def lp_vertex_decomposition(box, vertex_ids: list[VertexId],

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import boxcore, tribox
-from .boxcore import EPS_VALID, BipartiteBox
+from ._tol import EIG_TOL, EPS_VALID
+from .boxcore import BipartiteBox
 from .tribox import TripartiteBox
 
 SQRT2 = float(np.sqrt(2.0))
@@ -29,8 +30,6 @@ ID2 = np.eye(2, dtype=complex)
 XHAT = np.array([1.0, 0.0, 0.0])
 YHAT = np.array([0.0, 1.0, 0.0])
 ZHAT = np.array([0.0, 0.0, 1.0])
-
-EIG_TOL = 1e-8
 
 
 class InvalidStateError(ValueError):
@@ -71,12 +70,23 @@ def density_matrix(mat) -> DensityMatrix:
 
 
 def pure_dm(vec) -> DensityMatrix:
+    """|v><v| / <v|v> of a 4- or 8-entry state vector.
+
+    Only the vector is checked: the normalized outer product is Hermitian,
+    of unit trace and positive semidefinite by construction.
+    """
     v = np.asarray(vec, dtype=complex).reshape(-1)
+    if v.size not in (4, 8):
+        raise InvalidStateError(f"expected a 4- or 8-entry state vector, got {v.size}")
+    if not np.isfinite(v).all():
+        raise InvalidStateError("state vector has non-finite entries")
     n = np.linalg.norm(v)
-    if n == 0:
-        raise InvalidStateError("zero state vector")
+    if n == 0 or not np.isfinite(n):
+        raise InvalidStateError(f"state vector has norm {n}")
     v = v / n
-    return density_matrix(np.outer(v, v.conj()))
+    m = np.outer(v, v.conj())
+    m.setflags(write=False)
+    return DensityMatrix(m)
 
 
 def _unit(v) -> np.ndarray:

@@ -284,32 +284,38 @@ def tri_vertex(vid: TriVertexId) -> TripartiteBox:
     return noise3_box()
 
 
+# Each id list is built once; the functions below hand out fresh copies
+_SV_IDS = tuple(sv_id(*p) for p in product(range(2), repeat=4))
+_DET3_IDS = tuple(det3_id(*p) for p in product(range(2), repeat=6))
+_PR2_IDS = tuple(pr2_id(pair, *p) for pair in (PAIR_AB, PAIR_AC, PAIR_BC)
+                 for p in product(range(2), repeat=4))
+_MERMIN3_IDS = tuple(mermin3_id(*p) for p in product(range(2), repeat=4))
+
+
 def all_sv_ids() -> list[TriVertexId]:
-    return [sv_id(*p) for p in product(range(2), repeat=4)]
+    return list(_SV_IDS)
 
 
 def all_det3_ids() -> list[TriVertexId]:
-    return [det3_id(*p) for p in product(range(2), repeat=6)]
+    return list(_DET3_IDS)
 
 
 def all_pr2_ids() -> list[TriVertexId]:
-    return [pr2_id(pair, *p)
-            for pair in (PAIR_AB, PAIR_AC, PAIR_BC)
-            for p in product(range(2), repeat=4)]
+    return list(_PR2_IDS)
 
 
 def all_mermin3_ids() -> list[TriVertexId]:
-    return [mermin3_id(*p) for p in product(range(2), repeat=4)]
+    return list(_MERMIN3_IDS)
 
 
 def sv_polytope_ids() -> list[TriVertexId]:
     """The 128 vertices: 16 Svetlichny + 48 embedded PR + 64 deterministic."""
-    return all_sv_ids() + all_pr2_ids() + all_det3_ids()
+    return [*_SV_IDS, *_PR2_IDS, *_DET3_IDS]
 
 
 def two_way_local_ids() -> list[TriVertexId]:
     """The 112 vertices of the two-way local polytope."""
-    return all_pr2_ids() + all_det3_ids()
+    return [*_PR2_IDS, *_DET3_IDS]
 
 
 def tri_vertex_matrix(vertex_ids: list[TriVertexId]) -> np.ndarray:

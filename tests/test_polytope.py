@@ -2,12 +2,14 @@
 
 import itertools
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from scipy.optimize import OptimizeResult
 
-from boxlab import boxcore, discord2, polytope, qstate, tribox
+from boxlab import _tol, boxcore, discord2, polytope, qstate, tribox
 
 RNG = np.random.default_rng(2024)
 
@@ -407,3 +409,120 @@ def test_per_target_vertex_sets_reject_mismatched_shapes():
     for bad in (np.stack([target] * 3), target, np.stack([target] * 2)[:, :15]):
         with pytest.raises(ValueError, match="does not match"):
             polytope.lp_vertex_weights(bad, [DET, DET])
+
+
+# -- nested hulls from one LP ------------------------------------------------
+
+# sv_polytope_ids(): 16 Svetlichny, 48 embedded PR, 64 deterministic rows
+TRI = tribox.tri_vertex_matrix(tribox.sv_polytope_ids())
+TRI_STARTS = (0, 16, 64)
+TRI_THR = 64 * boxcore.EPS_LP_SLACK
+
+
+def _separate_flags(target):
+    return [polytope.lp_vertex_weights(target, TRI[start:]) is not None
+            for start in TRI_STARTS]
+
+
+def _perturbed_noise3():
+    # block sums off by +-eps/2, as in test_per_target_vertex_sets_accept_...
+    eps = 0.9 * boxcore.EPS_VALID
+    table = tribox.noise3_box().table.copy()
+    for x, y, z in itertools.product(range(2), repeat=3):
+        table[x, y, z, 0, 0, 0] += (-1) ** (x + y + z) * eps / 2
+    return tribox.make_box3(table).table.reshape(-1)
+
+
+@hypothesis.settings(deadline=None, derandomize=True, max_examples=60)
+@hypothesis.given(seed=st.integers(0, 2**32 - 1), inner=st.sampled_from(TRI_STARTS[1:]),
+                  size=st.integers(1, 8), log_eps=st.floats(-7.0, -2.0))
+def test_nested_hull_flags_match_separate_lps_near_inner_hulls(seed, inner, size, log_eps):
+    # a mixture of `size` vertices of an inner hull (two-way local or local)
+    # with 1e-7 to 1e-2 of weight on one vertex outside it
+    rng = np.random.default_rng(seed)
+    rows = rng.choice(np.arange(inner, len(TRI)), size=size, replace=False)
+    w = rng.exponential(size=size)
+    eps = 10.0 ** log_eps
+    target = (1 - eps) * (w / w.sum()) @ TRI[rows] + eps * TRI[rng.integers(inner)]
+    assert polytope.nested_hull_flags(target, TRI, TRI_STARTS) == _separate_flags(target)
+
+
+def test_nested_hull_flags_match_separate_lps(lp_solver):
+    seen = []
+    for target in [*_tripartite_hull_targets(), _perturbed_noise3()]:
+        flags = polytope.nested_hull_flags(target, TRI, TRI_STARTS)
+        assert flags == _separate_flags(target)
+        seen.append(tuple(flags))
+    assert {(True, True, True), (True, False, False), (False, False, False)} <= set(seen)
+    assert seen[-1] == (True, True, True)  # the perturbed noise3 table
+
+
+def test_nested_hull_flags_fall_back_to_each_hull_without_costs(monkeypatch):
+    # without weight costs the LP's split over the tiers is arbitrary, so
+    # some flags are left to lp_vertex_weights on their own hull
+    monkeypatch.setattr(_tol, "NESTED_COST_OUTER", 0.0)
+    monkeypatch.setattr(_tol, "NESTED_COST_MIDDLE", 0.0)
+    single = polytope.lp_vertex_weights
+    fallbacks = []
+
+    def counted(target, vertices):
+        fallbacks.append(len(vertices))
+        return single(target, vertices)
+
+    monkeypatch.setattr(polytope, "lp_vertex_weights", counted)
+    rng = np.random.default_rng(4107)
+    targets = _tripartite_hull_targets()
+    for inner in TRI_STARTS[1:]:
+        w = rng.exponential(size=len(TRI) - inner)
+        targets.append(0.999 * (w / w.sum()) @ TRI[inner:] + 0.001 * TRI[0])
+    for target in targets:
+        flags = polytope.nested_hull_flags(target, TRI, TRI_STARTS)
+        calls = len(fallbacks)
+        assert flags == [single(target, TRI[start:]) is not None for start in TRI_STARTS]
+        assert len(fallbacks) == calls
+    assert fallbacks
+
+
+def test_nested_hull_flags_two_tiers_bipartite():
+    ns = polytope.vertex_matrix(boxcore.all_pr_ids() + boxcore.all_det_ids())
+    pr_mix = 0.7 * PR[2] + 0.3 * boxcore.noise_box().table.reshape(-1)
+    for target, want in ((pr_mix, [True, False]), (DET[5], [True, True]),
+                         (0.5 * PR[1] + 0.5 * DET[3], [True, False])):
+        assert polytope.nested_hull_flags(target, ns, (0, 8)) == want
+
+
+@pytest.mark.parametrize("starts", [(), (1, 16), (0, 64, 16), (0, 16, 16), (0, 128),
+                                    (0, 8, 16, 64)])
+def test_nested_hull_flags_reject_bad_tiers(starts):
+    with pytest.raises(ValueError, match="starts"):
+        polytope.nested_hull_flags(TRI[0], TRI, starts)
+
+
+def test_nested_hull_flags_reject_mismatched_target():
+    with pytest.raises(ValueError, match="does not match"):
+        polytope.nested_hull_flags(TRI[:2], TRI, TRI_STARTS)
+
+
+def test_dual_certificate_never_rejects_a_target_within_the_threshold():
+    # t lies within the slack threshold of the deterministic hull: it is a
+    # vertex plus a little weight on one entry p of that vertex
+    hull = TRI[64:]
+    vertex = hull[5]
+    p = int(np.flatnonzero(vertex)[0])
+    bump = np.zeros(64)
+    bump[p] = 1.0
+    # y = -1 but +1 at p: every hull row scores below zero, so only
+    # max(0, .) stops the row bound from crediting the certificate
+    y = 2.0 * bump - 1.0
+    target = vertex + TRI_THR / 4 * bump
+    assert not polytope._certified_outside(target, y, hull, TRI_THR)
+    # a y far outside [-1, 1] that scores zero on every hull row: only the
+    # clip keeps its large entry at p from proving a false gap
+    block = np.zeros((2,) * 6)
+    block[np.unravel_index(p, block.shape)[:3]] = 1.0
+    y = 1000.0 * bump - 1000.0 / 7 * (1.0 - block.reshape(-1))
+    assert np.max(hull @ y) == pytest.approx(0.0, abs=1e-9)
+    target = vertex + TRI_THR / 2 * bump
+    assert not polytope._certified_outside(target, y, hull, TRI_THR)
+    # and the certificate does fire on a vertex far outside
+    assert polytope._certified_outside(TRI[0], np.clip(8 * TRI[0] - 1, -1, 1), hull, TRI_THR)

@@ -79,6 +79,23 @@ def test_density_matrix_rejects_non_finite(bad):
         qstate.density_matrix(m)
 
 
+@pytest.mark.parametrize("vec", [[np.nan, 0, 0, 1], [np.inf, 0, 0, 1], [0, 0, 0, 0],
+                                 [1, 0, 0], [1e200] * 8, np.ones(16)])
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_pure_dm_rejects_invalid_vectors(vec):
+    with pytest.raises(qstate.InvalidStateError):
+        qstate.pure_dm(vec)
+
+
+def test_pure_dm_equals_the_validated_outer_product():
+    for dim in (4, 8):
+        v = 3.0 * (RNG.normal(size=dim) + 1j * RNG.normal(size=dim))
+        rho = qstate.pure_dm(v)
+        v = v / np.linalg.norm(v)
+        assert np.array_equal(rho.mat, qstate.density_matrix(np.outer(v, v.conj())).mat)
+        assert not rho.mat.flags.writeable
+
+
 def test_settings_rejects_non_finite_direction():
     with pytest.raises(qstate.InvalidStateError):
         qstate.settings([np.nan, 0, 0], [1, 0, 0], [1, 0, 0], [0, 1, 0])
