@@ -25,3 +25,9 @@ TOL_CLOSED = 1e-9   # acceptance checks against closed-form values
 NESTED_COST_OUTER = 1e-2
 # Above zero, so that a local target carries no middle-tier weight.
 NESTED_COST_MIDDLE = 1e-4
+
+# Primal and dual feasibility tolerances of every membership LP, in place of
+# HiGHS's 1e-7: at 1e-7 HiGHS returns weights down to -1e-7 on sparse
+# near-boundary tripartite targets, which then miss the target by more than
+# EPS_LP; at 1e-10 they reconstruct it to 1e-16.
+LP_FEASIBILITY_TOL = 1e-10

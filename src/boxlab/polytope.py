@@ -11,12 +11,13 @@ decompositions lives here too.
 from __future__ import annotations
 
 import functools
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, sparse
-from scipy.optimize import linprog
+from scipy import sparse
+from scipy.optimize._highspy import _core as highs
 
 from . import _corr, _tol, boxcore, discord2
 from ._tol import DISCORD_TOL, EPS_LP, EPS_LP_SLACK, EPS_VALID
@@ -68,7 +69,26 @@ _NS_IDS = boxcore.ns_vertex_ids()
 _DET_MATRIX = vertex_matrix(_DET_IDS)
 _NS_MATRIX = vertex_matrix(_NS_IDS)
 
-_LP_BLOCK = 500  # targets per block-diagonal LP; HiGHS slows on larger ones
+# Targets per block-diagonal LP of a stack. HiGHS's time per target is flat
+# up to a few hundred targets and grows beyond: about 0.3 ms per bipartite
+# target in blocks of 100 to 500, 0.44 ms in blocks of 2,000.
+_LP_BLOCK = 500
+
+# Options of every membership LP: those scipy.optimize's "highs" LP method
+# sets (presolve, dual simplex, no output), with both feasibility tolerances
+# tightened to _tol.LP_FEASIBILITY_TOL.
+_HIGHS_OPTIONS = {
+    "presolve": "on",
+    "simplex_strategy": 1,  # dual simplex
+    "highs_debug_level": 0,
+    "output_flag": False,
+    "log_to_console": False,
+    "primal_feasibility_tolerance": _tol.LP_FEASIBILITY_TOL,
+    "dual_feasibility_tolerance": _tol.LP_FEASIBILITY_TOL,
+}
+# A kept model (_target_model) holds one target at a time, so threads take
+# turns between writing its target and reading its solution.
+_TARGET_LOCK = threading.Lock()
 
 
 def lp_vertex_weights(target: np.ndarray, vertices: np.ndarray | list[np.ndarray],
@@ -87,14 +107,15 @@ def lp_vertex_weights(target: np.ndarray, vertices: np.ndarray | list[np.ndarray
     w @ vertices + s+ - s- = target and w, s+, s- >= 0, which is always
     feasible. A target is inside exactly when its slack sum is at most
     d * EPS_LP_SLACK, which covers the error the table validators admit.
-    Stacks are solved _LP_BLOCK targets at a time as one block-diagonal LP,
-    whose optimum splits into the per-target optima; a list of vertex
-    matrices is one such LP. Raises ValueError for a target of any other
-    shape, and LpNumericalFailure when the solver does not report an
-    optimum, or when the weights of a target found inside miss it by more
-    than `tol`.
+    One target is solved on a HiGHS model kept for its vertex matrix
+    (_solve_target); stacks are solved _LP_BLOCK targets at a time as one
+    block-diagonal LP, whose optimum splits into the per-target optima, and
+    a list of vertex matrices is one such LP. Raises ValueError for a target
+    of any other shape or with a non-finite entry, and LpNumericalFailure
+    when the solver does not report an optimum, or when the weights of a
+    target found inside miss it by more than `tol`.
     """
-    t = np.asarray(target, dtype=float)
+    t = _finite(target)
     if isinstance(vertices, list):
         if t.ndim != 2 or len(t) != len(vertices) or any(
                 v.shape[1] != t.shape[1] for v in vertices):
@@ -113,6 +134,15 @@ def lp_vertex_weights(target: np.ndarray, vertices: np.ndarray | list[np.ndarray
     return w
 
 
+def _finite(target) -> np.ndarray:
+    # HiGHS refuses a non-finite row bound and keeps the previous one, which
+    # would answer a kept model's previous target
+    t = np.asarray(target, dtype=float)
+    if not np.isfinite(t).all():
+        raise ValueError("target has a non-finite entry")
+    return t
+
+
 def _elastic_block(vertices: np.ndarray) -> np.ndarray:
     """Equality rows of one target; its variables are [w, s+, s-]."""
     eye = np.eye(vertices.shape[1])
@@ -124,23 +154,80 @@ def _elastic_cost(weight_cost: np.ndarray, d: int) -> np.ndarray:
     return np.concatenate([weight_cost, np.ones(2 * d)])
 
 
+def _highs_model(c: np.ndarray, a_eq, b_eq: np.ndarray) -> highs._Highs:
+    """A HiGHS model of min c @ x subject to a_eq @ x = b_eq and x >= 0,
+    under _HIGHS_OPTIONS; a_eq is dense or sparse."""
+    a = sparse.csc_array(a_eq)
+    lp = highs.HighsLp()
+    lp.num_row_, lp.num_col_ = a.shape
+    lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = a.shape
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = a.indptr, a.indices, a.data
+    lp.col_cost_ = c
+    lp.col_lower_ = np.zeros(a.shape[1])
+    lp.col_upper_ = np.full(a.shape[1], highs.kHighsInf)
+    lp.row_lower_ = lp.row_upper_ = b_eq
+    model = highs._Highs()
+    for key, value in _HIGHS_OPTIONS.items():
+        if model.setOptionValue(key, value) != highs.HighsStatus.kOk:
+            raise ValueError(f"HiGHS rejects option {key}={value!r}")
+    model.passModel(lp)
+    return model
+
+
+def _run(model: highs._Highs) -> tuple[np.ndarray, np.ndarray]:
+    """Solve `model` from scratch: the optimal point and the duals of its
+    equality rows. clearSolver() drops the basis of any earlier solve, so
+    the answer does not depend on what the model solved before."""
+    model.clearSolver()
+    model.run()
+    status = model.getModelStatus()
+    if status != highs.HighsModelStatus.kOptimal:
+        raise LpNumericalFailure(f"HiGHS model status {int(status)}: "
+                                 f"{model.modelStatusToString(status)}")
+    solution = model.getSolution()
+    return np.array(solution.col_value), np.array(solution.row_dual)
+
+
 def _solve(c: np.ndarray, a_eq, b_eq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The optimal point and the duals of the equality rows."""
-    res = linprog(c=c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if res.status != 0:
-        raise LpNumericalFailure(f"linprog status {res.status}: {res.message}")
-    return res.x, res.eqlin.marginals
+    """The optimal point and the duals of the equality rows, on a new model."""
+    return _run(_highs_model(c, a_eq, b_eq))
+
+
+def _solve_target(vertices: np.ndarray, weight_cost: np.ndarray,
+                  target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_solve for the elastic LP of one target over `vertices`, with
+    `weight_cost` per vertex. Its model is kept per vertex matrix, weight
+    costs and solver options; a call only rewrites the target rows."""
+    vertices = np.asarray(vertices, dtype=float)
+    model = _target_model(vertices.tobytes(), vertices.shape, weight_cost.tobytes(),
+                          tuple(_HIGHS_OPTIONS.items()))
+    with _TARGET_LOCK:
+        for row, value in enumerate(target.tolist()):
+            model.changeRowBounds(row, value, value)
+        return _run(model)
+
+
+@functools.lru_cache(maxsize=8)
+def _target_model(vertex_bytes: bytes, shape: tuple, cost_bytes: bytes,
+                  options: tuple) -> highs._Highs:
+    """The kept model of _solve_target; `options`, the items of
+    _HIGHS_OPTIONS it is built under, only keys the cache."""
+    vertices = np.frombuffer(vertex_bytes).reshape(shape)
+    return _highs_model(_elastic_cost(np.frombuffer(cost_bytes), shape[1]),
+                        _elastic_block(vertices), np.zeros(shape[1]))
 
 
 def _elastic_lp(targets: np.ndarray, vertices: np.ndarray,
                 tol: float) -> np.ndarray:
     """Weights of each target, NaN rows for targets outside the hull."""
     m, (k, d) = len(targets), vertices.shape
-    block = _elastic_block(vertices)
-    # A single block goes in dense: HiGHS's sparse input handling costs
-    # more than the whole solve of one target.
-    a_eq = block if m == 1 else sparse.kron(sparse.identity(m), block, format="csc")
-    x, _ = _solve(np.tile(_elastic_cost(np.zeros(k), d), m), a_eq, targets.reshape(-1))
+    if m == 1:
+        x, _ = _solve_target(vertices, np.zeros(k), targets[0])
+    else:
+        x, _ = _solve(np.tile(_elastic_cost(np.zeros(k), d), m),
+                      sparse.kron(sparse.identity(m), _elastic_block(vertices), format="csc"),
+                      targets.reshape(-1))
     x = x.reshape(m, k + 2 * d)
     w = np.clip(x[:, :k], 0.0, None)
     inside = x[:, k:].sum(axis=1) <= d * EPS_LP_SLACK
@@ -154,10 +241,9 @@ def _elastic_lp_per_target(targets: np.ndarray, vertex_sets: list,
                            tol: float) -> list:
     """Each target's weights over its own vertex rows, None outside its hull."""
     d = targets.shape[1]
-    # dense, as for a single target: a few blocks solve faster that way
-    a_eq = linalg.block_diag(*[_elastic_block(v) for v in vertex_sets])
     x, _ = _solve(np.concatenate([_elastic_cost(np.zeros(len(v)), d) for v in vertex_sets]),
-                  a_eq, targets.reshape(-1))
+                  sparse.block_diag([_elastic_block(v) for v in vertex_sets], format="csc"),
+                  targets.reshape(-1))
     out = []
     for target, vertices, seg in zip(targets, vertex_sets,
                                      np.split(x, np.cumsum([len(v) + 2 * d for v in vertex_sets]))):
@@ -191,7 +277,7 @@ def nested_hull_flags(target: np.ndarray, vertices: np.ndarray, starts) -> list[
     - outside, when the LP's duals prove it (_certified_outside);
     - otherwise, from lp_vertex_weights on hull h alone.
     """
-    t = np.asarray(target, dtype=float)
+    t = _finite(target)
     k, d = vertices.shape
     if t.shape != (d,):
         raise ValueError(f"target of shape {t.shape} does not match vertices "
@@ -201,8 +287,7 @@ def nested_hull_flags(target: np.ndarray, vertices: np.ndarray, starts) -> list[
         raise ValueError(f"starts {starts} do not ascend from 0 below {k} "
                          f"in one to three tiers")
     costs = [_tol.NESTED_COST_OUTER, _tol.NESTED_COST_MIDDLE][:len(starts) - 1] + [0.0]
-    x, y = _solve(_elastic_cost(np.repeat(costs, np.diff(bounds)), d),
-                  _elastic_block(vertices), t)
+    x, y = _solve_target(vertices, np.repeat(costs, np.diff(bounds)), t)
     w = np.clip(x[:k], 0.0, None)
     slack, thr, mass = x[k:].sum(), d * EPS_LP_SLACK, vertices[0].sum()
     flags = []

@@ -1,19 +1,20 @@
 """Shared fixtures."""
 
-import functools
-
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs
 
 from boxlab import polytope
 
 
 @pytest.fixture(params=["default", "exact"])
 def lp_solver(request, monkeypatch):
-    """Run a test with HiGHS's default tolerances, then solving to 1e-10 so
-    that its own feasibility tolerance of 1e-7 cannot hide the slack sum a
-    target needs."""
-    if request.param == "exact":
-        tight = {"primal_feasibility_tolerance": 1e-10,
-                 "dual_feasibility_tolerance": 1e-10}
-        monkeypatch.setattr(polytope, "linprog", functools.partial(linprog, options=tight))
+    """Run a test with HiGHS's own feasibility tolerances of 1e-7, then with
+    the library's options, which solve to 1e-10 so that a tolerance of 1e-7
+    cannot hide the slack sum a target needs."""
+    if request.param == "default":
+        fresh = highs._Highs()
+        for key in ("primal_feasibility_tolerance", "dual_feasibility_tolerance"):
+            monkeypatch.setitem(polytope._HIGHS_OPTIONS, key, fresh.getOptionValue(key)[1])
+    polytope._target_model.cache_clear()
+    yield
+    polytope._target_model.cache_clear()

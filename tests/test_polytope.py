@@ -1,13 +1,15 @@
 """LP membership and canonical-decomposition tests."""
 
 import itertools
+import sys
+import threading
 
 import hypothesis
 import numpy as np
 import pytest
 from hypothesis import strategies as st
-
-from scipy.optimize import OptimizeResult
+from scipy import linalg
+from scipy.optimize import linprog
 
 from boxlab import _tol, boxcore, discord2, polytope, qstate, tribox
 
@@ -314,14 +316,12 @@ def test_stacked_lp_over_svetlichny_polytope_all_feasible():
 
 
 def test_nonzero_solver_status_raises(monkeypatch):
-    def failing_linprog(**kwargs):
-        return OptimizeResult(status=4, message="numerical difficulties", x=None)
-
-    monkeypatch.setattr(polytope, "linprog", failing_linprog)
+    # with no simplex iteration allowed HiGHS stops at its iteration limit
+    monkeypatch.setitem(polytope._HIGHS_OPTIONS, "simplex_iteration_limit", 0)
     target = boxcore.noise_box().table.reshape(-1)
-    with pytest.raises(polytope.LpNumericalFailure, match="status 4"):
+    with pytest.raises(polytope.LpNumericalFailure, match="status 14: Iteration limit"):
         polytope.lp_vertex_weights(target, DET)
-    with pytest.raises(polytope.LpNumericalFailure, match="status 4"):
+    with pytest.raises(polytope.LpNumericalFailure, match="status 14: Iteration limit"):
         polytope.lp_vertex_weights(np.stack([target, target]), DET)
 
 
@@ -343,6 +343,20 @@ def test_membership_accepts_tables_the_validators_admit(lp_solver):
 def test_lp_vertex_weights_rejects_mismatched_target(shape):
     with pytest.raises(ValueError, match="does not match"):
         polytope.lp_vertex_weights(np.full(shape, 0.25), DET)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_lp_entry_points_reject_non_finite_targets(bad):
+    target = boxcore.noise_box().table.reshape(-1)
+    assert polytope.lp_vertex_weights(target, DET) is not None
+    broken = target.copy()
+    broken[3] = bad
+    for call in (lambda: polytope.lp_vertex_weights(broken, DET),
+                 lambda: polytope.lp_vertex_weights(np.stack([target, broken]), DET),
+                 lambda: polytope.lp_vertex_weights(np.stack([target, broken]), [DET, DET]),
+                 lambda: polytope.nested_hull_flags(broken, DET, (0,))):
+        with pytest.raises(ValueError, match="non-finite"):
+            call()
 
 
 # -- one vertex matrix per target --------------------------------------------
@@ -526,3 +540,130 @@ def test_dual_certificate_never_rejects_a_target_within_the_threshold():
     assert not polytope._certified_outside(target, y, hull, TRI_THR)
     # and the certificate does fire on a vertex far outside
     assert polytope._certified_outside(TRI[0], np.clip(8 * TRI[0] - 1, -1, 1), hull, TRI_THR)
+
+
+# -- the HiGHS model path ------------------------------------------------------
+
+def _near_inner_hull_targets(seed):
+    """35 mixtures per inner hull (two-way local, then local) of 2-5 of its
+    vertices with 1e-7 to 1e-2 of weight on one vertex outside it, each with
+    the row of that vertex."""
+    rng = np.random.default_rng(seed)
+    for inner in TRI_STARTS[1:]:
+        for _ in range(35):
+            size = int(rng.integers(2, 6))
+            rows = rng.choice(np.arange(inner, len(TRI)), size=size, replace=False)
+            w = rng.exponential(size=size)
+            eps = 10.0 ** rng.uniform(-7, -2)
+            outer = int(rng.integers(inner))
+            yield (1 - eps) * (w / w.sum()) @ TRI[rows] + eps * TRI[outer], outer
+
+
+def test_membership_lps_solve_targets_just_outside_an_inner_hull():
+    # At HiGHS's own feasibility tolerances of 1e-7, 46 of these 2,520 LPs
+    # return weights that miss their target by more than EPS_LP and raise
+    # LpNumericalFailure; the library's tolerances solve every one.
+    for seed in range(12):
+        for target, outer in _near_inner_hull_targets(seed):
+            for start in TRI_STARTS:
+                w = polytope.lp_vertex_weights(target, TRI[start:])
+                if start <= outer:
+                    assert w is not None
+
+
+LINPROG_OPTIONS = {key: polytope._HIGHS_OPTIONS[key]
+                   for key in ("primal_feasibility_tolerance", "dual_feasibility_tolerance")}
+
+
+def _linprog(c, a_eq, b_eq):
+    res = linprog(c=c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+                  options=LINPROG_OPTIONS)
+    assert res.status == 0
+    return res.x, res.eqlin.marginals
+
+
+def _equivalence_cases():
+    rng = np.random.default_rng(4108)
+    ns = polytope.vertex_matrix(boxcore.ns_vertex_ids())
+    bipartite = [*polytope.random_ns_tables(rng, 4).reshape(4, 16),
+                 PR[0], DET[3], boxcore.noise_box().table.reshape(-1),
+                 *_near_facet_tables(rng, 4)[0]]
+    tripartite = [*(tribox.random_sv_polytope_box(rng).table.reshape(-1) for _ in range(4)),
+                  *_tripartite_hull_targets()[4:], _perturbed_noise3(),
+                  *(t for t, _ in itertools.islice(_near_inner_hull_targets(3), 0, 70, 12))]
+    tiers = np.repeat([_tol.NESTED_COST_OUTER, _tol.NESTED_COST_MIDDLE, 0.0],
+                      np.diff([*TRI_STARTS, len(TRI)]))
+    return [pytest.param(DET, np.zeros(16), bipartite, id="det"),
+            pytest.param(ns, np.zeros(24), bipartite, id="ns"),
+            pytest.param(TRI, np.zeros(128), tripartite, id="sv"),
+            pytest.param(TRI, tiers, tripartite, id="nested-costs")]
+
+
+@pytest.mark.parametrize("vertices, weight_cost, targets", _equivalence_cases())
+def test_kept_model_is_bit_identical_to_linprog(vertices, weight_cost, targets):
+    c = polytope._elastic_cost(weight_cost, vertices.shape[1])
+    block = polytope._elastic_block(vertices)
+    answers = []
+    for target in [*targets, targets[0]]:
+        x, y = polytope._solve_target(vertices, weight_cost, target)
+        ref_x, ref_y = _linprog(c, block, target)
+        assert x.tobytes() == ref_x.tobytes()
+        assert y.tobytes() == ref_y.tobytes()
+        answers.append(x.tobytes() + y.tobytes())
+    # the first target again, after all the others: its answer does not
+    # depend on what the kept model solved before
+    assert answers[-1] == answers[0]
+
+
+@pytest.mark.parametrize("form", ["stack", "per-target"])
+def test_stacked_and_per_target_lps_are_bit_identical_to_linprog(form):
+    d = 16
+    targets = np.vstack([_near_facet_tables(np.random.default_rng(4109), 6)[0],
+                         PR[:2], DET[:2]])
+    ns = polytope.vertex_matrix(boxcore.ns_vertex_ids())
+    if form == "stack":
+        vertex_sets = [DET] * len(targets)
+        got = [None if np.isnan(w[0]) else w for w in polytope.lp_vertex_weights(targets, DET)]
+    else:
+        vertex_sets = [DET, ns, PR] * 3 + [ns]
+        got = polytope.lp_vertex_weights(targets, vertex_sets)
+    # one linprog call over the dense block-diagonal LP of the same targets
+    x, _ = _linprog(np.concatenate([polytope._elastic_cost(np.zeros(len(v)), d)
+                                    for v in vertex_sets]),
+                    linalg.block_diag(*[polytope._elastic_block(v) for v in vertex_sets]),
+                    targets.reshape(-1))
+    segments = np.split(x, np.cumsum([len(v) + 2 * d for v in vertex_sets]))
+    want = [np.clip(seg[:len(v)], 0.0, None) if seg[len(v):].sum() <= d * _tol.EPS_LP_SLACK
+            else None for seg, v in zip(segments, vertex_sets)]
+    assert [w is None for w in got] == [w is None for w in want]
+    assert {w is None for w in got} == {True, False}
+    for g, w in zip(got, want):
+        assert w is None or g.tobytes() == w.tobytes()
+
+
+def test_kept_model_gives_each_thread_its_own_answer():
+    # threads share one kept model per vertex matrix; each must still get
+    # the answer a lone call gives for its own target
+    rng = np.random.default_rng(4110)
+    targets = [tribox.random_sv_polytope_box(rng).table.reshape(-1) for _ in range(6)]
+    want = [polytope._solve_target(TRI, np.zeros(128), t)[0].tobytes() for t in targets]
+    wrong = []
+
+    def worker(k):
+        for _ in range(25):
+            for i in np.roll(np.arange(len(targets)), k):
+                if polytope._solve_target(TRI, np.zeros(128), targets[i])[0].tobytes() != want[i]:
+                    wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not wrong
