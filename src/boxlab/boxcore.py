@@ -1,16 +1,25 @@
-"""Bipartite two-input/two-output boxes: validation, extremal catalog, relabelings.
+"""Boxes of two and three parties: validation, extremal catalog, relabelings, JSON.
 
-A box is the conditional distribution P(a,b|x,y) for binary inputs x,y and
-binary outputs a,b, stored as a (2,2,2,2) float array indexed ``[x][y][a][b]``.
-Outcome bit 0 corresponds to the +1 outcome, so joint expectations are
-``sum_{ab} (-1)^(a^b) P(a,b|x,y)``.
+A box of n parties is the conditional distribution P(a|x) of binary outputs
+a = (a_1..a_n) given binary inputs x = (x_1..x_n), stored as a (2,)*2n float
+array indexed ``[x_1..x_n][a_1..a_n]``; flattened, it is the ``4**n`` table of
+:mod:`boxlab._corr`. Outcome bit 0 corresponds to the +1 outcome, so joint
+expectations are ``sum_a (-1)^(a_1 ^ .. ^ a_n) P(a|x)``.
+
+The validator, the catalog's kind table, the label parser, the relabelings
+and the JSON format here serve both party counts. The public functions of
+this module are the bipartite ones, on (2,2,2,2) tables indexed
+``[x][y][a][b]``; :mod:`boxlab.tribox` wraps the same core for three parties.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -42,39 +51,85 @@ class BadWeightsError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class BipartiteBox:
-    """Immutable validated bipartite box; ``table[x, y, a, b]`` = P(a,b|x,y)."""
+class _Box:
+    """Immutable box of either party count; construction makes its table read-only."""
 
     table: np.ndarray
 
-    def prob(self, x: int, y: int, a: int, b: int) -> float:
-        return float(self.table[x, y, a, b])
+    def __post_init__(self):
+        self.table.setflags(write=False)
 
-    def allclose(self, other: "BipartiteBox", tol: float = EPS_VALID) -> bool:
+    def prob(self, *cell: int) -> float:
+        """P(a|x) at the cell given as the inputs, then the outputs."""
+        return float(self.table[cell])
+
+    def allclose(self, other: "_Box", tol: float = EPS_VALID) -> bool:
         return bool(np.allclose(self.table, other.table, atol=tol, rtol=0.0))
 
 
-def _as_table(values) -> np.ndarray:
-    t = np.asarray(values, dtype=float)
-    if t.size != 16:
-        raise BoxError(f"expected 16 probabilities, got {t.size}")
-    return t.reshape(2, 2, 2, 2).copy()
+class BipartiteBox(_Box):
+    """Immutable validated bipartite box; ``table[x, y, a, b]`` = P(a,b|x,y)."""
 
 
-def _freeze(t: np.ndarray) -> np.ndarray:
-    t.setflags(write=False)
-    return t
+# ---------------------------------------------------------------------------
+# validation, shared by both party counts
+
+_INPUTS, _OUTPUTS = "xyz", "abc"
 
 
-def make_box(values, eps: float = EPS_VALID) -> BipartiteBox:
-    """Validate a probability table and return the box.
+def _conditional(n: int, inputs, outputs=None) -> str:
+    """'P(a=0,b=1|x=1,y=0)' of an n-party table, or 'P(a,b|x=1,y=0)' without outputs."""
+    outs = _OUTPUTS[:n] if outputs is None else [f"{o}={v}" for o, v in zip(_OUTPUTS, outputs)]
+    return f"P({','.join(outs)}|{','.join(f'{i}={v}' for i, v in zip(_INPUTS, inputs))})"
 
-    Entries in (-eps, 0) are clamped to 0 (decomposition residuals produce
-    -1e-16 noise). Raises BoxError for NaN or infinite entries, and
-    NotNormalizedError, NegativeEntryError or SignalingError naming the
-    offending index.
+
+def _linear_checks(n: int) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
+    """Normalization and nonsignaling of a flat n-party table t as the rows
+    of one matrix: the residuals are `rows @ t`, minus 1 on the 2**n
+    normalization rows. Returns the rows, the end row of each check and
+    each check's (error class, message), in the order _validate raises them.
+
+    Normalization has one row per input string: the sum over the outputs.
+    Then every nonempty proper subset of parties summed out has one row per
+    input string and output string of the other parties: their marginal
+    there minus its value where the subset's inputs are 0.
     """
-    t = _as_table(values)
+    cells = np.eye(4 ** n).reshape((2,) * (2 * n) + (4 ** n,))
+    blocks = [cells.sum(axis=tuple(range(n, 2 * n)))]
+    checks = [(NotNormalizedError, None)]
+    for k in range(1, n):
+        for gone in combinations(range(n), k):
+            kept = [p for p in range(n) if p not in gone]
+            marginal = cells.sum(axis=tuple(n + p for p in gone))
+            at_zero = tuple(slice(0, 1) if p in gone else slice(None) for p in range(n))
+            blocks.append(marginal - marginal[at_zero])
+            checks.append((SignalingError, f"P({','.join(_OUTPUTS[p] for p in kept)}|"
+                           f"{','.join(_INPUTS[p] for p in kept)}) depends on "
+                           f"{' or '.join(_INPUTS[p] for p in gone)}"))
+    rows = [b.reshape(-1, 4 ** n) for b in blocks]
+    return np.concatenate(rows), np.cumsum([len(r) for r in rows]), checks
+
+
+_LINEAR_CHECKS = {n: _linear_checks(n) for n in (2, 3)}
+
+
+def _validate(values, n: int, eps: float) -> np.ndarray:
+    """The (2,)*2n table of `values`: a new array, checked, with entries in
+    (-eps, 0) clamped to 0 (decomposition residuals produce -1e-16 noise).
+
+    Raises BoxError unless `values` converts to 4**n finite numbers, then
+    NegativeEntryError, NotNormalizedError or SignalingError naming the
+    offending entry, inputs or marginal. Nonsignaling means that for every
+    nonempty proper subset of parties summed out, the marginal of the others
+    does not depend on the inputs of that subset.
+    """
+    try:
+        t = np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise BoxError(f"table is not an array of numbers: {exc}") from None
+    if t.size != 4 ** n:
+        raise BoxError(f"expected {4 ** n} probabilities, got {t.size}")
+    t = t.reshape((2,) * (2 * n))
     if not np.isfinite(t).all():
         raise BoxError(f"table has non-finite entries: {t[~np.isfinite(t)]}")
     neg = t < 0
@@ -82,55 +137,196 @@ def make_box(values, eps: float = EPS_VALID) -> BipartiteBox:
         worst = np.unravel_index(np.argmin(t), t.shape)
         if t[worst] < -eps:
             raise NegativeEntryError(
-                f"entry P(a={worst[2]},b={worst[3]}|x={worst[0]},y={worst[1]}) = {t[worst]:.3e} < 0"
-            )
+                f"entry {_conditional(n, worst[:n], worst[n:])} = {t[worst]:.3e} < 0")
         t[neg] = 0.0
-    norms = t.sum(axis=(2, 3))
-    for x, y in product(range(2), repeat=2):
-        if abs(norms[x, y] - 1.0) > eps:
-            raise NotNormalizedError(
-                f"sum_ab P(a,b|x={x},y={y}) = {norms[x, y]:.12f} != 1"
-            )
-    # marginal of A must not depend on y, marginal of B must not depend on x
-    marg_a = t.sum(axis=3)  # [x, y, a]
-    for x, a in product(range(2), repeat=2):
-        if abs(marg_a[x, 0, a] - marg_a[x, 1, a]) > eps:
-            raise SignalingError(
-                f"P(a={a}|x={x}) depends on y: {marg_a[x, 0, a]:.12f} vs {marg_a[x, 1, a]:.12f}"
-            )
-    marg_b = t.sum(axis=2)  # [x, y, b]
-    for y, b in product(range(2), repeat=2):
-        if abs(marg_b[0, y, b] - marg_b[1, y, b]) > eps:
-            raise SignalingError(
-                f"P(b={b}|y={y}) depends on x: {marg_b[0, y, b]:.12f} vs {marg_b[1, y, b]:.12f}"
-            )
-    return BipartiteBox(_freeze(t))
+    rows, ends, checks = _LINEAR_CHECKS[n]
+    residuals = rows @ t.reshape(-1)
+    residuals[:2 ** n] -= 1.0
+    bad = np.abs(residuals) > eps
+    if bad.any():
+        row = int(np.argmax(bad))
+        error, message = checks[np.searchsorted(ends, row, side="right")]
+        if error is NotNormalizedError:
+            message = (f"sum of {_conditional(n, np.unravel_index(row, (2,) * n))} "
+                       f"= {residuals[row] + 1.0:.12f} != 1")
+        raise error(message)
+    return t
 
 
-def _box_exact(t: np.ndarray) -> BipartiteBox:
-    """Wrap a table known to be valid by construction (catalog, relabelings)."""
-    return BipartiteBox(_freeze(t))
+def make_box(values, eps: float = EPS_VALID) -> BipartiteBox:
+    """Validate a probability table and return the box.
+
+    Entries in (-eps, 0) are clamped to 0 (decomposition residuals produce
+    -1e-16 noise). Raises BoxError for input that is not 16 finite numbers,
+    and NotNormalizedError, NegativeEntryError or SignalingError naming the
+    offending index.
+    """
+    return BipartiteBox(_validate(values, 2, eps))
 
 
 # ---------------------------------------------------------------------------
-# extremal-box catalog
+# extremal-box catalog of both party counts
 
-VERTEX_KINDS = ("PR", "Det", "MerminMM", "MerminNMM", "CC", "Tsirelson", "Noise")
+def _expand(n: int, terms=()) -> np.ndarray:
+    """The (2,)*2n table P(a|x) = (1 + sum_S (-1)^(a_S) E_S(x_S)) / 2**n.
+
+    `terms` holds (party mask S, correlators E_S over the inputs of the
+    parties in S) pairs, added in their order; the first party is the most
+    significant bit of S, and a_S is the XOR of the outputs in S. With the
+    one term of the full mask this is the parity box
+    (1 + E_x (-1)^(a_1 ^ .. ^ a_n)) / 2**n; with none, white noise.
+    """
+    t = np.ones((2,) * (2 * n))
+    for mask, e in terms:
+        shape = [2 if mask >> (n - 1 - p) & 1 else 1 for p in range(n)]
+        t = t + np.reshape(e, shape + [1] * n) * _corr._OUTPUT_PARITY[n][mask].reshape((2,) * n)
+    return t / 2 ** n
+
+
+def _operator_box(mermin: bool, *params: int) -> np.ndarray:
+    """Parity box whose correlators are a row of the CHSH/Svetlichny or, with
+    `mermin`, the Mermin sign rule of _corr: the row labelled by the n bits
+    params[:-1], the first most significant, negated when params[-1] is 1."""
+    *bits, negate = params
+    n = len(bits)
+    label = sum(b << (n - 1 - k) for k, b in enumerate(bits))
+    return _expand(n, [(2 ** n - 1, (-1.0) ** negate * _corr._SIGNS[n][mermin][label])])
+
+
+def _det_table(*responses: int) -> np.ndarray:
+    """Deterministic box: party k answers (responses[2k] & x_k) ^ responses[2k+1]."""
+    n = len(responses) // 2
+    inputs = np.indices((2,) * n).reshape(n, -1)
+    outputs = (np.array(responses[::2])[:, None] & inputs) ^ np.array(responses[1::2])[:, None]
+    t = np.zeros((2 ** n, 2 ** n))
+    t[np.arange(2 ** n), np.ravel_multi_index(tuple(outputs), (2,) * n)] = 1.0
+    return t.reshape((2,) * (2 * n))
+
+
+def _mermin_nmm_table(variant: int) -> np.ndarray:
+    p, q, r, s = (variant >> 3) & 1, (variant >> 2) & 1, (variant >> 1) & 1, variant & 1
+    second = variant >> 4
+    return 0.5 * _det_table(1, p, 1 ^ second, q) + 0.5 * _det_table(0, r, second, s)
+
+
+def _pr2_table(subscripts: str, al: int, be: int, ga: int, ep: int) -> np.ndarray:
+    """PR box (al, be, ga) between two of three parties, placed by the einsum
+    `subscripts`; the spectator answers ep & its input."""
+    return np.einsum(subscripts + "->xyzabc", _operator_box(False, al, be, ga),
+                     _det_table(ep, 0))
+
+
+def _class8_table() -> np.ndarray:
+    """<A0B0> = <A0B1> = <A0C0> = <B0C0> = <B1C0> = <A1B0C1> = 1 and
+    <A1B1C1> = -1; every other expectation is zero."""
+    abc = np.zeros((2, 2, 2))
+    abc[1, 0, 1], abc[1, 1, 1] = 1.0, -1.0
+    return _expand(3, [(6, [[1.0, 1.0], [0.0, 0.0]]), (5, [[1.0, 0.0], [0.0, 0.0]]),
+                       (3, [[1.0, 0.0], [1.0, 0.0]]), (7, abc)])
+
+
+_SQRT_HALF = 1.0 / np.sqrt(2.0)
+
+
+class _Kind(NamedTuple):
+    parties: int
+    sizes: tuple[int, ...]                 # the range of each parameter
+    build: Callable[..., np.ndarray]       # parameters -> (2,)*2n table
+
+
+_KINDS = {
+    "PR": _Kind(2, (2,) * 3, functools.partial(_operator_box, False)),
+    "Det": _Kind(2, (2,) * 4, _det_table),
+    "MerminMM": _Kind(2, (2,) * 3, functools.partial(_operator_box, True)),
+    "MerminNMM": _Kind(2, (32,), _mermin_nmm_table),
+    # correlators (-1)^(al x ^ be y ^ ga): the sign rule without its xy term
+    "CC": _Kind(2, (2,) * 3, lambda al, be, ga: _expand(
+        2, [(3, (-1.0) ** ga * _corr._OUTPUT_PARITY[2][2 * al + be])])),
+    "Tsirelson": _Kind(2, (2,) * 3, lambda *params: (
+        _SQRT_HALF * _operator_box(False, *params) + (1 - _SQRT_HALF) * 0.25)),
+    "Noise": _Kind(2, (), lambda: _expand(2)),
+    "Sv": _Kind(3, (2,) * 4, functools.partial(_operator_box, False)),
+    "Det3": _Kind(3, (2,) * 6, _det_table),
+    "PrAB": _Kind(3, (2,) * 4, functools.partial(_pr2_table, "xyab,zc")),
+    "PrAC": _Kind(3, (2,) * 4, functools.partial(_pr2_table, "xzac,yb")),
+    "PrBC": _Kind(3, (2,) * 4, functools.partial(_pr2_table, "yzbc,xa")),
+    # the Mermin row of the complementary label, negated for odd label parity
+    "Mermin3": _Kind(3, (2,) * 4, lambda al, be, ga, ep: _operator_box(
+        True, al ^ 1, be ^ 1, ga ^ 1, ep ^ al ^ be ^ ga)),
+    "Class8Rep": _Kind(3, (), _class8_table),
+    "Noise3": _Kind(3, (), lambda: _expand(3)),
+}
+
+VERTEX_KINDS = tuple(k for k, spec in _KINDS.items() if spec.parties == 2)
 
 
 @dataclass(frozen=True)
-class VertexId:
-    """Label of a catalog box, e.g. VertexId("PR", (0, 0, 1))."""
+class _CatalogId:
+    """Label of a catalog box: a kind of `parties` parties and its parameters.
+
+    Raises ValueError for a kind of another party count or parameters out
+    of the kind's ranges.
+    """
 
     kind: str
     params: tuple[int, ...] = ()
+    parties: ClassVar[int] = 0
 
     def __post_init__(self):
-        if self.kind not in VERTEX_KINDS:
-            raise ValueError(f"unknown vertex kind {self.kind!r}")
+        spec = _KINDS.get(self.kind)
+        if spec is None or spec.parties != self.parties:
+            raise ValueError(f"unknown {self.parties}-party vertex kind {self.kind!r}")
+        if len(self.params) != len(spec.sizes) or not all(
+                0 <= p < size for p, size in zip(self.params, spec.sizes)):
+            raise ValueError(f"{self.kind} takes parameters below {spec.sizes}, "
+                             f"got {self.params}")
 
     def label(self) -> str:
         return self.kind + "".join(str(p) for p in self.params)
+
+
+class VertexId(_CatalogId):
+    """Label of a bipartite catalog box, e.g. VertexId("PR", (0, 0, 1))."""
+
+    parties = 2
+
+
+def _vertex_table(vid: _CatalogId) -> np.ndarray:
+    return _KINDS[vid.kind].build(*vid.params)
+
+
+@functools.cache
+def _family(cls: type, kind: str) -> tuple:
+    """Every id of one kind, parameters in lexicographic order, built once."""
+    return tuple(cls(kind, p) for p in product(*map(range, _KINDS[kind].sizes)))
+
+
+def _parse_label(cls: type, label: str) -> _CatalogId:
+    """The id of class `cls` whose label() is exactly `label`.
+
+    A kind's parameters follow it as digits: one digit per binary parameter,
+    the decimal number of a kind's only parameter otherwise.
+    """
+    for kind, spec in _KINDS.items():
+        if spec.parties != cls.parties or not label.startswith(kind):
+            continue
+        digits = label[len(kind):]
+        try:
+            vid = cls(kind, tuple(map(int, [digits] if len(spec.sizes) == 1 else digits)))
+        except ValueError:
+            continue
+        if vid.label() == label:
+            return vid
+    raise ValueError(f"cannot parse {cls.parties}-party vertex label {label!r}")
+
+
+@functools.lru_cache(maxsize=16)
+def _vertex_rows(vertex_ids: tuple) -> np.ndarray:
+    """Vertex tables as rows of a read-only (n_vertices, 4**n) matrix,
+    stacked once per id list."""
+    rows = np.stack([_vertex_table(v).reshape(-1) for v in vertex_ids])
+    rows.setflags(write=False)
+    return rows
 
 
 def pr_id(alpha: int, beta: int, gamma: int) -> VertexId:
@@ -162,23 +358,16 @@ NOISE_ID = VertexId("Noise")
 
 def pr_box(alpha: int, beta: int, gamma: int) -> BipartiteBox:
     """Maximally nonlocal vertex: 1/2 on outcomes with a^b = xy ^ ax ^ by ^ g."""
-    t = np.zeros((2, 2, 2, 2))
-    for x, y, a, b in product(range(2), repeat=4):
-        if a ^ b == (x & y) ^ (alpha & x) ^ (beta & y) ^ gamma:
-            t[x, y, a, b] = 0.5
-    return _box_exact(t)
+    return vertex(pr_id(alpha, beta, gamma))
 
 
 def det_box(alpha: int, beta: int, gamma: int, eps: int) -> BipartiteBox:
     """Deterministic vertex: a = ax ^ b on one side, b = gy ^ e on the other."""
-    t = np.zeros((2, 2, 2, 2))
-    for x, y in product(range(2), repeat=2):
-        t[x, y, (alpha & x) ^ beta, (gamma & y) ^ eps] = 1.0
-    return _box_exact(t)
+    return vertex(det_id(alpha, beta, gamma, eps))
 
 
 def noise_box() -> BipartiteBox:
-    return _box_exact(np.full((2, 2, 2, 2), 0.25))
+    return vertex(NOISE_ID)
 
 
 def mermin_box(alpha: int, beta: int, gamma: int) -> BipartiteBox:
@@ -188,13 +377,7 @@ def mermin_box(alpha: int, beta: int, gamma: int) -> BipartiteBox:
     uniform on the other input pairs; equals the uniform mixture of the two
     PR boxes (alpha,beta,gamma) and (1-alpha,1-beta,gamma^beta).
     """
-    t = np.zeros((2, 2, 2, 2))
-    for x, y, a, b in product(range(2), repeat=4):
-        if x ^ y != beta:
-            t[x, y, a, b] = 0.25
-        elif a ^ b == (x & y) ^ (alpha & x) ^ (beta & y) ^ gamma:
-            t[x, y, a, b] = 0.5
-    return _box_exact(t)
+    return vertex(mermin_id(alpha, beta, gamma))
 
 
 def mermin_nmm_box(variant: int) -> BipartiteBox:
@@ -203,74 +386,48 @@ def mermin_nmm_box(variant: int) -> BipartiteBox:
     Each is the even mixture of two deterministic boxes. Variants 0..15 mix
     (a=x^p, b=y^q) with the constant responder (a=r, b=s); variants 16..31 mix
     (a=x^p, b=q) with (a=r, b=y^s). Bits p,q,r,s come from variant & 0xF.
+    Raises ValueError unless 0 <= variant < 32.
     """
-    if not 0 <= variant < 32:
-        raise ValueError("variant must be in 0..31")
-    p, q, r, s = (variant >> 3) & 1, (variant >> 2) & 1, (variant >> 1) & 1, variant & 1
-    t = np.zeros((2, 2, 2, 2))
-    for x, y in product(range(2), repeat=2):
-        if variant < 16:
-            t[x, y, x ^ p, y ^ q] += 0.5
-            t[x, y, r, s] += 0.5
-        else:
-            t[x, y, x ^ p, q] += 0.5
-            t[x, y, r, y ^ s] += 0.5
-    return _box_exact(t)
+    return vertex(mermin_nmm_id(variant))
 
 
 def cc_box(alpha: int, beta: int, gamma: int) -> BipartiteBox:
     """Classically correlated box: 1/2 on outcomes with a^b = ax ^ by ^ g."""
-    t = np.zeros((2, 2, 2, 2))
-    for x, y, a, b in product(range(2), repeat=4):
-        if a ^ b == (alpha & x) ^ (beta & y) ^ gamma:
-            t[x, y, a, b] = 0.5
-    return _box_exact(t)
+    return vertex(cc_id(alpha, beta, gamma))
 
 
 def tsirelson_box(alpha: int, beta: int, gamma: int) -> BipartiteBox:
     """Quantum box saturating the CHSH bound 2*sqrt(2): PR/sqrt2 + rest noise."""
-    w = 1.0 / np.sqrt(2.0)
-    t = w * pr_box(alpha, beta, gamma).table + (1 - w) * 0.25
-    return _box_exact(t)
+    return vertex(tsirelson_id(alpha, beta, gamma))
 
 
 def vertex(vid: VertexId) -> BipartiteBox:
     """Exact table of a catalog box."""
-    builders = {
-        "PR": pr_box,
-        "Det": det_box,
-        "MerminMM": mermin_box,
-        "MerminNMM": mermin_nmm_box,
-        "CC": cc_box,
-        "Tsirelson": tsirelson_box,
-    }
-    if vid.kind == "Noise":
-        return noise_box()
-    return builders[vid.kind](*vid.params)
+    return BipartiteBox(_vertex_table(vid))
 
 
 def all_pr_ids() -> list[VertexId]:
-    return [pr_id(a, b, g) for a, b, g in product(range(2), repeat=3)]
+    return list(_family(VertexId, "PR"))
 
 
 def all_det_ids() -> list[VertexId]:
-    return [det_id(a, b, g, e) for a, b, g, e in product(range(2), repeat=4)]
+    return list(_family(VertexId, "Det"))
 
 
 def all_mermin_ids() -> list[VertexId]:
-    return [mermin_id(a, b, g) for a, b, g in product(range(2), repeat=3)]
+    return list(_family(VertexId, "MerminMM"))
 
 
 def all_mermin_nmm_ids() -> list[VertexId]:
-    return [mermin_nmm_id(v) for v in range(32)]
+    return list(_family(VertexId, "MerminNMM"))
 
 
 def all_cc_ids() -> list[VertexId]:
-    return [cc_id(a, b, g) for a, b, g in product(range(2), repeat=3)]
+    return list(_family(VertexId, "CC"))
 
 
 def all_tsirelson_ids() -> list[VertexId]:
-    return [tsirelson_id(a, b, g) for a, b, g in product(range(2), repeat=3)]
+    return list(_family(VertexId, "Tsirelson"))
 
 
 def ns_vertex_ids() -> list[VertexId]:
@@ -278,24 +435,15 @@ def ns_vertex_ids() -> list[VertexId]:
     return all_pr_ids() + all_det_ids()
 
 
-_LABEL_BITS = {"PR": 3, "Det": 4, "MerminMM": 3, "CC": 3, "Tsirelson": 3, "Noise": 0}
-
-
 def parse_vertex_label(label: str) -> VertexId:
     """Parse compact labels like PR000, Det0101, MerminMM010, MerminNMM17, Noise.
 
-    Raises ValueError unless the kind is followed by exactly its number of
-    binary parameters (a variant number 0..31 for MerminNMM).
+    Raises ValueError unless the label is the canonical label of a bipartite
+    catalog box: the kind followed by exactly its number of binary
+    parameters, or by a variant number 0..31 without leading zeros for
+    MerminNMM.
     """
-    for kind in sorted(VERTEX_KINDS, key=len, reverse=True):
-        if label.startswith(kind):
-            digits = label[len(kind):]
-            if kind == "MerminNMM":
-                if digits.isdigit() and int(digits) < 32:
-                    return mermin_nmm_id(int(digits))
-            elif len(digits) == _LABEL_BITS[kind] and set(digits) <= {"0", "1"}:
-                return VertexId(kind, tuple(int(ch) for ch in digits))
-    raise ValueError(f"cannot parse vertex label {label!r}")
+    return _parse_label(VertexId, label)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +488,10 @@ def marginal_expectation(box: BipartiteBox, party: str, x: int) -> float:
 
 # ---------------------------------------------------------------------------
 # local reversible operations (LRO)
+#
+# A relabeling of n parties is a pair (relabels, targets): party slot k is
+# relabeled by relabels[k] and moved to slot targets[k]. Lro and Lro3 are
+# its two public spellings.
 
 @dataclass(frozen=True)
 class PartyRelabel:
@@ -365,9 +517,13 @@ class Lro:
 IDENTITY_LRO = Lro()
 
 
+def _slots(g: Lro) -> tuple[tuple, tuple]:
+    return (g.a, g.b), (1, 0) if g.party_swap else (0, 1)
+
+
 def apply_lro(box: BipartiteBox, g: Lro) -> BipartiteBox:
     """Relabeled box; the party swap acts first, then the per-party relabels."""
-    return _box_exact(box.table.reshape(16)[lro_index_permutation(g)].reshape(2, 2, 2, 2))
+    return BipartiteBox(_relabeled(box.table, *_slots(g)))
 
 
 def _compose_relabel(first_applied: PartyRelabel, then: PartyRelabel) -> PartyRelabel:
@@ -395,11 +551,18 @@ def _invert_relabel(r: PartyRelabel) -> PartyRelabel:
                         r.out_const ^ (r.out_by_input & r.input_flip))
 
 
+def _inverse(relabels: tuple, targets: tuple) -> tuple[tuple, tuple]:
+    """The inverse relabeling: the slots move back, and each slot's relabel
+    is undone in the slot it started from."""
+    back = [0] * len(targets)
+    for k, t in enumerate(targets):
+        back[t] = k
+    return tuple(_invert_relabel(relabels[back[k]]) for k in range(len(back))), tuple(back)
+
+
 def invert_lro(g: Lro) -> Lro:
-    ia, ib = _invert_relabel(g.a), _invert_relabel(g.b)
-    if g.party_swap:
-        ia, ib = ib, ia
-    return Lro(party_swap=g.party_swap, a=ia, b=ib)
+    (ia, ib), back = _inverse(*_slots(g))
+    return Lro(party_swap=back != (0, 1), a=ia, b=ib)
 
 
 def lro_index_permutation(g: Lro) -> np.ndarray:
@@ -408,7 +571,11 @@ def lro_index_permutation(g: Lro) -> np.ndarray:
     Relabelings only permute the 16 table cells; batch sweeps gather a
     stack of tables through precomputed permutations.
     """
-    return _index_permutation((g.a, g.b), (1, 0) if g.party_swap else (0, 1))
+    return _index_permutation(*_slots(g))
+
+
+def _relabeled(table: np.ndarray, relabels: tuple, targets: tuple) -> np.ndarray:
+    return table.reshape(-1)[_index_permutation(relabels, targets)].reshape(table.shape)
 
 
 def _index_permutation(relabels, targets) -> np.ndarray:
@@ -450,14 +617,31 @@ def lro_group() -> list[Lro]:
 
 
 # ---------------------------------------------------------------------------
-# JSON interchange
+# JSON interchange: {"parties": n, "table": nested lists}
+
+def _to_json(box: _Box) -> str:
+    return json.dumps({"parties": box.table.ndim // 2, "table": box.table.tolist()})
+
+
+def _json_object(text: str) -> dict:
+    """The object of a box file; BoxError unless it is a JSON object with a table."""
+    data = json.loads(text)
+    if not isinstance(data, dict) or "table" not in data:
+        raise BoxError("a box file holds one JSON object with 'parties' and 'table'")
+    return data
+
+
+def _json_table(text: str, n: int):
+    """The unvalidated table of a box file of n parties."""
+    data = _json_object(text)
+    if data.get("parties") != n:
+        raise BoxError(f"expected parties={n}, got {data.get('parties')}")
+    return data["table"]
+
 
 def box_to_json(box: BipartiteBox) -> str:
-    return json.dumps({"parties": 2, "table": box.table.tolist()})
+    return _to_json(box)
 
 
 def box_from_json(text: str) -> BipartiteBox:
-    data = json.loads(text)
-    if data.get("parties") != 2:
-        raise BoxError(f"expected parties=2, got {data.get('parties')}")
-    return make_box(data["table"])
+    return make_box(_json_table(text, 2))

@@ -28,7 +28,7 @@ def _load_box(args):
     """Box from --box FILE (JSON) or --catalog LABEL."""
     if getattr(args, "box", None):
         text = Path(args.box).read_text()
-        parties = json.loads(text).get("parties")
+        parties = boxcore._json_object(text).get("parties")
         if parties == 2:
             return boxcore.box_from_json(text)
         if parties == 3:
@@ -360,7 +360,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (InputError, boxcore.BoxError, qstate.InvalidStateError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+            OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

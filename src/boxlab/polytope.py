@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import threading
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,8 +59,11 @@ class DecompositionResult:
 
 
 def vertex_matrix(vertex_ids: list[VertexId]) -> np.ndarray:
-    """Stack vertex tables as rows of a (n_vertices, 16) matrix."""
-    return np.stack([boxcore.vertex(v).table.reshape(-1) for v in vertex_ids])
+    """Vertex tables as rows of a read-only (n_vertices, 16) matrix.
+
+    Each vertex list is stacked once and then served from a cache.
+    """
+    return boxcore._vertex_rows(tuple(vertex_ids))
 
 
 _DET_IDS = boxcore.all_det_ids()
@@ -91,17 +93,15 @@ _HIGHS_OPTIONS = {
 _TARGET_LOCK = threading.Lock()
 
 
-def lp_vertex_weights(target: np.ndarray, vertices: np.ndarray | list[np.ndarray],
-                      tol: float = EPS_LP) -> np.ndarray | list | None:
+def lp_vertex_weights(target: np.ndarray, vertices: np.ndarray,
+                      tol: float = EPS_LP) -> np.ndarray | None:
     """Nonnegative weights w with w @ vertices = target, for one target or a stack.
 
     `target` is one flattened probability table of shape (d,) or a stack of
     them, shape (n, d). One target gives its (k,) weights, or None if it lies
     outside the hull of the k vertex rows; a stack gives (n, k) weights with
     NaN rows for the targets outside. The weights sum to 1 automatically
-    because every vertex row has the same normalization. `vertices` may also
-    be a list of n matrices (k_i, d), one per row of an (n, d) stack; the
-    result is then a list of each target's (k_i,) weights or None.
+    because every vertex row has the same normalization.
 
     Each target is posed as an elastic LP, minimise sum(s+ + s-) subject to
     w @ vertices + s+ - s- = target and w, s+, s- >= 0, which is always
@@ -109,22 +109,17 @@ def lp_vertex_weights(target: np.ndarray, vertices: np.ndarray | list[np.ndarray
     d * EPS_LP_SLACK, which covers the error the table validators admit.
     One target is solved on a HiGHS model kept for its vertex matrix
     (_solve_target); stacks are solved _LP_BLOCK targets at a time as one
-    block-diagonal LP, whose optimum splits into the per-target optima, and
-    a list of vertex matrices is one such LP. Raises ValueError for a target
-    of any other shape or with a non-finite entry, and LpNumericalFailure
+    block-diagonal LP, whose optimum splits into the per-target optima.
+    Raises ValueError unless `vertices` is one (k, d) matrix and `target`
+    has the shape above and finite entries, and LpNumericalFailure
     when the solver does not report an optimum, or when the weights of a
     target found inside miss it by more than `tol`.
     """
     t = _finite(target)
-    if isinstance(vertices, list):
-        if t.ndim != 2 or len(t) != len(vertices) or any(
-                v.shape[1] != t.shape[1] for v in vertices):
-            raise ValueError(f"target of shape {t.shape} does not match "
-                             f"{len(vertices)} vertex matrices")
-        return _elastic_lp_per_target(t, vertices, tol)
-    if t.ndim not in (1, 2) or t.shape[-1] != vertices.shape[1]:
+    if (not isinstance(vertices, np.ndarray) or vertices.ndim != 2
+            or t.ndim not in (1, 2) or t.shape[-1] != vertices.shape[1]):
         raise ValueError(f"target of shape {t.shape} does not match vertices "
-                         f"of {vertices.shape[1]} entries")
+                         f"of shape {getattr(vertices, 'shape', None)}")
     stack = t.reshape(-1, vertices.shape[1])
     w = np.empty((len(stack), vertices.shape[0]))
     for i in range(0, len(stack), _LP_BLOCK):
@@ -235,27 +230,6 @@ def _elastic_lp(targets: np.ndarray, vertices: np.ndarray,
         raise LpNumericalFailure("LP solution does not reconstruct the target")
     w[~inside] = np.nan
     return w
-
-
-def _elastic_lp_per_target(targets: np.ndarray, vertex_sets: list,
-                           tol: float) -> list:
-    """Each target's weights over its own vertex rows, None outside its hull."""
-    d = targets.shape[1]
-    x, _ = _solve(np.concatenate([_elastic_cost(np.zeros(len(v)), d) for v in vertex_sets]),
-                  sparse.block_diag([_elastic_block(v) for v in vertex_sets], format="csc"),
-                  targets.reshape(-1))
-    out = []
-    for target, vertices, seg in zip(targets, vertex_sets,
-                                     np.split(x, np.cumsum([len(v) + 2 * d for v in vertex_sets]))):
-        k = len(vertices)
-        w = np.clip(seg[:k], 0.0, None)
-        if seg[k:].sum() > d * EPS_LP_SLACK:
-            out.append(None)
-        elif np.max(np.abs(w @ vertices - target)) > tol:
-            raise LpNumericalFailure("LP solution does not reconstruct the target")
-        else:
-            out.append(w)
-    return out
 
 
 def nested_hull_flags(target: np.ndarray, vertices: np.ndarray, starts) -> list[bool]:
@@ -436,8 +410,7 @@ class _CanonicalPairs:
 
     `top` and `partners` hold their flat tables, shapes (T, 4**n) and
     (T, 2, 4**n); `labels[t, k]` is the label of the one surviving Mermin
-    function of partner k of top t. `make` validates a residual table and
-    `noise()` is the residual when no weight is left.
+    function of partner k of top t.
     """
 
     n: int
@@ -446,18 +419,16 @@ class _CanonicalPairs:
     top: np.ndarray
     partners: np.ndarray
     labels: np.ndarray
-    make: Callable
-    noise: Callable
 
 
-def _canonical_pairs(n: int, top_ids: list, partner_ids: list, matrix: Callable,
-                     make: Callable, noise: Callable) -> _CanonicalPairs:
+def _canonical_pairs(n: int, top_ids: list, partner_ids: list) -> _CanonicalPairs:
     """Pair tables of the tops `top_ids`, top t with the two partners
-    `partner_ids[t]`; `matrix` stacks the flat tables of a vertex list."""
-    partners = matrix([m for pair in partner_ids for m in pair]).reshape(len(top_ids), 2, -1)
+    `partner_ids[t]`."""
+    partners = boxcore._vertex_rows(tuple(m for pair in partner_ids for m in pair))
+    partners = partners.reshape(len(top_ids), 2, -1)
     mermin = _corr.moduli(_corr.correlators(partners, n), n, mermin=True)
-    return _CanonicalPairs(n, top_ids, partner_ids, matrix(top_ids), partners,
-                           np.argmax(mermin, axis=-1), make, noise)
+    return _CanonicalPairs(n, top_ids, partner_ids, boxcore._vertex_rows(tuple(top_ids)),
+                           partners, np.argmax(mermin, axis=-1))
 
 
 def _tops_by_value(corr: np.ndarray, n: int) -> np.ndarray:
@@ -478,8 +449,9 @@ def _canonical_split(box, pairs: _CanonicalPairs, mu: float, nu: float,
     on the box. The first two pairs are thus the split at the argmax top.
     All residuals are screened at once by _double_zero; the survivors, in
     order, go through the exact validator and discords, and the first that
-    passes wins. A relabeling maps canonical pairs to canonical pairs, so
-    every pair a relabeling frame of the box would split over is here.
+    passes wins; the residual is a box of the class of `box`. A relabeling
+    maps canonical pairs to canonical pairs, so every pair a relabeling
+    frame of the box would split over is here.
     """
     n, table = pairs.n, box.table.reshape(-1)
     corr = _corr.correlators(table, n)
@@ -491,10 +463,10 @@ def _canonical_split(box, pairs: _CanonicalPairs, mu: float, nu: float,
     num = table - mu * pairs.top[top] - nu * pairs.partners[top, partner]
     for i in np.flatnonzero(_double_zero(num, n, rest, tol)):
         if rest <= EPS_VALID:
-            residual = pairs.noise()
+            residual = type(box)(boxcore._expand(n))
         else:
             try:
-                residual = pairs.make(num[i] / rest)
+                residual = type(box)(boxcore._validate(num[i] / rest, n, EPS_VALID))
             except boxcore.BoxError:
                 continue
             e = _corr.correlators(residual.table.reshape(-1), n)
@@ -526,8 +498,7 @@ def _bipartite_pairs() -> _CanonicalPairs:
     """The 8 PR boxes with their canonical Mermin partners, built once."""
     tops = boxcore.all_pr_ids()
     partners = [[_identify_mermin_mixture(*pid.params, gp) for gp in (0, 1)] for pid in tops]
-    return _canonical_pairs(2, tops, partners, vertex_matrix, boxcore.make_box,
-                            boxcore.noise_box)
+    return _canonical_pairs(2, tops, partners)
 
 
 def random_ns_box(rng: np.random.Generator) -> BipartiteBox:

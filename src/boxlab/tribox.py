@@ -9,22 +9,13 @@ Tables are (2,2,2,2,2,2) arrays indexed ``[x][y][z][a][b][c]``. A box in the
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
 from . import _corr, boxcore, discord2, polytope
-from .boxcore import (
-    EPS_VALID,
-    BipartiteBox,
-    BoxError,
-    NegativeEntryError,
-    NotNormalizedError,
-    PartyRelabel,
-    SignalingError,
-)
+from .boxcore import EPS_VALID, BipartiteBox, PartyRelabel
 from .polytope import DecompositionResult, ResidualInvalidError
 
 SVETLICHNY_BOUND = 4.0
@@ -38,26 +29,8 @@ class NotInPolytopeError(RuntimeError):
     pass
 
 
-class InvalidVertexError(RuntimeError):
-    pass
-
-
-@dataclass(frozen=True, eq=False)
-class TripartiteBox:
+class TripartiteBox(boxcore._Box):
     """Immutable validated tripartite box; ``table[x,y,z,a,b,c]`` = P(a,b,c|x,y,z)."""
-
-    table: np.ndarray
-
-    def prob(self, x, y, z, a, b, c) -> float:
-        return float(self.table[x, y, z, a, b, c])
-
-    def allclose(self, other: "TripartiteBox", tol: float = EPS_VALID) -> bool:
-        return bool(np.allclose(self.table, other.table, atol=tol, rtol=0.0))
-
-
-def _freeze(t: np.ndarray) -> np.ndarray:
-    t.setflags(write=False)
-    return t
 
 
 def make_box3(values, eps: float = EPS_VALID) -> TripartiteBox:
@@ -66,48 +39,7 @@ def make_box3(values, eps: float = EPS_VALID) -> TripartiteBox:
     Every single-party marginal must be independent of the other two inputs
     and every two-party marginal independent of the remaining input.
     """
-    t = np.asarray(values, dtype=float)
-    if t.size != 64:
-        raise BoxError(f"expected 64 probabilities, got {t.size}")
-    t = t.reshape((2,) * 6).copy()
-    if not np.isfinite(t).all():
-        raise BoxError(f"table has non-finite entries: {t[~np.isfinite(t)]}")
-    neg = t < 0
-    if neg.any():
-        worst = np.unravel_index(np.argmin(t), t.shape)
-        if t[worst] < -eps:
-            raise NegativeEntryError(f"entry {worst} = {t[worst]:.3e} < 0")
-        t[neg] = 0.0
-    norms = t.sum(axis=(3, 4, 5))
-    if np.max(np.abs(norms - 1.0)) > eps:
-        bad = np.unravel_index(np.argmax(np.abs(norms - 1.0)), norms.shape)
-        raise NotNormalizedError(f"inputs {bad}: sum = {norms[bad]:.12f}")
-    # two-party marginals independent of the spectator input
-    mab = t.sum(axis=5)  # [x, y, z, a, b]
-    if np.max(np.abs(mab[:, :, 0] - mab[:, :, 1])) > eps:
-        raise SignalingError("P(a,b|x,y) depends on z")
-    mac = t.sum(axis=4)  # [x, y, z, a, c]
-    if np.max(np.abs(mac[:, 0] - mac[:, 1])) > eps:
-        raise SignalingError("P(a,c|x,z) depends on y")
-    mbc = t.sum(axis=3)  # [x, y, z, b, c]
-    if np.max(np.abs(mbc[0] - mbc[1])) > eps:
-        raise SignalingError("P(b,c|y,z) depends on x")
-    # single-party marginals (implied by the pairwise checks up to eps; keep
-    # them explicit so the error names the party)
-    ma = t.sum(axis=(4, 5))  # [x, y, z, a]
-    if np.max(np.abs(ma - ma[:, :1, :1])) > eps:
-        raise SignalingError("P(a|x) depends on y or z")
-    mb = t.sum(axis=(3, 5))
-    if np.max(np.abs(mb - mb[:1, :, :1])) > eps:
-        raise SignalingError("P(b|y) depends on x or z")
-    mc = t.sum(axis=(3, 4))
-    if np.max(np.abs(mc - mc[:1, :1, :])) > eps:
-        raise SignalingError("P(c|z) depends on x or y")
-    return TripartiteBox(_freeze(t))
-
-
-def _box3_exact(t: np.ndarray) -> TripartiteBox:
-    return TripartiteBox(_freeze(t))
+    return TripartiteBox(boxcore._validate(values, 3, eps))
 
 
 # ---------------------------------------------------------------------------
@@ -143,19 +75,11 @@ def expectations3(box: TripartiteBox) -> TriExpectations:
 
 def box3_from_expectations(e: TriExpectations, validate: bool = True):
     """Inverse of :func:`expectations3`; exact round trip for valid boxes."""
-    t = np.empty((2,) * 6)
-    for x, y, z, a, b, c in product(range(2), repeat=6):
-        t[x, y, z, a, b, c] = (
-            1.0
-            + (-1.0) ** a * e.a[x] + (-1.0) ** b * e.b[y] + (-1.0) ** c * e.c[z]
-            + (-1.0) ** (a ^ b) * e.ab[x, y]
-            + (-1.0) ** (a ^ c) * e.ac[x, z]
-            + (-1.0) ** (b ^ c) * e.bc[y, z]
-            + (-1.0) ** (a ^ b ^ c) * e.abc[x, y, z]
-        ) / 8.0
+    t = boxcore._expand(3, [(4, e.a), (2, e.b), (1, e.c), (6, e.ab), (5, e.ac), (3, e.bc),
+                            (7, e.abc)])
     if validate:
         return make_box3(t)
-    return _box3_exact(t)
+    return TripartiteBox(t)
 
 
 def zero_expectations() -> TriExpectations:
@@ -167,21 +91,13 @@ def zero_expectations() -> TriExpectations:
 # ---------------------------------------------------------------------------
 # vertex catalog: Svetlichny-box polytope (128 vertices) + class-8 representative
 
-TRI_VERTEX_KINDS = ("Sv", "Det3", "PrAB", "PrAC", "PrBC", "Mermin3",
-                    "Class8Rep", "Noise3")
+TRI_VERTEX_KINDS = tuple(k for k, spec in boxcore._KINDS.items() if spec.parties == 3)
 
 
-@dataclass(frozen=True)
-class TriVertexId:
-    kind: str
-    params: tuple[int, ...] = ()
+class TriVertexId(boxcore._CatalogId):
+    """Label of a tripartite catalog box, e.g. TriVertexId("Sv", (0, 1, 0, 1))."""
 
-    def __post_init__(self):
-        if self.kind not in TRI_VERTEX_KINDS:
-            raise ValueError(f"unknown tripartite vertex kind {self.kind!r}")
-
-    def label(self) -> str:
-        return self.kind + "".join(str(p) for p in self.params)
+    parties = 3
 
 
 def sv_id(al, be, ga, ep) -> TriVertexId:
@@ -193,8 +109,7 @@ def det3_id(al, be, ga, ep, ze, et) -> TriVertexId:
 
 
 def pr2_id(pair: str, al, be, ga, ep) -> TriVertexId:
-    return TriVertexId({"AB": "PrAB", "AC": "PrAC", "BC": "PrBC"}[pair],
-                       (al, be, ga, ep))
+    return TriVertexId("Pr" + pair, (al, be, ga, ep))
 
 
 def mermin3_id(al, be, ga, ep) -> TriVertexId:
@@ -208,39 +123,20 @@ NOISE3_ID = TriVertexId("Noise3")
 def sv_box(al: int, be: int, ga: int, ep: int) -> TripartiteBox:
     """Genuinely three-way nonlocal vertex: 1/4 on outcomes with
     a^b^c = xy ^ xz ^ yz ^ al*x ^ be*y ^ ga*z ^ ep."""
-    t = np.zeros((2,) * 6)
-    for x, y, z, a, b, c in product(range(2), repeat=6):
-        par = (x & y) ^ (x & z) ^ (y & z) ^ (al & x) ^ (be & y) ^ (ga & z) ^ ep
-        if a ^ b ^ c == par:
-            t[x, y, z, a, b, c] = 0.25
-    return _box3_exact(t)
+    return tri_vertex(sv_id(al, be, ga, ep))
 
 
 def det3_box(al, be, ga, ep, ze, et) -> TripartiteBox:
-    t = np.zeros((2,) * 6)
-    for x, y, z in product(range(2), repeat=3):
-        t[x, y, z, (al & x) ^ be, (ga & y) ^ ep, (ze & z) ^ et] = 1.0
-    return _box3_exact(t)
+    return tri_vertex(det3_id(al, be, ga, ep, ze, et))
 
 
 def pr2_box(pair: str, al: int, be: int, ga: int, ep: int) -> TripartiteBox:
     """Bipartite PR box between two parties, third party answers o = ep * input."""
-    t = np.zeros((2,) * 6)
-    pr = boxcore.pr_box(al, be, ga).table
-    for x, y, z, a, b, c in product(range(2), repeat=6):
-        if pair == PAIR_AB:
-            t[x, y, z, a, b, c] = pr[x, y, a, b] * (c == (ep & z))
-        elif pair == PAIR_AC:
-            t[x, y, z, a, b, c] = pr[x, z, a, c] * (b == (ep & y))
-        elif pair == PAIR_BC:
-            t[x, y, z, a, b, c] = pr[y, z, b, c] * (a == (ep & x))
-        else:
-            raise ValueError(f"unknown pair {pair!r}")
-    return _box3_exact(t)
+    return tri_vertex(pr2_id(pair, al, be, ga, ep))
 
 
 def noise3_box() -> TripartiteBox:
-    return _box3_exact(np.full((2,) * 6, 1.0 / 8.0))
+    return tri_vertex(NOISE3_ID)
 
 
 def mermin3_box(al: int, be: int, ga: int, ep: int) -> TripartiteBox:
@@ -250,72 +146,43 @@ def mermin3_box(al: int, be: int, ga: int, ep: int) -> TripartiteBox:
     (1-al,1-be,1-ga,ep^al^be^ga); perfect three-party correlations on half the
     input triples, white-noise bipartite marginals.
     """
-    partner = (al ^ 1, be ^ 1, ga ^ 1, ep ^ al ^ be ^ ga)
-    t = 0.5 * (sv_box(al, be, ga, ep).table + sv_box(*partner).table)
-    return _box3_exact(t)
+    return tri_vertex(mermin3_id(al, be, ga, ep))
 
 
 def class8_box() -> TripartiteBox:
     """Representative of the three-way nonlocal class violating the 99-type
     facet to 5; built from its expectation list, everything unlisted is zero."""
-    e = zero_expectations()
-    e.ab[0, 0] = e.ab[0, 1] = 1.0
-    e.ac[0, 0] = 1.0
-    e.bc[0, 0] = e.bc[1, 0] = 1.0
-    e.abc[1, 0, 1] = 1.0
-    e.abc[1, 1, 1] = -1.0
-    try:
-        return box3_from_expectations(e)
-    except BoxError as exc:  # guarded: the listed expectations are consistent
-        raise InvalidVertexError(f"class-8 expansion failed: {exc}") from exc
+    return tri_vertex(CLASS8_ID)
 
 
 def tri_vertex(vid: TriVertexId) -> TripartiteBox:
-    if vid.kind == "Sv":
-        return sv_box(*vid.params)
-    if vid.kind == "Det3":
-        return det3_box(*vid.params)
-    if vid.kind in ("PrAB", "PrAC", "PrBC"):
-        return pr2_box(vid.kind[2:], *vid.params)
-    if vid.kind == "Mermin3":
-        return mermin3_box(*vid.params)
-    if vid.kind == "Class8Rep":
-        return class8_box()
-    return noise3_box()
-
-
-# Each id list is built once; the functions below hand out fresh copies
-_SV_IDS = tuple(sv_id(*p) for p in product(range(2), repeat=4))
-_DET3_IDS = tuple(det3_id(*p) for p in product(range(2), repeat=6))
-_PR2_IDS = tuple(pr2_id(pair, *p) for pair in (PAIR_AB, PAIR_AC, PAIR_BC)
-                 for p in product(range(2), repeat=4))
-_MERMIN3_IDS = tuple(mermin3_id(*p) for p in product(range(2), repeat=4))
+    return TripartiteBox(boxcore._vertex_table(vid))
 
 
 def all_sv_ids() -> list[TriVertexId]:
-    return list(_SV_IDS)
+    return list(boxcore._family(TriVertexId, "Sv"))
 
 
 def all_det3_ids() -> list[TriVertexId]:
-    return list(_DET3_IDS)
+    return list(boxcore._family(TriVertexId, "Det3"))
 
 
 def all_pr2_ids() -> list[TriVertexId]:
-    return list(_PR2_IDS)
+    return [v for kind in ("PrAB", "PrAC", "PrBC") for v in boxcore._family(TriVertexId, kind)]
 
 
 def all_mermin3_ids() -> list[TriVertexId]:
-    return list(_MERMIN3_IDS)
+    return list(boxcore._family(TriVertexId, "Mermin3"))
 
 
 def sv_polytope_ids() -> list[TriVertexId]:
     """The 128 vertices: 16 Svetlichny + 48 embedded PR + 64 deterministic."""
-    return [*_SV_IDS, *_PR2_IDS, *_DET3_IDS]
+    return [*all_sv_ids(), *all_pr2_ids(), *all_det3_ids()]
 
 
 def two_way_local_ids() -> list[TriVertexId]:
     """The 112 vertices of the two-way local polytope."""
-    return [*_PR2_IDS, *_DET3_IDS]
+    return [*all_pr2_ids(), *all_det3_ids()]
 
 
 def tri_vertex_matrix(vertex_ids: list[TriVertexId]) -> np.ndarray:
@@ -323,30 +190,17 @@ def tri_vertex_matrix(vertex_ids: list[TriVertexId]) -> np.ndarray:
 
     Each vertex list is stacked once and then served from a cache.
     """
-    return _stacked_tri_vertices(tuple(vertex_ids))
-
-
-@functools.lru_cache(maxsize=8)
-def _stacked_tri_vertices(vertex_ids: tuple[TriVertexId, ...]) -> np.ndarray:
-    return _freeze(np.stack([tri_vertex(v).table.reshape(-1) for v in vertex_ids]))
-
-
-_TRI_LABEL_BITS = {"Sv": 4, "Det3": 6, "PrAB": 4, "PrAC": 4, "PrBC": 4,
-                   "Mermin3": 4, "Class8Rep": 0, "Noise3": 0}
+    return boxcore._vertex_rows(tuple(vertex_ids))
 
 
 def parse_tri_vertex_label(label: str) -> TriVertexId:
     """Parse labels like Sv0101, Det3010011, PrAB0110, Mermin30000, Noise3.
 
-    Raises ValueError unless the kind is followed by exactly its number of
+    Raises ValueError unless the label is the canonical label of a
+    tripartite catalog box: the kind followed by exactly its number of
     binary parameters.
     """
-    for kind in sorted(TRI_VERTEX_KINDS, key=len, reverse=True):
-        digits = label[len(kind):]
-        if (label.startswith(kind) and len(digits) == _TRI_LABEL_BITS[kind]
-                and set(digits) <= {"0", "1"}):
-            return TriVertexId(kind, tuple(int(ch) for ch in digits))
-    raise ValueError(f"cannot parse tripartite vertex label {label!r}")
+    return boxcore._parse_label(TriVertexId, label)
 
 
 # ---------------------------------------------------------------------------
@@ -543,8 +397,7 @@ def three_decomposition3(box: TripartiteBox,
 @functools.cache
 def _sv_pairs() -> polytope._CanonicalPairs:
     """The 16 Svetlichny boxes with their canonical Mermin partners, built once."""
-    return polytope._canonical_pairs(3, all_sv_ids(), [_mermin3_partners(s) for s in all_sv_ids()],
-                                     tri_vertex_matrix, make_box3, noise3_box)
+    return polytope._canonical_pairs(3, all_sv_ids(), [_mermin3_partners(s) for s in all_sv_ids()])
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +413,7 @@ class Lro3:
 
 
 def apply_lro3(box: TripartiteBox, g: Lro3) -> TripartiteBox:
-    return _box3_exact(box.table.reshape(64)[lro3_index_permutation(g)].reshape((2,) * 6))
+    return TripartiteBox(boxcore._relabeled(box.table, g.relabels, g.perm))
 
 
 def lro3_index_permutation(g: Lro3) -> np.ndarray:
@@ -569,13 +422,8 @@ def lro3_index_permutation(g: Lro3) -> np.ndarray:
 
 
 def invert_lro3(g: Lro3) -> Lro3:
-    inv_perm = [0, 0, 0]
-    for i, pi in enumerate(g.perm):
-        inv_perm[pi] = i
-    inv_rel = [boxcore._invert_relabel(r) for r in g.relabels]
-    # relabels ride on the permuted slots; undo in the original slots
-    reordered = tuple(inv_rel[inv_perm[i]] for i in range(3))
-    return Lro3(perm=tuple(inv_perm), relabels=reordered)
+    relabels, perm = boxcore._inverse(g.relabels, g.perm)
+    return Lro3(perm=perm, relabels=relabels)
 
 
 _PARTY_PERMS = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
@@ -605,11 +453,8 @@ def random_sv_polytope_box(rng: np.random.Generator) -> TripartiteBox:
 # JSON interchange
 
 def box3_to_json(box: TripartiteBox) -> str:
-    return json.dumps({"parties": 3, "table": box.table.tolist()})
+    return boxcore._to_json(box)
 
 
 def box3_from_json(text: str) -> TripartiteBox:
-    data = json.loads(text)
-    if data.get("parties") != 3:
-        raise BoxError(f"expected parties=3, got {data.get('parties')}")
-    return make_box3(data["table"])
+    return make_box3(boxcore._json_table(text, 3))

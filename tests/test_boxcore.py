@@ -142,7 +142,8 @@ def test_parse_vertex_label_round_trip():
 
 
 @pytest.mark.parametrize("label", ["PR00", "PR0000", "PR002", "Det01", "CC00",
-                                   "Tsirelson", "MerminNMM32", "Noise0"])
+                                   "Tsirelson", "MerminNMM32", "Noise0",
+                                   "MerminNMM07", "MerminNMM\u0661"])
 def test_parse_vertex_label_rejects_wrong_parameters(label):
     with pytest.raises(ValueError):
         boxcore.parse_vertex_label(label)

@@ -67,6 +67,26 @@ def test_measure_invalid_box_file(tmp_path, capsys):
     assert run_cli(["measure", "--box", str(path)]) == 2
 
 
+MALFORMED_BOX_FILES = [
+    b"[0.25, 0.25]",
+    b'{"parties": 2}',
+    b'{"parties": 2, "table": "abc"}',
+    b'{"parties": 2, "table": [[0.25, 0.25, 0.25, 0.25], [0.25, 0.25, 0.25]]}',
+    b"\xff\xfe not UTF-8",
+    (Path(__file__).parent / "data" / "malformed_box3.json").read_bytes(),
+]
+
+
+@pytest.mark.parametrize("data", MALFORMED_BOX_FILES)
+def test_measure_malformed_box_file_exit_2(data, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    assert run_cli(["measure", "--box", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("label", ["PR00", "Sv00"])
 def test_measure_malformed_catalog_label_exit_2(label, capsys):
     assert run_cli(["measure", "--catalog", label]) == 2

@@ -359,7 +359,7 @@ def test_lp_entry_points_reject_non_finite_targets(bad):
             call()
 
 
-# -- one vertex matrix per target --------------------------------------------
+# -- tripartite hull targets; vertices must be one matrix ---------------------
 
 def _tripartite_hull_targets():
     rng = np.random.default_rng(4105)
@@ -369,53 +369,6 @@ def _tripartite_hull_targets():
     boxes += [tribox.class8_box(), tribox.mermin3_box(0, 1, 1, 0), tribox.noise3_box(),
               tribox.det3_box(1, 0, 1, 1, 0, 1)]
     return [b.table.reshape(-1) for b in boxes]
-
-
-TRI_HULLS = [tribox.tri_vertex_matrix(ids) for ids in (
-    tribox.sv_polytope_ids(), tribox.two_way_local_ids(), tribox.all_det3_ids())]
-
-
-def _assert_per_target_matches_single_calls(targets, vertex_sets):
-    weights = polytope.lp_vertex_weights(np.stack(targets), vertex_sets)
-    assert len(weights) == len(targets)
-    verdicts = []
-    for target, vertices, w in zip(targets, vertex_sets, weights):
-        single = polytope.lp_vertex_weights(target, vertices)
-        assert (single is None) == (w is None)
-        if w is not None:
-            assert w.shape == (len(vertices),) and w.min() >= 0.0
-            assert np.max(np.abs(w @ vertices - target)) <= boxcore.EPS_LP
-        verdicts.append(w is not None)
-    return verdicts
-
-
-def test_per_target_vertex_sets_match_separate_calls():
-    seen = set()
-    for target in _tripartite_hull_targets():
-        seen.add(tuple(_assert_per_target_matches_single_calls([target] * 3, TRI_HULLS)))
-    # inside all three, inside only the Svetlichny polytope, outside all
-    assert {(True, True, True), (True, False, False), (False, False, False)} <= seen
-    # targets of different boxes and vertex sets of different sizes, bipartite
-    ns = polytope.vertex_matrix(boxcore.ns_vertex_ids())
-    pr_mix = 0.7 * PR[2] + 0.3 * boxcore.noise_box().table.reshape(-1)
-    assert _assert_per_target_matches_single_calls(
-        [pr_mix, pr_mix, DET[5]], [DET, ns, PR]) == [False, True, False]
-
-
-def test_per_target_vertex_sets_agree_with_chsh_on_near_facet_boxes():
-    tables, gap = _near_facet_tables(np.random.default_rng(4106), 12)
-    weights = polytope.lp_vertex_weights(tables, [DET] * len(tables))
-    assert [w is not None for w in weights] == list(gap < 0)
-    assert 0 < np.sum(gap < 0) < len(gap)
-
-
-def test_per_target_vertex_sets_accept_tables_the_validators_admit(lp_solver):
-    eps = 0.9 * boxcore.EPS_VALID
-    table = tribox.noise3_box().table.copy()
-    for x, y, z in itertools.product(range(2), repeat=3):
-        table[x, y, z, 0, 0, 0] += (-1) ** (x + y + z) * eps / 2
-    target = tribox.make_box3(table).table.reshape(-1)
-    assert _assert_per_target_matches_single_calls([target] * 3, TRI_HULLS) == [True] * 3
 
 
 def test_per_target_vertex_sets_reject_mismatched_shapes():
@@ -439,7 +392,7 @@ def _separate_flags(target):
 
 
 def _perturbed_noise3():
-    # block sums off by +-eps/2, as in test_per_target_vertex_sets_accept_...
+    # block sums off by +-eps/2, as in test_sv_polytope_accepts_tables_make_box3_admits
     eps = 0.9 * boxcore.EPS_VALID
     table = tribox.noise3_box().table.copy()
     for x, y, z in itertools.product(range(2), repeat=3):
@@ -615,18 +568,13 @@ def test_kept_model_is_bit_identical_to_linprog(vertices, weight_cost, targets):
     assert answers[-1] == answers[0]
 
 
-@pytest.mark.parametrize("form", ["stack", "per-target"])
+@pytest.mark.parametrize("form", ["stack"])
 def test_stacked_and_per_target_lps_are_bit_identical_to_linprog(form):
     d = 16
     targets = np.vstack([_near_facet_tables(np.random.default_rng(4109), 6)[0],
                          PR[:2], DET[:2]])
-    ns = polytope.vertex_matrix(boxcore.ns_vertex_ids())
-    if form == "stack":
-        vertex_sets = [DET] * len(targets)
-        got = [None if np.isnan(w[0]) else w for w in polytope.lp_vertex_weights(targets, DET)]
-    else:
-        vertex_sets = [DET, ns, PR] * 3 + [ns]
-        got = polytope.lp_vertex_weights(targets, vertex_sets)
+    vertex_sets = [DET] * len(targets)
+    got = [None if np.isnan(w[0]) else w for w in polytope.lp_vertex_weights(targets, DET)]
     # one linprog call over the dense block-diagonal LP of the same targets
     x, _ = _linprog(np.concatenate([polytope._elastic_cost(np.zeros(len(v)), d)
                                     for v in vertex_sets]),
