@@ -184,10 +184,8 @@ def criterion_8() -> CriterionResult:
     tables = polytope.random_ns_tables(rng, 10_000)
     e = _corr.correlators(tables.reshape(-1, 16), 2).reshape(-1, 2, 2)
     b = discord2.bell_functions_from_expectations(e).reshape(-1, 4)
-    pair_max = 0.0
-    for i in range(4):
-        for j in range(i + 1, 4):
-            pair_max = max(pair_max, float(np.max(b[:, i] + b[:, j])))
+    i, j = discord2._PAIRS
+    pair_max = max(0.0, float(np.max(b[:, i] + b[:, j])))
     g = discord2.bell_discord_from_expectations(e)
     q = discord2.mermin_discord_from_expectations(e)
     gq_max = float(np.max(g + 2 * q))
@@ -415,9 +413,5 @@ ALL_CRITERIA = [
 
 
 def run_all(numbers=None) -> list[CriterionResult]:
-    wanted = set(numbers) if numbers else None
-    results = []
-    for idx, crit in enumerate(ALL_CRITERIA, start=1):
-        if wanted is None or idx in wanted:
-            results.append(crit())
-    return results
+    return [crit() for idx, crit in enumerate(ALL_CRITERIA, start=1)
+            if not numbers or idx in numbers]

@@ -257,8 +257,6 @@ _KINDS = {
     "Noise3": _Kind(3, (), lambda: _expand(3)),
 }
 
-VERTEX_KINDS = tuple(k for k, spec in _KINDS.items() if spec.parties == 2)
-
 
 @dataclass(frozen=True)
 class _CatalogId:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -53,7 +54,10 @@ def _parse_params(pairs) -> dict[str, float]:
         if "=" not in item:
             raise InputError(f"--param expects k=v, got {item!r}")
         key, value = item.split("=", 1)
-        out[key.strip()] = float(value)
+        try:
+            out[key.strip()] = float(value)
+        except ValueError:
+            raise InputError(f"--param {key.strip()}: {value!r} is not a number") from None
     return out
 
 
@@ -62,12 +66,6 @@ def _frame(name, param):
         return qstate.settings_catalog(name, param)
     except qstate.UnknownNameError as exc:
         raise InputError(str(exc)) from exc
-
-
-def _settings_from_args(args, params):
-    if args.settings is None:
-        raise InputError("need --settings NAME")
-    return _frame(args.settings, params.pop("settings", None))
 
 
 def _emit(data, args) -> None:
@@ -84,9 +82,13 @@ def _emit(data, args) -> None:
         text = "\n".join(lines)
     else:
         raise InputError(f"unsupported format {fmt!r} for this command")
-    out = getattr(args, "out", None)
-    if out:
-        Path(out).write_text(text + "\n")
+    _write(text, args)
+
+
+def _write(text: str, args) -> None:
+    """`text` to the --out file if one is given, else to stdout."""
+    if getattr(args, "out", None):
+        Path(args.out).write_text(text + "\n")
     else:
         print(text)
 
@@ -108,11 +110,9 @@ def _measure_report2(box) -> dict:
         "local": membership.inside,
     }
     mermin = discord2.mermin_values(box)
-    for al in range(2):
-        for be in range(2):
-            for ga in range(2):
-                report[f"chsh_{al}{be}{ga}"] = float(chsh[al, be, ga])
-                report[f"mermin_{al}{be}{ga}"] = float(mermin[al, be, ga])
+    for al, be, ga in itertools.product(range(2), repeat=3):
+        report[f"chsh_{al}{be}{ga}"] = float(chsh[al, be, ga])
+        report[f"mermin_{al}{be}{ga}"] = float(mermin[al, be, ga])
     if not membership.inside:
         report["violated_facet"] = membership.violated_facet[0]
         report["violation"] = membership.violated_facet[1]
@@ -145,11 +145,9 @@ def _measure_report3(box) -> dict:
         "ghz_paradox": tribox.ghz_paradox_check(box),
         **dict(zip(_TRI_FLAGS, flags)),
     }
-    for al in range(2):
-        for be in range(2):
-            for ga in range(2):
-                report[f"sv_{al}{be}{ga}0"] = float(svv[al, be, ga, 0])
-                report[f"mermin3_{al}{be}{ga}0"] = float(mermin[al, be, ga, 0])
+    for al, be, ga in itertools.product(range(2), repeat=3):
+        report[f"sv_{al}{be}{ga}0"] = float(svv[al, be, ga, 0])
+        report[f"mermin3_{al}{be}{ga}0"] = float(mermin[al, be, ga, 0])
     return report
 
 
@@ -181,10 +179,7 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def _build_state(args, params):
-    name = args.family
-    if name is None:
-        raise InputError("need --family NAME")
+def _build_state(name, params):
     try:
         if name == "BellDiagonal":
             weights = [params[f"w{i}"] for i in range(8)]
@@ -196,18 +191,15 @@ def _build_state(args, params):
 
 def cmd_state_box(args) -> int:
     params = _parse_params(args.param)
-    frame = _settings_from_args(args, params)
-    rho = _build_state(args, params)
+    frame = _frame(args.settings, params.pop("settings", None))
+    rho = _build_state(args.family, params)
     if rho.dim == 4:
         box = qstate.born_box2(rho, frame)
         text = boxcore.box_to_json(box)
     else:
         box = qstate.born_box3(rho, frame)
         text = tribox.box3_to_json(box)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+    _write(text, args)
     return EXIT_OK
 
 
@@ -253,8 +245,7 @@ def cmd_sweep(args) -> int:
         point = dict(params)
         point[pname] = float(value)
         point.pop("settings", None)
-        state_args = argparse.Namespace(family=args.family)
-        rho = _build_state(state_args, point)
+        rho = _build_state(args.family, point)
         if rho.dim == 4:
             box = qstate.born_box2(rho, frame)
             table = _MEASURES2
@@ -272,11 +263,7 @@ def cmd_sweep(args) -> int:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(f"{v:.12g}" for v in row))
-    text = "\n".join(lines)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+    _write("\n".join(lines), args)
     return EXIT_OK
 
 

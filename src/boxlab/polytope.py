@@ -67,9 +67,8 @@ def vertex_matrix(vertex_ids: list[VertexId]) -> np.ndarray:
 
 
 _DET_IDS = boxcore.all_det_ids()
-_NS_IDS = boxcore.ns_vertex_ids()
 _DET_MATRIX = vertex_matrix(_DET_IDS)
-_NS_MATRIX = vertex_matrix(_NS_IDS)
+_NS_MATRIX = vertex_matrix(boxcore.ns_vertex_ids())
 
 # Targets per block-diagonal LP of a stack. HiGHS's time per target is flat
 # up to a few hundred targets and grows beyond: about 0.3 ms per bipartite
@@ -184,14 +183,9 @@ def _run(model: highs._Highs) -> tuple[np.ndarray, np.ndarray]:
     return np.array(solution.col_value), np.array(solution.row_dual)
 
 
-def _solve(c: np.ndarray, a_eq, b_eq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The optimal point and the duals of the equality rows, on a new model."""
-    return _run(_highs_model(c, a_eq, b_eq))
-
-
 def _solve_target(vertices: np.ndarray, weight_cost: np.ndarray,
                   target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_solve for the elastic LP of one target over `vertices`, with
+    """_run on the elastic LP of one target over `vertices`, with
     `weight_cost` per vertex. Its model is kept per vertex matrix, weight
     costs and solver options; a call only rewrites the target rows."""
     vertices = np.asarray(vertices, dtype=float)
@@ -220,9 +214,10 @@ def _elastic_lp(targets: np.ndarray, vertices: np.ndarray,
     if m == 1:
         x, _ = _solve_target(vertices, np.zeros(k), targets[0])
     else:
-        x, _ = _solve(np.tile(_elastic_cost(np.zeros(k), d), m),
-                      sparse.kron(sparse.identity(m), _elastic_block(vertices), format="csc"),
-                      targets.reshape(-1))
+        x, _ = _run(_highs_model(
+            np.tile(_elastic_cost(np.zeros(k), d), m),
+            sparse.kron(sparse.identity(m), _elastic_block(vertices), format="csc"),
+            targets.reshape(-1)))
     x = x.reshape(m, k + 2 * d)
     w = np.clip(x[:, :k], 0.0, None)
     inside = x[:, k:].sum(axis=1) <= d * EPS_LP_SLACK
@@ -320,11 +315,6 @@ def is_local(box: BipartiteBox) -> MembershipResult:
         inside=False,
         violated_facet=(label, float(chsh[idx] - discord2.CHSH_LOCAL_BOUND)),
     )
-
-
-def chsh_criterion_local(box: BipartiteBox, eps: float = EPS_VALID) -> bool:
-    """Locality via the complete CHSH set: every |B_abc| <= 2."""
-    return bool(np.max(discord2.bell_functions(box)) <= 2.0 + eps)
 
 
 def _zero_bell_residual(table: np.ndarray, tol: float) -> BipartiteBox | None:

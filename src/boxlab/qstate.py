@@ -8,6 +8,7 @@ ordering is big-endian (|ab> has index 2a+b, |abc> index 4a+2b+c).
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import re
 from dataclasses import dataclass
@@ -89,8 +90,16 @@ def pure_dm(vec) -> DensityMatrix:
     return DensityMatrix(m)
 
 
+def _vec3(v) -> np.ndarray:
+    """A Bloch vector as 3 floats; InvalidStateError for anything else."""
+    try:
+        return np.asarray(v, dtype=float).reshape(3)
+    except (TypeError, ValueError):
+        raise InvalidStateError(f"expected a vector of 3 numbers, got {v!r}") from None
+
+
 def _unit(v) -> np.ndarray:
-    v = np.asarray(v, dtype=float).reshape(3)
+    v = _vec3(v)
     n = np.linalg.norm(v)
     if not abs(n - 1.0) <= EPS_VALID:
         raise InvalidStateError(f"measurement direction has norm {n:.12f}")
@@ -193,32 +202,29 @@ def correlation_data(rho: DensityMatrix):
     return t[1:, 0], t[0, 1:], t[1:, 1:]
 
 
-def joint_expectations_shortcut(rho: DensityMatrix,
-                                s: MeasurementSettings) -> np.ndarray:
-    _, _, c = correlation_data(rho)
-    return np.einsum("xi,ij,yj->xy", s.a, c, s.b)
-
-
 # ---------------------------------------------------------------------------
 # settings catalog
 
-def _prq_settings(tau: float) -> MeasurementSettings:
+def _tilted_pair(tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """The directions (z +/- sqrt(tau) x) / sqrt(1 + tau)."""
     ct = 1.0 / np.sqrt(1.0 + tau)
     st = np.sqrt(tau) / np.sqrt(1.0 + tau)
-    return settings(ZHAT, XHAT, ct * ZHAT + st * XHAT, ct * ZHAT - st * XHAT)
+    return ct * ZHAT + st * XHAT, ct * ZHAT - st * XHAT
+
+
+def _prq_settings(tau: float) -> MeasurementSettings:
+    return settings(ZHAT, XHAT, *_tilted_pair(tau))
 
 
 def _csb_settings(tau: float) -> MeasurementSettings:
-    ct = 1.0 / np.sqrt(1.0 + tau)
-    st = np.sqrt(tau) / np.sqrt(1.0 + tau)
-    return settings((ZHAT + XHAT) / SQRT2, (ZHAT - XHAT) / SQRT2,
-                    ct * ZHAT + st * XHAT, ct * ZHAT - st * XHAT)
+    return settings((ZHAT + XHAT) / SQRT2, (ZHAT - XHAT) / SQRT2, *_tilted_pair(tau))
 
 
-def _meb1_settings(p: float) -> MeasurementSettings:
+def _meb1_settings(p: float, *third) -> MeasurementSettings:
+    """meb1, or with `third` party C's two directions, SMDghz."""
     return settings(XHAT, YHAT,
                     np.sqrt(p) * XHAT - np.sqrt(1 - p) * YHAT,
-                    np.sqrt(1 - p) * XHAT + np.sqrt(p) * YHAT)
+                    np.sqrt(1 - p) * XHAT + np.sqrt(p) * YHAT, *third)
 
 
 def _bmsb_settings(theta: float) -> MeasurementSettings:
@@ -249,25 +255,12 @@ def _ghose_settings(theta3: float) -> MeasurementSettings:
 
 
 def _class99_settings(theta: float) -> MeasurementSettings:
-    s2 = np.sin(2 * theta) ** 2
-    ct = 1.0 / np.sqrt(1.0 + s2)
-    st = np.sqrt(s2) / np.sqrt(1.0 + s2)
-    return settings(ZHAT, XHAT,
-                    ct * ZHAT + st * XHAT, ct * ZHAT - st * XHAT,
-                    ZHAT, XHAT)
-
-
-def _smdghz_settings(p: float) -> MeasurementSettings:
-    return settings(XHAT, YHAT,
-                    np.sqrt(p) * XHAT - np.sqrt(1 - p) * YHAT,
-                    np.sqrt(1 - p) * XHAT + np.sqrt(p) * YHAT,
-                    XHAT, YHAT)
+    return settings(ZHAT, XHAT, *_tilted_pair(np.sin(2 * theta) ** 2), ZHAT, XHAT)
 
 
 _FIXED_SETTINGS = {
     # orthogonal pair maximizing Bell discord (also the Tsirelson frame M_N)
     "BSb": lambda: settings(XHAT, YHAT, (XHAT - YHAT) / SQRT2, (XHAT + YHAT) / SQRT2),
-    "M_N": lambda: settings(XHAT, YHAT, (XHAT - YHAT) / SQRT2, (XHAT + YHAT) / SQRT2),
     # matched x/y pair maximizing Mermin discord
     "MSb": lambda: settings(XHAT, YHAT, XHAT, YHAT),
     "M_C": lambda: settings(XHAT, YHAT, -YHAT, XHAT),
@@ -285,6 +278,7 @@ _FIXED_SETTINGS = {
     "MDxy": lambda: settings(XHAT, YHAT, XHAT, YHAT, XHAT, YHAT),
     "MDxz": lambda: settings(ZHAT, XHAT, ZHAT, XHAT, ZHAT, XHAT),
 }
+_FIXED_SETTINGS["M_N"] = _FIXED_SETTINGS["BSb"]
 
 _PARAM_SETTINGS = {
     "PRQ": _prq_settings,
@@ -295,7 +289,7 @@ _PARAM_SETTINGS = {
     "BMW": _bmw_settings,
     "Ghose": _ghose_settings,
     "class99": _class99_settings,
-    "SMDghz": _smdghz_settings,
+    "SMDghz": lambda p: _meb1_settings(p, XHAT, YHAT),
 }
 
 
@@ -305,16 +299,21 @@ def settings_names() -> list[str]:
 
 def settings_catalog(name: str, param: float | None = None) -> MeasurementSettings:
     """Named measurement frames; parametric entries accept ``name`` + ``param``
-    or the combined form ``"name(value)"``."""
+    or the combined form ``"name(value)"``. A parameter that is not a number
+    raises InvalidStateError."""
     m = re.fullmatch(r"([^()]+)\(([^()]+)\)", name.strip())
     if m:
-        name, param = m.group(1), float(m.group(2))
+        name, param = m.group(1), m.group(2)
+    try:
+        param = None if param is None else float(param)
+    except (TypeError, ValueError):
+        raise InvalidStateError(f"settings parameter {param!r} is not a number") from None
     if name in _FIXED_SETTINGS:
         return _FIXED_SETTINGS[name]()
     if name in _PARAM_SETTINGS:
         if param is None:
             raise UnknownNameError(f"settings {name!r} needs a parameter")
-        return _PARAM_SETTINGS[name](float(param))
+        return _PARAM_SETTINGS[name](param)
     raise UnknownNameError(f"unknown settings name {name!r}")
 
 
@@ -358,48 +357,38 @@ def bell_diagonal_state(weights) -> DensityMatrix:
     (|01> + (-1)^j i^k |10>)/sqrt2, ordered (j,k) = 00,01,10,11.
     """
     w = np.asarray(weights, dtype=float)
-    if w.size != 8 or (w < -EPS_VALID).any() or abs(w.sum() - 1.0) > EPS_VALID:
+    if w.shape != (8,) or (w < -EPS_VALID).any() or abs(w.sum() - 1.0) > EPS_VALID:
         raise InvalidStateError("need 8 nonnegative weights summing to 1")
     m = np.zeros((4, 4), dtype=complex)
-    idx = 0
-    for j in range(2):
-        for k in range(2):
-            phase = (-1.0) ** j * (1j) ** k
-            psi = np.array([1, 0, 0, phase], dtype=complex) / SQRT2
-            m += w[idx] * np.outer(psi, psi.conj())
-            idx += 1
-    for j in range(2):
-        for k in range(2):
-            phase = (-1.0) ** j * (1j) ** k
-            phi = np.array([0, 1, phase, 0], dtype=complex) / SQRT2
-            m += w[idx] * np.outer(phi, phi.conj())
-            idx += 1
+    states = itertools.product(((0, 3), (1, 2)), range(2), range(2))
+    for wi, (pair, j, k) in zip(w, states):
+        psi = np.zeros(4, dtype=complex)
+        psi[list(pair)] = 1, (-1.0) ** j * (1j) ** k
+        psi = psi / SQRT2
+        m += wi * np.outer(psi, psi.conj())
     return density_matrix(m)
+
+
+def _classical_quantum(p0: float, r_hat, s0, s1, quantum_first: bool) -> DensityMatrix:
+    """p0 P+ (x) chi0 + (1 - p0) P- (x) chi1 for the projectors P+/- along r_hat
+    and the Bloch states chi0/chi1 of s0/s1, factors swapped if `quantum_first`."""
+    op = bloch_operator(_unit(r_hat))
+    terms = []
+    for proj, s in zip((0.5 * (ID2 + op), 0.5 * (ID2 - op)), (s0, s1)):
+        chi = 0.5 * (ID2 + bloch_operator(_vec3(s)))
+        terms.append(np.kron(chi, proj) if quantum_first else np.kron(proj, chi))
+    return density_matrix(p0 * terms[0] + (1 - p0) * terms[1])
 
 
 def cq_state(p0: float, r_hat, s0, s1) -> DensityMatrix:
     """Classical-quantum state: orthogonal projectors along r_hat on A, arbitrary
     Bloch states s0/s1 on B."""
-    r = _unit(r_hat)
-    s0 = np.asarray(s0, dtype=float)
-    s1 = np.asarray(s1, dtype=float)
-    proj0 = 0.5 * (ID2 + bloch_operator(r))
-    proj1 = 0.5 * (ID2 - bloch_operator(r))
-    chi0 = 0.5 * (ID2 + bloch_operator(s0))
-    chi1 = 0.5 * (ID2 + bloch_operator(s1))
-    m = p0 * np.kron(proj0, chi0) + (1 - p0) * np.kron(proj1, chi1)
-    return density_matrix(m)
+    return _classical_quantum(p0, r_hat, s0, s1, False)
 
 
 def qc_state(p0: float, r_hat, s0, s1) -> DensityMatrix:
     """Quantum-classical mirror of :func:`cq_state`."""
-    r = _unit(r_hat)
-    proj0 = 0.5 * (ID2 + bloch_operator(r))
-    proj1 = 0.5 * (ID2 - bloch_operator(r))
-    chi0 = 0.5 * (ID2 + bloch_operator(np.asarray(s0, dtype=float)))
-    chi1 = 0.5 * (ID2 + bloch_operator(np.asarray(s1, dtype=float)))
-    m = p0 * np.kron(chi0, proj0) + (1 - p0) * np.kron(chi1, proj1)
-    return density_matrix(m)
+    return _classical_quantum(p0, r_hat, s0, s1, True)
 
 
 @functools.cache
@@ -476,10 +465,6 @@ _FAMILIES = {
     "CQ": (cq_state, ("p0", "r_hat", "s0", "s1")),
     "QC": (qc_state, ("p0", "r_hat", "s0", "s1")),
 }
-
-
-def family_names() -> list[str]:
-    return sorted(_FAMILIES)
 
 
 def state_family(name: str, **params) -> DensityMatrix:
@@ -572,11 +557,18 @@ def state_to_json(rho: DensityMatrix) -> str:
 
 
 def state_from_json(text: str) -> DensityMatrix:
+    """The state of a JSON object with 'dim', 're' and 'im'; InvalidStateError if invalid."""
     data = json.loads(text)
-    m = np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float)
-    if data.get("dim") != m.shape[0]:
-        raise InvalidStateError(f"dim field {data.get('dim')} != matrix size {m.shape[0]}")
-    return density_matrix(m)
+    if not isinstance(data, dict) or "re" not in data or "im" not in data:
+        raise InvalidStateError("a state file holds one JSON object with 'dim', 're' and 'im'")
+    try:
+        m = np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidStateError(f"'re' and 'im' are not matrices of numbers: {exc}") from None
+    rho = density_matrix(m)
+    if data.get("dim") != rho.dim:
+        raise InvalidStateError(f"dim field {data.get('dim')} != matrix size {rho.dim}")
+    return rho
 
 
 def settings_to_json(s: MeasurementSettings) -> str:
@@ -588,11 +580,9 @@ def settings_to_json(s: MeasurementSettings) -> str:
 
 def settings_from_json(text: str) -> MeasurementSettings:
     vecs = json.loads(text)
-    if len(vecs) == 4:
-        return settings(*vecs)
-    if len(vecs) == 6:
-        return settings(*vecs)
-    raise InvalidStateError(f"expected 4 or 6 unit vectors, got {len(vecs)}")
+    if not isinstance(vecs, list) or len(vecs) not in (4, 6):
+        raise InvalidStateError(f"expected a list of 4 or 6 unit vectors, got {vecs!r}")
+    return settings(*vecs)
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,6 @@ from . import _corr, boxcore, discord2, polytope
 from .boxcore import EPS_VALID, BipartiteBox, PartyRelabel
 from .polytope import DecompositionResult, ResidualInvalidError
 
-SVETLICHNY_BOUND = 4.0
-MERMIN3_BOUND = 2.0
-CLASS99_BOUND = 3.0
-
 PAIR_AB, PAIR_AC, PAIR_BC = "AB", "AC", "BC"
 
 
@@ -82,17 +78,8 @@ def box3_from_expectations(e: TriExpectations, validate: bool = True):
     return TripartiteBox(t)
 
 
-def zero_expectations() -> TriExpectations:
-    return TriExpectations(np.zeros(2), np.zeros(2), np.zeros(2),
-                           np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)),
-                           np.zeros((2, 2, 2)))
-
-
 # ---------------------------------------------------------------------------
 # vertex catalog: Svetlichny-box polytope (128 vertices) + class-8 representative
-
-TRI_VERTEX_KINDS = tuple(k for k, spec in boxcore._KINDS.items() if spec.parties == 3)
-
 
 class TriVertexId(boxcore._CatalogId):
     """Label of a tripartite catalog box, e.g. TriVertexId("Sv", (0, 1, 0, 1))."""
@@ -432,13 +419,9 @@ _PARTY_PERMS = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)
 def lro3_samples(rng: np.random.Generator, n: int) -> list[Lro3]:
     """n random group elements for sampled invariance tests."""
     rels = boxcore.party_relabels()
-    out = []
-    for _ in range(n):
-        out.append(Lro3(
-            perm=_PARTY_PERMS[rng.integers(len(_PARTY_PERMS))],
-            relabels=tuple(rels[rng.integers(8)] for _ in range(3)),
-        ))
-    return out
+    return [Lro3(perm=_PARTY_PERMS[rng.integers(len(_PARTY_PERMS))],
+                 relabels=tuple(rels[rng.integers(8)] for _ in range(3)))
+            for _ in range(n)]
 
 
 def random_sv_polytope_box(rng: np.random.Generator) -> TripartiteBox:

@@ -150,6 +150,19 @@ def test_state_box_unknown_family_exit_2():
     assert run_cli(["state-box", "--family", "Wrong", "--settings", "BSb"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--family", "Werner2", "--param", "p=abc", "--settings", "BSb"],
+    ["--family", "Werner2", "--param", "p=0.5", "--settings", "PRQ(abc)"],
+    # CQ's r_hat is a vector, which --param cannot give
+    ["--family", "CQ", "--param", "p0=0.5", "--param", "r_hat=1",
+     "--param", "s0=0", "--param", "s1=0", "--settings", "BSb"],
+])
+def test_state_box_malformed_parameter_exit_2(argv, capsys):
+    assert run_cli(["state-box", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
 def test_sweep_csv_matches_closed_form(tmp_path):
     out = tmp_path / "sweep.csv"
     code = run_cli(["sweep", "--family", "Schmidt", "--sweep",

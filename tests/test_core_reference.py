@@ -124,7 +124,9 @@ def ref_from_expectations(e):
 
 
 def ref_class8():
-    e = tribox.zero_expectations()
+    e = tribox.TriExpectations(np.zeros(2), np.zeros(2), np.zeros(2),
+                               np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)),
+                               np.zeros((2, 2, 2)))
     e.ab[0, 0] = e.ab[0, 1] = 1.0
     e.ac[0, 0] = 1.0
     e.bc[0, 0] = e.bc[1, 0] = 1.0

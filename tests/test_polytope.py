@@ -139,6 +139,29 @@ def test_canonical_2decomposition_reports_tilted_product_box():
         polytope.canonical_2decomposition(box)
 
 
+def _bisection_witness(eps):
+    """(1 - eps)(PR010 + Det0001)/2 + eps PR100."""
+    parts = [boxcore.vertex(boxcore.parse_vertex_label(label))
+             for label in ("PR010", "Det0001", "PR100")]
+    return boxcore.mix(parts, [(1 - eps) / 2, (1 - eps) / 2, eps])
+
+
+def test_canonical_2decomposition_lowers_mu_by_bisection():
+    # mu = G/4 leaves an invalid residual; the bisection lowers mu to the
+    # largest weight whose residual is a valid box, here of zero Bell discord
+    box = _bisection_witness(1e-7)
+    dec = polytope.canonical_2decomposition(box)
+    assert dec.pr_id == boxcore.pr_id(0, 0, 1)
+    assert dec.mu == pytest.approx(2.0e-9, rel=1e-3)
+    assert dec.mu < discord2.bell_discord(box) / 4 / 10
+    assert discord2.bell_discord(dec.residual) <= _tol.DISCORD_TOL
+    recon = dec.reconstruction(boxcore.vertex(dec.pr_id).table, None)
+    assert np.max(np.abs(recon - box.table)) <= 1e-9
+    # ten times more PR100 weight: no lowered mu leaves zero Bell discord
+    with pytest.raises(polytope.ResidualInvalidError):
+        polytope.canonical_2decomposition(_bisection_witness(1e-6))
+
+
 def test_three_decomposition_mermin_box():
     dec = polytope.three_decomposition(boxcore.mermin_box(0, 0, 0))
     assert dec.mu == pytest.approx(0.0, abs=1e-12)

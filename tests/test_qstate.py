@@ -1,6 +1,7 @@
 """Density matrices, Born boxes, catalogs and the Hardy construction."""
 
 import itertools
+import json
 
 import hypothesis
 import numpy as np
@@ -101,6 +102,13 @@ def test_settings_rejects_non_finite_direction():
         qstate.settings([np.nan, 0, 0], [1, 0, 0], [1, 0, 0], [0, 1, 0])
 
 
+@pytest.mark.parametrize("direction", [[1, 0], [1, 0, 0, 0], [[1, 0], [0, 1]],
+                                       "abc", None, [1, 0, "x"]])
+def test_settings_rejects_malformed_direction(direction):
+    with pytest.raises(qstate.InvalidStateError):
+        qstate.settings(direction, [1, 0, 0], [1, 0, 0], [0, 1, 0])
+
+
 def test_singlet_correlations_minus_cosine():
     rho = qstate.singlet()
     for _ in range(20):
@@ -144,7 +152,8 @@ def test_correlation_shortcut_agrees_with_born_rule():
     for _ in range(50):
         rho = qstate.random_two_qubit_state(RNG)
         frame = qstate.random_settings2(RNG)
-        shortcut = qstate.joint_expectations_shortcut(rho, frame)
+        _, _, c = qstate.correlation_data(rho)
+        shortcut = np.einsum("xi,ij,yj->xy", frame.a, c, frame.b)
         full = boxcore.joint_expectations(qstate.born_box2(rho, frame))
         assert np.max(np.abs(shortcut - full)) <= 1e-10
 
@@ -280,6 +289,31 @@ def test_state_json_round_trip():
     assert np.allclose(again.mat, rho.mat, atol=1e-15)
     with pytest.raises(qstate.InvalidStateError):
         qstate.state_from_json('{"dim": 4, "re": [[1]], "im": [[0]]}')
+
+
+RE4, IM4 = (np.eye(4) / 4).tolist(), np.zeros((4, 4)).tolist()
+
+
+@pytest.mark.parametrize("doc", [
+    [RE4, IM4],                                   # not an object
+    {"dim": 4, "re": RE4},                        # no 'im'
+    {"dim": 4, "im": IM4},                        # no 're'
+    {"dim": 4, "re": [["a"] * 4] * 4, "im": IM4},  # non-numeric entries
+])
+def test_state_from_json_rejects_malformed_documents(doc):
+    with pytest.raises(qstate.InvalidStateError):
+        qstate.state_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("doc", [
+    5,                                            # not a list
+    {"a": 1, "b": 2, "c": 3, "d": 4},             # an object, not a list
+    [[1, 0, 0], [0, 1, 0], [1, 0, 0], "x"],       # non-numeric entry
+    [[1, 0, 0], [0, 1, 0], [1, 0, 0], [0, 1]],    # a vector of two numbers
+])
+def test_settings_from_json_rejects_malformed_documents(doc):
+    with pytest.raises(qstate.InvalidStateError):
+        qstate.settings_from_json(json.dumps(doc))
 
 
 def test_settings_json_round_trip():
