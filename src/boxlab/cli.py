@@ -61,13 +61,6 @@ def _parse_params(pairs) -> dict[str, float]:
     return out
 
 
-def _frame(name, param):
-    try:
-        return qstate.settings_catalog(name, param)
-    except qstate.UnknownNameError as exc:
-        raise InputError(str(exc)) from exc
-
-
 def _emit(data, args) -> None:
     fmt = getattr(args, "format", "table") or "table"
     if fmt == "json":
@@ -180,18 +173,19 @@ def cmd_decompose(args) -> int:
 
 
 def _build_state(name, params):
-    try:
-        if name == "BellDiagonal":
-            weights = [params[f"w{i}"] for i in range(8)]
-            return qstate.state_family(name, weights=weights)
-        return qstate.state_family(name, **params)
-    except (KeyError, qstate.UnknownNameError) as exc:
-        raise InputError(str(exc)) from exc
+    if name == "BellDiagonal":
+        # the CLI names the eight weights w0..w7
+        names = [f"w{i}" for i in range(8)]
+        if sorted(params) != names:
+            raise InputError(f"family {name!r} takes the parameters w0..w7, "
+                             f"not {sorted(params)}")
+        return qstate.state_family(name, weights=[params[k] for k in names])
+    return qstate.state_family(name, **params)
 
 
 def cmd_state_box(args) -> int:
     params = _parse_params(args.param)
-    frame = _frame(args.settings, params.pop("settings", None))
+    frame = qstate.settings_catalog(args.settings, params.pop("settings", None))
     rho = _build_state(args.family, params)
     if rho.dim == 4:
         box = qstate.born_box2(rho, frame)
@@ -234,17 +228,23 @@ def cmd_sweep(args) -> int:
     if steps < 2:
         raise InputError("sweep needs at least 2 steps")
     measures = [m.strip() for m in (args.measures or "G,Q,T").split(",")]
-    # the frame moves only when the swept value is its parameter
+    # the frame moves only when the swept value is its parameter; the family
+    # gets the value unless it is the frame's alone
     frame_moves = args.settings_param == "sweep" or pname == "settings"
+    to_family = not frame_moves or pname in qstate.family_parameter_names(args.family)
+    if frame_moves and "settings" in params:
+        raise InputError("--param settings is not taken when the sweep sets the frame's "
+                         "parameter")
     if not frame_moves:
-        frame = _frame(args.settings, params.get("settings"))
+        frame = qstate.settings_catalog(args.settings, params.get("settings"))
     rows = []
     for value in np.linspace(start, stop, steps):
         if frame_moves:
-            frame = _frame(args.settings, float(value))
+            frame = qstate.settings_catalog(args.settings, float(value))
         point = dict(params)
-        point[pname] = float(value)
         point.pop("settings", None)
+        if to_family:
+            point[pname] = float(value)
         rho = _build_state(args.family, point)
         if rho.dim == 4:
             box = qstate.born_box2(rho, frame)
@@ -346,7 +346,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, boxcore.BoxError, qstate.InvalidStateError,
+    except (InputError, boxcore.BoxError, qstate.InvalidStateError, qstate.UnknownNameError,
             OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -11,12 +11,14 @@ decompositions lives here too.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize._highspy import _core as highs
 
 from . import _corr, _tol, boxcore, discord2
 from ._tol import DISCORD_TOL, EPS_LP, EPS_LP_SLACK, EPS_VALID
@@ -148,18 +150,81 @@ def _elastic_cost(weight_cost: np.ndarray, d: int) -> np.ndarray:
     return np.concatenate([weight_cost, np.ones(2 * d)])
 
 
-def _highs_model(c: np.ndarray, a_eq, b_eq: np.ndarray) -> highs._Highs:
-    """A HiGHS model of min c @ x subject to a_eq @ x = b_eq and x >= 0,
-    under _HIGHS_OPTIONS; a_eq is dense or sparse."""
-    a = sparse.csc_array(a_eq)
+_HIGHS_CORE = "scipy.optimize._highspy._core"
+_HIGHS_LOCK = threading.Lock()
+_highs_module = None
+
+
+def _highs():
+    """scipy's HiGHS binding, loaded on the first LP rather than on import.
+
+    The extension file is loaded by itself, which skips importing the whole
+    scipy.optimize package. It is registered in sys.modules under its real
+    name, so a later `import scipy.optimize` reuses this one copy, and an
+    earlier one is reused here. The lock keeps two threads from loading it
+    twice, which would register its pybind11 types twice; once loaded, the
+    module is read without it.
+    """
+    global _highs_module
+    if _highs_module is None:
+        with _HIGHS_LOCK:
+            if _highs_module is None:
+                _highs_module = sys.modules.get(_HIGHS_CORE) or _load_highs_core()
+    return _highs_module
+
+
+def _load_highs_core():
+    """Load the extension file under its real name, registered before it runs."""
+    path = _highs_core_file()
+    spec = importlib.util.spec_from_file_location(_HIGHS_CORE, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_HIGHS_CORE] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[_HIGHS_CORE]
+        raise
+    return module
+
+
+def _highs_core_file() -> str:
+    """The HiGHS extension file in the installed scipy tree."""
+    import scipy  # the top-level package alone imports in a few ms
+
+    stem = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy", "_core")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.isfile(stem + suffix):
+            return stem + suffix
+    raise ImportError(f"scipy's HiGHS extension {stem}.* is missing")
+
+
+def _block_csc(block: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column pointers, row indices and values of kron(identity(m), block)
+    in CSC form, as scipy's sparse kron gives them: zeros dropped, rows
+    ascending within a column, int32 indices."""
+    nrows, ncols = block.shape
+    cols, rows = np.nonzero(block.T)
+    nnz = len(rows)
+    start = np.searchsorted(cols, np.arange(ncols + 1))
+    k = np.arange(m)[:, None]
+    start = np.append((start[:-1] + k * nnz).ravel(), m * nnz).astype(np.int32)
+    index = (rows + k * nrows).ravel().astype(np.int32)
+    return start, index, np.tile(block[rows, cols], m)
+
+
+def _highs_model(c: np.ndarray, block: np.ndarray, b_eq: np.ndarray, m: int = 1):
+    """A HiGHS model of min c @ x subject to kron(identity(m), block) @ x = b_eq
+    and x >= 0, under _HIGHS_OPTIONS; block is a dense matrix."""
+    highs = _highs()
+    num_row, num_col = m * block.shape[0], m * block.shape[1]
     lp = highs.HighsLp()
-    lp.num_row_, lp.num_col_ = a.shape
-    lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = a.shape
+    lp.num_row_, lp.num_col_ = num_row, num_col
+    lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = num_row, num_col
     lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = a.indptr, a.indices, a.data
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = _block_csc(block, m)
     lp.col_cost_ = c
-    lp.col_lower_ = np.zeros(a.shape[1])
-    lp.col_upper_ = np.full(a.shape[1], highs.kHighsInf)
+    lp.col_lower_ = np.zeros(num_col)
+    lp.col_upper_ = np.full(num_col, highs.kHighsInf)
     lp.row_lower_ = lp.row_upper_ = b_eq
     model = highs._Highs()
     for key, value in _HIGHS_OPTIONS.items():
@@ -169,14 +234,14 @@ def _highs_model(c: np.ndarray, a_eq, b_eq: np.ndarray) -> highs._Highs:
     return model
 
 
-def _run(model: highs._Highs) -> tuple[np.ndarray, np.ndarray]:
+def _run(model) -> tuple[np.ndarray, np.ndarray]:
     """Solve `model` from scratch: the optimal point and the duals of its
     equality rows. clearSolver() drops the basis of any earlier solve, so
     the answer does not depend on what the model solved before."""
     model.clearSolver()
     model.run()
     status = model.getModelStatus()
-    if status != highs.HighsModelStatus.kOptimal:
+    if status != _highs().HighsModelStatus.kOptimal:
         raise LpNumericalFailure(f"HiGHS model status {int(status)}: "
                                  f"{model.modelStatusToString(status)}")
     solution = model.getSolution()
@@ -199,7 +264,7 @@ def _solve_target(vertices: np.ndarray, weight_cost: np.ndarray,
 
 @functools.lru_cache(maxsize=8)
 def _target_model(vertex_bytes: bytes, shape: tuple, cost_bytes: bytes,
-                  options: tuple) -> highs._Highs:
+                  options: tuple):
     """The kept model of _solve_target; `options`, the items of
     _HIGHS_OPTIONS it is built under, only keys the cache."""
     vertices = np.frombuffer(vertex_bytes).reshape(shape)
@@ -214,10 +279,8 @@ def _elastic_lp(targets: np.ndarray, vertices: np.ndarray,
     if m == 1:
         x, _ = _solve_target(vertices, np.zeros(k), targets[0])
     else:
-        x, _ = _run(_highs_model(
-            np.tile(_elastic_cost(np.zeros(k), d), m),
-            sparse.kron(sparse.identity(m), _elastic_block(vertices), format="csc"),
-            targets.reshape(-1)))
+        x, _ = _run(_highs_model(np.tile(_elastic_cost(np.zeros(k), d), m),
+                                 _elastic_block(vertices), targets.reshape(-1), m))
     x = x.reshape(m, k + 2 * d)
     w = np.clip(x[:, :k], 0.0, None)
     inside = x[:, k:].sum(axis=1) <= d * EPS_LP_SLACK

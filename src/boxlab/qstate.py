@@ -38,7 +38,7 @@ class InvalidStateError(ValueError):
 
 
 class UnknownNameError(KeyError):
-    pass
+    __str__ = Exception.__str__  # the message, without KeyError's quotes
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,7 +300,7 @@ def settings_names() -> list[str]:
 def settings_catalog(name: str, param: float | None = None) -> MeasurementSettings:
     """Named measurement frames; parametric entries accept ``name`` + ``param``
     or the combined form ``"name(value)"``. A parameter that is not a number
-    raises InvalidStateError."""
+    raises InvalidStateError, and one given to a fixed frame UnknownNameError."""
     m = re.fullmatch(r"([^()]+)\(([^()]+)\)", name.strip())
     if m:
         name, param = m.group(1), m.group(2)
@@ -309,6 +309,8 @@ def settings_catalog(name: str, param: float | None = None) -> MeasurementSettin
     except (TypeError, ValueError):
         raise InvalidStateError(f"settings parameter {param!r} is not a number") from None
     if name in _FIXED_SETTINGS:
+        if param is not None:
+            raise UnknownNameError(f"settings {name!r} takes no parameter")
         return _FIXED_SETTINGS[name]()
     if name in _PARAM_SETTINGS:
         if param is None:
@@ -467,14 +469,24 @@ _FAMILIES = {
 }
 
 
-def state_family(name: str, **params) -> DensityMatrix:
-    """Build a catalog state by family name and keyword parameters."""
+def family_parameter_names(name: str) -> tuple[str, ...]:
+    """The keyword parameters that state_family takes for a family."""
     if name not in _FAMILIES:
         raise UnknownNameError(f"unknown state family {name!r}")
-    builder, argnames = _FAMILIES[name]
+    return _FAMILIES[name][1]
+
+
+def state_family(name: str, **params) -> DensityMatrix:
+    """Build a catalog state by family name and keyword parameters; a missing
+    parameter, or one the family does not take, raises UnknownNameError."""
+    argnames = family_parameter_names(name)
+    builder = _FAMILIES[name][0]
     missing = [a for a in argnames if a not in params]
     if missing:
         raise UnknownNameError(f"family {name!r} needs parameters {missing}")
+    extra = sorted(set(params) - set(argnames))
+    if extra:
+        raise UnknownNameError(f"family {name!r} takes no parameters {extra}")
     return builder(**{a: params[a] for a in argnames})
 
 

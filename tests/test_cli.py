@@ -163,6 +163,46 @@ def test_state_box_malformed_parameter_exit_2(argv, capsys):
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
+BELL_WEIGHTS = [arg for i in range(8) for arg in ("--param", f"w{i}=0.125")]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["state-box", "--family", "Werner2", "--param", "p=0.5", "--param", "q=3",
+      "--settings", "BSb"], "'q'"),
+    (["state-box", "--family", "Werner2", "--param", "p=0.5", "--settings", "BSb(0.3)"],
+     "'BSb'"),
+    (["state-box", "--family", "Werner2", "--param", "p=0.5", "--param", "settings=7",
+      "--settings", "BSb"], "'BSb'"),
+    (["state-box", "--family", "BellDiagonal", *BELL_WEIGHTS, "--param", "x=1",
+      "--settings", "BSb"], "'x'"),
+    (["sweep", "--family", "GHZ", "--sweep", "p:0.5:1:3", "--settings", "MDxy"], "'p'"),
+    (["sweep", "--family", "Werner2", "--sweep", "p:0:1:3", "--settings", "BSb",
+      "--settings-param", "sweep"], "'BSb'"),
+    (["sweep", "--family", "Werner2", "--sweep", "p:0:1:3", "--settings", "meb1",
+      "--settings-param", "sweep", "--param", "settings=7"], "settings"),
+    (["sweep", "--family", "Werner2", "--param", "p=0.5", "--sweep", "settings:0:1:3",
+      "--settings", "meb1", "--param", "settings=7"], "settings"),
+])
+def test_parameter_the_family_or_frame_does_not_take_exit_2(argv, named, capsys):
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert named in err
+
+
+def test_swept_frame_parameter_reaches_the_family_that_takes_it(tmp_path):
+    # with --settings-param sweep the value is the frame's; Werner2 takes p too
+    out = tmp_path / "w.csv"
+    assert run_cli(["sweep", "--family", "Werner2", "--sweep", "p:0.2:0.8:3",
+                    "--settings", "meb1", "--settings-param", "sweep",
+                    "--measures", "G,Q", "--out", str(out)]) == 0
+    for line in out.read_text().strip().splitlines()[1:]:
+        p, g, q = map(float, line.split(","))
+        box = qstate.born_box2(qstate.werner2_state(p), qstate.settings_catalog("meb1", p))
+        assert (g, q) == (pytest.approx(discord2.bell_discord(box), abs=1e-11),
+                          pytest.approx(discord2.mermin_discord(box), abs=1e-11))
+
+
 def test_sweep_csv_matches_closed_form(tmp_path):
     out = tmp_path / "sweep.csv"
     code = run_cli(["sweep", "--family", "Schmidt", "--sweep",

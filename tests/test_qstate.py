@@ -254,6 +254,17 @@ def test_state_families_are_valid_states():
         qstate.state_family("Nonsense")
 
 
+def test_parameters_a_family_or_fixed_frame_does_not_take_are_refused():
+    with pytest.raises(qstate.UnknownNameError, match=r"takes no parameters \['q', 'r'\]"):
+        qstate.state_family("Werner2", p=0.5, q=3.0, r=1.0)
+    with pytest.raises(qstate.UnknownNameError, match=r"\['theta'\]"):
+        qstate.state_family("GHZ", theta=0.3)
+    for name, param in (("BSb", 0.3), ("BSb(0.3)", None), ("MDxy", 1.0)):
+        with pytest.raises(qstate.UnknownNameError, match="takes no parameter"):
+            qstate.settings_catalog(name, param)
+    assert qstate.family_parameter_names("GhzClass") == ("theta", "theta3")
+
+
 def test_bell_diagonal_state_needs_normalized_weights():
     with pytest.raises(qstate.InvalidStateError):
         qstate.bell_diagonal_state(np.ones(8))
@@ -349,8 +360,9 @@ def test_born_rule_matches_definition_on_random_states(dim, kind):
 @pytest.mark.parametrize("name", qstate.settings_names())
 def test_born_rule_matches_definition_on_named_frames(name):
     rng = np.random.default_rng(sum(map(ord, name)))
-    # 0.4 lies in range for every parametric frame (tau >= 0, p and theta in [0, 1])
-    frame = qstate.settings_catalog(name, 0.4)
+    # 0.4 lies in range for every parametric frame (tau >= 0, p and theta in
+    # [0, 1]); a fixed frame refuses a parameter
+    frame = qstate.settings_catalog(name, 0.4 if name in qstate._PARAM_SETTINGS else None)
     dim = 4 if frame.parties == 2 else 8
     for rho in (random_mixed_state(rng, dim), qstate.random_pure_state(rng, dim)):
         box = born_box(rho, frame)
