@@ -212,10 +212,18 @@ def criterion_9() -> CriterionResult:
     b_dirs /= np.linalg.norm(b_dirs, axis=2, keepdims=True)
 
     def grid_max(corrs: np.ndarray, a=a_dirs, b=b_dirs) -> float:
-        e = np.einsum("sxi,nij,syj->nsxy", a, corrs, b)
-        g = discord2.bell_discord_from_expectations(e)
-        q = discord2.mermin_discord_from_expectations(e)
-        return float(max(g.max(), q.max()))
+        # e[n,s,x,y] = a[s,x] . corrs[n] . b[s,y], as a matrix product of
+        # the 9 entries of each corrs[n] with the settings' outer products
+        # (a three-operand einsum loops naively), 100 states at a time:
+        # a whole (1000, 1000, 2, 2) grid and its discords take about 90 MB
+        ab = np.einsum("sxi,syj->ijsxy", a, b).reshape(9, -1)
+        flat = corrs.reshape(len(corrs), 9)
+        worst = 0.0
+        for start in range(0, len(flat), 100):
+            e = (flat[start:start + 100] @ ab).reshape(-1, len(a), 2, 2)
+            worst = max(worst, discord2.bell_discord_from_expectations(e).max(),
+                        discord2.mermin_discord_from_expectations(e).max())
+        return float(worst)
 
     cq_corr = np.empty((n_states, 3, 3))
     qc_corr = np.empty((n_states, 3, 3))

@@ -318,10 +318,28 @@ def _parse_label(cls: type, label: str) -> _CatalogId:
     raise ValueError(f"cannot parse {cls.parties}-party vertex label {label!r}")
 
 
-@functools.lru_cache(maxsize=16)
-def _vertex_rows(vertex_ids: tuple) -> np.ndarray:
+class _IdTuple(tuple):
+    """A tuple of catalog ids that hashes them once. A plain tuple hashes
+    every id again on each cache lookup (about 30 us for 128 ids); kept and
+    passed again, this one costs nothing to look up."""
+
+    def __new__(cls, ids):
+        self = super().__new__(cls, ids)
+        self._hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+def _vertex_rows(vertex_ids) -> np.ndarray:
     """Vertex tables as rows of a read-only (n_vertices, 4**n) matrix,
-    stacked once per id list."""
+    stacked once per id list; an _IdTuple is looked up without rehashing."""
+    return _stacked_rows(vertex_ids if type(vertex_ids) is _IdTuple else _IdTuple(vertex_ids))
+
+
+@functools.lru_cache(maxsize=16)
+def _stacked_rows(vertex_ids: _IdTuple) -> np.ndarray:
     rows = np.stack([_vertex_table(v).reshape(-1) for v in vertex_ids])
     rows.setflags(write=False)
     return rows

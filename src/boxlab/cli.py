@@ -64,7 +64,7 @@ def _parse_params(pairs) -> dict[str, float]:
 def _emit(data, args) -> None:
     fmt = getattr(args, "format", "table") or "table"
     if fmt == "json":
-        text = json.dumps(data, indent=2, sort_keys=True)
+        text = json.dumps(data, sort_keys=True)
     elif fmt == "table":
         width = max(len(k) for k in data)
         lines = []
@@ -112,10 +112,8 @@ def _measure_report2(box) -> dict:
     return report
 
 
-# The tripartite membership flags, each with the first row of its hull in
-# sv_polytope_ids(): 16 Svetlichny, 48 embedded PR, then 64 deterministic
-# vertices, so each hull holds the next
-_TRI_FLAGS = {"in_sv_polytope": 0, "two_way_local": 16, "local": 64}
+# The tripartite membership flags, one per hull of tribox._SV_STARTS
+_TRI_FLAGS = ("in_sv_polytope", "two_way_local", "local")
 
 
 def _measure_report3(box) -> dict:
@@ -123,8 +121,8 @@ def _measure_report3(box) -> dict:
     svv = tribox.sv_values(box)
     mermin = tribox.mermin3_values(box)
     flags = polytope.nested_hull_flags(box.table.reshape(-1),
-                                       tribox.tri_vertex_matrix(tribox.sv_polytope_ids()),
-                                       tuple(_TRI_FLAGS.values()))
+                                       tribox.tri_vertex_matrix(tribox._sv_polytope_key()),
+                                       tribox._SV_STARTS)
     report = {
         "parties": 3,
         "svetlichny_discord": split.svetlichny,

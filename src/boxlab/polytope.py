@@ -65,23 +65,26 @@ def vertex_matrix(vertex_ids: list[VertexId]) -> np.ndarray:
 
     Each vertex list is stacked once and then served from a cache.
     """
-    return boxcore._vertex_rows(tuple(vertex_ids))
+    return boxcore._vertex_rows(vertex_ids)
 
 
 _DET_IDS = boxcore.all_det_ids()
 _DET_MATRIX = vertex_matrix(_DET_IDS)
 _NS_MATRIX = vertex_matrix(boxcore.ns_vertex_ids())
 
-# Targets per block-diagonal LP of a stack. HiGHS's time per target is flat
-# up to a few hundred targets and grows beyond: about 0.3 ms per bipartite
-# target in blocks of 100 to 500, 0.44 ms in blocks of 2,000.
-_LP_BLOCK = 500
+# Targets per block-diagonal LP of a stack. Without presolve HiGHS's time
+# per bipartite target grows with the block: about 0.15 ms in blocks of 25
+# to 50, 0.18 ms at 100, 0.24 ms at 500 and 0.40 ms at 2,000 (10,000 random
+# NS boxes over the 16 deterministic vertices, one thread).
+_LP_BLOCK = 50
 
-# Options of every membership LP: those scipy.optimize's "highs" LP method
-# sets (presolve, dual simplex, no output), with both feasibility tolerances
-# tightened to _tol.LP_FEASIBILITY_TOL.
+# Options of every membership LP, kept models and stacks alike: dual simplex
+# without presolve, no output, and both feasibility tolerances tightened to
+# _tol.LP_FEASIBILITY_TOL. The LPs are dense, 16 to 64 rows and have nothing
+# for presolve to reduce, so it only adds time: without it a target over the
+# 128 tripartite vertices solves in less than half the time.
 _HIGHS_OPTIONS = {
-    "presolve": "on",
+    "presolve": "off",
     "simplex_strategy": 1,  # dual simplex
     "highs_debug_level": 0,
     "output_flag": False,
@@ -213,8 +216,9 @@ def _block_csc(block: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.nd
 
 
 def _highs_model(c: np.ndarray, block: np.ndarray, b_eq: np.ndarray, m: int = 1):
-    """A HiGHS model of min c @ x subject to kron(identity(m), block) @ x = b_eq
-    and x >= 0, under _HIGHS_OPTIONS; block is a dense matrix."""
+    """The HiGHS LP of min c @ x subject to kron(identity(m), block) @ x = b_eq
+    and x >= 0, and a model holding it under _HIGHS_OPTIONS; block is a
+    dense matrix."""
     highs = _highs()
     num_row, num_col = m * block.shape[0], m * block.shape[1]
     lp = highs.HighsLp()
@@ -231,7 +235,7 @@ def _highs_model(c: np.ndarray, block: np.ndarray, b_eq: np.ndarray, m: int = 1)
         if model.setOptionValue(key, value) != highs.HighsStatus.kOk:
             raise ValueError(f"HiGHS rejects option {key}={value!r}")
     model.passModel(lp)
-    return model
+    return lp, model
 
 
 def _run(model) -> tuple[np.ndarray, np.ndarray]:
@@ -252,24 +256,42 @@ def _solve_target(vertices: np.ndarray, weight_cost: np.ndarray,
                   target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_run on the elastic LP of one target over `vertices`, with
     `weight_cost` per vertex. Its model is kept per vertex matrix, weight
-    costs and solver options; a call only rewrites the target rows."""
-    vertices = np.asarray(vertices, dtype=float)
-    model = _target_model(vertices.tobytes(), vertices.shape, weight_cost.tobytes(),
-                          tuple(_HIGHS_OPTIONS.items()))
+    costs and solver options; a call writes the target into the kept LP's
+    row bounds and passes the LP to the model again, in one call."""
+    lp, model = _target_model(_MatrixKey(np.asarray(vertices, dtype=float)),
+                              weight_cost.tobytes(), tuple(_HIGHS_OPTIONS.items()))
+    bounds = target.tolist()
     with _TARGET_LOCK:
-        for row, value in enumerate(target.tolist()):
-            model.changeRowBounds(row, value, value)
+        lp.row_lower_ = lp.row_upper_ = bounds
+        model.passModel(lp)
         return _run(model)
 
 
+class _MatrixKey:
+    """Cache key of a float matrix. Keys are equal when the shapes and all
+    the bytes are; the hash reads only the shape and the first and last kB,
+    so a lookup copies the matrix once but does not hash all of it."""
+
+    __slots__ = ("shape", "data", "_hash")
+
+    def __init__(self, matrix: np.ndarray):
+        self.shape, self.data = matrix.shape, matrix.tobytes()
+        self._hash = hash((self.shape, self.data[:1024], self.data[-1024:]))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return self.shape == other.shape and self.data == other.data
+
+
 @functools.lru_cache(maxsize=8)
-def _target_model(vertex_bytes: bytes, shape: tuple, cost_bytes: bytes,
-                  options: tuple):
-    """The kept model of _solve_target; `options`, the items of
-    _HIGHS_OPTIONS it is built under, only keys the cache."""
-    vertices = np.frombuffer(vertex_bytes).reshape(shape)
-    return _highs_model(_elastic_cost(np.frombuffer(cost_bytes), shape[1]),
-                        _elastic_block(vertices), np.zeros(shape[1]))
+def _target_model(key: _MatrixKey, cost_bytes: bytes, options: tuple):
+    """The LP and model kept for _solve_target; `options`, the items of
+    _HIGHS_OPTIONS the model is built under, only keys the cache."""
+    vertices = np.frombuffer(key.data).reshape(key.shape)
+    return _highs_model(_elastic_cost(np.frombuffer(cost_bytes), key.shape[1]),
+                        _elastic_block(vertices), np.zeros(key.shape[1]))
 
 
 def _elastic_lp(targets: np.ndarray, vertices: np.ndarray,
@@ -279,8 +301,9 @@ def _elastic_lp(targets: np.ndarray, vertices: np.ndarray,
     if m == 1:
         x, _ = _solve_target(vertices, np.zeros(k), targets[0])
     else:
-        x, _ = _run(_highs_model(np.tile(_elastic_cost(np.zeros(k), d), m),
-                                 _elastic_block(vertices), targets.reshape(-1), m))
+        _, model = _highs_model(np.tile(_elastic_cost(np.zeros(k), d), m),
+                                _elastic_block(vertices), targets.reshape(-1), m)
+        x, _ = _run(model)
     x = x.reshape(m, k + 2 * d)
     w = np.clip(x[:, :k], 0.0, None)
     inside = x[:, k:].sum(axis=1) <= d * EPS_LP_SLACK
@@ -309,6 +332,14 @@ def nested_hull_flags(target: np.ndarray, vertices: np.ndarray, starts) -> list[
     - outside, when the LP's duals prove it (_certified_outside);
     - otherwise, from lp_vertex_weights on hull h alone.
     """
+    t, x, y = _nested_lp(target, vertices, starts)
+    return [_hull_flag(t, vertices, start, x, y) for start in starts]
+
+
+def _nested_lp(target, vertices: np.ndarray,
+               starts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The checked target, and the optimum and duals of the tier-cost LP of
+    nested_hull_flags, solved on its kept model."""
     t = _finite(target)
     k, d = vertices.shape
     if t.shape != (d,):
@@ -319,21 +350,25 @@ def nested_hull_flags(target: np.ndarray, vertices: np.ndarray, starts) -> list[
         raise ValueError(f"starts {starts} do not ascend from 0 below {k} "
                          f"in one to three tiers")
     costs = [_tol.NESTED_COST_OUTER, _tol.NESTED_COST_MIDDLE][:len(starts) - 1] + [0.0]
-    x, y = _solve_target(vertices, np.repeat(costs, np.diff(bounds)), t)
+    return t, *_solve_target(vertices, np.repeat(costs, np.diff(bounds)), t)
+
+
+def _hull_flag(t: np.ndarray, vertices: np.ndarray, start: int,
+               x: np.ndarray, y: np.ndarray) -> bool:
+    """Whether target `t` lies in the hull of vertices[start:], from the
+    optimum `x` and duals `y` of _nested_lp over all of `vertices`: its
+    inside certificate, its outside certificate, or else lp_vertex_weights
+    on that hull alone."""
+    k, d = vertices.shape
     w = np.clip(x[:k], 0.0, None)
-    slack, thr, mass = x[k:].sum(), d * EPS_LP_SLACK, vertices[0].sum()
-    flags = []
-    for start in starts:
-        hull = vertices[start:]
-        if slack + mass * w[:start].sum() <= thr:
-            if np.max(np.abs(w[start:] @ hull - t)) > EPS_LP:
-                raise LpNumericalFailure("LP solution does not reconstruct the target")
-            flags.append(True)
-        elif _certified_outside(t, y, hull, thr):
-            flags.append(False)
-        else:
-            flags.append(lp_vertex_weights(t, hull) is not None)
-    return flags
+    thr, hull = d * EPS_LP_SLACK, vertices[start:]
+    if x[k:].sum() + vertices[0].sum() * w[:start].sum() <= thr:
+        if np.max(np.abs(w[start:] @ hull - t)) > EPS_LP:
+            raise LpNumericalFailure("LP solution does not reconstruct the target")
+        return True
+    if _certified_outside(t, y, hull, thr):
+        return False
+    return lp_vertex_weights(t, hull) is not None
 
 
 def _certified_outside(t: np.ndarray, y: np.ndarray, hull: np.ndarray,
@@ -477,10 +512,10 @@ class _CanonicalPairs:
 def _canonical_pairs(n: int, top_ids: list, partner_ids: list) -> _CanonicalPairs:
     """Pair tables of the tops `top_ids`, top t with the two partners
     `partner_ids[t]`."""
-    partners = boxcore._vertex_rows(tuple(m for pair in partner_ids for m in pair))
+    partners = boxcore._vertex_rows([m for pair in partner_ids for m in pair])
     partners = partners.reshape(len(top_ids), 2, -1)
     mermin = _corr.moduli(_corr.correlators(partners, n), n, mermin=True)
-    return _CanonicalPairs(n, top_ids, partner_ids, boxcore._vertex_rows(tuple(top_ids)),
+    return _CanonicalPairs(n, top_ids, partner_ids, boxcore._vertex_rows(top_ids),
                            partners, np.argmax(mermin, axis=-1))
 
 

@@ -547,8 +547,10 @@ def test_membership_lps_solve_targets_just_outside_an_inner_hull():
                     assert w is not None
 
 
+# linprog at the library's options; it takes presolve as a bool
 LINPROG_OPTIONS = {key: polytope._HIGHS_OPTIONS[key]
                    for key in ("primal_feasibility_tolerance", "dual_feasibility_tolerance")}
+LINPROG_OPTIONS["presolve"] = polytope._HIGHS_OPTIONS["presolve"] == "on"
 
 
 def _linprog(c, a_eq, b_eq):
@@ -610,6 +612,93 @@ def test_stacked_and_per_target_lps_are_bit_identical_to_linprog(form):
     assert {w is None for w in got} == {True, False}
     for g, w in zip(got, want):
         assert w is None or g.tobytes() == w.tobytes()
+
+
+def _verdicts(cases):
+    """Membership verdicts of each case's targets: nested flags under tier
+    costs, else one-target and stacked lp_vertex_weights."""
+    out = []
+    for vertices, weight_cost, targets in cases:
+        if weight_cost.any():
+            out += [tuple(polytope.nested_hull_flags(t, vertices, TRI_STARTS)) for t in targets]
+        else:
+            out += [polytope.lp_vertex_weights(t, vertices) is not None for t in targets]
+            stacked = polytope.lp_vertex_weights(np.stack(targets), vertices)
+            out += [bool(v) for v in ~np.isnan(stacked[:, 0])]
+    return out
+
+
+def test_membership_verdicts_do_not_depend_on_presolve(monkeypatch):
+    # the library solves without presolve; switched back on, every verdict
+    # stays, on these cases and on targets within 1e-6 to 1e-2 of a facet
+    # or just outside an inner hull
+    cases = [param.values for param in _equivalence_cases()]
+    tiers = cases[-1][1]  # the weight costs of the nested-costs case
+    near_tri = [t for t, _ in itertools.islice(_near_inner_hull_targets(5), 0, 70, 5)]
+    cases += [(DET, np.zeros(16), list(_near_facet_tables(np.random.default_rng(4111), 40)[0])),
+              (TRI, np.zeros(128), near_tri), (TRI[16:], np.zeros(112), near_tri),
+              (TRI, tiers, near_tri)]
+    assert polytope._HIGHS_OPTIONS["presolve"] == "off"
+    without = _verdicts(cases)
+    monkeypatch.setitem(polytope._HIGHS_OPTIONS, "presolve", "on")
+    built = polytope._target_model.cache_info().misses
+    assert _verdicts(cases) == without
+    assert polytope._target_model.cache_info().misses > built  # fresh kept models
+    flat = [v for verdict in without for v in np.atleast_1d(verdict)]
+    assert {True, False} <= set(flat)
+
+
+def _near_sv_polytope_targets():
+    """Sparse mixtures of three polytope vertices with 1e-8 to 1 of weight
+    on a box outside the polytope: the class-8 box, or an embedded PR
+    vertex whose spectator answers 1 (the catalog's spectators answer 0
+    or their input)."""
+    flip = tribox.Lro3(relabels=(boxcore.IDENTITY_RELABEL,) * 2 + (boxcore.PartyRelabel(0, 0, 1),))
+    outside = [tribox.class8_box().table.reshape(-1),
+               tribox.apply_lro3(tribox.pr2_box("AB", 0, 0, 0, 0), flip).table.reshape(-1)]
+    rng = np.random.default_rng(4112)
+    for out in outside:
+        for eps in 10.0 ** np.arange(-8, 0.1, 0.5):
+            w = np.zeros(len(TRI))
+            w[rng.choice(len(TRI), size=3, replace=False)] = rng.exponential(size=3)
+            yield (1 - eps) * (w / w.sum()) @ TRI + eps * out
+
+
+def test_in_sv_polytope_equals_lp_over_its_vertices(monkeypatch):
+    rng = np.random.default_rng(4113)
+    targets = [*(tribox.random_sv_polytope_box(rng).table.reshape(-1) for _ in range(4)),
+               *TRI[::9], _perturbed_noise3(), *_near_sv_polytope_targets()]
+    single = polytope.lp_vertex_weights
+    fallbacks = []
+
+    def counted(target, vertices):
+        fallbacks.append(len(vertices))
+        return single(target, vertices)
+
+    seen = set()
+    for target in targets:
+        want = single(target, TRI) is not None
+        monkeypatch.setattr(polytope, "lp_vertex_weights", counted)
+        got = tribox.in_sv_polytope(tribox.TripartiteBox(target.reshape((2,) * 6)))
+        monkeypatch.setattr(polytope, "lp_vertex_weights", single)
+        assert got == want
+        seen.add(got)
+    assert seen == {True, False}
+    # some targets just outside are left by both certificates to the
+    # zero-cost LP over all 128 vertices
+    assert fallbacks and set(fallbacks) == {len(TRI)}
+
+
+def test_kept_models_tell_apart_matrices_with_the_same_ends():
+    # the key hashes a matrix's first and last kB only; row 40 is an
+    # embedded PR vertex, outside the hull once its row is replaced
+    other = TRI.copy()
+    other[40] = other[41]
+    assert hash(polytope._MatrixKey(other)) == hash(polytope._MatrixKey(TRI))
+    assert polytope._MatrixKey(other) != polytope._MatrixKey(TRI)
+    assert polytope.lp_vertex_weights(TRI[40], TRI) is not None
+    assert polytope.lp_vertex_weights(TRI[40], other) is None
+    assert polytope.lp_vertex_weights(TRI[40], TRI) is not None
 
 
 def test_kept_model_gives_each_thread_its_own_answer():

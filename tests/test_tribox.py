@@ -53,6 +53,10 @@ def test_vertex_counts_and_validity():
     assert len(tribox.all_det3_ids()) == 64
     for vid in ids[::5]:
         tribox.make_box3(tribox.tri_vertex(vid).table)
+    # the kept id tuple looks up the very matrix the id list gives
+    matrix = tribox.tri_vertex_matrix(ids)
+    assert tribox.tri_vertex_matrix(tribox._sv_polytope_key()) is matrix
+    assert list(tribox._sv_polytope_key()) == ids
 
 
 def test_all_polytope_vertices_have_zero_mermin_discord_except_none():
