@@ -80,17 +80,10 @@ def correlators(tables, n: int, parties: int | None = None) -> np.ndarray:
 
 
 def _signed_sums(corr, n: int, mermin: bool) -> np.ndarray:
-    """sum_i s_l(i) E_i for every label l, accumulated in input order.
-
-    The labels come first, shape (2**n, ...), so that every step is one long
-    vector operation over the batch.
-    """
-    signs = _SIGNS[n][mermin]
+    """sum_i s_l(i) E_i for every label l as one matrix product, the labels
+    first, shape (2**n, ...), so that later steps run along the batch."""
     corr = np.asarray(corr)
-    out = np.multiply.outer(signs[:, 0], corr[..., 0])
-    for i in range(1, 2 ** n):
-        out += np.multiply.outer(signs[:, i], corr[..., i])
-    return out
+    return (_SIGNS[n][mermin] @ corr.reshape(-1, 2 ** n).T).reshape((2 ** n,) + corr.shape[:-1])
 
 
 def _moduli(corr, n: int, mermin: bool) -> np.ndarray:
@@ -141,14 +134,15 @@ def _marginal(t: np.ndarray, n: int, parties: int) -> np.ndarray:
     return e.mean(axis=others, keepdims=True)
 
 
-def total_correlation(tables, n: int) -> np.ndarray:
+def total_correlation(tables, n: int, corr=None) -> np.ndarray:
     """min over cuts S|S' of max_l | |V_l(E)| - |V_l(E_S E_S')| |.
 
     V_l is the CHSH/Svetlichny operator and E_S E_S' the correlators of the
-    box factorized across the cut.
+    box factorized across the cut. ``corr`` are the tables' correlators, if
+    already known.
     """
     t = np.asarray(tables)
-    f = _moduli(correlators(t, n), n, False)
+    f = _moduli(correlators(t, n) if corr is None else corr, n, False)
     full = 2 ** n - 1
     best = None
     for cut in (s for s in range(1, full) if s < full ^ s):
@@ -158,7 +152,8 @@ def total_correlation(tables, n: int) -> np.ndarray:
     return best
 
 
-def measures(tables, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(discord, Mermin discord, total correlation) of flat tables (..., 4**n)."""
-    e = correlators(tables, n)
-    return discord(e, n), discord(e, n, mermin=True), total_correlation(tables, n)
+def measures(tables, n: int, corr=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(discord, Mermin discord, total correlation) of flat tables (..., 4**n),
+    from their correlators ``corr`` if already known."""
+    e = correlators(tables, n) if corr is None else corr
+    return discord(e, n), discord(e, n, mermin=True), total_correlation(tables, n, e)

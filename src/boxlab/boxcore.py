@@ -59,6 +59,14 @@ class _Box:
     def __post_init__(self):
         self.table.setflags(write=False)
 
+    @functools.cached_property
+    def correlators(self) -> np.ndarray:
+        """Read-only full-party correlators, shape (2**n,): built on first
+        use, which is sound because every box owns its read-only table."""
+        e = _corr.correlators(self.table.reshape(-1), self.table.ndim // 2)
+        e.setflags(write=False)
+        return e
+
     def prob(self, *cell: int) -> float:
         """P(a|x) at the cell given as the inputs, then the outputs."""
         return float(self.table[cell])
@@ -478,7 +486,7 @@ def mix(boxes: list[BipartiteBox], weights) -> BipartiteBox:
 
 def joint_expectations(box: BipartiteBox) -> np.ndarray:
     """All four <A_x B_y> = sum_ab (-1)^(a^b) P(a,b|x,y), shape (2, 2)."""
-    return _corr.correlators(box.table.reshape(16), 2).reshape(2, 2)
+    return box.correlators.reshape(2, 2)
 
 
 def joint_expectation(box: BipartiteBox, x: int, y: int) -> float:

@@ -223,6 +223,8 @@ def cmd_sweep(args) -> int:
         start, stop, steps = float(start), float(stop), int(steps)
     except ValueError as exc:
         raise InputError(f"--sweep expects name:start:stop:steps, got {args.sweep!r}") from exc
+    if not np.isfinite([start, stop]).all():
+        raise InputError(f"--sweep start and stop must be finite, got {args.sweep!r}")
     if steps < 2:
         raise InputError("sweep needs at least 2 steps")
     measures = [m.strip() for m in (args.measures or "G,Q,T").split(",")]

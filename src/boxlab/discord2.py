@@ -106,7 +106,7 @@ def total_correlation(box: BipartiteBox) -> float:
     max over (alpha, beta) of |B_{ab} - B^prod_{ab}|, where B^prod is the
     Bell function of the product box built from the single-party expectations.
     """
-    return float(_corr.total_correlation(box.table.reshape(16), 2))
+    return float(_corr.total_correlation(box.table.reshape(16), 2, box.correlators))
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ class CorrelationSplit:
 
 
 def correlation_split(box: BipartiteBox) -> CorrelationSplit:
-    g, q, t = map(float, _corr.measures(box.table.reshape(16), 2))
+    g, q, t = map(float, _corr.measures(box.table.reshape(16), 2, box.correlators))
     diff = t - g - q
     return CorrelationSplit(t, g, q, abs(diff), 1 if diff >= 0 else -1)
 

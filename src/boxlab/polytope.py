@@ -433,8 +433,7 @@ def canonical_2decomposition(box: BipartiteBox,
     box, which must still have zero Bell discord.
     """
     mu = discord2.bell_discord(box) / 4.0
-    corr = _corr.correlators(box.table.reshape(-1), 2)
-    pid = _bipartite_pairs().top_ids[_tops_by_value(corr, 2)[0]]
+    pid = _bipartite_pairs().top_ids[_tops_by_value(box.correlators, 2)[0]]
     pr = boxcore.vertex(pid)
     if mu >= 1.0 - EPS_VALID:
         return DecompositionResult(mu=1.0, nu=0.0, pr_id=pid, mermin_id=None,
@@ -542,7 +541,7 @@ def _canonical_split(box, pairs: _CanonicalPairs, mu: float, nu: float,
     frame of the box would split over is here.
     """
     n, table = pairs.n, box.table.reshape(-1)
-    corr = _corr.correlators(table, n)
+    corr = box.correlators
     tops = _tops_by_value(corr, n)
     score = _corr.moduli(corr, n, mermin=True)[pairs.labels[tops]]
     top = np.repeat(tops, 2)
@@ -557,7 +556,7 @@ def _canonical_split(box, pairs: _CanonicalPairs, mu: float, nu: float,
                 residual = type(box)(boxcore._validate(num[i] / rest, n, EPS_VALID))
             except boxcore.BoxError:
                 continue
-            e = _corr.correlators(residual.table.reshape(-1), n)
+            e = residual.correlators
             if _corr.discord(e, n) > tol or _corr.discord(e, n, mermin=True) > tol:
                 continue
         t = top[i]

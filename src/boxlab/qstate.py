@@ -108,15 +108,36 @@ def _unit(v) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class MeasurementSettings:
-    """Two unit Bloch vectors per party; ``c`` is None for bipartite settings."""
+    """Two unit Bloch vectors per party; ``c`` is None for bipartite settings.
+    Construction makes the directions read-only, as the Born operator is kept."""
 
     a: np.ndarray                 # (2, 3)
     b: np.ndarray                 # (2, 3)
     c: np.ndarray | None = None   # (2, 3)
 
+    def __post_init__(self):
+        for d in self.dirs:
+            d.setflags(write=False)
+
     @property
     def parties(self) -> int:
         return 2 if self.c is None else 3
+
+    @property
+    def dirs(self) -> tuple[np.ndarray, ...]:
+        return (self.a, self.b) if self.c is None else (self.a, self.b, self.c)
+
+    @functools.cached_property
+    def born_operator(self) -> np.ndarray:
+        """Read-only B, Born table (rho.mat.reshape(-1) @ B).real in [x.., a..]
+        order: B[(i, j), (x, a)] = prod_k P_k[x_k, a_k][j_k, i_k], as outer
+        products of the parties' entries [i_k, j_k, x_k, a_k], then one gather."""
+        q = _projector_stack(np.stack(self.dirs)).transpose(0, 4, 3, 1, 2)
+        flat = functools.reduce(lambda u, v: np.multiply.outer(u, v).ravel(),
+                                q.reshape(len(q), 16))
+        b = flat[_BORN_ORDER[len(q)]]
+        b.setflags(write=False)
+        return b
 
 
 def settings(a0, a1, b0, b1, c0=None, c1=None) -> MeasurementSettings:
@@ -138,11 +159,15 @@ _OUTCOME_SIGN = np.array([1.0, -1.0])
 
 
 def _projector_stack(dirs: np.ndarray) -> np.ndarray:
-    """P[x, a] = (1 +/- n_x.sigma)/2 for one party's (2, 3) directions,
-    flattened to a (4, 2, 2) stack indexed 2x + a."""
-    ops = np.einsum("xk,kij->xij", dirs, _PAULI_STACK)
-    p = 0.5 * (ID2 + _OUTCOME_SIGN[:, None, None] * ops[:, None])
-    return p.reshape(4, 2, 2)
+    """P[.., x, a] = (1 +/- n_x.sigma)/2 of (.., 2, 3) directions, shape (.., 2, 2, 2, 2)."""
+    ops = (dirs @ _PAULI_STACK.reshape(3, 4)).reshape(dirs.shape[:-1] + (2, 2))
+    return 0.5 * (ID2 + _OUTCOME_SIGN[:, None, None] * ops[..., None, :, :])
+
+
+# entry [r, c] of an n-party Born operator is entry _BORN_ORDER[n][r, c] of the
+# party-grouped products [i_1, j_1, x_1, a_1, i_2, ..]
+_BORN_ORDER = {n: np.arange(16 ** n).reshape((2,) * (4 * n)).transpose(
+    [4 * k + r for r in range(4) for k in range(n)]).reshape(4 ** n, -1) for n in (2, 3)}
 
 
 def _contract(mat: np.ndarray, stacks) -> np.ndarray:
@@ -163,22 +188,13 @@ def _contract(mat: np.ndarray, stacks) -> np.ndarray:
     return t.real
 
 
-def _born_table(rho: DensityMatrix, parties) -> np.ndarray:
-    """t[x.., a..] = Tr(rho Pi_a^x (x) ..) for one (2, 3) direction pair per party."""
-    n = len(parties)
-    t = _contract(rho.mat, [_projector_stack(d) for d in parties])
-    # axes come out as x, a, y, b, ..; reorder to inputs then outputs
-    return t.reshape((2,) * (2 * n)).transpose(
-        [2 * k for k in range(n)] + [2 * k + 1 for k in range(n)])
-
-
 def born_box2(rho: DensityMatrix, s: MeasurementSettings) -> BipartiteBox:
     """P(a,b|x,y) = Tr(rho Pi_a^x (x) Pi_b^y); output passes all box invariants."""
     if rho.dim != 4:
         raise InvalidStateError("born_box2 needs a 4x4 density matrix")
     if s.parties != 2:
         raise InvalidStateError("born_box2 needs two-party settings")
-    return boxcore.make_box(_born_table(rho, (s.a, s.b)))
+    return boxcore.make_box((rho.mat.reshape(-1) @ s.born_operator).real)
 
 
 def born_box3(rho: DensityMatrix, s: MeasurementSettings) -> TripartiteBox:
@@ -187,7 +203,7 @@ def born_box3(rho: DensityMatrix, s: MeasurementSettings) -> TripartiteBox:
         raise InvalidStateError("born_box3 needs an 8x8 density matrix")
     if s.parties != 3:
         raise InvalidStateError("born_box3 needs three-party settings")
-    return tribox.make_box3(_born_table(rho, (s.a, s.b, s.c)))
+    return tribox.make_box3((rho.mat.reshape(-1) @ s.born_operator).real)
 
 
 def correlation_data(rho: DensityMatrix):
@@ -341,15 +357,12 @@ def schmidt_state(theta: float) -> DensityMatrix:
 
 
 def werner2_state(p: float) -> DensityMatrix:
-    m = p * bell_psi_plus().mat + (1 - p) * np.eye(4) / 4.0
-    return density_matrix(m)
+    return density_matrix(p * _PSI_PLUS + (1 - p) * _NOISE2)
 
 
 def bell_cc_state(p: float) -> DensityMatrix:
     """Bell state mixed with the classically correlated diag(|00>,|11>) noise."""
-    cc = np.zeros((4, 4), dtype=complex)
-    cc[0, 0] = cc[3, 3] = 0.5
-    return density_matrix(p * bell_psi_plus().mat + (1 - p) * cc)
+    return density_matrix(p * _PSI_PLUS + (1 - p) * _CC)
 
 
 def bell_diagonal_state(weights) -> DensityMatrix:
@@ -426,12 +439,19 @@ def w_state() -> DensityMatrix:
     return w_class_state(1.0, 1.0, 1.0)
 
 
+# the read-only matrices that the one-parameter mixtures combine
+_PSI_PLUS, _GHZ, _W = bell_psi_plus().mat, ghz_state().mat, w_state().mat
+_NOISE2, _NOISE3, _CC = (np.diag(d) for d in ([0.25] * 4, [0.125] * 8, [0.5, 0, 0, 0.5]))
+for _m in (_NOISE2, _NOISE3, _CC):
+    _m.setflags(write=False)
+
+
 def werner3_state(p: float) -> DensityMatrix:
-    return density_matrix(p * ghz_state().mat + (1 - p) * np.eye(8) / 8.0)
+    return density_matrix(p * _GHZ + (1 - p) * _NOISE3)
 
 
 def ghz_w_mix_state(p: float) -> DensityMatrix:
-    return density_matrix(p * ghz_state().mat + (1 - p) * w_state().mat)
+    return density_matrix(p * _GHZ + (1 - p) * _W)
 
 
 def bisep_w_state() -> DensityMatrix:

@@ -65,7 +65,7 @@ def expectations3(box: TripartiteBox) -> TriExpectations:
         ab=np.einsum("xyzabc,ab->xy", t, _S2) / 2.0,
         ac=np.einsum("xyzabc,ac->xz", t, _S2) / 2.0,
         bc=np.einsum("xyzabc,bc->yz", t, _S2) / 2.0,
-        abc=_corr.correlators(t.reshape(64), 3).reshape(2, 2, 2),
+        abc=box.correlators.reshape(2, 2, 2),
     )
 
 
@@ -206,10 +206,6 @@ def parse_tri_vertex_label(label: str) -> TriVertexId:
 # ---------------------------------------------------------------------------
 # Svetlichny / tripartite-Mermin functions and discords
 
-def _correlators3(box: TripartiteBox) -> np.ndarray:
-    return _corr.correlators(box.table.reshape(64), 3)
-
-
 def sv_value(box: TripartiteBox, al: int, be: int, ga: int, ep: int) -> float:
     """Signed Svetlichny operator value; hybrid-local bound 4, maximum 8."""
     return float(sv_values(box)[al, be, ga, ep])
@@ -217,12 +213,12 @@ def sv_value(box: TripartiteBox, al: int, be: int, ga: int, ep: int) -> float:
 
 def sv_values(box: TripartiteBox) -> np.ndarray:
     """All 16 signed values, shape (2,2,2,2) indexed [al,be,ga,ep]."""
-    return _corr.operator_values(_correlators3(box), 3).reshape((2,) * 4)
+    return _corr.operator_values(box.correlators, 3).reshape((2,) * 4)
 
 
 def sv_functions(box: TripartiteBox) -> np.ndarray:
     """The 8 Svetlichny moduli S[al,be,ga] in [0, 8]."""
-    return _corr.moduli(_correlators3(box), 3).reshape(2, 2, 2)
+    return _corr.moduli(box.correlators, 3).reshape(2, 2, 2)
 
 
 def mermin3_value(box: TripartiteBox, al: int, be: int, ga: int, ep: int) -> float:
@@ -232,12 +228,12 @@ def mermin3_value(box: TripartiteBox, al: int, be: int, ga: int, ep: int) -> flo
 
 def mermin3_values(box: TripartiteBox) -> np.ndarray:
     """All 16 signed Mermin values, shape (2,2,2,2) indexed [al,be,ga,ep]."""
-    return _corr.operator_values(_correlators3(box), 3, mermin=True).reshape((2,) * 4)
+    return _corr.operator_values(box.correlators, 3, mermin=True).reshape((2,) * 4)
 
 
 def mermin3_functions(box: TripartiteBox) -> np.ndarray:
     """The 8 Mermin moduli M[al,be,ga] in [0, 4]."""
-    return _corr.moduli(_correlators3(box), 3, mermin=True).reshape(2, 2, 2)
+    return _corr.moduli(box.correlators, 3, mermin=True).reshape(2, 2, 2)
 
 
 def discord_groupings() -> list[tuple]:
@@ -255,12 +251,12 @@ def discord_groupings() -> list[tuple]:
 
 def svetlichny_discord(box: TripartiteBox) -> float:
     """Irreducible Svetlichny-box content times 8, in [0, 8]."""
-    return float(_corr.discord(_correlators3(box), 3))
+    return float(_corr.discord(box.correlators, 3))
 
 
 def mermin3_discord(box: TripartiteBox) -> float:
     """Irreducible tripartite-Mermin-box content times 4, in [0, 4]."""
-    return float(_corr.discord(_correlators3(box), 3, mermin=True))
+    return float(_corr.discord(box.correlators, 3, mermin=True))
 
 
 def class99_value(box: TripartiteBox) -> float:
@@ -291,7 +287,7 @@ def marginal2(box: TripartiteBox, pair: str) -> BipartiteBox:
 def total_correlation3(box: TripartiteBox) -> float:
     """min over the three bipartitions of the maximal Svetlichny-function gap
     between the box and the cut-factorized surrogate."""
-    return float(_corr.total_correlation(box.table.reshape(64), 3))
+    return float(_corr.total_correlation(box.table.reshape(64), 3, box.correlators))
 
 
 @dataclass(frozen=True)
@@ -304,7 +300,7 @@ class CorrelationSplit3:
 
 
 def correlation_split3(box: TripartiteBox) -> CorrelationSplit3:
-    g, q, t = map(float, _corr.measures(box.table.reshape(64), 3))
+    g, q, t = map(float, _corr.measures(box.table.reshape(64), 3, box.correlators))
     diff = t - g - q
     return CorrelationSplit3(t, g, q, abs(diff), 1 if diff >= 0 else -1)
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from boxlab import boxcore, cli, discord2, polytope, qstate, tribox
+from boxlab import _corr, boxcore, cli, discord2, polytope, qstate, tribox
 
 
 def run_cli(args):
@@ -328,3 +328,41 @@ def test_tripartite_membership_flags_match_separate_lps():
             flags.append(inside)
         seen.add(tuple(flags))
     assert len(seen) >= 3
+
+
+@pytest.mark.parametrize("spec", ["theta:inf:1:3", "theta:0:nan:3", "theta:-inf:inf:3",
+                                  "theta:nan:1:3"])
+def test_sweep_rejects_non_finite_bounds_with_one_line(spec, capsys, recwarn):
+    assert run_cli(["sweep", "--family", "Schmidt", "--sweep", spec,
+                    "--settings", "BSb"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: --sweep start and stop must be finite, "
+                                         f"got {spec!r}"]
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_sweep_reaching_an_invalid_state_exits_2(capsys):
+    assert run_cli(["sweep", "--family", "Werner2", "--settings", "BSb",
+                    "--sweep", "p:0:2:5"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: negative eigenvalue -1.250e-01"]
+
+
+@pytest.mark.parametrize("parties", [2, 3])
+def test_measure_report_computes_the_full_correlators_once(parties, monkeypatch):
+    full = []
+    original = _corr.correlators
+
+    def counted(tables, n, mask=None):
+        if mask is None or mask == 2 ** n - 1:
+            full.append(n)
+        return original(tables, n, mask)
+
+    monkeypatch.setattr(_corr, "correlators", counted)
+    report = cli._measure_report2 if parties == 2 else cli._measure_report3
+    make = boxcore.make_box if parties == 2 else tribox.make_box3
+    for box in _report_boxes(parties):
+        full.clear()
+        fresh = make(box.table)  # no correlators kept yet
+        report(fresh)
+        assert full == [parties]

@@ -357,3 +357,24 @@ def test_every_mermin_box_scores_plus_two_on_its_own_operator():
         assert discord2.mermin_value(box, al, be, ga ^ 1) == -2.0
         values = [discord2.mermin_value(box, *p) for p in BITS3]
         assert sum(v == 2.0 for v in values) == 1
+
+
+def signed_sums_by_accumulation(corr, n, mermin):
+    """The operator sums one input at a time, in input order, labels first."""
+    signs = _corr._SIGNS[n][mermin]
+    out = np.multiply.outer(signs[:, 0], corr[..., 0])
+    for i in range(1, 2 ** n):
+        out += np.multiply.outer(signs[:, i], corr[..., i])
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("batch", [(), (7,), (3, 5)])
+@pytest.mark.parametrize("mermin", [False, True])
+def test_signed_sums_matrix_product_matches_accumulation(n, batch, mermin):
+    rng = np.random.default_rng(2 ** n + len(batch))
+    corr = rng.uniform(-1.0, 1.0, size=batch + (2 ** n,))
+    got = _corr._signed_sums(corr, n, mermin)
+    want = signed_sums_by_accumulation(corr, n, mermin)
+    assert got.shape == want.shape == (2 ** n,) + batch
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from boxlab import boxcore, discord2, qstate, tribox
+from boxlab import boxcore, cli, discord2, qstate, tribox
 
 RNG = np.random.default_rng(31)
 SQRT2 = np.sqrt(2.0)
@@ -417,3 +417,102 @@ def test_constant_catalog_states_are_shared_and_read_only(builder):
     assert builder() is rho
     with pytest.raises(ValueError):
         rho.mat[0, 0] = 0.0
+
+
+def born_operator_by_kron(frame):
+    """Oracle: column (x, a) of B is (P_a1^x1 (x) .. (x) P_an^xn)^T, flattened,
+    so that Tr(rho P) = rho.reshape(-1) @ column."""
+    parties = party_dirs(frame)
+    n = len(parties)
+    b = np.empty((4 ** n, 4 ** n), dtype=complex)
+    for col, idx in enumerate(itertools.product(range(2), repeat=2 * n)):
+        op = np.ones((1, 1))
+        for k, dirs in enumerate(parties):
+            op = np.kron(op, projector(dirs[idx[k]], idx[n + k]))
+        b[:, col] = op.T.reshape(-1)
+    return b
+
+
+@pytest.mark.parametrize("parties", [2, 3])
+def test_born_operator_matches_the_kron_born_rule(parties):
+    rng = np.random.default_rng(1400 + parties)
+    dim = 2 ** parties
+    for k in range(200):
+        rho = random_mixed_state(rng, dim) if k % 2 else qstate.random_pure_state(rng, dim)
+        frame = qstate.random_settings2(rng) if parties == 2 else qstate.random_settings3(rng)
+        want = born_operator_by_kron(frame)
+        assert np.max(np.abs(frame.born_operator - want)) <= 1e-15
+        table = (rho.mat.reshape(-1) @ want).real
+        assert np.max(np.abs(born_box(rho, frame).table.reshape(-1) - table)) <= 1e-15
+
+
+def test_born_operator_directions_and_box_correlators_are_read_only():
+    frame = qstate.settings_catalog("SDxy")
+    b = frame.born_operator
+    assert frame.born_operator is b
+    box = qstate.born_box3(qstate.ghz_state(), frame)
+    assert box.correlators is box.correlators
+    for array in (b, frame.a, frame.b, frame.c, box.correlators,
+                  boxcore.joint_expectations(qstate.born_box2(qstate.singlet(),
+                                                              qstate.settings_catalog("BSb")))):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array.reshape(-1)[0] = 0.0
+
+
+@pytest.mark.parametrize("family, formula", [
+    (qstate.werner2_state, lambda p: p * qstate.bell_psi_plus().mat + (1 - p) * np.eye(4) / 4.0),
+    (qstate.bell_cc_state, lambda p: p * qstate.bell_psi_plus().mat
+     + (1 - p) * np.diag([0.5, 0, 0, 0.5]).astype(complex)),
+    (qstate.werner3_state, lambda p: p * qstate.ghz_state().mat + (1 - p) * np.eye(8) / 8.0),
+    (qstate.ghz_w_mix_state, lambda p: p * qstate.ghz_state().mat
+     + (1 - p) * qstate.w_state().mat),
+])
+def test_one_parameter_mixtures_equal_their_formulas(family, formula):
+    grid = np.concatenate([np.linspace(0.0, 1.0, 101), [1e-17, 1 / 3, 1 - 1e-16]])
+    for p in grid:
+        assert np.array_equal(family(float(p)).mat, formula(float(p)))
+    with pytest.raises(ValueError):
+        qstate._NOISE2[0, 0] = 0.0
+
+
+# The benchmark's four sweep families, with their CLI arguments, swept
+# parameter, measures and a state and frame for each value
+_SWEEP_FAMILIES = {
+    "schmidt_bsb": (["--family", "Schmidt", "--settings", "BSb"], "theta:0.1:0.7:9",
+                    ["CHSH000", "G"],
+                    lambda v: (qstate.schmidt_state(v), qstate.settings_catalog("BSb"))),
+    "werner_msb": (["--family", "Werner2", "--settings", "MSb"], "p:0:1:11", ["Q"],
+                   lambda v: (qstate.werner2_state(v), qstate.settings_catalog("MSb"))),
+    "ghz_smdghz": (["--family", "GHZ", "--settings", "SMDghz", "--settings-param", "sweep"],
+                   "p:0.5:1:6", ["G", "Q", "T"],
+                   lambda v: (qstate.ghz_state(), qstate.settings_catalog("SMDghz", v))),
+    "gghz_sdxy": (["--family", "GGHZ", "--settings", "SDxy"], "theta:0:0.785:7", ["G"],
+                  lambda v: (qstate.gghz_state(v), qstate.settings_catalog("SDxy"))),
+    "prq_settings": (["--family", "Schmidt", "--param", "theta=0.4", "--settings", "PRQ"],
+                     "settings:0.2:1.8:5", ["G", "Q", "CHSH"],
+                     lambda v: (qstate.schmidt_state(0.4), qstate.settings_catalog("PRQ", v))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SWEEP_FAMILIES))
+def test_sweep_csv_matches_a_per_point_reference_loop(name, tmp_path):
+    args, spec, measures, point = _SWEEP_FAMILIES[name]
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", *args, "--sweep", spec, "--measures", ",".join(measures),
+                     "--out", str(out)]) == 0
+    lines = out.read_text().strip().splitlines()
+    _, start, stop, steps = spec.split(":")
+    values = np.linspace(float(start), float(stop), int(steps))
+    assert lines[0] == ",".join([spec.split(":")[0], *measures])
+    assert len(lines) == len(values) + 1
+    for line, value in zip(lines[1:], values):
+        row = list(map(float, line.split(",")))
+        rho, frame = point(float(value))
+        ref = born_table_by_definition(rho, frame)
+        box = boxcore.make_box(ref) if frame.parties == 2 else tribox.make_box3(ref)
+        table = cli._MEASURES2 if frame.parties == 2 else cli._MEASURES3
+        want = [float(value)] + [table[m](box) for m in measures]
+        # rtol is the CSV's rounding to 12 significant digits, atol the
+        # difference allowed between the two computations
+        np.testing.assert_allclose(row, want, rtol=5e-12, atol=1e-12)
