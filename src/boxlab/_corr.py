@@ -23,6 +23,8 @@ from itertools import combinations
 
 import numpy as np
 
+from ._tol import EPS_VALID
+
 
 def _popcount(v, n):
     return sum((v >> p) & 1 for p in range(n))
@@ -59,12 +61,27 @@ def _leaf_orders(n: int) -> np.ndarray:
     return np.array(orders)
 
 
+def _cut_map(n: int) -> np.ndarray:
+    """L, (4**n, cuts * 2 * 2**n): block [cut, side] of t @ L holds one side's
+    correlators, averaged over the other side's inputs, at every input string.
+    A cut S|S' has S among the party masks below 2**(n-1)."""
+    cells = np.eye(4 ** n).reshape((4 ** n,) + (2,) * n + (2 ** n,))  # [cell, inputs, outputs]
+    blocks = []
+    for side in (s for cut in range(1, 2 ** (n - 1)) for s in (cut, 2 ** n - 1 - cut)):
+        e = cells @ _OUTPUT_PARITY[n][side]
+        others = tuple(1 + p for p in range(n) if not side >> (n - 1 - p) & 1)
+        blocks.append(np.broadcast_to(e.mean(axis=others, keepdims=True), e.shape))
+    return np.stack(blocks, axis=1).reshape(4 ** n, -1)
+
+
 _SIGNS = {n: _sign_rules(n) for n in (2, 3)}
 _OUTPUT_PARITY = {n: (-1.0) ** _popcount(np.arange(2 ** n)[:, None] & np.arange(2 ** n), n)
                   for n in (2, 3)}  # [party mask, outputs]
+_CUT_MAPS = {n: _cut_map(n) for n in (2, 3)}
 GROUPINGS = {n: _leaf_orders(n) for n in (2, 3)}
 _NEGATE = np.array([1.0, -1.0])  # output bit 1 negates an operator value
 _BLOCK = 1 << 15  # rows per gather in nested_min, which bounds its scratch memory
+_FEW = 64  # nested_min takes stacks up to this many rows in one pass
 
 
 def correlators(tables, n: int, parties: int | None = None) -> np.ndarray:
@@ -75,8 +92,7 @@ def correlators(tables, n: int, parties: int | None = None) -> np.ndarray:
     """
     t = np.asarray(tables)
     mask = 2 ** n - 1 if parties is None else parties
-    return np.einsum("...ia,a->...i", t.reshape(t.shape[:-1] + (2 ** n, 2 ** n)),
-                     _OUTPUT_PARITY[n][mask])
+    return t.reshape(t.shape[:-1] + (2 ** n, 2 ** n)) @ _OUTPUT_PARITY[n][mask]
 
 
 def _signed_sums(corr, n: int, mermin: bool) -> np.ndarray:
@@ -93,12 +109,12 @@ def _moduli(corr, n: int, mermin: bool) -> np.ndarray:
 
 def operator_values(corr, n: int, mermin: bool = False) -> np.ndarray:
     """Signed operator values (..., 2**n, 2), indexed [label, output bit]."""
-    return np.moveaxis(_signed_sums(corr, n, mermin), 0, -1)[..., None] * _NEGATE
+    return np.matmul(corr, _SIGNS[n][mermin].T)[..., None] * _NEGATE
 
 
 def moduli(corr, n: int, mermin: bool = False) -> np.ndarray:
     """Operator moduli (..., 2**n), one per label."""
-    return np.moveaxis(_moduli(corr, n, mermin), 0, -1)
+    return np.abs(np.matmul(corr, _SIGNS[n][mermin].T))
 
 
 def nested_min(funcs, n: int) -> np.ndarray:
@@ -106,6 +122,11 @@ def nested_min(funcs, n: int) -> np.ndarray:
     (2**n, ...) with the labels first."""
     f = np.asarray(funcs)
     rows = f.reshape(2 ** n, -1)
+    if rows.shape[1] <= _FEW:  # fresh halves cost less than in-place views here
+        x = rows[GROUPINGS[n]]
+        while x.shape[1] > 1:
+            x = np.abs(x[:, ::2] - x[:, 1::2])
+        return x[:, 0].min(axis=0).reshape(f.shape[1:])
     out = np.empty(rows.shape[1])
     for start in range(0, rows.shape[1], _BLOCK):
         x = rows[:, start:start + _BLOCK][GROUPINGS[n]]
@@ -125,31 +146,18 @@ def discord(corr, n: int, mermin: bool = False) -> np.ndarray:
     return nested_min(_moduli(corr, n, mermin), n)
 
 
-def _marginal(t: np.ndarray, n: int, parties: int) -> np.ndarray:
-    """Correlators of a party subset, averaged over the other parties' inputs;
-    shape (..., 2, .., 2) with size-1 axes for the other parties."""
-    e = correlators(t, n, parties)
-    e = e.reshape(e.shape[:-1] + (2,) * n)
-    others = tuple(p - n for p in range(n) if not parties >> (n - 1 - p) & 1)
-    return e.mean(axis=others, keepdims=True)
-
-
 def total_correlation(tables, n: int, corr=None) -> np.ndarray:
     """min over cuts S|S' of max_l | |V_l(E)| - |V_l(E_S E_S')| |.
 
     V_l is the CHSH/Svetlichny operator and E_S E_S' the correlators of the
-    box factorized across the cut. ``corr`` are the tables' correlators, if
-    already known.
+    box factorized across the cut: one product with _CUT_MAPS[n] gives both
+    sides of every cut. ``corr`` are the tables' correlators, if already known.
     """
     t = np.asarray(tables)
     f = _moduli(correlators(t, n) if corr is None else corr, n, False)
-    full = 2 ** n - 1
-    best = None
-    for cut in (s for s in range(1, full) if s < full ^ s):
-        e_cut = _marginal(t, n, cut) * _marginal(t, n, full ^ cut)
-        gap = np.abs(f - _moduli(e_cut.reshape(t.shape[:-1] + (2 ** n,)), n, False)).max(axis=0)
-        best = gap if best is None else np.minimum(best, gap)
-    return best
+    sides = (t @ _CUT_MAPS[n]).reshape(t.shape[:-1] + (2 ** (n - 1) - 1, 2, 2 ** n))
+    cut = _moduli(sides[..., 0, :] * sides[..., 1, :], n, False)  # (2**n, ..., cuts)
+    return np.abs(f[..., None] - cut).max(axis=0).min(axis=-1)
 
 
 def measures(tables, n: int, corr=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -157,3 +165,10 @@ def measures(tables, n: int, corr=None) -> tuple[np.ndarray, np.ndarray, np.ndar
     from their correlators ``corr`` if already known."""
     e = correlators(tables, n) if corr is None else corr
     return discord(e, n), discord(e, n, mermin=True), total_correlation(tables, n, e)
+
+
+def split(table, n: int, corr=None) -> tuple[float, float, float, float, int]:
+    """(T, G, Q, |T - G - Q|, sign) of one flat table, the sign +1 where T - G - Q
+    >= -EPS_VALID: where T = G + Q up to rounding, it reads +1 in any summation order."""
+    g, q, t = map(float, measures(table, n, corr))
+    return t, g, q, abs(t - g - q), 1 if t - g - q >= -EPS_VALID else -1

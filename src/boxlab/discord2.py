@@ -117,7 +117,7 @@ class CorrelationSplit:
     bell: float
     mermin: float
     classical: float
-    sign: int  # +1 if T >= G + Q, else -1
+    sign: int  # +1 if T >= G + Q up to EPS_VALID, else -1
 
     @property
     def residual(self) -> float:
@@ -125,9 +125,7 @@ class CorrelationSplit:
 
 
 def correlation_split(box: BipartiteBox) -> CorrelationSplit:
-    g, q, t = map(float, _corr.measures(box.table.reshape(16), 2, box.correlators))
-    diff = t - g - q
-    return CorrelationSplit(t, g, q, abs(diff), 1 if diff >= 0 else -1)
+    return CorrelationSplit(*_corr.split(box.table.reshape(16), 2, box.correlators))
 
 
 def classical_correlation(box: BipartiteBox) -> float:

@@ -58,13 +58,14 @@ def density_matrix(mat) -> DensityMatrix:
         raise InvalidStateError(f"expected a 4x4 or 8x8 matrix, got {m.shape}")
     if not np.isfinite(m).all():
         raise InvalidStateError("matrix has non-finite entries")
-    if np.max(np.abs(m - m.conj().T)) > EPS_VALID:
+    if np.abs(m - m.conj().T).max() > EPS_VALID:
         raise InvalidStateError("matrix is not Hermitian")
-    if abs(np.trace(m).real - 1.0) > EPS_VALID or abs(np.trace(m).imag) > EPS_VALID:
-        raise InvalidStateError(f"trace is {np.trace(m):.12f}, expected 1")
-    evals = np.linalg.eigvalsh(m)
-    if evals.min() < -EIG_TOL:
-        raise InvalidStateError(f"negative eigenvalue {evals.min():.3e}")
+    tr = m.trace()
+    if abs(tr.real - 1.0) > EPS_VALID or abs(tr.imag) > EPS_VALID:
+        raise InvalidStateError(f"trace is {tr:.12f}, expected 1")
+    low = np.linalg.eigvalsh(m)[0]  # ascending
+    if low < -EIG_TOL:
+        raise InvalidStateError(f"negative eigenvalue {low:.3e}")
     m = m.copy()
     m.setflags(write=False)
     return DensityMatrix(m)
@@ -81,7 +82,7 @@ def pure_dm(vec) -> DensityMatrix:
         raise InvalidStateError(f"expected a 4- or 8-entry state vector, got {v.size}")
     if not np.isfinite(v).all():
         raise InvalidStateError("state vector has non-finite entries")
-    n = np.linalg.norm(v)
+    n = np.sqrt(np.vdot(v, v).real)
     if n == 0 or not np.isfinite(n):
         raise InvalidStateError(f"state vector has norm {n}")
     v = v / n
@@ -141,12 +142,15 @@ class MeasurementSettings:
 
 
 def settings(a0, a1, b0, b1, c0=None, c1=None) -> MeasurementSettings:
-    a = np.stack([_unit(a0), _unit(a1)])
-    b = np.stack([_unit(b0), _unit(b1)])
-    c = None
-    if c0 is not None or c1 is not None:
-        c = np.stack([_unit(c0), _unit(c1)])
-    return MeasurementSettings(a=a, b=b, c=c)
+    vecs = (a0, a1, b0, b1) if c0 is None and c1 is None else (a0, a1, b0, b1, c0, c1)
+    try:
+        d = np.array(vecs, dtype=float).reshape(len(vecs) // 2, 2, 3)
+    except (TypeError, ValueError):
+        d = None
+    # every norm at once; where one is off, _unit names the first bad direction
+    if d is None or not (np.abs(np.sqrt(np.einsum("pxi,pxi->px", d, d)) - 1.0) <= EPS_VALID).all():
+        d = np.reshape([_unit(v) for v in vecs], (-1, 2, 3))
+    return MeasurementSettings(*d)
 
 
 def bloch_operator(n: np.ndarray) -> np.ndarray:

@@ -300,9 +300,7 @@ class CorrelationSplit3:
 
 
 def correlation_split3(box: TripartiteBox) -> CorrelationSplit3:
-    g, q, t = map(float, _corr.measures(box.table.reshape(64), 3, box.correlators))
-    diff = t - g - q
-    return CorrelationSplit3(t, g, q, abs(diff), 1 if diff >= 0 else -1)
+    return CorrelationSplit3(*_corr.split(box.table.reshape(64), 3, box.correlators))
 
 
 def classical_correlation3(box: TripartiteBox) -> float:

@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 import pytest
 
-from boxlab import _corr, boxcore, discord2, polytope, tribox
+from boxlab import _corr, boxcore, discord2, polytope, qstate, tribox
 
 BITS2 = list(itertools.product(range(2), repeat=2))
 BITS3 = list(itertools.product(range(2), repeat=3))
@@ -378,3 +378,151 @@ def test_signed_sums_matrix_product_matches_accumulation(n, batch, mermin):
     want = signed_sums_by_accumulation(corr, n, mermin)
     assert got.shape == want.shape == (2 ** n,) + batch
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+
+# -- the lean kernels against explicit loops, on stratified stacks ------------
+
+BATCHES = [(), (7,), (3, 5), (0,)]
+
+
+def stratified_tables(n):
+    """15 tables of each stratum: flat NS, PR-heavy nonlocal and near-facet
+    bipartite; flat, Svetlichny-heavy and embedded-PR-heavy tripartite."""
+    rng = np.random.default_rng(4410 + n)
+    if n == 2:
+        return {"flat_ns": polytope.random_ns_tables(rng, 15).reshape(15, 16),
+                "pr_heavy": pr_weighted_tables(rng, 15),
+                "near_facet": near_facet_tables(rng, 15)}
+    flat = np.stack([tribox.random_sv_polytope_box(rng).table.reshape(64) for _ in range(45)])
+    out = {"flat": flat[:15]}
+    for k, (name, ids) in enumerate((("sv_heavy", tribox.all_sv_ids()),
+                                     ("pr2_heavy", tribox.all_pr2_ids()))):
+        heavy = tribox.tri_vertex_matrix(ids)[rng.integers(len(ids), size=15)]
+        w = rng.uniform(0.6, 1.0, size=(15, 1))
+        out[name] = w * heavy + (1 - w) * flat[15 * (k + 1):15 * (k + 2)]
+    return out
+
+
+def batched(tables, batch):
+    size = int(np.prod(batch))
+    return tables[:size].reshape(batch + tables.shape[-1:])
+
+
+def signs_by_formula(n, mermin):
+    """s[l, i]: (-1)^(e2(i) ^ l.i) from the input and label bits, zero off
+    the Mermin operators' inputs when `mermin`."""
+    bits = list(itertools.product(range(2), repeat=n))
+    s = np.zeros((2 ** n, 2 ** n))
+    for l, lb in enumerate(bits):
+        for i, ib in enumerate(bits):
+            e2 = sum(ib[p] & ib[q] for p, q in itertools.combinations(range(n), 2))
+            if mermin and (ib[0] ^ ib[1] != lb[1] if n == 2 else sum(ib) % 2 == sum(lb) % 2):
+                continue
+            s[l, i] = (-1.0) ** (e2 + sum(a & b for a, b in zip(lb, ib)))
+    return s
+
+
+def correlators_by_cells(table, n, parties):
+    """sum_a (-1)^(XOR of the outputs in `parties`) P(a|i), one cell at a time."""
+    t = table.reshape(2 ** n, 2 ** n)
+    return np.array([sum((-1.0) ** (bin(a & parties).count("1") % 2) * t[i, a]
+                         for a in range(2 ** n)) for i in range(2 ** n)])
+
+
+def total_correlation_by_cuts(table, n):
+    """min over cuts of max_l | |V_l(E)| - |V_l(E_S E_S')| |, each side's
+    marginal averaged over the other side's inputs, one cut at a time."""
+    signs = signs_by_formula(n, False)
+    full = 2 ** n - 1
+    e = correlators_by_cells(table, n, full)
+    best = np.inf
+    for cut in range(1, full):
+        e_cut = np.ones(2 ** n)
+        for side in (cut, full ^ cut):
+            e_side = correlators_by_cells(table, n, side).reshape((2,) * n)
+            others = tuple(p for p in range(n) if not side >> (n - 1 - p) & 1)
+            e_cut *= np.broadcast_to(e_side.mean(axis=others, keepdims=True), (2,) * n).ravel()
+        best = min(best, max(abs(abs(s @ e) - abs(s @ e_cut)) for s in signs))
+    return best
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+@pytest.mark.parametrize("n", [2, 3])
+def test_cut_map_total_correlation_matches_per_cut_marginal_products(n, batch):
+    for name, tables in stratified_tables(n).items():
+        stack = batched(tables, batch)
+        got = _corr.total_correlation(stack, n)
+        assert np.shape(got) == batch, name
+        want = [total_correlation_by_cuts(t, n) for t in stack.reshape(-1, 4 ** n)]
+        np.testing.assert_allclose(np.reshape(got, -1), want, rtol=0, atol=1e-12, err_msg=name)
+        # the correlators passed in give the same answer
+        given = _corr.total_correlation(stack, n, _corr.correlators(stack, n))
+        np.testing.assert_array_equal(given, got)
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+@pytest.mark.parametrize("n", [2, 3])
+def test_operator_kernels_match_explicit_sign_sums(n, batch):
+    for name, tables in stratified_tables(n).items():
+        stack = batched(tables, batch)
+        flat = stack.reshape(-1, 4 ** n)
+        for parties in range(1, 2 ** n):
+            want = [correlators_by_cells(t, n, parties) for t in flat]
+            got = _corr.correlators(stack, n, parties)
+            assert got.shape == batch + (2 ** n,)
+            np.testing.assert_allclose(got.reshape(-1, 2 ** n), np.reshape(want, (-1, 2 ** n)),
+                                       rtol=0, atol=1e-12, err_msg=name)
+        e = _corr.correlators(stack, n)
+        for mermin in (False, True):
+            signs = signs_by_formula(n, mermin)
+            sums = np.array([[s @ row for s in signs] for row in e.reshape(-1, 2 ** n)])
+            values = _corr.operator_values(e, n, mermin)
+            assert values.shape == batch + (2 ** n, 2)
+            np.testing.assert_allclose(values.reshape(-1, 2 ** n, 2),
+                                       np.stack([sums, -sums], axis=-1).reshape(-1, 2 ** n, 2),
+                                       rtol=0, atol=1e-12, err_msg=name)
+            moduli = _corr.moduli(e, n, mermin)
+            assert moduli.shape == batch + (2 ** n,)
+            np.testing.assert_allclose(moduli.reshape(-1, 2 ** n),
+                                       np.abs(sums).reshape(-1, 2 ** n),
+                                       rtol=0, atol=1e-12, err_msg=name)
+            # the labels-first moduli of the discords are the same numbers
+            np.testing.assert_array_equal(np.moveaxis(_corr._moduli(e, n, mermin), 0, -1),
+                                          moduli)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_nested_min_gives_the_same_bits_in_one_pass_and_in_blocks(n):
+    # a stack of more than _FEW rows takes the in-place block loop, its
+    # slices of at most _FEW rows the one-pass path
+    rng = np.random.default_rng(4420 + n)
+    f = rng.uniform(0, 2 ** n, size=(2 ** n, 3 * _corr._FEW + 5))
+    whole = _corr.nested_min(f, n)
+    parts = [_corr.nested_min(f[:, k:k + _corr._FEW], n)
+             for k in range(0, f.shape[1], _corr._FEW)]
+    np.testing.assert_array_equal(whole, np.concatenate(parts))
+    assert _corr.nested_min(f[:, :0], n).shape == (0,)
+    assert _corr.nested_min(f[:, 0], n).shape == ()
+
+
+def test_classical_sign_is_plus_one_wherever_t_equals_g_plus_q():
+    # every GHZ/SMDghz box has T = G + Q, up to rounding of either sign
+    rho = qstate.ghz_state()
+    for p in np.linspace(0.5, 1.0, 401):
+        box = qstate.born_box3(rho, qstate.settings_catalog("SMDghz", p))
+        split = tribox.correlation_split3(box)
+        assert split.classical < 1e-12 and split.sign == 1, p
+    catalog = [(discord2.correlation_split, boxcore.vertex(v))
+               for v in boxcore.ns_vertex_ids() + boxcore.all_mermin_ids()
+               + boxcore.all_mermin_nmm_ids() + boxcore.all_cc_ids()
+               + boxcore.all_tsirelson_ids() + [boxcore.NOISE_ID]]
+    catalog += [(tribox.correlation_split3, tribox.tri_vertex(v))
+                for v in tribox.sv_polytope_ids() + tribox.all_mermin3_ids()
+                + [tribox.CLASS8_ID, tribox.NOISE3_ID]]
+    additive = 0
+    for split_of, box in catalog:
+        split = split_of(box)
+        if split.classical < 1e-12:  # |T - G - Q|
+            additive += 1
+            assert split.sign == 1, box
+    assert additive > 100
