@@ -80,7 +80,7 @@ _OUTPUT_PARITY = {n: (-1.0) ** _popcount(np.arange(2 ** n)[:, None] & np.arange(
 _CUT_MAPS = {n: _cut_map(n) for n in (2, 3)}
 GROUPINGS = {n: _leaf_orders(n) for n in (2, 3)}
 _NEGATE = np.array([1.0, -1.0])  # output bit 1 negates an operator value
-_BLOCK = 1 << 15  # rows per gather in nested_min, which bounds its scratch memory
+_BLOCK = 1 << 15  # rows per block of a large nested_min, which bounds its scratch memory
 _FEW = 64  # nested_min takes stacks up to this many rows in one pass
 
 
@@ -122,22 +122,23 @@ def nested_min(funcs, n: int) -> np.ndarray:
     (2**n, ...) with the labels first."""
     f = np.asarray(funcs)
     rows = f.reshape(2 ** n, -1)
-    if rows.shape[1] <= _FEW:  # fresh halves cost less than in-place views here
+    if rows.shape[1] <= _FEW:  # one gathered pass costs less than row by row here
         x = rows[GROUPINGS[n]]
         while x.shape[1] > 1:
             x = np.abs(x[:, ::2] - x[:, 1::2])
         return x[:, 0].min(axis=0).reshape(f.shape[1:])
     out = np.empty(rows.shape[1])
     for start in range(0, rows.shape[1], _BLOCK):
-        x = rows[:, start:start + _BLOCK][GROUPINGS[n]]
-        # each level writes |left - right| over its left operands, in place:
-        # fresh temporaries of this size cost a page fault per 4 kB
-        step = 1
-        while step < 2 ** n:
-            left = x[:, ::2 * step]
-            np.abs(np.subtract(left, x[:, step::2 * step], out=left), out=left)
-            step *= 2
-        out[start:start + _BLOCK] = x[:, 0].min(axis=0)
+        # the same differences as above, level by level on whole rows of
+        # the block (contiguous, no gathered copy), then a running minimum
+        r, best = rows[:, start:start + _BLOCK], out[start:start + _BLOCK]
+        best.fill(np.inf)
+        for order in GROUPINGS[n]:
+            level = [r[a] - r[b] for a, b in zip(order[::2], order[1::2])]
+            while len(level) > 1:
+                level = [np.subtract(np.abs(p, out=p), np.abs(q, out=q), out=p)
+                         for p, q in zip(level[::2], level[1::2])]
+            np.minimum(best, np.abs(level[0], out=level[0]), out=best)
     return out.reshape(f.shape[1:])
 
 

@@ -255,23 +255,43 @@ def criterion_9() -> CriterionResult:
               f"compatible-frame max {compat_max:.3e}")
 
 
+def _two_sided_tables(rng: np.random.Generator, n: int) -> np.ndarray:
+    """(2n, 16): n mixtures p PR + (1 - p) NS, p uniform (about half nonlocal),
+    then n boxes on segments from a random local box to a PR box where the
+    largest signed CHSH value is 2 +- delta, delta log-uniform in [1e-6, 1e-2]."""
+    det, pr = map(polytope.vertex_matrix, (boxcore.all_det_ids(), boxcore.all_pr_ids()))
+    p = rng.uniform(size=(n, 1))
+    ns = polytope.random_ns_tables(rng, n).reshape(n, 16)
+    mixtures = p * pr[rng.integers(8, size=n)] + (1 - p) * ns
+    local, top = rng.dirichlet(np.ones(len(det)), size=n) @ det, pr[rng.integers(8, size=n)]
+    c_local, c_top = (_corr.operator_values(_corr.correlators(t, 2), 2).reshape(n, 8)
+                      for t in (local, top))
+    delta = rng.choice([-1.0, 1.0], size=n) * 10 ** rng.uniform(-6, -2, size=n)
+    s = np.divide(2 + delta[:, None] - c_local, c_top - c_local,
+                  out=np.full_like(c_local, np.inf), where=c_top > c_local).min(axis=1)[:, None]
+    return np.vstack([mixtures, (1 - s) * local + s * top])
+
+
 def criterion_10() -> CriterionResult:
     """Fine cross-check: LP locality agrees with the complete CHSH criterion
-    on 1e4 random NS boxes (eps-boundary cases excluded)."""
+    on 1e4 random NS boxes and on 1e3 boxes on both sides of the local
+    polytope (_two_sided_tables), eps-boundary cases excluded."""
     rng = np.random.default_rng(SEED + 2)
-    tables = polytope.random_ns_tables(rng, 10_000)
-    e = _corr.correlators(tables.reshape(-1, 16), 2).reshape(-1, 2, 2)
+    tables = np.vstack([polytope.random_ns_tables(rng, 10_000).reshape(-1, 16),
+                        _two_sided_tables(np.random.default_rng(SEED + 5), 500)])
+    e = _corr.correlators(tables, 2).reshape(-1, 2, 2)
     bmax = np.max(discord2.bell_functions_from_expectations(e).reshape(-1, 4),
                   axis=1)
     keep = np.abs(bmax - 2.0) > boxcore.EPS_LP
     weights = polytope.lp_vertex_weights(
-        tables[keep].reshape(-1, 16),
-        polytope.vertex_matrix(boxcore.all_det_ids()))
+        tables[keep], polytope.vertex_matrix(boxcore.all_det_ids()))
     local = ~np.isnan(weights[:, 0])
     disagree = int(np.count_nonzero(local != (bmax[keep] < 2.0)))
-    return _result(10, "Fine cross-check: LP vs complete CHSH set (1e4 boxes)",
+    side = bmax[10_000:][keep[10_000:]] < 2.0
+    return _result(10, "Fine cross-check: LP vs complete CHSH set (1e4 + 1e3 boxes)",
                    float(disagree), 0.5,
-                   extra=f"{np.count_nonzero(keep)} non-boundary boxes")
+                   extra=f"{np.count_nonzero(keep[:10_000])} non-boundary boxes, "
+                         f"two-sided {side.sum()} inside / {(~side).sum()} outside")
 
 
 def criterion_11() -> CriterionResult:

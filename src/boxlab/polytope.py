@@ -92,8 +92,8 @@ _HIGHS_OPTIONS = {
     "primal_feasibility_tolerance": _tol.LP_FEASIBILITY_TOL,
     "dual_feasibility_tolerance": _tol.LP_FEASIBILITY_TOL,
 }
-# A kept model (_target_model) holds one target at a time, so threads take
-# turns between writing its target and reading its solution.
+# A kept model (_target_model) holds one block of targets at a time, so
+# threads take turns between writing its targets and reading its solution.
 _TARGET_LOCK = threading.Lock()
 
 
@@ -111,9 +111,10 @@ def lp_vertex_weights(target: np.ndarray, vertices: np.ndarray,
     w @ vertices + s+ - s- = target and w, s+, s- >= 0, which is always
     feasible. A target is inside exactly when its slack sum is at most
     d * EPS_LP_SLACK, which covers the error the table validators admit.
-    One target is solved on a HiGHS model kept for its vertex matrix
-    (_solve_target); stacks are solved _LP_BLOCK targets at a time as one
-    block-diagonal LP, whose optimum splits into the per-target optima.
+    Stacks are solved _LP_BLOCK targets at a time as one block-diagonal LP,
+    whose optimum splits into the per-target optima; one target is a block
+    of one. Each block size has a HiGHS model kept for its vertex matrix
+    (_solve_target), which takes the block's targets as row bounds.
     Raises ValueError unless `vertices` is one (k, d) matrix and `target`
     has the shape above and finite entries, and LpNumericalFailure
     when the solver does not report an optimum, or when the weights of a
@@ -215,10 +216,10 @@ def _block_csc(block: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.nd
     return start, index, np.tile(block[rows, cols], m)
 
 
-def _highs_model(c: np.ndarray, block: np.ndarray, b_eq: np.ndarray, m: int = 1):
-    """The HiGHS LP of min c @ x subject to kron(identity(m), block) @ x = b_eq
-    and x >= 0, and a model holding it under _HIGHS_OPTIONS; block is a
-    dense matrix."""
+def _highs_model(c: np.ndarray, block: np.ndarray, m: int):
+    """The HiGHS LP of min c @ x subject to kron(identity(m), block) @ x = b
+    and x >= 0, its row bounds b still to be written, and a model under
+    _HIGHS_OPTIONS to pass it to; block is a dense matrix."""
     highs = _highs()
     num_row, num_col = m * block.shape[0], m * block.shape[1]
     lp = highs.HighsLp()
@@ -229,12 +230,10 @@ def _highs_model(c: np.ndarray, block: np.ndarray, b_eq: np.ndarray, m: int = 1)
     lp.col_cost_ = c
     lp.col_lower_ = np.zeros(num_col)
     lp.col_upper_ = np.full(num_col, highs.kHighsInf)
-    lp.row_lower_ = lp.row_upper_ = b_eq
     model = highs._Highs()
     for key, value in _HIGHS_OPTIONS.items():
         if model.setOptionValue(key, value) != highs.HighsStatus.kOk:
             raise ValueError(f"HiGHS rejects option {key}={value!r}")
-    model.passModel(lp)
     return lp, model
 
 
@@ -253,14 +252,16 @@ def _run(model) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _solve_target(vertices: np.ndarray, weight_cost: np.ndarray,
-                  target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_run on the elastic LP of one target over `vertices`, with
-    `weight_cost` per vertex. Its model is kept per vertex matrix, weight
-    costs and solver options; a call writes the target into the kept LP's
-    row bounds and passes the LP to the model again, in one call."""
+                  targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_run on the elastic LP of one target (d,) over `vertices`, with
+    `weight_cost` per vertex, or on the block-diagonal LP of a stack (m, d).
+    Its model is kept per vertex matrix, weight costs, block count m and
+    solver options; a call writes the targets into the kept LP's row bounds
+    and passes the LP to the model again, in one call."""
+    m = targets.size // vertices.shape[1]
     lp, model = _target_model(_MatrixKey(np.asarray(vertices, dtype=float)),
-                              weight_cost.tobytes(), tuple(_HIGHS_OPTIONS.items()))
-    bounds = target.tolist()
+                              weight_cost.tobytes(), m, tuple(_HIGHS_OPTIONS.items()))
+    bounds = targets.reshape(-1).tolist()
     with _TARGET_LOCK:
         lp.row_lower_ = lp.row_upper_ = bounds
         model.passModel(lp)
@@ -286,25 +287,19 @@ class _MatrixKey:
 
 
 @functools.lru_cache(maxsize=8)
-def _target_model(key: _MatrixKey, cost_bytes: bytes, options: tuple):
-    """The LP and model kept for _solve_target; `options`, the items of
-    _HIGHS_OPTIONS the model is built under, only keys the cache."""
-    vertices = np.frombuffer(key.data).reshape(key.shape)
-    return _highs_model(_elastic_cost(np.frombuffer(cost_bytes), key.shape[1]),
-                        _elastic_block(vertices), np.zeros(key.shape[1]))
+def _target_model(key: _MatrixKey, cost_bytes: bytes, m: int, options: tuple):
+    """The LP and model of m targets kept for _solve_target; `options`, the
+    items of _HIGHS_OPTIONS the model is built under, only keys the cache."""
+    vertices, d = np.frombuffer(key.data).reshape(key.shape), key.shape[1]
+    return _highs_model(np.tile(_elastic_cost(np.frombuffer(cost_bytes), d), m),
+                        _elastic_block(vertices), m)
 
 
 def _elastic_lp(targets: np.ndarray, vertices: np.ndarray,
                 tol: float) -> np.ndarray:
     """Weights of each target, NaN rows for targets outside the hull."""
     m, (k, d) = len(targets), vertices.shape
-    if m == 1:
-        x, _ = _solve_target(vertices, np.zeros(k), targets[0])
-    else:
-        _, model = _highs_model(np.tile(_elastic_cost(np.zeros(k), d), m),
-                                _elastic_block(vertices), targets.reshape(-1), m)
-        x, _ = _run(model)
-    x = x.reshape(m, k + 2 * d)
+    x = _solve_target(vertices, np.zeros(k), targets)[0].reshape(m, k + 2 * d)
     w = np.clip(x[:, :k], 0.0, None)
     inside = x[:, k:].sum(axis=1) <= d * EPS_LP_SLACK
     if np.max(np.abs(w[inside] @ vertices - targets[inside]), initial=0.0) > tol:
@@ -376,12 +371,13 @@ def _certified_outside(t: np.ndarray, y: np.ndarray, hull: np.ndarray,
     """Whether the dual vector `y` proves that no weights w >= 0 on the hull
     rows bring w @ hull within `thr` of `t` in L1.
 
-    Weak duality, which holds for any y once clipped to [-1, 1]:
+    Weak duality, which holds for any y once divided by max|y| so that
+    |y_i| <= 1, and so ||r||_1 >= y.r for every r:
     ||t - w @ hull||_1 >= y.t - sum(w) * max(0, max_i hull_i.y), and weights
     within `thr` of t have sum(w) <= (sum(t) + thr) / mass, since every row
-    sums to the same mass.
+    sums to the same mass. Unlike clipping, this undoes the tier-cost scaling.
     """
-    y = np.clip(y, -1.0, 1.0)
+    y = y / (np.max(np.abs(y)) or 1.0)
     cap = (t.sum() + thr) / hull[0].sum()
     return bool(y @ t - cap * max(0.0, np.max(hull @ y)) > thr)
 

@@ -395,7 +395,8 @@ def _classical_quantum(p0: float, r_hat, s0, s1, quantum_first: bool) -> Density
     terms = []
     for proj, s in zip((0.5 * (ID2 + op), 0.5 * (ID2 - op)), (s0, s1)):
         chi = 0.5 * (ID2 + bloch_operator(_vec3(s)))
-        terms.append(np.kron(chi, proj) if quantum_first else np.kron(proj, chi))
+        u, v = (chi, proj) if quantum_first else (proj, chi)
+        terms.append((u[:, None, :, None] * v[None, :, None, :]).reshape(4, 4))  # kron(u, v)
     return density_matrix(p0 * terms[0] + (1 - p0) * terms[1])
 
 

@@ -6,9 +6,10 @@ generic frames); it runs unweakened and is marked as an expected failure.
 The README's known-limitations section carries the counterexample.
 """
 
+import numpy as np
 import pytest
 
-from boxlab import acceptance
+from boxlab import acceptance, polytope
 
 CRITERIA = {fn.__name__: fn for fn in acceptance.ALL_CRITERIA}
 
@@ -33,3 +34,17 @@ def test_criterion(name):
 )
 def test_criterion_9():
     _check(CRITERIA["criterion_9"]())
+
+
+@pytest.mark.parametrize("answer", [0.0, np.nan])
+def test_criterion_10_fails_an_lp_that_gives_one_answer_for_every_box(answer, monkeypatch):
+    # its two-sided stratum has boxes inside and outside the local polytope,
+    # so an LP that calls every box local, or every box nonlocal, fails it
+    def constant(targets, vertices, tol=polytope.EPS_LP):
+        return np.full((len(targets), len(vertices)), answer)
+
+    monkeypatch.setattr(polytope, "lp_vertex_weights", constant)
+    result = acceptance.criterion_10()
+    assert not result.passed
+    inside, outside = (int(w) for w in result.detail.split("two-sided ")[1].split()[::3])
+    assert inside > 0 and outside > 0

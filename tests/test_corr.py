@@ -323,7 +323,7 @@ def test_stack_of_shape_k_m_runs_end_to_end(n):
 
 
 def test_nested_min_matches_oracles_across_blocks():
-    # more rows than one gather block, so the block loop is exercised
+    # more rows than one block, so the block loop is exercised
     rng = np.random.default_rng(4407)
     f2 = rng.uniform(0, 4, size=(_corr._BLOCK + 37, 4))
     got = _corr.nested_min(f2.T, 2)
@@ -493,7 +493,7 @@ def test_operator_kernels_match_explicit_sign_sums(n, batch):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_nested_min_gives_the_same_bits_in_one_pass_and_in_blocks(n):
-    # a stack of more than _FEW rows takes the in-place block loop, its
+    # a stack of more than _FEW rows takes the row-by-row block loop, its
     # slices of at most _FEW rows the one-pass path
     rng = np.random.default_rng(4420 + n)
     f = rng.uniform(0, 2 ** n, size=(2 ** n, 3 * _corr._FEW + 5))
@@ -503,6 +503,24 @@ def test_nested_min_gives_the_same_bits_in_one_pass_and_in_blocks(n):
     np.testing.assert_array_equal(whole, np.concatenate(parts))
     assert _corr.nested_min(f[:, :0], n).shape == (0,)
     assert _corr.nested_min(f[:, 0], n).shape == ()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("size", [65, _corr._BLOCK - 1, _corr._BLOCK + 1, 2 * _corr._BLOCK + 3])
+def test_nested_min_large_path_equals_the_one_pass_path_bit_for_bit(n, size, monkeypatch):
+    # exact ties, zeros, a NaN and a whole row of equal values among the
+    # random moduli; a _FEW above the size sends the stack through one pass
+    rng = np.random.default_rng(4430 + n)
+    f = rng.uniform(0, 2 ** n, size=(2 ** n, size))
+    f[1, ::3] = f[0, ::3]
+    f[:, 5] = 0.0
+    f[:, 7] = 1.5
+    f[2, 11] = np.nan
+    large = _corr.nested_min(f, n)
+    monkeypatch.setattr(_corr, "_FEW", size)
+    one_pass = _corr.nested_min(f, n)
+    assert large.tobytes() == one_pass.tobytes()
+    assert np.isnan(large[11]) and large[5] == large[7] == 0.0
 
 
 def test_classical_sign_is_plus_one_wherever_t_equals_g_plus_q():

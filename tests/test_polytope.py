@@ -507,7 +507,7 @@ def test_dual_certificate_never_rejects_a_target_within_the_threshold():
     target = vertex + TRI_THR / 4 * bump
     assert not polytope._certified_outside(target, y, hull, TRI_THR)
     # a y far outside [-1, 1] that scores zero on every hull row: only the
-    # clip keeps its large entry at p from proving a false gap
+    # scaling to |y| <= 1 keeps its large entry at p from proving a false gap
     block = np.zeros((2,) * 6)
     block[np.unravel_index(p, block.shape)[:3]] = 1.0
     y = 1000.0 * bump - 1000.0 / 7 * (1.0 - block.reshape(-1))
@@ -533,6 +533,32 @@ def _near_inner_hull_targets(seed):
             eps = 10.0 ** rng.uniform(-7, -2)
             outer = int(rng.integers(inner))
             yield (1 - eps) * (w / w.sum()) @ TRI[rows] + eps * TRI[outer], outer
+
+
+def test_scaled_outside_certificate_needs_fewer_fallbacks_than_the_clipped_one(monkeypatch):
+    # the duals divided by their largest modulus settle more flags just
+    # outside an inner hull than the same duals clipped to [-1, 1], and
+    # every flag still equals the LP over its own hull alone
+    single, scaled = polytope.lp_vertex_weights, polytope._certified_outside
+
+    def clipped(t, y, hull, thr):
+        y = np.clip(y, -1.0, 1.0)
+        cap = (t.sum() + thr) / hull[0].sum()
+        return bool(y @ t - cap * max(0.0, np.max(hull @ y)) > thr)
+
+    targets = [t for seed in range(6) for t, _ in _near_inner_hull_targets(seed)]
+    want = [_separate_flags(t) for t in targets]
+    fallbacks = {}
+    for name, certificate in (("scaled", scaled), ("clipped", clipped)):
+        calls = []
+        monkeypatch.setattr(polytope, "_certified_outside", certificate)
+        monkeypatch.setattr(polytope, "lp_vertex_weights",
+                            lambda t, v: calls.append(len(v)) or single(t, v))
+        got = [polytope.nested_hull_flags(t, TRI, TRI_STARTS) for t in targets]
+        monkeypatch.undo()
+        assert got == want
+        fallbacks[name] = len(calls)
+    assert 0 < fallbacks["scaled"] < fallbacks["clipped"], fallbacks
 
 
 def test_membership_lps_solve_targets_just_outside_an_inner_hull():
@@ -612,6 +638,26 @@ def test_stacked_and_per_target_lps_are_bit_identical_to_linprog(form):
     assert {w is None for w in got} == {True, False}
     for g, w in zip(got, want):
         assert w is None or g.tobytes() == w.tobytes()
+
+
+def test_kept_stack_models_give_the_same_bits_whatever_they_solved_before(monkeypatch):
+    # stack A (two full blocks and a trailing partial block), stack B, then
+    # A again and A on freshly built models give the same bytes
+    rng = np.random.default_rng(4114)
+    stack_a = np.vstack([_pr_weighted_mixtures(rng, 2 * polytope._LP_BLOCK),
+                         _near_facet_tables(rng, 17)[0]])
+    stack_b = _near_facet_tables(rng, polytope._LP_BLOCK + 3)[0]
+    first = polytope.lp_vertex_weights(stack_a, DET).tobytes()
+    polytope.lp_vertex_weights(stack_b, DET)
+    assert polytope.lp_vertex_weights(stack_a, DET).tobytes() == first
+    polytope._target_model.cache_clear()
+    assert polytope.lp_vertex_weights(stack_a, DET).tobytes() == first
+    # a model built under other options is not reused once they are undone
+    monkeypatch.setitem(polytope._HIGHS_OPTIONS, "simplex_iteration_limit", 0)
+    with pytest.raises(polytope.LpNumericalFailure, match="Iteration limit"):
+        polytope.lp_vertex_weights(stack_a, DET)
+    monkeypatch.undo()
+    assert polytope.lp_vertex_weights(stack_a, DET).tobytes() == first
 
 
 def _verdicts(cases):
@@ -713,6 +759,34 @@ def test_kept_model_gives_each_thread_its_own_answer():
         for _ in range(25):
             for i in np.roll(np.arange(len(targets)), k):
                 if polytope._solve_target(TRI, np.zeros(128), targets[i])[0].tobytes() != want[i]:
+                    wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not wrong
+
+
+def test_kept_stack_model_gives_each_thread_its_own_answer():
+    # blocks of the same size share one kept model across threads, as
+    # single targets do
+    rng = np.random.default_rng(4115)
+    stacks = [_pr_weighted_mixtures(rng, polytope._LP_BLOCK) for _ in range(3)]
+    want = [polytope.lp_vertex_weights(s, DET).tobytes() for s in stacks]
+    wrong = []
+
+    def worker(k):
+        for _ in range(10):
+            for i in np.roll(np.arange(len(stacks)), k):
+                if polytope.lp_vertex_weights(stacks[i], DET).tobytes() != want[i]:
                     wrong.append(i)
 
     interval = sys.getswitchinterval()

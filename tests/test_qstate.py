@@ -195,6 +195,20 @@ def test_cq_state_has_factorized_expectations():
         assert svals[1] <= 1e-12
 
 
+def test_cq_and_qc_states_equal_a_kron_reference_bit_for_bit():
+    rng = np.random.default_rng(4431)
+    for _ in range(50):
+        p0, r_hat = rng.uniform(), qstate.random_unit_vector(rng)
+        s0, s1 = (rng.uniform(-1, 1, 3) / 2 for _ in range(2))
+        op = qstate.bloch_operator(r_hat)
+        projs = 0.5 * (qstate.ID2 + op), 0.5 * (qstate.ID2 - op)
+        chis = [0.5 * (qstate.ID2 + qstate.bloch_operator(s)) for s in (s0, s1)]
+        cq = p0 * np.kron(projs[0], chis[0]) + (1 - p0) * np.kron(projs[1], chis[1])
+        qc = p0 * np.kron(chis[0], projs[0]) + (1 - p0) * np.kron(chis[1], projs[1])
+        assert qstate.cq_state(p0, r_hat, s0, s1).mat.tobytes() == cq.tobytes()
+        assert qstate.qc_state(p0, r_hat, s0, s1).mat.tobytes() == qc.tobytes()
+
+
 def test_ghz_mdxy_reproduces_tripartite_mermin_box():
     box = qstate.born_box3(qstate.ghz_state(), qstate.settings_catalog("MDxy"))
     assert box.allclose(tribox.mermin3_box(0, 0, 0, 0), tol=1e-12)
