@@ -14,6 +14,10 @@ EPS_LP_SLACK = 1e-9
 DISCORD_TOL = 1e-6  # residuals of canonical decompositions must be this close to zero
 EIG_TOL = 1e-8      # most negative eigenvalue a density matrix may have
 TOL_CLOSED = 1e-9   # acceptance checks against closed-form values
+# qstate.hardy_probability returns 0 for normalized amplitudes with |bcd|
+# below this, as for a zero amplitude, where its closed form can be 0/0 and a
+# measurement direction have no norm; 1e-15 is a few roundings of 1.
+HARDY_DEGENERATE = 1e-15
 
 # Weight costs of polytope.nested_hull_flags, outermost tier first; the
 # innermost tier costs nothing. They only steer which certificate settles a

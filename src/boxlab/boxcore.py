@@ -122,9 +122,9 @@ def _linear_checks(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tup
 _LINEAR_CHECKS = {n: _linear_checks(n) for n in (2, 3)}
 
 
-def _validate(values, n: int, eps: float) -> np.ndarray:
+def _validate(values, n: int) -> np.ndarray:
     """The (2,)*2n table of `values`: a new array, checked, with entries in
-    (-eps, 0) clamped to 0 (decomposition residuals produce -1e-16 noise).
+    (-EPS_VALID, 0) clamped to 0 (decomposition residuals produce -1e-16 noise).
 
     Raises BoxError unless `values` converts to 4**n finite numbers, then
     NegativeEntryError, NotNormalizedError or SignalingError naming the
@@ -142,19 +142,20 @@ def _validate(values, n: int, eps: float) -> np.ndarray:
     rows, target, ends, checks = _LINEAR_CHECKS[n]
     flat = t.reshape(-1)
     # one test passes a valid table; its bounds keep NaN and inf out of the product
-    if 0.0 <= flat.min() and flat.max() <= 1.0 + eps and np.abs(rows @ flat - target).max() <= eps:
+    if (0.0 <= flat.min() and flat.max() <= 1.0 + EPS_VALID
+            and np.abs(rows @ flat - target).max() <= EPS_VALID):
         return t
     if not np.isfinite(t).all():
         raise BoxError(f"table has non-finite entries: {t[~np.isfinite(t)]}")
     neg = t < 0
     if neg.any():
         worst = np.unravel_index(np.argmin(t), t.shape)
-        if t[worst] < -eps:
+        if t[worst] < -EPS_VALID:
             raise NegativeEntryError(
                 f"entry {_conditional(n, worst[:n], worst[n:])} = {t[worst]:.3e} < 0")
         t[neg] = 0.0
     residuals = rows @ flat - target
-    bad = np.abs(residuals) > eps
+    bad = np.abs(residuals) > EPS_VALID
     if bad.any():
         row = int(np.argmax(bad))
         error, message = checks[np.searchsorted(ends, row, side="right")]
@@ -165,15 +166,15 @@ def _validate(values, n: int, eps: float) -> np.ndarray:
     return t
 
 
-def make_box(values, eps: float = EPS_VALID) -> BipartiteBox:
+def make_box(values) -> BipartiteBox:
     """Validate a probability table and return the box.
 
-    Entries in (-eps, 0) are clamped to 0 (decomposition residuals produce
+    Entries in (-EPS_VALID, 0) are clamped to 0 (decomposition residuals produce
     -1e-16 noise). Raises BoxError for input that is not 16 finite numbers,
     and NotNormalizedError, NegativeEntryError or SignalingError naming the
     offending index.
     """
-    return BipartiteBox(_validate(values, 2, eps))
+    return BipartiteBox(_validate(values, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +362,8 @@ def pr_id(alpha: int, beta: int, gamma: int) -> VertexId:
     return VertexId("PR", (alpha, beta, gamma))
 
 
-def det_id(alpha: int, beta: int, gamma: int, eps: int) -> VertexId:
-    return VertexId("Det", (alpha, beta, gamma, eps))
+def det_id(alpha: int, beta: int, gamma: int, epsilon: int) -> VertexId:
+    return VertexId("Det", (alpha, beta, gamma, epsilon))
 
 
 def mermin_id(alpha: int, beta: int, gamma: int) -> VertexId:
@@ -389,9 +390,9 @@ def pr_box(alpha: int, beta: int, gamma: int) -> BipartiteBox:
     return vertex(pr_id(alpha, beta, gamma))
 
 
-def det_box(alpha: int, beta: int, gamma: int, eps: int) -> BipartiteBox:
+def det_box(alpha: int, beta: int, gamma: int, epsilon: int) -> BipartiteBox:
     """Deterministic vertex: a = ax ^ b on one side, b = gy ^ e on the other."""
-    return vertex(det_id(alpha, beta, gamma, eps))
+    return vertex(det_id(alpha, beta, gamma, epsilon))
 
 
 def noise_box() -> BipartiteBox:
@@ -482,8 +483,9 @@ def mix(boxes: list[BipartiteBox], weights) -> BipartiteBox:
     w = np.asarray(weights, dtype=float)
     if len(boxes) != w.size:
         raise BadWeightsError("weights length must match number of boxes")
-    if (w < -EPS_VALID).any() or abs(w.sum() - 1.0) > EPS_VALID:
-        raise BadWeightsError(f"weights must be nonnegative and sum to 1, got {w}")
+    # written so that a NaN weight fails both comparisons
+    if not ((w >= -EPS_VALID).all() and abs(w.sum() - 1.0) <= EPS_VALID):
+        raise BadWeightsError(f"weights must be finite, nonnegative and sum to 1, got {w}")
     t = sum(wi * box.table for wi, box in zip(w, boxes))
     return make_box(t)
 

@@ -154,7 +154,7 @@ def is_epr_steerable(box: BipartiteBox) -> bool:
 
 @dataclass(frozen=True)
 class MonogamyReport:
-    """Trade-off margins for one box; all margins >= -eps when the box is valid."""
+    """Trade-off margins for one box; all margins >= -EPS_VALID when the box is valid."""
 
     bell_pair_margin: float     # min over pairs of 4 - (B_i + B_j)
     worst_bell_pair: tuple[tuple[int, int], tuple[int, int]]
@@ -162,7 +162,7 @@ class MonogamyReport:
     holds: bool
 
 
-def monogamy_checks(box: BipartiteBox, eps: float = EPS_VALID) -> MonogamyReport:
+def monogamy_checks(box: BipartiteBox) -> MonogamyReport:
     """Check B_i + B_j <= 4 for every pair of Bell functions and G + 2Q <= 4."""
     b = bell_functions(box).reshape(4)
     i, j = _PAIRS
@@ -174,5 +174,5 @@ def monogamy_checks(box: BipartiteBox, eps: float = EPS_VALID) -> MonogamyReport
         bell_pair_margin=float(pair_margin),
         worst_bell_pair=worst_pair,
         discord_margin=float(gq_margin),
-        holds=bool(pair_margin >= -eps and gq_margin >= -eps),
+        holds=bool(pair_margin >= -EPS_VALID and gq_margin >= -EPS_VALID),
     )

@@ -97,8 +97,7 @@ _HIGHS_OPTIONS = {
 _TARGET_LOCK = threading.Lock()
 
 
-def lp_vertex_weights(target: np.ndarray, vertices: np.ndarray,
-                      tol: float = EPS_LP) -> np.ndarray | None:
+def lp_vertex_weights(target: np.ndarray, vertices: np.ndarray) -> np.ndarray | None:
     """Nonnegative weights w with w @ vertices = target, for one target or a stack.
 
     `target` is one flattened probability table of shape (d,) or a stack of
@@ -118,7 +117,7 @@ def lp_vertex_weights(target: np.ndarray, vertices: np.ndarray,
     Raises ValueError unless `vertices` is one (k, d) matrix and `target`
     has the shape above and finite entries, and LpNumericalFailure
     when the solver does not report an optimum, or when the weights of a
-    target found inside miss it by more than `tol`.
+    target found inside miss it by more than EPS_LP.
     """
     t = _finite(target)
     if (not isinstance(vertices, np.ndarray) or vertices.ndim != 2
@@ -128,7 +127,7 @@ def lp_vertex_weights(target: np.ndarray, vertices: np.ndarray,
     stack = t.reshape(-1, vertices.shape[1])
     w = np.empty((len(stack), vertices.shape[0]))
     for i in range(0, len(stack), _LP_BLOCK):
-        w[i:i + _LP_BLOCK] = _elastic_lp(stack[i:i + _LP_BLOCK], vertices, tol)
+        w[i:i + _LP_BLOCK] = _elastic_lp(stack[i:i + _LP_BLOCK], vertices)
     if t.ndim == 1:
         return None if np.isnan(w[0, 0]) else w[0]
     return w
@@ -295,14 +294,13 @@ def _target_model(key: _MatrixKey, cost_bytes: bytes, m: int, options: tuple):
                         _elastic_block(vertices), m)
 
 
-def _elastic_lp(targets: np.ndarray, vertices: np.ndarray,
-                tol: float) -> np.ndarray:
+def _elastic_lp(targets: np.ndarray, vertices: np.ndarray) -> np.ndarray:
     """Weights of each target, NaN rows for targets outside the hull."""
     m, (k, d) = len(targets), vertices.shape
     x = _solve_target(vertices, np.zeros(k), targets)[0].reshape(m, k + 2 * d)
     w = np.clip(x[:, :k], 0.0, None)
     inside = x[:, k:].sum(axis=1) <= d * EPS_LP_SLACK
-    if np.max(np.abs(w[inside] @ vertices - targets[inside]), initial=0.0) > tol:
+    if np.max(np.abs(w[inside] @ vertices - targets[inside]), initial=0.0) > EPS_LP:
         raise LpNumericalFailure("LP solution does not reconstruct the target")
     w[~inside] = np.nan
     return w
@@ -382,13 +380,12 @@ def _certified_outside(t: np.ndarray, y: np.ndarray, hull: np.ndarray,
     return bool(y @ t - cap * max(0.0, np.max(hull @ y)) > thr)
 
 
-def lp_vertex_decomposition(box, vertex_ids: list[VertexId],
-                            tol: float = EPS_LP) -> dict[VertexId, float] | None:
+def lp_vertex_decomposition(box, vertex_ids: list[VertexId]) -> dict[VertexId, float] | None:
     """Weights over a named vertex set reconstructing the box, or None."""
-    w = lp_vertex_weights(box.table.reshape(-1), vertex_matrix(vertex_ids), tol)
+    w = lp_vertex_weights(box.table.reshape(-1), vertex_matrix(vertex_ids))
     if w is None:
         return None
-    return {vid: float(wi) for vid, wi in zip(vertex_ids, w) if wi > tol}
+    return {vid: float(wi) for vid, wi in zip(vertex_ids, w) if wi > EPS_LP}
 
 
 def ns_membership(box: BipartiteBox) -> bool:
@@ -411,16 +408,15 @@ def is_local(box: BipartiteBox) -> MembershipResult:
     )
 
 
-def _zero_bell_residual(table: np.ndarray, tol: float) -> BipartiteBox | None:
+def _zero_bell_residual(table: np.ndarray) -> BipartiteBox | None:
     try:
         res = boxcore.make_box(table)
     except boxcore.BoxError:
         return None
-    return res if discord2.bell_discord(res) <= tol else None
+    return res if discord2.bell_discord(res) <= DISCORD_TOL else None
 
 
-def canonical_2decomposition(box: BipartiteBox,
-                             tol: float = DISCORD_TOL) -> DecompositionResult:
+def canonical_2decomposition(box: BipartiteBox) -> DecompositionResult:
     """Split into an irreducible PR box and a local box with zero Bell discord.
 
     mu equals bell_discord/4; the PR label is the signed-CHSH argmax, the
@@ -434,7 +430,7 @@ def canonical_2decomposition(box: BipartiteBox,
     if mu >= 1.0 - EPS_VALID:
         return DecompositionResult(mu=1.0, nu=0.0, pr_id=pid, mermin_id=None,
                                    residual=pr)
-    residual = _zero_bell_residual((box.table - mu * pr.table) / (1.0 - mu), tol)
+    residual = _zero_bell_residual((box.table - mu * pr.table) / (1.0 - mu))
     if residual is None:
         lo, hi = 0.0, mu
         for _ in range(60):
@@ -445,7 +441,7 @@ def canonical_2decomposition(box: BipartiteBox,
             except boxcore.BoxError:
                 hi = mid
         mu = lo
-        residual = _zero_bell_residual((box.table - mu * pr.table) / (1.0 - mu), tol)
+        residual = _zero_bell_residual((box.table - mu * pr.table) / (1.0 - mu))
         if residual is None:
             raise ResidualInvalidError(
                 "no valid zero-discord residual for any PR weight")
@@ -461,25 +457,23 @@ def _identify_mermin_mixture(al: int, be: int, ga: int, gp: int) -> VertexId:
     return boxcore.mermin_id(al ^ 1, be ^ 1, ga ^ be ^ 1)
 
 
-def three_decomposition(box: BipartiteBox,
-                        tol: float = DISCORD_TOL) -> DecompositionResult:
+def three_decomposition(box: BipartiteBox) -> DecompositionResult:
     """Split into PR box, Mermin box and a residual with both discords zero.
 
     mu = bell_discord/4, nu = mermin_discord/2, taken over the first of the
     16 canonical (PR, Mermin) pairs that leaves a valid residual, in the
     order of _canonical_split. Raises ResidualInvalidError if none does.
     """
-    result = _three_decomposition_direct(box, tol)
+    result = _three_decomposition_direct(box)
     if result is None:
         raise ResidualInvalidError("no canonical pair yields a valid double-zero residual")
     return result
 
 
-def _three_decomposition_direct(box: BipartiteBox,
-                                tol: float) -> DecompositionResult | None:
+def _three_decomposition_direct(box: BipartiteBox) -> DecompositionResult | None:
     """The split of three_decomposition, or None."""
     return _canonical_split(box, _bipartite_pairs(), discord2.bell_discord(box) / 4.0,
-                            discord2.mermin_discord(box) / 2.0, tol)
+                            discord2.mermin_discord(box) / 2.0, DISCORD_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +543,7 @@ def _canonical_split(box, pairs: _CanonicalPairs, mu: float, nu: float,
             residual = type(box)(boxcore._expand(n))
         else:
             try:
-                residual = type(box)(boxcore._validate(num[i] / rest, n, EPS_VALID))
+                residual = type(box)(boxcore._validate(num[i] / rest, n))
             except boxcore.BoxError:
                 continue
             e = residual.correlators

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import boxcore, tribox
-from ._tol import EIG_TOL, EPS_VALID
+from ._tol import EIG_TOL, EPS_VALID, HARDY_DEGENERATE, TOL_CLOSED
 from .boxcore import BipartiteBox
 from .tribox import TripartiteBox
 
@@ -158,7 +158,10 @@ def bloch_operator(n: np.ndarray) -> np.ndarray:
 
 
 _PAULI_STACK = np.stack(PAULI)
-_BLOCH_BASIS = np.stack((ID2,) + PAULI)
+# column 4i + j is kron(S_i, S_j).T.ravel() for S = (I, sx, sy, sz), so that
+# rho.ravel() @ column = Tr(rho S_i (x) S_j)
+_BLOCH_OPERATOR = np.stack([np.kron(p, q).T.ravel()
+                            for p, q in itertools.product((ID2,) + PAULI, repeat=2)], axis=1)
 _OUTCOME_SIGN = np.array([1.0, -1.0])
 
 
@@ -172,24 +175,6 @@ def _projector_stack(dirs: np.ndarray) -> np.ndarray:
 # party-grouped products [i_1, j_1, x_1, a_1, i_2, ..]
 _BORN_ORDER = {n: np.arange(16 ** n).reshape((2,) * (4 * n)).transpose(
     [4 * k + r for r in range(4) for k in range(n)]).reshape(4 ** n, -1) for n in (2, 3)}
-
-
-def _contract(mat: np.ndarray, stacks) -> np.ndarray:
-    """E[m1, .., mn] = Tr(mat O1[m1] (x) .. (x) On[mn]), one stack per party.
-
-    ``mat`` is reshaped to row bits i1..in then column bits j1..jn and the
-    parties are contracted one at a time: pairwise einsums, because a single
-    multi-operand call (and ``optimize=True``, which searches a path on every
-    call) is slower at these sizes.
-    """
-    n = len(stacks)
-    t = mat.reshape((2,) * (2 * n))
-    done, rows, cols = "xyz"[:n], "ikm"[:n], "jln"[:n]
-    for k, ops in enumerate(stacks):
-        spec = (f"{done[:k]}{rows[k:]}{cols[k:]},{done[k]}{cols[k]}{rows[k]}"
-                f"->{done[:k + 1]}{rows[k + 1:]}{cols[k + 1:]}")
-        t = np.einsum(spec, t, ops)
-    return t.real
 
 
 def born_box2(rho: DensityMatrix, s: MeasurementSettings) -> BipartiteBox:
@@ -218,7 +203,7 @@ def correlation_data(rho: DensityMatrix):
     """
     if rho.dim != 4:
         raise InvalidStateError("correlation_data needs a 4x4 density matrix")
-    t = _contract(rho.mat, (_BLOCH_BASIS, _BLOCH_BASIS))
+    t = (rho.mat.reshape(-1) @ _BLOCH_OPERATOR).real.reshape(4, 4)
     return t[1:, 0], t[0, 1:], t[1:, 1:]
 
 
@@ -559,7 +544,7 @@ def hardy_probability(b: complex, c: complex, d: complex) -> float:
     if n == 0:
         raise InvalidStateError("all amplitudes are zero")
     b, c, d = amps / n
-    if abs(b * c * d) < 1e-15:
+    if abs(b * c * d) < HARDY_DEGENERATE:
         return 0.0
     nb2, nc2, nd2 = abs(b) ** 2, abs(c) ** 2, abs(d) ** 2
     value = (nb2 * nc2 * nd2) / ((nb2 + nd2) * (nc2 + nd2))
@@ -575,9 +560,9 @@ def hardy_probability(b: complex, c: complex, d: complex) -> float:
         settings(ZHAT, direction(b, d), ZHAT, direction(c, d)),
     )
     checks = (box.prob(0, 0, 0, 0), box.prob(1, 0, 0, 1), box.prob(0, 1, 1, 0))
-    if max(abs(v) for v in checks) > 1e-9:
+    if max(abs(v) for v in checks) > TOL_CLOSED:
         raise InvalidStateError(f"constraint outcomes not zero: {checks}")
-    if abs(box.prob(1, 1, 0, 0) - value) > 1e-9:
+    if abs(box.prob(1, 1, 0, 0) - value) > TOL_CLOSED:
         raise InvalidStateError("closed form disagrees with the constructed box")
     return float(value)
 
@@ -617,7 +602,8 @@ def settings_to_json(s: MeasurementSettings) -> str:
 
 def settings_from_json(text: str) -> MeasurementSettings:
     vecs = json.loads(text)
-    if not isinstance(vecs, list) or len(vecs) not in (4, 6):
+    # six entries with null C directions would read as a bipartite frame
+    if not isinstance(vecs, list) or len(vecs) not in (4, 6) or None in vecs:
         raise InvalidStateError(f"expected a list of 4 or 6 unit vectors, got {vecs!r}")
     return settings(*vecs)
 

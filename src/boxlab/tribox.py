@@ -29,13 +29,13 @@ class TripartiteBox(boxcore._Box):
     """Immutable validated tripartite box; ``table[x,y,z,a,b,c]`` = P(a,b,c|x,y,z)."""
 
 
-def make_box3(values, eps: float = EPS_VALID) -> TripartiteBox:
+def make_box3(values) -> TripartiteBox:
     """Validate normalization, positivity and full nonsignaling.
 
     Every single-party marginal must be independent of the other two inputs
     and every two-party marginal independent of the remaining input.
     """
-    return TripartiteBox(boxcore._validate(values, 3, eps))
+    return TripartiteBox(boxcore._validate(values, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +317,7 @@ class MonogamyReport3:
     marginal_holds: bool           # quantum-only expectation
 
 
-def monogamy_checks3(box: TripartiteBox, eps: float = EPS_VALID) -> MonogamyReport3:
+def monogamy_checks3(box: TripartiteBox) -> MonogamyReport3:
     """Trade-off margins; the marginal-discord relations hold for quantum
     boxes (their proofs use monogamy of entanglement) and are reported, not
     folded into ``holds``."""
@@ -336,20 +336,20 @@ def monogamy_checks3(box: TripartiteBox, eps: float = EPS_VALID) -> MonogamyRepo
         discord_margin=float(gq_margin),
         marginal_bell_margins=bell_margins,
         marginal_mermin_margins=mermin_margins,
-        holds=bool(sv_margin >= -eps and gq_margin >= -eps),
-        marginal_holds=bool(min(bell_margins.values()) >= -eps
-                            and min(mermin_margins.values()) >= -eps),
+        holds=bool(sv_margin >= -EPS_VALID and gq_margin >= -EPS_VALID),
+        marginal_holds=bool(min(bell_margins.values()) >= -EPS_VALID
+                            and min(mermin_margins.values()) >= -EPS_VALID),
     )
 
 
-def ghz_paradox_check(box: TripartiteBox, eps: float = EPS_VALID) -> bool:
+def ghz_paradox_check(box: TripartiteBox) -> bool:
     """True iff <A0B0C0> = +1 and <A0B1C1> = <A1B0C1> = <A1B1C0> = -1."""
     e3 = expectations3(box).abc
     return bool(
-        abs(e3[0, 0, 0] - 1.0) <= eps
-        and abs(e3[0, 1, 1] + 1.0) <= eps
-        and abs(e3[1, 0, 1] + 1.0) <= eps
-        and abs(e3[1, 1, 0] + 1.0) <= eps
+        abs(e3[0, 0, 0] - 1.0) <= EPS_VALID
+        and abs(e3[0, 1, 1] + 1.0) <= EPS_VALID
+        and abs(e3[1, 0, 1] + 1.0) <= EPS_VALID
+        and abs(e3[1, 1, 0] + 1.0) <= EPS_VALID
     )
 
 
@@ -377,8 +377,7 @@ def _mermin3_partners(svid: TriVertexId) -> list[TriVertexId]:
             mermin3_id(al ^ 1, be ^ 1, ga ^ 1, ep ^ al ^ be ^ ga ^ 1)]
 
 
-def three_decomposition3(box: TripartiteBox,
-                         tol: float = polytope.DISCORD_TOL) -> DecompositionResult:
+def three_decomposition3(box: TripartiteBox) -> DecompositionResult:
     """Split a Svetlichny-polytope box into Svetlichny box, tripartite Mermin
     box and a residual with both discords zero.
 
@@ -391,7 +390,7 @@ def three_decomposition3(box: TripartiteBox,
     if not in_sv_polytope(box):
         raise NotInPolytopeError("box is outside the Svetlichny-box polytope")
     result = polytope._canonical_split(box, _sv_pairs(), svetlichny_discord(box) / 8.0,
-                                       mermin3_discord(box) / 4.0, tol)
+                                       mermin3_discord(box) / 4.0, polytope.DISCORD_TOL)
     if result is None:
         raise ResidualInvalidError("no canonical pair yields a valid double-zero residual")
     return result

@@ -1,11 +1,12 @@
 """Box construction, extremal catalog and relabeling-group tests."""
 
+import inspect
 import itertools
 
 import numpy as np
 import pytest
 
-from boxlab import boxcore
+from boxlab import boxcore, discord2, polytope, qstate, tribox
 from boxlab.boxcore import (
     BadWeightsError,
     NegativeEntryError,
@@ -165,6 +166,8 @@ def test_mix_rejects_bad_weights():
         boxcore.mix([pr, boxcore.noise_box()], [0.7, 0.7])
     with pytest.raises(BadWeightsError):
         boxcore.mix([pr, boxcore.noise_box()], [1.5, -0.5])
+    with pytest.raises(BadWeightsError):
+        boxcore.mix([pr, boxcore.noise_box()], [np.nan, 1.0])
 
 
 def test_joint_expectations_pr_and_noise():
@@ -311,3 +314,13 @@ def test_json_rejects_wrong_parties():
                                                             '"parties": 5')
     with pytest.raises(boxcore.BoxError):
         boxcore.box_from_json(text)
+
+
+def test_no_public_function_takes_its_own_tolerance():
+    # every tolerance is a constant of boxlab._tol, not a per-call override
+    found = [f"{mod.__name__}.{name}({param})"
+             for mod in (boxcore, tribox, polytope, discord2, qstate)
+             for name, fn in vars(mod).items()
+             if inspect.isfunction(fn) and not name.startswith("_")
+             for param in inspect.signature(fn).parameters if param in ("eps", "tol")]
+    assert found == []

@@ -335,6 +335,7 @@ def test_state_from_json_rejects_malformed_documents(doc):
     {"a": 1, "b": 2, "c": 3, "d": 4},             # an object, not a list
     [[1, 0, 0], [0, 1, 0], [1, 0, 0], "x"],       # non-numeric entry
     [[1, 0, 0], [0, 1, 0], [1, 0, 0], [0, 1]],    # a vector of two numbers
+    [[1, 0, 0], [0, 1, 0], [1, 0, 0], [0, 1, 0], None, None],  # six entries, no C
 ])
 def test_settings_from_json_rejects_malformed_documents(doc):
     with pytest.raises(qstate.InvalidStateError):
