@@ -7,6 +7,8 @@ Closed-form tolerances are 1e-9; criteria 9, 10 and 11 state their own bounds.
 
 from __future__ import annotations
 
+import dataclasses
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +26,7 @@ class CriterionResult:
     description: str
     passed: bool
     detail: str = ""
+    seconds: float = 0.0  # wall time, set by run_all
 
 
 def _result(number, description, max_err, tol, extra="") -> CriterionResult:
@@ -275,7 +278,9 @@ def _two_sided_tables(rng: np.random.Generator, n: int) -> np.ndarray:
 def criterion_10() -> CriterionResult:
     """Fine cross-check: LP locality agrees with the complete CHSH criterion
     on 1e4 random NS boxes and on 1e3 boxes on both sides of the local
-    polytope (_two_sided_tables), eps-boundary cases excluded."""
+    polytope (_two_sided_tables), eps-boundary cases excluded. The verdicts
+    of every box come from the warm-started stacked LP; the two-sided boxes
+    are checked with the weights of lp_vertex_weights too."""
     rng = np.random.default_rng(SEED + 2)
     tables = np.vstack([polytope.random_ns_tables(rng, 10_000).reshape(-1, 16),
                         _two_sided_tables(np.random.default_rng(SEED + 5), 500)])
@@ -283,11 +288,12 @@ def criterion_10() -> CriterionResult:
     bmax = np.max(discord2.bell_functions_from_expectations(e).reshape(-1, 4),
                   axis=1)
     keep = np.abs(bmax - 2.0) > boxcore.EPS_LP
-    weights = polytope.lp_vertex_weights(
-        tables[keep], polytope.vertex_matrix(boxcore.all_det_ids()))
-    local = ~np.isnan(weights[:, 0])
-    disagree = int(np.count_nonzero(local != (bmax[keep] < 2.0)))
+    det = polytope.vertex_matrix(boxcore.all_det_ids())
+    local = polytope._inside_flags(tables[keep], det)
     side = bmax[10_000:][keep[10_000:]] < 2.0
+    weights = polytope.lp_vertex_weights(tables[10_000:][keep[10_000:]], det)
+    disagree = int(np.count_nonzero(local != (bmax[keep] < 2.0))
+                   + np.count_nonzero(~np.isnan(weights[:, 0]) != side))
     return _result(10, "Fine cross-check: LP vs complete CHSH set (1e4 + 1e3 boxes)",
                    float(disagree), 0.5,
                    extra=f"{np.count_nonzero(keep[:10_000])} non-boundary boxes, "
@@ -441,5 +447,12 @@ ALL_CRITERIA = [
 
 
 def run_all(numbers=None) -> list[CriterionResult]:
-    return [crit() for idx, crit in enumerate(ALL_CRITERIA, start=1)
-            if not numbers or idx in numbers]
+    """The results of the criteria numbered in `numbers`, or of all, in
+    order, each with its wall time."""
+    results = []
+    for idx, crit in enumerate(ALL_CRITERIA, start=1):
+        if not numbers or idx in numbers:
+            start = time.perf_counter()
+            result = crit()
+            results.append(dataclasses.replace(result, seconds=time.perf_counter() - start))
+    return results

@@ -50,6 +50,26 @@ class BadWeightsError(ValueError):
     pass
 
 
+class _cached_property:
+    """functools.cached_property without its lock: a non-data descriptor that
+    computes the value on first use and stores it in the instance __dict__,
+    where every later read finds it first, as Python 3.12's does. Python
+    3.11's takes an RLock on every first access. Two threads reading it
+    first may both compute the value; they get equal values."""
+
+    def __init__(self, func):
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
 @dataclass(frozen=True, eq=False)
 class _Box:
     """Immutable box of either party count; construction makes its table read-only."""
@@ -59,7 +79,7 @@ class _Box:
     def __post_init__(self):
         self.table.setflags(write=False)
 
-    @functools.cached_property
+    @_cached_property
     def correlators(self) -> np.ndarray:
         """Read-only full-party correlators, shape (2**n,): built on first
         use, which is sound because every box owns its read-only table."""

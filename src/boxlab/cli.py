@@ -277,13 +277,18 @@ def cmd_verify(args) -> int:
                              f"criteria are 1..{len(acceptance.ALL_CRITERIA)}")
         numbers = [int(n) for n in args.only.split(",")]
     results = acceptance.run_all(numbers)
-    width = max(len(r.description) for r in results)
-    failed = 0
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"[{status}] {r.number:2d}  {r.description.ljust(width)}  {r.detail}")
-        failed += not r.passed
-    print(f"{len(results) - failed}/{len(results)} criteria passed")
+    failed = sum(not r.passed for r in results)
+    if args.json:
+        print(json.dumps({"criteria": [
+            {"number": r.number, "verdict": "PASS" if r.passed else "FAIL",
+             "detail": r.detail, "seconds": r.seconds} for r in results],
+            "passed": len(results) - failed, "total": len(results)}))
+    else:
+        width = max(len(r.description) for r in results)
+        for r in results:
+            status = "PASS" if r.passed else "FAIL"
+            print(f"[{status}] {r.number:2d}  {r.description.ljust(width)}  {r.detail}")
+        print(f"{len(results) - failed}/{len(results)} criteria passed")
     return EXIT_OK if failed == 0 else EXIT_CRITERION_FAILED
 
 
@@ -331,6 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the acceptance suite")
     p.add_argument("--only", help="comma list of criterion numbers")
+    p.add_argument("--json", action="store_true",
+                   help="one JSON line: each criterion's number, verdict, detail and wall time")
     p.set_defaults(func=cmd_verify)
 
     return parser

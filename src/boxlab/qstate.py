@@ -128,7 +128,7 @@ class MeasurementSettings:
     def dirs(self) -> tuple[np.ndarray, ...]:
         return (self.a, self.b) if self.c is None else (self.a, self.b, self.c)
 
-    @functools.cached_property
+    @boxcore._cached_property
     def born_operator(self) -> np.ndarray:
         """Read-only B, Born table (rho.mat.reshape(-1) @ B).real in [x.., a..]
         order: B[(i, j), (x, a)] = prod_k P_k[x_k, a_k][j_k, i_k], as outer
@@ -540,10 +540,16 @@ def hardy_probability(b: complex, c: complex, d: complex) -> float:
     inputs (product or maximally entangled, i.e. b*c*d = 0) give 0.
     """
     amps = np.array([b, c, d], dtype=complex)
-    n = np.linalg.norm(amps)
-    if n == 0:
+    if not np.isfinite(amps).all():
+        raise InvalidStateError(f"amplitudes {b}, {c}, {d} are not all finite")
+    # divided by the largest modulus before the norm, so that tiny amplitudes
+    # do not underflow; real and imaginary parts apart, which keeps it exact
+    # where complex division would not be
+    scale = np.abs(amps).max()
+    if scale == 0:
         raise InvalidStateError("all amplitudes are zero")
-    b, c, d = amps / n
+    amps = (amps.view(float) / scale).view(complex)
+    b, c, d = amps / np.linalg.norm(amps)
     if abs(b * c * d) < HARDY_DEGENERATE:
         return 0.0
     nb2, nc2, nd2 = abs(b) ** 2, abs(c) ** 2, abs(d) ** 2

@@ -48,3 +48,16 @@ def test_criterion_10_fails_an_lp_that_gives_one_answer_for_every_box(answer, mo
     assert not result.passed
     inside, outside = (int(w) for w in result.detail.split("two-sided ")[1].split()[::3])
     assert inside > 0 and outside > 0
+
+
+@pytest.mark.parametrize("answer", [True, False])
+def test_criterion_10_fails_a_verdict_path_that_gives_one_answer_for_every_box(
+        answer, monkeypatch):
+    # the verdicts of every box come from the warm-started stacked LP, so a
+    # verdict path that calls every box local, or every box nonlocal, fails
+    # the criterion although lp_vertex_weights still answers right
+    monkeypatch.setattr(polytope, "_inside_flags",
+                        lambda targets, vertices: np.full(len(targets), answer))
+    result = acceptance.criterion_10()
+    assert not result.passed
+    assert "10000 non-boundary boxes, two-sided 502 inside / 498 outside" in result.detail

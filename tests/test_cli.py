@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from boxlab import _corr, boxcore, cli, discord2, polytope, qstate, tribox
+from boxlab import _corr, acceptance, boxcore, cli, discord2, polytope, qstate, tribox
 
 
 def run_cli(args):
@@ -366,3 +366,28 @@ def test_measure_report_computes_the_full_correlators_once(parties, monkeypatch)
         fresh = make(box.table)  # no correlators kept yet
         report(fresh)
         assert full == [parties]
+
+
+def test_verify_json_gives_each_criterion_its_verdict_and_time(capsys):
+    assert run_cli(["verify", "--only", "10", "--json"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    report = json.loads(lines[0])
+    assert (report["passed"], report["total"]) == (1, 1)
+    [c10] = report["criteria"]
+    assert (c10["number"], c10["verdict"]) == (10, "PASS")
+    assert "two-sided 502 inside / 498 outside" in c10["detail"]
+    assert 0.0 < c10["seconds"] < 600.0
+
+
+def test_verify_json_keeps_the_exit_codes(capsys, monkeypatch):
+    failing = acceptance.CriterionResult(1, "always fails", False, "max error 1")
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA",
+                        [lambda: failing, *acceptance.ALL_CRITERIA[1:]])
+    assert run_cli(["verify", "--only", "1,14", "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert [c["verdict"] for c in report["criteria"]] == ["FAIL", "PASS"]
+    assert [c["number"] for c in report["criteria"]] == [1, 14]
+    assert report["criteria"][0]["detail"] == "max error 1"
+    assert run_cli(["verify", "--only", "99", "--json"]) == 2
+    assert capsys.readouterr().out == ""

@@ -366,6 +366,8 @@ def test_membership_accepts_tables_the_validators_admit(lp_solver):
 def test_lp_vertex_weights_rejects_mismatched_target(shape):
     with pytest.raises(ValueError, match="does not match"):
         polytope.lp_vertex_weights(np.full(shape, 0.25), DET)
+    with pytest.raises(ValueError, match="does not match"):
+        polytope._inside_flags(np.full(shape, 0.25), DET)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -377,6 +379,7 @@ def test_lp_entry_points_reject_non_finite_targets(bad):
     for call in (lambda: polytope.lp_vertex_weights(broken, DET),
                  lambda: polytope.lp_vertex_weights(np.stack([target, broken]), DET),
                  lambda: polytope.lp_vertex_weights(np.stack([target, broken]), [DET, DET]),
+                 lambda: polytope._inside_flags(np.stack([target, broken]), DET),
                  lambda: polytope.nested_hull_flags(broken, DET, (0,))):
         with pytest.raises(ValueError, match="non-finite"):
             call()
@@ -801,3 +804,72 @@ def test_kept_stack_model_gives_each_thread_its_own_answer():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert not wrong
+
+
+# -- the verdicts-only stacked path from a fixed start basis -------------------
+
+def _verdict_strata():
+    """(vertices, targets) on both sides of a hull: PR-weighted mixtures and
+    near-facet boxes over the 16 deterministic vertices, and targets near
+    the 128-vertex Svetlichny polytope and near its two inner hulls."""
+    rng = np.random.default_rng(4116)
+    near_tri = np.stack([*(tribox.random_sv_polytope_box(rng).table.reshape(-1)
+                           for _ in range(8)), *_near_sv_polytope_targets()])
+    near_inner = np.stack([t for t, _ in _near_inner_hull_targets(6)])
+    return [(DET, _pr_weighted_mixtures(rng, 600)),
+            (DET, _near_facet_tables(rng, 600)[0]),
+            (TRI, near_tri), (TRI[16:], near_inner), (TRI[64:], near_inner)]
+
+
+def _cold_verdicts(targets, vertices):
+    return ~np.isnan(polytope.lp_vertex_weights(targets, vertices)[:, 0])
+
+
+def test_inside_flags_give_the_verdicts_of_lp_vertex_weights():
+    seen = set()
+    for vertices, targets in _verdict_strata():
+        flags = polytope._inside_flags(targets, vertices)
+        assert flags.dtype == bool and flags.shape == (len(targets),)
+        assert np.array_equal(flags, _cold_verdicts(targets, vertices))
+        seen.update(flags.tolist())
+    assert seen == {True, False}
+    assert polytope._inside_flags(np.empty((0, 16)), DET).shape == (0,)
+    assert polytope._inside_flags(DET[0], DET).tolist() == [True]
+
+
+def test_inside_flags_do_not_depend_on_kept_models():
+    strata = _verdict_strata()
+    first = [polytope._inside_flags(t, v) for v, t in strata]
+    polytope._target_model.cache_clear()
+    polytope._start_basis.cache_clear()
+    assert all(np.array_equal(polytope._inside_flags(t, v), f)
+               for (v, t), f in zip(strata, first))
+
+
+def test_warm_solves_leave_the_cold_weights_unchanged():
+    # the stacks of test_kept_stack_models_give_the_same_bits_whatever_they_
+    # solved_before, solved cold, then warm on the same kept models, then cold
+    rng = np.random.default_rng(4114)
+    stack_a = np.vstack([_pr_weighted_mixtures(rng, 2 * polytope._LP_BLOCK),
+                         _near_facet_tables(rng, 17)[0]])
+    stack_b = _near_facet_tables(rng, polytope._LP_BLOCK + 3)[0]
+    first = polytope.lp_vertex_weights(stack_a, DET).tobytes()
+    for stack in (stack_a, stack_b):
+        warm = polytope._inside_flags(stack, DET)
+        assert np.array_equal(warm, _cold_verdicts(stack, DET))
+        assert polytope.lp_vertex_weights(stack_a, DET).tobytes() == first
+
+
+def test_inside_flags_raise_when_the_solver_stops_early(monkeypatch):
+    targets = _pr_weighted_mixtures(np.random.default_rng(4117), 60)
+    start, options = polytope._start_basis, tuple(polytope._HIGHS_OPTIONS.items())
+    polytope._inside_flags(targets, DET)
+    monkeypatch.setitem(polytope._HIGHS_OPTIONS, "simplex_iteration_limit", 0)
+    with pytest.raises(polytope.LpNumericalFailure, match="status 14: Iteration limit"):
+        polytope._inside_flags(targets, DET)
+    # from the start basis found under the library's options, the blocks
+    # themselves stop at the limit
+    monkeypatch.setattr(polytope, "_start_basis", lambda key, m, _: start(key, m, options))
+    with pytest.raises(polytope.LpNumericalFailure, match="status 14: Iteration limit"):
+        polytope._inside_flags(targets, DET)
+

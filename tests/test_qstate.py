@@ -2,13 +2,14 @@
 
 import itertools
 import json
+import threading
 
 import hypothesis
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from boxlab import boxcore, cli, discord2, qstate, tribox
+from boxlab import _corr, boxcore, cli, discord2, polytope, qstate, tribox
 
 RNG = np.random.default_rng(31)
 SQRT2 = np.sqrt(2.0)
@@ -308,6 +309,27 @@ def test_hardy_probability_values():
     assert val_c == pytest.approx((0.25 * 0.25 * 0.5) / (0.75 * 0.75), abs=1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
+def test_hardy_probability_rejects_non_finite_amplitudes_without_a_warning(bad):
+    # the suite turns RuntimeWarnings into errors, so a division by a
+    # non-finite norm would fail here before the state is refused
+    for amps in ((bad, 1, 1), (1, bad, 1), (1, 1, bad)):
+        with pytest.raises(qstate.InvalidStateError, match="finite"):
+            qstate.hardy_probability(*amps)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e150, 1e300])
+def test_hardy_probability_does_not_depend_on_the_amplitudes_scale(scale):
+    # equal amplitudes give the value of (1, 1, 1) exactly at any scale;
+    # others are rounded once when scaled, so to a few ulps
+    assert qstate.hardy_probability(scale, scale, scale) == qstate.hardy_probability(1, 1, 1)
+    amps = np.array([0.5j, 0.5, np.sqrt(0.5) * np.exp(0.3j)])
+    want = qstate.hardy_probability(*amps)
+    assert qstate.hardy_probability(*(scale * amps)) == pytest.approx(want, rel=1e-14, abs=0.0)
+    with pytest.raises(qstate.InvalidStateError, match="zero"):
+        qstate.hardy_probability(0, 0, 0)
+
+
 def test_state_json_round_trip():
     rho = qstate.random_two_qubit_state(RNG)
     again = qstate.state_from_json(qstate.state_to_json(rho))
@@ -473,6 +495,47 @@ def test_born_operator_directions_and_box_correlators_are_read_only():
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array.reshape(-1)[0] = 0.0
+
+
+def _fresh_box():
+    return boxcore.make_box(polytope.random_ns_tables(np.random.default_rng(1402), 1)[0])
+
+
+def _fresh_frame():
+    return qstate.random_settings3(np.random.default_rng(1403))
+
+
+@pytest.mark.parametrize("make, name, compute", [
+    (_fresh_box, "correlators", lambda box: _corr.correlators(box.table.reshape(-1), 2)),
+    (_fresh_frame, "born_operator", born_operator_by_kron),
+])
+def test_kept_properties_compute_once_and_stay_read_only(make, name, compute):
+    # computed on first use and kept in the instance, with no lock taken; the
+    # value is the one the definition gives, and it cannot be written over
+    obj = make()
+    assert name not in vars(obj)
+    value = getattr(obj, name)
+    assert vars(obj)[name] is value and getattr(obj, name) is value
+    assert np.allclose(value, compute(obj), rtol=0.0, atol=1e-15)
+    assert not value.flags.writeable
+    with pytest.raises(ValueError):
+        value.reshape(-1)[0] = 0.0
+    # two threads reading a fresh instance first both get the same value
+    for _ in range(20):
+        obj, got = make(), [None, None]
+        barrier = threading.Barrier(2)
+
+        def read(i, obj=obj, got=got, barrier=barrier):
+            barrier.wait()
+            got[i] = getattr(obj, name)
+
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert np.array_equal(got[0], got[1])
+        assert np.array_equal(getattr(obj, name), got[0])
 
 
 @pytest.mark.parametrize("family, formula", [
