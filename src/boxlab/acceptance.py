@@ -180,12 +180,32 @@ def criterion_7() -> CriterionResult:
     return _result(7, "additivity catalog (six frames)", max(errs), TOL_CLOSED)
 
 
+def _two_qubit_states(normals: np.ndarray) -> qstate.DensityMatrix:
+    """The stack of random_two_qubit_state's states from its 16 + 16 normals
+    per state, (k, 32): g g^H / tr of g = the first 16 + i the next 16."""
+    g = normals[:, :16].reshape(-1, 4, 4) + 1j * normals[:, 16:].reshape(-1, 4, 4)
+    m = g @ g.conj().swapaxes(1, 2)
+    return qstate._density_matrix_stack(m / np.trace(m, axis1=1, axis2=2).real[:, None, None])
+
+
+def _monogamy_tables(rng: np.random.Generator) -> np.ndarray:
+    """Criterion 8's (1000, 16) Born tables of random two-qubit states, each
+    under a random frame. Per pair, random_two_qubit_state and then
+    random_settings2 draw 16 + 16 + 4 x 3 normals, one after another, so
+    one (1000, 44) draw is the same stream."""
+    x = rng.normal(size=(1_000, 44))
+    dirs = x[:, 32:].reshape(-1, 2, 2, 3)
+    return qstate._born_tables2(_two_qubit_states(x[:, :32]),
+                                dirs / np.linalg.norm(dirs, axis=-1, keepdims=True))
+
+
 def criterion_8() -> CriterionResult:
     """Monogamy sweep: B_i + B_j <= 4 and G + 2Q <= 4 on 1e4 random NS boxes
     and 1e3 random two-qubit state/settings pairs."""
     rng = np.random.default_rng(SEED)
-    tables = polytope.random_ns_tables(rng, 10_000)
-    e = _corr.correlators(tables.reshape(-1, 16), 2).reshape(-1, 2, 2)
+    tables = polytope.random_ns_tables(rng, 10_000).reshape(-1, 16)
+    tables = np.vstack([tables, _monogamy_tables(rng)])
+    e = _corr.correlators(tables, 2).reshape(-1, 2, 2)
     b = discord2.bell_functions_from_expectations(e).reshape(-1, 4)
     i, j = discord2._PAIRS
     pair_max = max(0.0, float(np.max(b[:, i] + b[:, j])))
@@ -193,14 +213,34 @@ def criterion_8() -> CriterionResult:
     q = discord2.mermin_discord_from_expectations(e)
     gq_max = float(np.max(g + 2 * q))
     worst = max(pair_max - 4.0, gq_max - 4.0)
-    for _ in range(1_000):
-        box = qstate.born_box2(qstate.random_two_qubit_state(rng),
-                               qstate.random_settings2(rng))
-        rep = discord2.monogamy_checks(box)
-        worst = max(worst, -rep.bell_pair_margin, -rep.discord_margin)
     return _result(8, "monogamy: B_i+B_j <= 4, G+2Q <= 4 (1e4 boxes + 1e3 states)",
                    max(worst, 0.0), TOL_CLOSED,
                    extra=f"tightest margin {-worst:.3e}")
+
+
+def _nullity_states(rng: np.random.Generator, n: int) -> tuple[qstate.DensityMatrix, ...]:
+    """Criterion 9's stacks of n states of random_cq_state, random_qc_state
+    and random_two_qubit_state, on the stream of a loop calling the three n
+    times. A CQ or QC state interleaves uniform and normal draws (p0, r_hat
+    and s0's direction, s0's radius, s1's direction, s1's radius), so only
+    they are drawn one call at a time; the rest is done on the stacks."""
+    p = np.empty((n, 2, 3))        # [state, CQ/QC, (p0, s0 radius, s1 radius)]
+    normals = np.empty((n, 2, 9))  # [state, CQ/QC, (r_hat, s0, s1) directions]
+    g = np.empty((n, 32))
+    for k in range(n):
+        for kind in range(2):
+            p[k, kind, 0] = rng.uniform()
+            normals[k, kind, :6] = rng.normal(size=6)
+            p[k, kind, 1] = rng.uniform()
+            normals[k, kind, 6:] = rng.normal(size=3)
+            p[k, kind, 2] = rng.uniform()
+        g[k] = rng.normal(size=32)
+    v = normals.reshape(n, 2, 3, 3)
+    v = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    s = v[:, :, 1:] * p[:, :, 1:, None] ** (1.0 / 3.0)
+    cq, qc = (qstate._classical_quantum(p[:, kind, 0], v[:, kind, 0], s[:, kind, 0],
+                                        s[:, kind, 1], bool(kind)) for kind in range(2))
+    return cq, qc, _two_qubit_states(g)
 
 
 def criterion_9() -> CriterionResult:
@@ -228,13 +268,8 @@ def criterion_9() -> CriterionResult:
                         discord2.mermin_discord_from_expectations(e).max())
         return float(worst)
 
-    cq_corr = np.empty((n_states, 3, 3))
-    qc_corr = np.empty((n_states, 3, 3))
-    any_corr = np.empty((n_states, 3, 3))
-    for n in range(n_states):
-        _, _, cq_corr[n] = qstate.correlation_data(qstate.random_cq_state(rng))
-        _, _, qc_corr[n] = qstate.correlation_data(qstate.random_qc_state(rng))
-        _, _, any_corr[n] = qstate.correlation_data(qstate.random_two_qubit_state(rng))
+    cq_corr, qc_corr, any_corr = (qstate.correlation_data(rho)[2]
+                                  for rho in _nullity_states(rng, n_states))
     sweep_max = max(grid_max(cq_corr), grid_max(qc_corr))
     # tie the shortcut to the full Born rule on a subsample
     for n in range(100):

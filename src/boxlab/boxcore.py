@@ -95,8 +95,11 @@ class _Box:
         return bool(np.allclose(self.table, other.table, atol=tol, rtol=0.0))
 
 
+@dataclass(frozen=True, eq=False)
 class BipartiteBox(_Box):
-    """Immutable validated bipartite box; ``table[x, y, a, b]`` = P(a,b|x,y)."""
+    """Immutable validated bipartite box; ``table[x, y, a, b]`` = P(a,b|x,y).
+    A frozen dataclass itself, so that no attribute, ``correlators`` included,
+    can be assigned; a frozen base refuses only its own fields."""
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +145,14 @@ def _linear_checks(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tup
 _LINEAR_CHECKS = {n: _linear_checks(n) for n in (2, 3)}
 
 
+def _valid_at_once(t: np.ndarray, n: int) -> bool:
+    """One test of a flat n-party table (4**n,) or a stack (k, 4**n) that
+    passes every valid table; its bounds keep NaN and inf out of the product."""
+    rows, target = _LINEAR_CHECKS[n][:2]
+    return bool(0.0 <= t.min() and t.max() <= 1.0 + EPS_VALID
+                and np.abs(t @ rows.T - target).max() <= EPS_VALID)
+
+
 def _validate(values, n: int) -> np.ndarray:
     """The (2,)*2n table of `values`: a new array, checked, with entries in
     (-EPS_VALID, 0) clamped to 0 (decomposition residuals produce -1e-16 noise).
@@ -159,12 +170,10 @@ def _validate(values, n: int) -> np.ndarray:
     if t.size != 4 ** n:
         raise BoxError(f"expected {4 ** n} probabilities, got {t.size}")
     t = t.reshape((2,) * (2 * n))
-    rows, target, ends, checks = _LINEAR_CHECKS[n]
     flat = t.reshape(-1)
-    # one test passes a valid table; its bounds keep NaN and inf out of the product
-    if (0.0 <= flat.min() and flat.max() <= 1.0 + EPS_VALID
-            and np.abs(rows @ flat - target).max() <= EPS_VALID):
+    if _valid_at_once(flat, n):
         return t
+    rows, target, ends, checks = _LINEAR_CHECKS[n]
     if not np.isfinite(t).all():
         raise BoxError(f"table has non-finite entries: {t[~np.isfinite(t)]}")
     neg = t < 0
@@ -184,6 +193,17 @@ def _validate(values, n: int) -> np.ndarray:
                        f"= {residuals[row] + 1.0:.12f} != 1")
         raise error(message)
     return t
+
+
+def _validate_stack(values, n: int) -> np.ndarray:
+    """The (k, 4**n) tables of `values`, each checked as _validate checks
+    one: the stack passes _valid_at_once, or else each row goes through
+    _validate in order, so the first bad table raises the error that
+    make_box (make_box3) raises on it."""
+    t = np.array(values, dtype=float).reshape(-1, 4 ** n)
+    if _valid_at_once(t, n):
+        return t
+    return np.stack([_validate(row, n).reshape(-1) for row in t])
 
 
 def make_box(values) -> BipartiteBox:

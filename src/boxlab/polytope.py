@@ -263,10 +263,11 @@ def _highs_model(c: np.ndarray, block: np.ndarray, m: int):
     return lp, model
 
 
-def _run(model, basis=None) -> tuple[np.ndarray, np.ndarray]:
-    """Solve `model` from scratch, or from `basis`: the optimal point and the
-    duals of its equality rows. clearSolver() drops the basis of any earlier
-    solve, so the answer does not depend on what the model solved before."""
+def _run(model, basis=None):
+    """Solve `model` from scratch, or from `basis`: a copy of its optimal
+    solution, with the point in col_value and the duals of the equality rows
+    in row_dual. clearSolver() drops the basis of any earlier solve, so the
+    answer does not depend on what the model solved before."""
     model.clearSolver()
     if basis is not None and model.setBasis(basis) != _highs().HighsStatus.kOk:
         raise LpNumericalFailure("HiGHS rejects the start basis")
@@ -275,17 +276,18 @@ def _run(model, basis=None) -> tuple[np.ndarray, np.ndarray]:
     if status != _highs().HighsModelStatus.kOptimal:
         raise LpNumericalFailure(f"HiGHS model status {int(status)}: "
                                  f"{model.modelStatusToString(status)}")
-    solution = model.getSolution()
-    return np.array(solution.col_value), np.array(solution.row_dual)
+    return model.getSolution()
 
 
-def _solve_target(vertices: np.ndarray, weight_cost: np.ndarray,
-                  targets: np.ndarray, basis=None) -> tuple[np.ndarray, np.ndarray]:
+def _solve_target(vertices: np.ndarray, weight_cost: np.ndarray, targets: np.ndarray,
+                  basis=None, duals: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """_run, from `basis` if given, on the elastic LP of one target (d,)
     over `vertices`, with `weight_cost` per vertex, or on the block-diagonal
-    LP of a stack (m, d). Its model is kept per vertex matrix, weight costs,
-    block count m and solver options; a call writes the targets into the
-    kept LP's row bounds and passes the LP to the model again, in one call."""
+    LP of a stack (m, d): the optimal point and, unless `duals` is false
+    (None then), the duals of the equality rows. Its model is kept per
+    vertex matrix, weight costs, block count m and solver options; a call
+    writes the targets into the kept LP's row bounds and passes the LP to
+    the model again, in one call."""
     m = targets.size // vertices.shape[1]
     lp, model = _target_model(_MatrixKey(np.asarray(vertices, dtype=float)),
                               weight_cost.tobytes(), m, tuple(_HIGHS_OPTIONS.items()))
@@ -293,7 +295,8 @@ def _solve_target(vertices: np.ndarray, weight_cost: np.ndarray,
     with _TARGET_LOCK:
         lp.row_lower_ = lp.row_upper_ = bounds
         model.passModel(lp)
-        return _run(model, basis)
+        solution = _run(model, basis)
+    return np.array(solution.col_value), (np.array(solution.row_dual) if duals else None)
 
 
 class _MatrixKey:
@@ -344,7 +347,7 @@ def _elastic_lp(targets: np.ndarray, vertices: np.ndarray, basis=None) -> np.nda
     """Weights of each target, NaN rows for targets outside the hull; the
     LP starts from `basis` if given."""
     m, (k, d) = len(targets), vertices.shape
-    x = _solve_target(vertices, np.zeros(k), targets, basis)[0].reshape(m, k + 2 * d)
+    x = _solve_target(vertices, np.zeros(k), targets, basis, duals=False)[0].reshape(m, k + 2 * d)
     w = np.clip(x[:, :k], 0.0, None)
     inside = x[:, k:].sum(axis=1) <= d * EPS_LP_SLACK
     if np.max(np.abs(w[inside] @ vertices - targets[inside]), initial=0.0) > EPS_LP:

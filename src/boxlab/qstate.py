@@ -43,13 +43,15 @@ class UnknownNameError(KeyError):
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Validated density matrix of one 4x4 (two-qubit) or 8x8 (three-qubit) system."""
+    """Validated density matrix of one 4x4 (two-qubit) or 8x8 (three-qubit)
+    system, or a validated (k, d, d) stack of them, made only by
+    _density_matrix_stack; only correlation_data reads a stack."""
 
     mat: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.mat.shape[0]
+        return self.mat.shape[-1]
 
 
 def density_matrix(mat) -> DensityMatrix:
@@ -67,6 +69,26 @@ def density_matrix(mat) -> DensityMatrix:
     if low < -EIG_TOL:
         raise InvalidStateError(f"negative eigenvalue {low:.3e}")
     m = m.copy()
+    m.setflags(write=False)
+    return DensityMatrix(m)
+
+
+def _density_matrix_stack(mats) -> DensityMatrix:
+    """The checks of density_matrix, in its order, on a (k, d, d) stack at
+    once: finite, Hermitian, unit trace, lowest eigenvalue >= -EIG_TOL. Where
+    one fails, each matrix goes through density_matrix in order, so that the
+    first bad one raises its own message."""
+    m = np.array(mats, dtype=complex)
+    if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[1] not in (4, 8):
+        raise InvalidStateError(f"expected a stack of 4x4 or 8x8 matrices, got {m.shape}")
+    tr = np.trace(m, axis1=1, axis2=2)
+    if not (np.isfinite(m).all()
+            and np.abs(m - m.conj().swapaxes(1, 2)).max() <= EPS_VALID
+            and np.abs(tr.real - 1.0).max() <= EPS_VALID
+            and np.abs(tr.imag).max() <= EPS_VALID
+            and np.linalg.eigvalsh(m)[:, 0].min() >= -EIG_TOL):
+        for one in m:
+            density_matrix(one)
     m.setflags(write=False)
     return DensityMatrix(m)
 
@@ -131,12 +153,8 @@ class MeasurementSettings:
     @boxcore._cached_property
     def born_operator(self) -> np.ndarray:
         """Read-only B, Born table (rho.mat.reshape(-1) @ B).real in [x.., a..]
-        order: B[(i, j), (x, a)] = prod_k P_k[x_k, a_k][j_k, i_k], as outer
-        products of the parties' entries [i_k, j_k, x_k, a_k], then one gather."""
-        q = _projector_stack(np.stack(self.dirs)).transpose(0, 4, 3, 1, 2)
-        flat = functools.reduce(lambda u, v: np.multiply.outer(u, v).ravel(),
-                                q.reshape(len(q), 16))
-        b = flat[_BORN_ORDER[len(q)]]
+        order: _born_operators of this one frame."""
+        b = _born_operators(np.stack(self.dirs))
         b.setflags(write=False)
         return b
 
@@ -177,9 +195,23 @@ _BORN_ORDER = {n: np.arange(16 ** n).reshape((2,) * (4 * n)).transpose(
     [4 * k + r for r in range(4) for k in range(n)]).reshape(4 ** n, -1) for n in (2, 3)}
 
 
+def _born_operators(dirs: np.ndarray) -> np.ndarray:
+    """The Born operators of frames of (.., n, 2, 3) unit directions, n
+    parties of two each, shape (4**n, 4**n, ..): the frames' axes go last, so
+    one (n, 2, 3) frame gives its B itself and a stack's gather copies whole
+    rows. B[(i, j), (x, a)] = prod_p P_p[x_p, a_p][j_p, i_p], as outer
+    products of the parties' entries [i_p, j_p, x_p, a_p], then one gather."""
+    p = _projector_stack(dirs)  # (.., n, x, a, j, i)
+    lead = p.ndim - 5
+    q = p.transpose(lead, lead + 4, lead + 3, lead + 1, lead + 2, *range(lead))
+    q = q.reshape((len(q), 16) + q.shape[5:])
+    flat = functools.reduce(lambda u, v: (u[:, None] * v).reshape((-1,) + v.shape[1:]), q)
+    return flat[_BORN_ORDER[len(q)]]
+
+
 def born_box2(rho: DensityMatrix, s: MeasurementSettings) -> BipartiteBox:
     """P(a,b|x,y) = Tr(rho Pi_a^x (x) Pi_b^y); output passes all box invariants."""
-    if rho.dim != 4:
+    if rho.mat.shape != (4, 4):
         raise InvalidStateError("born_box2 needs a 4x4 density matrix")
     if s.parties != 2:
         raise InvalidStateError("born_box2 needs two-party settings")
@@ -188,23 +220,36 @@ def born_box2(rho: DensityMatrix, s: MeasurementSettings) -> BipartiteBox:
 
 def born_box3(rho: DensityMatrix, s: MeasurementSettings) -> TripartiteBox:
     """Tripartite Born rule; output passes the tripartite box invariants."""
-    if rho.dim != 8:
+    if rho.mat.shape != (8, 8):
         raise InvalidStateError("born_box3 needs an 8x8 density matrix")
     if s.parties != 3:
         raise InvalidStateError("born_box3 needs three-party settings")
     return tribox.make_box3((rho.mat.reshape(-1) @ s.born_operator).real)
 
 
+def _born_tables2(rho: DensityMatrix, dirs: np.ndarray) -> np.ndarray:
+    """The (k, 16) Born tables of a stack of k two-qubit states, each under
+    its own frame of (k, 2, 2, 3) directions, checked as born_box2 and
+    make_box check one: directions of unit norm (else settings names the
+    first bad one) and the box invariants (boxcore._validate_stack)."""
+    if not (np.abs(np.linalg.norm(dirs, axis=-1) - 1.0) <= EPS_VALID).all():
+        for d in dirs:
+            settings(*d.reshape(4, 3))
+    tables = np.einsum("kr,rck->kc", rho.mat.reshape(-1, 16), _born_operators(dirs)).real
+    return boxcore._validate_stack(tables, 2)
+
+
 def correlation_data(rho: DensityMatrix):
-    """Bloch decomposition (r, s, C) of a two-qubit state.
+    """Bloch decomposition (r, s, C) of a two-qubit state, or of each state
+    of a (k, 4, 4) stack, shapes (k, 3), (k, 3) and (k, 3, 3).
 
     <A_x B_y> = a_x . C b_y, <A_x> = a_x . r, <B_y> = b_y . s; the shortcut is
     validated against the full Born rule in the test suite.
     """
     if rho.dim != 4:
         raise InvalidStateError("correlation_data needs a 4x4 density matrix")
-    t = (rho.mat.reshape(-1) @ _BLOCH_OPERATOR).real.reshape(4, 4)
-    return t[1:, 0], t[0, 1:], t[1:, 1:]
+    t = (rho.mat.reshape(-1, 16) @ _BLOCH_OPERATOR).real.reshape(rho.mat.shape)
+    return t[..., 1:, 0], t[..., 0, 1:], t[..., 1:, 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -373,16 +418,29 @@ def bell_diagonal_state(weights) -> DensityMatrix:
     return density_matrix(m)
 
 
-def _classical_quantum(p0: float, r_hat, s0, s1, quantum_first: bool) -> DensityMatrix:
+def _classical_quantum(p0, r_hat, s0, s1, quantum_first: bool) -> DensityMatrix:
     """p0 P+ (x) chi0 + (1 - p0) P- (x) chi1 for the projectors P+/- along r_hat
-    and the Bloch states chi0/chi1 of s0/s1, factors swapped if `quantum_first`."""
-    op = bloch_operator(_unit(r_hat))
-    terms = []
-    for proj, s in zip((0.5 * (ID2 + op), 0.5 * (ID2 - op)), (s0, s1)):
-        chi = 0.5 * (ID2 + bloch_operator(_vec3(s)))
-        u, v = (chi, proj) if quantum_first else (proj, chi)
-        terms.append((u[:, None, :, None] * v[None, :, None, :]).reshape(4, 4))  # kron(u, v)
-    return density_matrix(p0 * terms[0] + (1 - p0) * terms[1])
+    and the Bloch states chi0/chi1 of s0/s1, factors swapped if `quantum_first`.
+
+    Array-first: k weights (k,) and k vectors (k, 3) each give a validated
+    (k, 4, 4) stack (_density_matrix_stack); scalars and 3-vectors give one
+    state (density_matrix), as cq_state and qc_state do.
+    """
+    one = getattr(p0, "ndim", 0) == 0  # np.ndim(p0) takes about 2 us of a 45 us state
+    if one:
+        r_hat, s = _unit(r_hat), np.array([_vec3(s0), _vec3(s1)])
+    else:
+        s = np.stack([s0, s1], axis=1)
+        if not (np.abs(np.linalg.norm(r_hat, axis=-1) - 1.0) <= EPS_VALID).all():
+            for r in r_hat:
+                _unit(r)
+    proj = _projector_stack(r_hat)             # (.., a, i, j): P+, P-
+    chi = _projector_stack(s)[..., 0, :, :]    # (.., a, i, j): chi0, chi1
+    u, v = (chi, proj) if quantum_first else (proj, chi)
+    kron = (u[..., :, None, :, None] * v[..., None, :, None, :]).reshape(u.shape[:-2] + (4, 4))
+    p0 = np.asarray(p0, dtype=float)[..., None, None]
+    m = p0 * kron[..., 0, :, :] + (1 - p0) * kron[..., 1, :, :]
+    return density_matrix(m) if one else _density_matrix_stack(m)
 
 
 def cq_state(p0: float, r_hat, s0, s1) -> DensityMatrix:
@@ -577,6 +635,8 @@ def hardy_probability(b: complex, c: complex, d: complex) -> float:
 # JSON interchange
 
 def state_to_json(rho: DensityMatrix) -> str:
+    if rho.mat.ndim != 2:
+        raise InvalidStateError(f"state_to_json needs one state, got a stack {rho.mat.shape}")
     return json.dumps({
         "dim": rho.dim,
         "re": rho.mat.real.tolist(),

@@ -25,8 +25,10 @@ class NotInPolytopeError(RuntimeError):
     pass
 
 
+@dataclass(frozen=True, eq=False)
 class TripartiteBox(boxcore._Box):
-    """Immutable validated tripartite box; ``table[x,y,z,a,b,c]`` = P(a,b,c|x,y,z)."""
+    """Immutable validated tripartite box; ``table[x,y,z,a,b,c]`` = P(a,b,c|x,y,z),
+    frozen as :class:`boxcore.BipartiteBox` is."""
 
 
 def make_box3(values) -> TripartiteBox:

@@ -9,7 +9,7 @@ The README's known-limitations section carries the counterexample.
 import numpy as np
 import pytest
 
-from boxlab import acceptance, polytope
+from boxlab import acceptance, polytope, qstate
 
 CRITERIA = {fn.__name__: fn for fn in acceptance.ALL_CRITERIA}
 
@@ -61,3 +61,33 @@ def test_criterion_10_fails_a_verdict_path_that_gives_one_answer_for_every_box(
     result = acceptance.criterion_10()
     assert not result.passed
     assert "10000 non-boundary boxes, two-sided 502 inside / 498 outside" in result.detail
+
+
+def test_criterion_8_tables_equal_a_per_point_reference_loop():
+    # the same stream as a loop of random_two_qubit_state, random_settings2
+    # and born_box2, drawn after the 10,000 NS tables
+    rng, ref = np.random.default_rng(acceptance.SEED), np.random.default_rng(acceptance.SEED)
+    for r in (rng, ref):
+        polytope.random_ns_tables(r, 10_000)
+    got = acceptance._monogamy_tables(rng)
+    want = np.stack([qstate.born_box2(qstate.random_two_qubit_state(ref),
+                                      qstate.random_settings2(ref)).table.reshape(-1)
+                     for _ in range(1_000)])
+    assert got.shape == (1_000, 16)
+    assert np.max(np.abs(got - want)) <= 1e-15
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_criterion_9_states_equal_a_per_point_reference_loop():
+    # the same stream as a loop of random_cq_state, random_qc_state and
+    # random_two_qubit_state, drawn after the 2 x 1,000 random frames
+    rng, ref = np.random.default_rng(acceptance.SEED + 1), np.random.default_rng(acceptance.SEED + 1)
+    for r in (rng, ref):
+        r.normal(size=(2, 1_000, 2, 3))
+    got = acceptance._nullity_states(rng, 1_000)
+    samplers = (qstate.random_cq_state, qstate.random_qc_state, qstate.random_two_qubit_state)
+    want = np.stack([[sample(ref).mat for sample in samplers] for _ in range(1_000)], axis=1)
+    for stack, mats in zip(got, want):
+        assert stack.mat.shape == (1_000, 4, 4)
+        assert np.max(np.abs(stack.mat - mats)) <= 1e-15
+    assert rng.bit_generator.state == ref.bit_generator.state

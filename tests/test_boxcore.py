@@ -1,5 +1,6 @@
 """Box construction, extremal catalog and relabeling-group tests."""
 
+import dataclasses
 import inspect
 import itertools
 
@@ -324,3 +325,67 @@ def test_no_public_function_takes_its_own_tolerance():
              if inspect.isfunction(fn) and not name.startswith("_")
              for param in inspect.signature(fn).parameters if param in ("eps", "tol")]
     assert found == []
+
+
+@pytest.mark.parametrize("make, measure", [
+    (lambda: boxcore.pr_box(0, 0, 0), discord2.bell_discord),
+    (lambda: tribox.sv_box(0, 0, 0, 0), tribox.svetlichny_discord),
+], ids=["bipartite", "tripartite"])
+@pytest.mark.parametrize("computed", [False, True], ids=["fresh", "computed"])
+def test_no_box_attribute_can_be_assigned(make, measure, computed):
+    # both box classes are frozen dataclasses themselves: a frozen base
+    # refuses only its own fields, which left the kept correlators open
+    box, want = make(), measure(make())
+    if computed:
+        box.correlators
+    for name in ("correlators", "table", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(box, name, np.zeros_like(box.table))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(box, name)
+    assert measure(box) == want
+    assert np.array_equal(box.correlators, make().correlators)
+
+
+@pytest.mark.parametrize("n, draw", [
+    (2, lambda rng: polytope.random_ns_tables(rng, 1)[0]),
+    (3, lambda rng: tribox.random_sv_polytope_box(rng).table),
+])
+def test_validate_stack_passes_valid_tables_unchanged(n, draw):
+    rng = np.random.default_rng(77)
+    rows = np.stack([draw(rng).reshape(-1) for _ in range(20)])
+    assert np.array_equal(boxcore._validate_stack(rows, n), rows)
+
+
+def _signaling_row(n):
+    """A normalized, nonnegative table whose marginal of A depends on y."""
+    t = np.full((2,) * (2 * n), 1.0 / 2 ** n)
+    t[(0, 1) + (0,) * (n - 2) + (0,) * n] += 0.1
+    t[(0, 1) + (0,) * (n - 2) + (1,) + (0,) * (n - 2) + (1,)] -= 0.1
+    return t.reshape(-1)
+
+
+@pytest.mark.parametrize("n, make", [(2, boxcore.make_box), (3, tribox.make_box3)])
+@pytest.mark.parametrize("bad", ["signaling", "negative", "unnormalized", "nan"])
+def test_validate_stack_raises_the_error_of_the_first_bad_table(n, make, bad):
+    rows = np.tile(np.full(4 ** n, 1.0 / 2 ** n), (6, 1))
+    rows[2] = {"signaling": _signaling_row(n),
+               "negative": rows[2] + np.eye(4 ** n)[0] * 0.3 - np.eye(4 ** n)[1] * 0.3,
+               "unnormalized": rows[2] * 1.01,
+               "nan": np.where(np.arange(4 ** n) == 5, np.nan, rows[2])}[bad]
+    rows[4] = _signaling_row(n) * 1.01  # a later bad table is not the one named
+    with pytest.raises(boxcore.BoxError) as want:
+        make(rows[2])
+    with pytest.raises(boxcore.BoxError) as got:
+        boxcore._validate_stack(rows, n)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
+def test_validate_stack_clamps_rounding_noise_as_make_box_does():
+    rows = polytope.random_ns_tables(np.random.default_rng(78), 5).reshape(5, 16)
+    rows[3] = boxcore.pr_box(0, 0, 0).table.reshape(-1)
+    rows[3, 1] -= 1e-17  # P(a=0,b=1|x=0,y=0) of PR000 is 0
+    got = boxcore._validate_stack(rows, 2)
+    want = np.stack([boxcore.make_box(r).table.reshape(-1) for r in rows])
+    assert np.array_equal(got, want) and got[3, 1] == 0.0

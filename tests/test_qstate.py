@@ -483,6 +483,19 @@ def test_born_operator_matches_the_kron_born_rule(parties):
         assert np.max(np.abs(born_box(rho, frame).table.reshape(-1) - table)) <= 1e-15
 
 
+@pytest.mark.parametrize("parties", [2, 3])
+def test_stacked_born_operators_equal_the_kron_born_rule_per_frame(parties):
+    rng = np.random.default_rng(1410 + parties)
+    dirs = rng.normal(size=(40, parties, 2, 3))
+    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+    ops = qstate._born_operators(dirs)
+    assert ops.shape == (4 ** parties, 4 ** parties, 40)
+    for d, op in zip(dirs, np.moveaxis(ops, -1, 0)):
+        frame = qstate.settings(*d.reshape(-1, 3))
+        assert np.max(np.abs(op - born_operator_by_kron(frame))) <= 1e-15
+        assert op.tobytes() == frame.born_operator.tobytes()
+
+
 def test_born_operator_directions_and_box_correlators_are_read_only():
     frame = qstate.settings_catalog("SDxy")
     b = frame.born_operator
@@ -594,3 +607,123 @@ def test_sweep_csv_matches_a_per_point_reference_loop(name, tmp_path):
         # rtol is the CSV's rounding to 12 significant digits, atol the
         # difference allowed between the two computations
         np.testing.assert_allclose(row, want, rtol=5e-12, atol=1e-12)
+
+
+def _valid_stack(k=6):
+    rng = np.random.default_rng(1420)
+    return np.stack([random_mixed_state(rng, 4).mat for _ in range(k)])
+
+
+def _bad_member(kind):
+    m = np.eye(4, dtype=complex) / 4
+    if kind == "non-finite":
+        m[2, 2] = np.nan
+    elif kind == "non-Hermitian":
+        m[0, 1] = 0.3
+    elif kind == "trace":
+        m = m * 1.01
+    else:  # a negative eigenvalue
+        m = np.diag([0.6, 0.5, 0.0, -0.1]).astype(complex)
+    return m
+
+
+@pytest.mark.parametrize("kind", ["non-finite", "non-Hermitian", "trace", "negative"])
+def test_a_state_stack_with_one_bad_member_raises_its_density_matrix_message(kind):
+    mats = _valid_stack()
+    mats[3] = _bad_member(kind)
+    mats[5] = _bad_member("non-finite" if kind == "negative" else "negative")
+    with pytest.raises(qstate.InvalidStateError) as want:
+        qstate.density_matrix(mats[3])
+    with pytest.raises(qstate.InvalidStateError) as got:
+        qstate._density_matrix_stack(mats)
+    assert str(got.value) == str(want.value)
+
+
+def test_a_valid_state_stack_is_a_read_only_copy():
+    mats = _valid_stack()
+    rho = qstate._density_matrix_stack(mats)
+    assert rho.dim == 4 and rho.mat.shape == (6, 4, 4)
+    assert np.array_equal(rho.mat, mats) and not np.shares_memory(rho.mat, mats)
+    assert not rho.mat.flags.writeable
+    with pytest.raises(qstate.InvalidStateError):
+        qstate._density_matrix_stack(mats[0])
+
+
+def test_a_state_stack_is_refused_by_born_boxes_and_json():
+    two = qstate._density_matrix_stack(_valid_stack(1))
+    three = qstate._density_matrix_stack(np.eye(8)[None] / 8)
+    with pytest.raises(qstate.InvalidStateError):
+        qstate.born_box2(two, qstate.settings_catalog("BSb"))
+    with pytest.raises(qstate.InvalidStateError):
+        qstate.born_box3(three, qstate.settings_catalog("SDxy"))
+    with pytest.raises(qstate.InvalidStateError):
+        qstate.state_to_json(two)
+
+
+def test_correlation_data_of_a_stack_is_that_of_each_state():
+    rho = qstate._density_matrix_stack(_valid_stack())
+    r, s, c = qstate.correlation_data(rho)
+    assert (r.shape, s.shape, c.shape) == ((6, 3), (6, 3), (6, 3, 3))
+    for k, mat in enumerate(rho.mat):
+        for got, want in zip((r[k], s[k], c[k]),
+                             qstate.correlation_data(qstate.density_matrix(mat))):
+            assert np.max(np.abs(got - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("quantum_first", [False, True])
+def test_cq_and_qc_stacks_equal_their_single_states(quantum_first):
+    rng = np.random.default_rng(1430)
+    p0 = rng.uniform(size=30)
+    r_hat = rng.normal(size=(30, 3))
+    r_hat /= np.linalg.norm(r_hat, axis=1, keepdims=True)
+    s0, s1 = (rng.uniform(-1, 1, (30, 3)) / 2 for _ in range(2))
+    stack = qstate._classical_quantum(p0, r_hat, s0, s1, quantum_first)
+    one = qstate.qc_state if quantum_first else qstate.cq_state
+    for k in range(30):
+        assert stack.mat[k].tobytes() == one(p0[k], r_hat[k], s0[k], s1[k]).mat.tobytes()
+    r_hat[7] *= 1.1
+    with pytest.raises(qstate.InvalidStateError) as want:
+        one(p0[7], r_hat[7], s0[7], s1[7])
+    with pytest.raises(qstate.InvalidStateError) as got:
+        qstate._classical_quantum(p0, r_hat, s0, s1, quantum_first)
+    assert str(got.value) == str(want.value)
+
+
+def test_stacked_born_tables_equal_born_box2_and_check_what_it_checks():
+    rng = np.random.default_rng(1440)
+    mats = _valid_stack(8)
+    dirs = rng.normal(size=(8, 2, 2, 3))
+    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+    tables = qstate._born_tables2(qstate._density_matrix_stack(mats), dirs)
+    for t, m, d in zip(tables, mats, dirs):
+        box = qstate.born_box2(qstate.density_matrix(m), qstate.settings(*d.reshape(4, 3)))
+        assert np.max(np.abs(t - box.table.reshape(-1))) <= 1e-15
+    dirs[5, 1, 0] *= 1.5
+    with pytest.raises(qstate.InvalidStateError) as want:
+        qstate.settings(*dirs[5].reshape(4, 3))
+    with pytest.raises(qstate.InvalidStateError) as got:
+        qstate._born_tables2(qstate._density_matrix_stack(mats), dirs)
+    assert str(got.value) == str(want.value)
+
+
+def test_stacked_born_tables_with_a_signaling_row_raise_the_error_of_make_box(monkeypatch):
+    # swapping the columns of P(0,0|0,1) and P(1,0|0,1) in one Born operator
+    # keeps its table normalized and nonnegative but makes it signal
+    rng = np.random.default_rng(1450)
+    mats = _valid_stack(8)
+    dirs = rng.normal(size=(8, 2, 2, 3))
+    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+    born_operators = qstate._born_operators
+
+    def one_bad(d):
+        ops = born_operators(d).copy()
+        ops[:, [4, 6], 6] = ops[:, [6, 4], 6]
+        return ops
+
+    monkeypatch.setattr(qstate, "_born_operators", one_bad)
+    table = (mats[6].reshape(-1) @ one_bad(dirs)[..., 6]).real
+    with pytest.raises(boxcore.SignalingError) as want:
+        boxcore.make_box(table)
+    with pytest.raises(boxcore.SignalingError) as got:
+        qstate._born_tables2(qstate._density_matrix_stack(mats), dirs)
+    assert str(got.value) == str(want.value)
