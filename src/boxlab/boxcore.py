@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import json
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import ClassVar, NamedTuple
 
@@ -50,42 +50,19 @@ class BadWeightsError(ValueError):
     pass
 
 
-class _cached_property:
-    """functools.cached_property without its lock: a non-data descriptor that
-    computes the value on first use and stores it in the instance __dict__,
-    where every later read finds it first, as Python 3.12's does. Python
-    3.11's takes an RLock on every first access. Two threads reading it
-    first may both compute the value; they get equal values."""
-
-    def __init__(self, func):
-        self.func, self.__doc__ = func, func.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.func(instance)
-        return value
-
-
 @dataclass(frozen=True, eq=False)
 class _Box:
-    """Immutable box of either party count; construction makes its table read-only."""
+    """Immutable box of either party count. Construction makes its table
+    read-only and sets its read-only full-party correlators, shape (2**n,)."""
 
     table: np.ndarray
+    correlators: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.table.setflags(write=False)
-
-    @_cached_property
-    def correlators(self) -> np.ndarray:
-        """Read-only full-party correlators, shape (2**n,): built on first
-        use, which is sound because every box owns its read-only table."""
         e = _corr.correlators(self.table.reshape(-1), self.table.ndim // 2)
         e.setflags(write=False)
-        return e
+        object.__setattr__(self, "correlators", e)
 
     def prob(self, *cell: int) -> float:
         """P(a|x) at the cell given as the inputs, then the outputs."""
@@ -98,8 +75,8 @@ class _Box:
 @dataclass(frozen=True, eq=False)
 class BipartiteBox(_Box):
     """Immutable validated bipartite box; ``table[x, y, a, b]`` = P(a,b|x,y).
-    A frozen dataclass itself, so that no attribute, ``correlators`` included,
-    can be assigned; a frozen base refuses only its own fields."""
+    A frozen dataclass itself, so that no attribute, a new one included, can
+    be assigned; a frozen base refuses only its own fields."""
 
 
 # ---------------------------------------------------------------------------

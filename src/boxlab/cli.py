@@ -154,6 +154,9 @@ def cmd_measure(args) -> int:
 def cmd_decompose(args) -> int:
     box = _load_box(args)
     if isinstance(box, tribox.TripartiteBox):
+        if args.mode == "two":
+            raise InputError("--mode two needs a bipartite box; a tripartite box has only "
+                             "the three-way split")
         dec = tribox.three_decomposition3(box)
     elif args.mode == "two":
         dec = polytope.canonical_2decomposition(box)

@@ -486,7 +486,7 @@ def canonical_2decomposition(box: BipartiteBox) -> DecompositionResult:
         for _ in range(60):
             mid = 0.5 * (lo + hi)
             try:
-                boxcore.make_box((box.table - mid * pr.table) / (1.0 - mid))
+                boxcore._validate((box.table - mid * pr.table) / (1.0 - mid), 2)
                 lo = mid
             except boxcore.BoxError:
                 hi = mid

@@ -11,7 +11,7 @@ import functools
 import itertools
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -121,26 +121,34 @@ def _vec3(v) -> np.ndarray:
         raise InvalidStateError(f"expected a vector of 3 numbers, got {v!r}") from None
 
 
-def _unit(v) -> np.ndarray:
-    v = _vec3(v)
-    n = np.linalg.norm(v)
-    if not abs(n - 1.0) <= EPS_VALID:
-        raise InvalidStateError(f"measurement direction has norm {n:.12f}")
-    return v
+def _unit_directions(d: np.ndarray) -> np.ndarray:
+    """`d`, directions of shape (..., 3), if each has unit norm; else
+    InvalidStateError naming the norm of the first, in C order, that has not."""
+    norms = np.sqrt(np.einsum("...i,...i->...", d, d))
+    ok = np.abs(norms - 1.0) <= EPS_VALID  # False for NaN and inf too
+    if not ok.all():
+        raise InvalidStateError(f"measurement direction has norm {norms[~ok][0]:.12f}")
+    return d
 
 
 @dataclass(frozen=True, eq=False)
 class MeasurementSettings:
     """Two unit Bloch vectors per party; ``c`` is None for bipartite settings.
-    Construction makes the directions read-only, as the Born operator is kept."""
+    Construction makes the directions read-only and sets born_operator, the
+    read-only B with Born table (rho.mat.reshape(-1) @ B).real in [x.., a..]
+    order (_born_operators of this one frame)."""
 
     a: np.ndarray                 # (2, 3)
     b: np.ndarray                 # (2, 3)
     c: np.ndarray | None = None   # (2, 3)
+    born_operator: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for d in self.dirs:
             d.setflags(write=False)
+        b = _born_operators(np.stack(self.dirs))
+        b.setflags(write=False)
+        object.__setattr__(self, "born_operator", b)
 
     @property
     def parties(self) -> int:
@@ -150,25 +158,14 @@ class MeasurementSettings:
     def dirs(self) -> tuple[np.ndarray, ...]:
         return (self.a, self.b) if self.c is None else (self.a, self.b, self.c)
 
-    @boxcore._cached_property
-    def born_operator(self) -> np.ndarray:
-        """Read-only B, Born table (rho.mat.reshape(-1) @ B).real in [x.., a..]
-        order: _born_operators of this one frame."""
-        b = _born_operators(np.stack(self.dirs))
-        b.setflags(write=False)
-        return b
-
 
 def settings(a0, a1, b0, b1, c0=None, c1=None) -> MeasurementSettings:
     vecs = (a0, a1, b0, b1) if c0 is None and c1 is None else (a0, a1, b0, b1, c0, c1)
     try:
         d = np.array(vecs, dtype=float).reshape(len(vecs) // 2, 2, 3)
-    except (TypeError, ValueError):
-        d = None
-    # every norm at once; where one is off, _unit names the first bad direction
-    if d is None or not (np.abs(np.sqrt(np.einsum("pxi,pxi->px", d, d)) - 1.0) <= EPS_VALID).all():
-        d = np.reshape([_unit(v) for v in vecs], (-1, 2, 3))
-    return MeasurementSettings(*d)
+    except (TypeError, ValueError):  # _vec3 names the first that is not 3 numbers
+        d = np.reshape([_vec3(v) for v in vecs], (-1, 2, 3))
+    return MeasurementSettings(*_unit_directions(d))
 
 
 def bloch_operator(n: np.ndarray) -> np.ndarray:
@@ -211,30 +208,29 @@ def _born_operators(dirs: np.ndarray) -> np.ndarray:
 
 def born_box2(rho: DensityMatrix, s: MeasurementSettings) -> BipartiteBox:
     """P(a,b|x,y) = Tr(rho Pi_a^x (x) Pi_b^y); output passes all box invariants."""
-    if rho.mat.shape != (4, 4):
-        raise InvalidStateError("born_box2 needs a 4x4 density matrix")
-    if s.parties != 2:
-        raise InvalidStateError("born_box2 needs two-party settings")
-    return boxcore.make_box((rho.mat.reshape(-1) @ s.born_operator).real)
+    return boxcore.make_box(_born_table(rho, s, 2))
 
 
 def born_box3(rho: DensityMatrix, s: MeasurementSettings) -> TripartiteBox:
     """Tripartite Born rule; output passes the tripartite box invariants."""
-    if rho.mat.shape != (8, 8):
-        raise InvalidStateError("born_box3 needs an 8x8 density matrix")
-    if s.parties != 3:
-        raise InvalidStateError("born_box3 needs three-party settings")
-    return tribox.make_box3((rho.mat.reshape(-1) @ s.born_operator).real)
+    return tribox.make_box3(_born_table(rho, s, 3))
+
+
+def _born_table(rho: DensityMatrix, s: MeasurementSettings, n: int) -> np.ndarray:
+    """The unvalidated Born table of one n-qubit state under one n-party frame."""
+    if rho.mat.shape != (2 ** n,) * 2:
+        raise InvalidStateError(f"born_box{n} needs {('a 4x4', 'an 8x8')[n - 2]} density matrix")
+    if s.parties != n:
+        raise InvalidStateError(f"born_box{n} needs {('two', 'three')[n - 2]}-party settings")
+    return (rho.mat.reshape(-1) @ s.born_operator).real
 
 
 def _born_tables2(rho: DensityMatrix, dirs: np.ndarray) -> np.ndarray:
     """The (k, 16) Born tables of a stack of k two-qubit states, each under
-    its own frame of (k, 2, 2, 3) directions, checked as born_box2 and
-    make_box check one: directions of unit norm (else settings names the
-    first bad one) and the box invariants (boxcore._validate_stack)."""
-    if not (np.abs(np.linalg.norm(dirs, axis=-1) - 1.0) <= EPS_VALID).all():
-        for d in dirs:
-            settings(*d.reshape(4, 3))
+    its own frame of (k, 2, 2, 3) directions, checked as settings and
+    make_box check one: directions of unit norm (_unit_directions) and the
+    box invariants (boxcore._validate_stack)."""
+    _unit_directions(dirs)
     tables = np.einsum("kr,rck->kc", rho.mat.reshape(-1, 16), _born_operators(dirs)).real
     return boxcore._validate_stack(tables, 2)
 
@@ -365,7 +361,10 @@ def settings_catalog(name: str, param: float | None = None) -> MeasurementSettin
     if name in _PARAM_SETTINGS:
         if param is None:
             raise UnknownNameError(f"settings {name!r} needs a parameter")
-        return _PARAM_SETTINGS[name](param)
+        # a parameter out of range gives NaN or inf entries, which the norm
+        # check of settings names, not a numpy warning
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _PARAM_SETTINGS[name](param)
     raise UnknownNameError(f"unknown settings name {name!r}")
 
 
@@ -427,13 +426,8 @@ def _classical_quantum(p0, r_hat, s0, s1, quantum_first: bool) -> DensityMatrix:
     state (density_matrix), as cq_state and qc_state do.
     """
     one = getattr(p0, "ndim", 0) == 0  # np.ndim(p0) takes about 2 us of a 45 us state
-    if one:
-        r_hat, s = _unit(r_hat), np.array([_vec3(s0), _vec3(s1)])
-    else:
-        s = np.stack([s0, s1], axis=1)
-        if not (np.abs(np.linalg.norm(r_hat, axis=-1) - 1.0) <= EPS_VALID).all():
-            for r in r_hat:
-                _unit(r)
+    r_hat = _unit_directions(_vec3(r_hat) if one else r_hat)
+    s = np.array([_vec3(s0), _vec3(s1)]) if one else np.stack([s0, s1], axis=1)
     proj = _projector_stack(r_hat)             # (.., a, i, j): P+, P-
     chi = _projector_stack(s)[..., 0, :, :]    # (.., a, i, j): chi0, chi1
     u, v = (chi, proj) if quantum_first else (proj, chi)

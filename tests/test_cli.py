@@ -114,6 +114,15 @@ def test_decompose_mermin_box_three_way(capsys):
     assert report["mermin_component"] == "MerminMM000"
 
 
+def test_decompose_mode_two_of_a_tripartite_box_exits_2(capsys):
+    # a tripartite box has only the three-way split, which --mode two must not stand for
+    assert run_cli(["decompose", "--catalog", "Sv0000", "--mode", "two"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.strip().splitlines()) == 1
+    assert "--mode two" in captured.err
+
+
 @pytest.mark.parametrize("parties", [2, 3])
 def test_decompose_splits_committed_witness_box(parties, capsys):
     # a planted witness that the relabeling-frame searches refused
@@ -153,6 +162,8 @@ def test_state_box_unknown_family_exit_2():
 @pytest.mark.parametrize("argv", [
     ["--family", "Werner2", "--param", "p=abc", "--settings", "BSb"],
     ["--family", "Werner2", "--param", "p=0.5", "--settings", "PRQ(abc)"],
+    # out of range: NaN directions, refused by the norm check without a numpy warning
+    ["--family", "Werner2", "--param", "p=0.5", "--settings", "PRQ(-0.5)"],
     # CQ's r_hat is a vector, which --param cannot give
     ["--family", "CQ", "--param", "p0=0.5", "--param", "r_hat=1",
      "--param", "s0=0", "--param", "s1=0", "--settings", "BSb"],
@@ -363,7 +374,7 @@ def test_measure_report_computes_the_full_correlators_once(parties, monkeypatch)
     make = boxcore.make_box if parties == 2 else tribox.make_box3
     for box in _report_boxes(parties):
         full.clear()
-        fresh = make(box.table)  # no correlators kept yet
+        fresh = make(box.table)  # its correlators are computed here, at construction
         report(fresh)
         assert full == [parties]
 

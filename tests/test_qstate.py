@@ -523,12 +523,11 @@ def _fresh_frame():
     (_fresh_frame, "born_operator", born_operator_by_kron),
 ])
 def test_kept_properties_compute_once_and_stay_read_only(make, name, compute):
-    # computed on first use and kept in the instance, with no lock taken; the
-    # value is the one the definition gives, and it cannot be written over
+    # set at construction and kept in the instance; the value is the one the
+    # definition gives, and it cannot be written over
     obj = make()
-    assert name not in vars(obj)
-    value = getattr(obj, name)
-    assert vars(obj)[name] is value and getattr(obj, name) is value
+    value = vars(obj)[name]
+    assert getattr(obj, name) is value
     assert np.allclose(value, compute(obj), rtol=0.0, atol=1e-15)
     assert not value.flags.writeable
     with pytest.raises(ValueError):

@@ -137,6 +137,46 @@ def test_settings_reject_malformed_directions_naming_the_first_bad_one(direction
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("frame", ["PRQ(-0.5)", "CSB(-2)", "meb1(1.5)", "BMW(-0.2)",
+                                   "0BMSb(inf)", "class99(1e308)", "PRQ(-1)"])
+def test_out_of_range_frame_parameters_reach_the_norm_check_without_a_warning(frame):
+    # square roots of negative numbers, sines of inf and 1/0 give NaN
+    # directions, which the norm check names
+    with pytest.raises(InvalidStateError) as info:
+        qstate.settings_catalog(frame)
+    assert str(info.value) == "measurement direction has norm nan"
+
+
+def _one_state_stack(k):
+    return qstate._density_matrix_stack(np.tile(np.eye(4) / 4, (k, 1, 1)))
+
+
+# each entry point that checks directions, given a bad direction for its
+# third slot (the only one of a single cq or qc state) and a later bad one
+DIRECTION_ENTRY_POINTS = {
+    "settings": lambda bad: qstate.settings(X, Y, bad, 3 * Y),
+    "cq_state": lambda bad: qstate.cq_state(0.3, bad, X / 2, -Y / 2),
+    "qc_state": lambda bad: qstate.qc_state(0.3, bad, X / 2, -Y / 2),
+    "classical_quantum_stack": lambda bad: qstate._classical_quantum(
+        np.full(4, 0.3), np.array([X, Y, bad, 3 * Z]), np.zeros((4, 3)), np.zeros((4, 3)),
+        False),
+    "born_tables2": lambda bad: qstate._born_tables2(
+        _one_state_stack(2), np.array([[[X, Y], [bad, 3 * Y]], [[X, Y], [X, Y]]])),
+}
+BAD_DIRECTIONS = [("nan", [np.nan, 0.0, 0.0], "nan"), ("inf", [0.0, np.inf, 0.0], "inf"),
+                  ("norm_2", [0.0, 0.0, 2.0], "2.000000000000"),
+                  ("overflowing_norm", [1e200, 0.0, 0.0], "inf")]
+
+
+@pytest.mark.parametrize("bad, norm", [c[1:] for c in BAD_DIRECTIONS],
+                         ids=[c[0] for c in BAD_DIRECTIONS])
+@pytest.mark.parametrize("entry", list(DIRECTION_ENTRY_POINTS))
+def test_every_direction_check_names_the_first_bad_direction(entry, bad, norm):
+    with pytest.raises(InvalidStateError) as info:
+        DIRECTION_ENTRY_POINTS[entry](np.array(bad))
+    assert str(info.value) == f"measurement direction has norm {norm}"
+
+
 def test_settings_take_directions_of_any_three_entry_shape():
     s = qstate.settings(np.array([[1.0], [0.0], [0.0]]), Y, [[0.0, 1.0, 0.0]], X)
     np.testing.assert_array_equal(s.a, [X, Y])
