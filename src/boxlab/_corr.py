@@ -168,8 +168,10 @@ def measures(tables, n: int, corr=None) -> tuple[np.ndarray, np.ndarray, np.ndar
     return discord(e, n), discord(e, n, mermin=True), total_correlation(tables, n, e)
 
 
-def split(table, n: int, corr=None) -> tuple[float, float, float, float, int]:
-    """(T, G, Q, |T - G - Q|, sign) of one flat table, the sign +1 where T - G - Q
-    >= -EPS_VALID: where T = G + Q up to rounding, it reads +1 in any summation order."""
-    g, q, t = map(float, measures(table, n, corr))
-    return t, g, q, abs(t - g - q), 1 if t - g - q >= -EPS_VALID else -1
+def split(tables, n: int, corr=None) -> tuple[np.ndarray, ...]:
+    """(T, G, Q, |T - G - Q|, sign) of flat tables (..., 4**n), the sign +1 where
+    T - G - Q >= -EPS_VALID: where T = G + Q up to rounding, it reads +1 in any
+    summation order."""
+    g, q, t = measures(tables, n, corr)
+    rest = t - g - q
+    return t, g, q, np.abs(rest), np.where(rest >= -EPS_VALID, 1, -1)

@@ -52,17 +52,31 @@ class BadWeightsError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class _Box:
-    """Immutable box of either party count. Construction makes its table
-    read-only and sets its read-only full-party correlators, shape (2**n,)."""
+    """Immutable box of the class's party count n, or a stack of k boxes.
+
+    One box has a (2,)*2n table and correlators of shape (2**n,); a stack
+    has a (k,) + (2,)*2n table and (k, 2**n) correlators. Construction makes
+    the table read-only and sets the read-only full-party correlators.
+    """
 
     table: np.ndarray
     correlators: np.ndarray = field(init=False, repr=False)
+    parties: ClassVar[int] = 0
 
     def __post_init__(self):
         self.table.setflags(write=False)
-        e = _corr.correlators(self.table.reshape(-1), self.table.ndim // 2)
+        e = _corr.correlators(self.flat, self.parties)
         e.setflags(write=False)
         object.__setattr__(self, "correlators", e)
+
+    @property
+    def flat(self) -> np.ndarray:
+        """The table as flat rows: (4**n,) for one box, (k, 4**n) for a stack."""
+        return self.table.reshape(self.table.shape[:-2 * self.parties] + (4 ** self.parties,))
+
+    @property
+    def stacked(self) -> bool:
+        return self.table.ndim > 2 * self.parties
 
     def prob(self, *cell: int) -> float:
         """P(a|x) at the cell given as the inputs, then the outputs."""
@@ -74,9 +88,18 @@ class _Box:
 
 @dataclass(frozen=True, eq=False)
 class BipartiteBox(_Box):
-    """Immutable validated bipartite box; ``table[x, y, a, b]`` = P(a,b|x,y).
-    A frozen dataclass itself, so that no attribute, a new one included, can
-    be assigned; a frozen base refuses only its own fields."""
+    """Immutable validated bipartite box; ``table[x, y, a, b]`` = P(a,b|x,y),
+    or a stack of them, ``table[k, x, y, a, b]``. A frozen dataclass itself,
+    so that no attribute, a new one included, can be assigned; a frozen base
+    refuses only its own fields."""
+
+    parties = 2
+
+
+def _per_box(box: _Box, values):
+    """A measure's `values` of `box`: a Python number for one box, the
+    (k,) array as it is for a stack."""
+    return values if box.stacked else values.item()
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +156,9 @@ def _valid_at_once(t: np.ndarray, n: int) -> bool:
 def _validate(values, n: int) -> np.ndarray:
     """The (2,)*2n table of `values`: a new array, checked, with entries in
     (-EPS_VALID, 0) clamped to 0 (decomposition residuals produce -1e-16 noise).
+    A 2-D (k, 4**n) numpy array is a stack of k tables, checked by
+    _validate_stack and returned as (k,) + (2,)*2n; nested lists, such as the
+    table of a box file, are always one table.
 
     Raises BoxError unless `values` converts to 4**n finite numbers, then
     NegativeEntryError, NotNormalizedError or SignalingError naming the
@@ -144,6 +170,8 @@ def _validate(values, n: int) -> np.ndarray:
         t = np.array(values, dtype=float)
     except (TypeError, ValueError) as exc:
         raise BoxError(f"table is not an array of numbers: {exc}") from None
+    if isinstance(values, np.ndarray) and t.ndim == 2 and t.shape[1] == 4 ** n and len(t):
+        return _validate_stack(t, n).reshape((-1,) + (2,) * (2 * n))
     if t.size != 4 ** n:
         raise BoxError(f"expected {4 ** n} probabilities, got {t.size}")
     t = t.reshape((2,) * (2 * n))
@@ -189,7 +217,8 @@ def make_box(values) -> BipartiteBox:
     Entries in (-EPS_VALID, 0) are clamped to 0 (decomposition residuals produce
     -1e-16 noise). Raises BoxError for input that is not 16 finite numbers,
     and NotNormalizedError, NegativeEntryError or SignalingError naming the
-    offending index.
+    offending index. A 2-D (k, 16) array is a stack of k tables and gives a
+    box stack; its first bad table raises the error it raises alone.
     """
     return BipartiteBox(_validate(values, 2))
 
@@ -508,8 +537,9 @@ def mix(boxes: list[BipartiteBox], weights) -> BipartiteBox:
 
 
 def joint_expectations(box: BipartiteBox) -> np.ndarray:
-    """All four <A_x B_y> = sum_ab (-1)^(a^b) P(a,b|x,y), shape (2, 2)."""
-    return box.correlators.reshape(2, 2)
+    """All four <A_x B_y> = sum_ab (-1)^(a^b) P(a,b|x,y), shape (2, 2), or
+    (k, 2, 2) for a stack."""
+    return box.correlators.reshape(box.correlators.shape[:-1] + (2, 2))
 
 
 def joint_expectation(box: BipartiteBox, x: int, y: int) -> float:
@@ -667,7 +697,9 @@ def lro_group() -> list[Lro]:
 # JSON interchange: {"parties": n, "table": nested lists}
 
 def _to_json(box: _Box) -> str:
-    return json.dumps({"parties": box.table.ndim // 2, "table": box.table.tolist()})
+    if box.stacked:
+        raise BoxError(f"a box file holds one box, got a stack of {len(box.table)}")
+    return json.dumps({"parties": box.parties, "table": box.table.tolist()})
 
 
 def _json_object(text: str) -> dict:

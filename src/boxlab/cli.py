@@ -198,12 +198,20 @@ def cmd_state_box(args) -> int:
     return EXIT_OK
 
 
+def _box_max(box, values) -> float | np.ndarray:
+    """The largest of each box's `values`: a float for one box, a (k,)
+    array for a stack."""
+    lead = box.correlators.shape[:-1]
+    return boxcore._per_box(box, values.reshape(lead + (-1,)).max(axis=-1))
+
+
+# Each measure maps one box to a float and a box stack to a (k,) array
 _MEASURES2 = {
     "G": discord2.bell_discord,
     "Q": discord2.mermin_discord,
     "T": discord2.total_correlation,
     "C": discord2.classical_correlation,
-    "CHSH": lambda box: float(np.max(discord2.chsh_values(box))),
+    "CHSH": lambda box: _box_max(box, discord2.chsh_values(box)),
     "CHSH000": lambda box: discord2.chsh_value(box, 0, 0, 0),
     "steering": discord2.steering_value,
 }
@@ -213,10 +221,12 @@ _MEASURES3 = {
     "Q": tribox.mermin3_discord,
     "T": tribox.total_correlation3,
     "C": tribox.classical_correlation3,
-    "SV": lambda box: float(np.max(tribox.sv_values(box))),
-    "MERMIN3": lambda box: float(np.max(tribox.mermin3_functions(box))),
+    "SV": lambda box: _box_max(box, tribox.sv_values(box)),
+    "MERMIN3": lambda box: _box_max(box, tribox.mermin3_functions(box)),
     "CLASS99": tribox.class99_value,
 }
+
+_SWEEP_CHUNK = 64  # points per Born call, box check and pass of each measure
 
 
 def cmd_sweep(args) -> int:
@@ -240,30 +250,33 @@ def cmd_sweep(args) -> int:
                          "parameter")
     if not frame_moves:
         frame = qstate.settings_catalog(args.settings, params.get("settings"))
-    rows = []
-    for value in np.linspace(start, stop, steps):
-        if frame_moves:
-            frame = qstate.settings_catalog(args.settings, float(value))
-        point = dict(params)
-        point.pop("settings", None)
-        if to_family:
-            point[pname] = float(value)
-        rho = _build_state(args.family, point)
-        if rho.dim == 4:
-            box = qstate.born_box2(rho, frame)
-            table = _MEASURES2
-        else:
-            box = qstate.born_box3(rho, frame)
-            table = _MEASURES3
-        row = [float(value)]
-        for m in measures:
-            if m not in table:
-                raise InputError(f"unknown measure {m!r} for {rho.dim=}")
-            row.append(float(table[m](box)))
-        rows.append(row)
+    values = np.linspace(start, stop, steps)
+    table, columns = None, []
+    for lo in range(0, steps, _SWEEP_CHUNK):
+        chunk = values[lo:lo + _SWEEP_CHUNK]
+        frames, states = [], []
+        for value in chunk.tolist():
+            if frame_moves:
+                frames.append(qstate.settings_catalog(args.settings, value))
+            point = dict(params)
+            point.pop("settings", None)
+            if to_family:
+                point[pname] = value
+            states.append(_build_state(args.family, point))
+            if table is None:  # at the first point, after its Born rule's own checks
+                parties = 2 if states[0].dim == 4 else 3
+                qstate._born_table(states[0], frames[0] if frame_moves else frame, parties)
+                table = _MEASURES2 if parties == 2 else _MEASURES3
+                unknown = [m for m in measures if m not in table]
+                if unknown:
+                    raise InputError(f"unknown measure {unknown[0]!r} for {parties} parties; "
+                                     f"the measures are {', '.join(table)}")
+        born = qstate.born_box2 if parties == 2 else qstate.born_box3
+        box = born(states, frames if frame_moves else frame)
+        columns.append(np.column_stack([chunk] + [table[m](box) for m in measures]))
+    rows = np.concatenate(columns).tolist()
     rows.sort(key=lambda r: r[0])
-    header = [pname] + measures
-    lines = [",".join(header)]
+    lines = [",".join([pname] + measures)]
     for row in rows:
         lines.append(",".join(f"{v:.12g}" for v in row))
     _write("\n".join(lines), args)

@@ -2,8 +2,10 @@
 
 All measures depend on the box only through its joint and marginal
 expectations. The ``*_from_expectations`` functions take ``(..., 2, 2)``
-stacks of joint expectations; they and the single-box functions share the
-sign-rule core in :mod:`boxlab._corr`.
+stacks of joint expectations; they and the box functions share the
+sign-rule core in :mod:`boxlab._corr`. The measures that the CLI sweeps
+(G, Q, T, C, the CHSH and Mermin values, steering) also read a box stack
+and give one value per box, as a (k,) array; one box gives a float.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from . import _corr
 from .boxcore import (
     EPS_VALID,
     BipartiteBox,
+    _per_box,
     joint_expectations,
 )
 
@@ -28,7 +31,7 @@ _PAIRS = np.triu_indices(4, 1)  # every pair of the labels 2 * alpha + beta
 
 def chsh_value(box: BipartiteBox, alpha: int, beta: int, gamma: int) -> float:
     """Signed Bell-CHSH operator value; local bound 2, algebraic maximum 4."""
-    return float(chsh_values(box)[alpha, beta, gamma])
+    return _per_box(box, chsh_values(box)[..., alpha, beta, gamma])
 
 
 def chsh_values(box: BipartiteBox) -> np.ndarray:
@@ -60,13 +63,13 @@ def mermin_value(box: BipartiteBox, alpha: int, beta: int, gamma: int) -> float:
 
     (-1)^gamma * sum over x^y = beta of (-1)^(xy ^ alpha x ^ beta y) <A_x B_y>.
     """
-    return float(mermin_values(box)[alpha, beta, gamma])
+    return _per_box(box, mermin_values(box)[..., alpha, beta, gamma])
 
 
 def mermin_values(box: BipartiteBox) -> np.ndarray:
     """All 8 signed Mermin values, shape (2, 2, 2) indexed [alpha, beta, gamma]."""
-    e = _flat(joint_expectations(box))
-    return _corr.operator_values(e, 2, mermin=True).reshape(2, 2, 2)
+    e = joint_expectations(box)
+    return _corr.operator_values(_flat(e), 2, mermin=True).reshape(e.shape[:-2] + (2, 2, 2))
 
 
 def mermin_functions(box: BipartiteBox) -> np.ndarray:
@@ -84,7 +87,7 @@ def mermin_functions_from_expectations(e: np.ndarray) -> np.ndarray:
 
 def bell_discord(box: BipartiteBox) -> float:
     """Irreducible PR-box content times 4; 0 for every deterministic box."""
-    return float(bell_discord_from_expectations(joint_expectations(box)))
+    return _per_box(box, bell_discord_from_expectations(joint_expectations(box)))
 
 
 def bell_discord_from_expectations(e: np.ndarray) -> np.ndarray:
@@ -93,7 +96,7 @@ def bell_discord_from_expectations(e: np.ndarray) -> np.ndarray:
 
 def mermin_discord(box: BipartiteBox) -> float:
     """Irreducible Mermin-box content times 2; 0 for PR and deterministic boxes."""
-    return float(mermin_discord_from_expectations(joint_expectations(box)))
+    return _per_box(box, mermin_discord_from_expectations(joint_expectations(box)))
 
 
 def mermin_discord_from_expectations(e: np.ndarray) -> np.ndarray:
@@ -106,7 +109,7 @@ def total_correlation(box: BipartiteBox) -> float:
     max over (alpha, beta) of |B_{ab} - B^prod_{ab}|, where B^prod is the
     Bell function of the product box built from the single-party expectations.
     """
-    return float(_corr.total_correlation(box.table.reshape(16), 2, box.correlators))
+    return _per_box(box, _corr.total_correlation(box.flat, 2, box.correlators))
 
 
 @dataclass(frozen=True)
@@ -125,7 +128,8 @@ class CorrelationSplit:
 
 
 def correlation_split(box: BipartiteBox) -> CorrelationSplit:
-    return CorrelationSplit(*_corr.split(box.table.reshape(16), 2, box.correlators))
+    return CorrelationSplit(*(_per_box(box, v)
+                              for v in _corr.split(box.flat, 2, box.correlators)))
 
 
 def classical_correlation(box: BipartiteBox) -> float:
@@ -140,7 +144,7 @@ def steering_flags(box: BipartiteBox) -> np.ndarray:
 
 def steering_value(box: BipartiteBox) -> float:
     """Largest Mermin-operator modulus, to compare against the sqrt(2) bound."""
-    return float(np.max(mermin_functions(box)))
+    return _per_box(box, mermin_functions(box).max(axis=(-2, -1)))
 
 
 def is_epr_steerable(box: BipartiteBox) -> bool:

@@ -11,6 +11,7 @@ import functools
 import itertools
 import json
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -206,23 +207,49 @@ def _born_operators(dirs: np.ndarray) -> np.ndarray:
     return flat[_BORN_ORDER[len(q)]]
 
 
-def born_box2(rho: DensityMatrix, s: MeasurementSettings) -> BipartiteBox:
-    """P(a,b|x,y) = Tr(rho Pi_a^x (x) Pi_b^y); output passes all box invariants."""
+def born_box2(rho: DensityMatrix | Sequence[DensityMatrix],
+              s: MeasurementSettings | Sequence[MeasurementSettings]) -> BipartiteBox:
+    """P(a,b|x,y) = Tr(rho Pi_a^x (x) Pi_b^y); output passes all box invariants.
+
+    `rho` may also be a sequence of states and `s` a sequence of frames, one
+    per point; a single state or frame applies to every point. Then the
+    result is a box stack, validated by one make_box call on the (k, 16)
+    tables. A stacked DensityMatrix is refused.
+    """
     return boxcore.make_box(_born_table(rho, s, 2))
 
 
-def born_box3(rho: DensityMatrix, s: MeasurementSettings) -> TripartiteBox:
-    """Tripartite Born rule; output passes the tripartite box invariants."""
+def born_box3(rho: DensityMatrix | Sequence[DensityMatrix],
+              s: MeasurementSettings | Sequence[MeasurementSettings]) -> TripartiteBox:
+    """Tripartite Born rule; output passes the tripartite box invariants.
+    Sequences of states or frames give a box stack, as in born_box2."""
     return tribox.make_box3(_born_table(rho, s, 3))
 
 
-def _born_table(rho: DensityMatrix, s: MeasurementSettings, n: int) -> np.ndarray:
-    """The unvalidated Born table of one n-qubit state under one n-party frame."""
-    if rho.mat.shape != (2 ** n,) * 2:
-        raise InvalidStateError(f"born_box{n} needs {('a 4x4', 'an 8x8')[n - 2]} density matrix")
-    if s.parties != n:
-        raise InvalidStateError(f"born_box{n} needs {('two', 'three')[n - 2]}-party settings")
-    return (rho.mat.reshape(-1) @ s.born_operator).real
+def _born_table(rho, s, n: int) -> np.ndarray:
+    """The unvalidated Born table (4**n,) of one n-qubit state under one
+    n-party frame, or the (k, 4**n) tables of k points where `rho` or `s` is
+    a sequence: one product for a fixed frame, else one per point, so that
+    the frames' Born operators are never stacked."""
+    one_state, one_frame = isinstance(rho, DensityMatrix), isinstance(s, MeasurementSettings)
+    states = [rho] if one_state else list(rho)
+    frames = [s] if one_frame else list(s)
+    for state in states:
+        if state.mat.shape != (2 ** n,) * 2:
+            raise InvalidStateError(
+                f"born_box{n} needs {('a 4x4', 'an 8x8')[n - 2]} density matrix")
+    for frame in frames:
+        if frame.parties != n:
+            raise InvalidStateError(f"born_box{n} needs {('two', 'three')[n - 2]}-party settings")
+    if one_state and one_frame:
+        return (rho.mat.reshape(-1) @ s.born_operator).real
+    k = len(frames) if one_state else len(states)
+    if not k or not (one_state or one_frame or len(frames) == k):
+        raise InvalidStateError(f"born_box{n} got {len(states)} states for {len(frames)} frames")
+    if one_frame:
+        return (np.stack([state.mat.reshape(-1) for state in states]) @ s.born_operator).real
+    return np.stack([(state.mat.reshape(-1) @ frame.born_operator).real
+                     for state, frame in zip(states * k if one_state else states, frames)])
 
 
 def _born_tables2(rho: DensityMatrix, dirs: np.ndarray) -> np.ndarray:

@@ -28,14 +28,18 @@ class NotInPolytopeError(RuntimeError):
 @dataclass(frozen=True, eq=False)
 class TripartiteBox(boxcore._Box):
     """Immutable validated tripartite box; ``table[x,y,z,a,b,c]`` = P(a,b,c|x,y,z),
-    frozen as :class:`boxcore.BipartiteBox` is."""
+    or a stack of them, frozen as :class:`boxcore.BipartiteBox` is."""
+
+    parties = 3
 
 
 def make_box3(values) -> TripartiteBox:
     """Validate normalization, positivity and full nonsignaling.
 
     Every single-party marginal must be independent of the other two inputs
-    and every two-party marginal independent of the remaining input.
+    and every two-party marginal independent of the remaining input. A 2-D
+    (k, 64) array is a stack of k tables and gives a box stack, as in
+    :func:`boxcore.make_box`.
     """
     return TripartiteBox(boxcore._validate(values, 3))
 
@@ -59,15 +63,16 @@ _S2 = np.einsum("a,b->ab", _S1, _S1)
 
 
 def expectations3(box: TripartiteBox) -> TriExpectations:
+    """The 26 expectations; each field gets a leading (k,) axis for a stack."""
     t = box.table
     return TriExpectations(
-        a=np.einsum("xyzabc,a->x", t, _S1) / 4.0,
-        b=np.einsum("xyzabc,b->y", t, _S1) / 4.0,
-        c=np.einsum("xyzabc,c->z", t, _S1) / 4.0,
-        ab=np.einsum("xyzabc,ab->xy", t, _S2) / 2.0,
-        ac=np.einsum("xyzabc,ac->xz", t, _S2) / 2.0,
-        bc=np.einsum("xyzabc,bc->yz", t, _S2) / 2.0,
-        abc=box.correlators.reshape(2, 2, 2),
+        a=np.einsum("...xyzabc,a->...x", t, _S1) / 4.0,
+        b=np.einsum("...xyzabc,b->...y", t, _S1) / 4.0,
+        c=np.einsum("...xyzabc,c->...z", t, _S1) / 4.0,
+        ab=np.einsum("...xyzabc,ab->...xy", t, _S2) / 2.0,
+        ac=np.einsum("...xyzabc,ac->...xz", t, _S2) / 2.0,
+        bc=np.einsum("...xyzabc,bc->...yz", t, _S2) / 2.0,
+        abc=_per_label(box, box.correlators),
     )
 
 
@@ -208,34 +213,43 @@ def parse_tri_vertex_label(label: str) -> TriVertexId:
 # ---------------------------------------------------------------------------
 # Svetlichny / tripartite-Mermin functions and discords
 
+def _per_label(box: TripartiteBox, values) -> np.ndarray:
+    """`values` of a box or a stack with their axis of 8 labels split into
+    the label bits [al, be, ga]; a stack's axis stays in front."""
+    lead = box.correlators.shape[:-1]
+    return values.reshape(lead + (2, 2, 2) + values.shape[len(lead) + 1:])
+
+
 def sv_value(box: TripartiteBox, al: int, be: int, ga: int, ep: int) -> float:
     """Signed Svetlichny operator value; hybrid-local bound 4, maximum 8."""
-    return float(sv_values(box)[al, be, ga, ep])
+    return boxcore._per_box(box, sv_values(box)[..., al, be, ga, ep])
 
 
 def sv_values(box: TripartiteBox) -> np.ndarray:
-    """All 16 signed values, shape (2,2,2,2) indexed [al,be,ga,ep]."""
-    return _corr.operator_values(box.correlators, 3).reshape((2,) * 4)
+    """All 16 signed values, shape (2,2,2,2) indexed [al,be,ga,ep]; (k,2,2,2,2)
+    for a stack."""
+    return _per_label(box, _corr.operator_values(box.correlators, 3))
 
 
 def sv_functions(box: TripartiteBox) -> np.ndarray:
     """The 8 Svetlichny moduli S[al,be,ga] in [0, 8]."""
-    return _corr.moduli(box.correlators, 3).reshape(2, 2, 2)
+    return _per_label(box, _corr.moduli(box.correlators, 3))
 
 
 def mermin3_value(box: TripartiteBox, al: int, be: int, ga: int, ep: int) -> float:
     """Signed tripartite Mermin operator value; LHV bound 2, maximum 4."""
-    return float(mermin3_values(box)[al, be, ga, ep])
+    return boxcore._per_box(box, mermin3_values(box)[..., al, be, ga, ep])
 
 
 def mermin3_values(box: TripartiteBox) -> np.ndarray:
-    """All 16 signed Mermin values, shape (2,2,2,2) indexed [al,be,ga,ep]."""
-    return _corr.operator_values(box.correlators, 3, mermin=True).reshape((2,) * 4)
+    """All 16 signed Mermin values, shape (2,2,2,2) indexed [al,be,ga,ep];
+    (k,2,2,2,2) for a stack."""
+    return _per_label(box, _corr.operator_values(box.correlators, 3, mermin=True))
 
 
 def mermin3_functions(box: TripartiteBox) -> np.ndarray:
     """The 8 Mermin moduli M[al,be,ga] in [0, 4]."""
-    return _corr.moduli(box.correlators, 3, mermin=True).reshape(2, 2, 2)
+    return _per_label(box, _corr.moduli(box.correlators, 3, mermin=True))
 
 
 def discord_groupings() -> list[tuple]:
@@ -253,19 +267,19 @@ def discord_groupings() -> list[tuple]:
 
 def svetlichny_discord(box: TripartiteBox) -> float:
     """Irreducible Svetlichny-box content times 8, in [0, 8]."""
-    return float(_corr.discord(box.correlators, 3))
+    return boxcore._per_box(box, _corr.discord(box.correlators, 3))
 
 
 def mermin3_discord(box: TripartiteBox) -> float:
     """Irreducible tripartite-Mermin-box content times 4, in [0, 4]."""
-    return float(_corr.discord(box.correlators, 3, mermin=True))
+    return boxcore._per_box(box, _corr.discord(box.correlators, 3, mermin=True))
 
 
 def class99_value(box: TripartiteBox) -> float:
     """<A0B0> + <A0C0> + <B1C0> + <A1B0C1> - <A1B1C1>; two-way-local bound 3."""
     e = expectations3(box)
-    return float(e.ab[0, 0] + e.ac[0, 0] + e.bc[1, 0]
-                 + e.abc[1, 0, 1] - e.abc[1, 1, 1])
+    return boxcore._per_box(box, e.ab[..., 0, 0] + e.ac[..., 0, 0] + e.bc[..., 1, 0]
+                            + e.abc[..., 1, 0, 1] - e.abc[..., 1, 1, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +303,7 @@ def marginal2(box: TripartiteBox, pair: str) -> BipartiteBox:
 def total_correlation3(box: TripartiteBox) -> float:
     """min over the three bipartitions of the maximal Svetlichny-function gap
     between the box and the cut-factorized surrogate."""
-    return float(_corr.total_correlation(box.table.reshape(64), 3, box.correlators))
+    return boxcore._per_box(box, _corr.total_correlation(box.flat, 3, box.correlators))
 
 
 @dataclass(frozen=True)
@@ -302,7 +316,8 @@ class CorrelationSplit3:
 
 
 def correlation_split3(box: TripartiteBox) -> CorrelationSplit3:
-    return CorrelationSplit3(*_corr.split(box.table.reshape(64), 3, box.correlators))
+    return CorrelationSplit3(*(boxcore._per_box(box, v)
+                               for v in _corr.split(box.flat, 3, box.correlators)))
 
 
 def classical_correlation3(box: TripartiteBox) -> float:

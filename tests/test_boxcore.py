@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -365,15 +366,22 @@ def _signaling_row(n):
     return t.reshape(-1)
 
 
-@pytest.mark.parametrize("n, make", [(2, boxcore.make_box), (3, tribox.make_box3)])
-@pytest.mark.parametrize("bad", ["signaling", "negative", "unnormalized", "nan"])
-def test_validate_stack_raises_the_error_of_the_first_bad_table(n, make, bad):
+def _stack_with_bad_rows(n, bad):
+    """Six noise tables, the third made bad in the way `bad` names and the
+    fifth signaling and unnormalized."""
     rows = np.tile(np.full(4 ** n, 1.0 / 2 ** n), (6, 1))
     rows[2] = {"signaling": _signaling_row(n),
                "negative": rows[2] + np.eye(4 ** n)[0] * 0.3 - np.eye(4 ** n)[1] * 0.3,
                "unnormalized": rows[2] * 1.01,
                "nan": np.where(np.arange(4 ** n) == 5, np.nan, rows[2])}[bad]
     rows[4] = _signaling_row(n) * 1.01  # a later bad table is not the one named
+    return rows
+
+
+@pytest.mark.parametrize("n, make", [(2, boxcore.make_box), (3, tribox.make_box3)])
+@pytest.mark.parametrize("bad", ["signaling", "negative", "unnormalized", "nan"])
+def test_validate_stack_raises_the_error_of_the_first_bad_table(n, make, bad):
+    rows = _stack_with_bad_rows(n, bad)
     with pytest.raises(boxcore.BoxError) as want:
         make(rows[2])
     with pytest.raises(boxcore.BoxError) as got:
@@ -389,3 +397,57 @@ def test_validate_stack_clamps_rounding_noise_as_make_box_does():
     got = boxcore._validate_stack(rows, 2)
     want = np.stack([boxcore.make_box(r).table.reshape(-1) for r in rows])
     assert np.array_equal(got, want) and got[3, 1] == 0.0
+
+
+@pytest.mark.parametrize("n, make", [(2, boxcore.make_box), (3, tribox.make_box3)])
+@pytest.mark.parametrize("bad", ["signaling", "negative", "unnormalized", "nan"])
+def test_make_box_of_a_stack_raises_the_error_of_its_first_bad_table(n, make, bad):
+    rows = _stack_with_bad_rows(n, bad)
+    with pytest.raises(boxcore.BoxError) as want:
+        make(rows[2])
+    with pytest.raises(boxcore.BoxError) as got:
+        make(rows)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("n, make, draw", [
+    (2, boxcore.make_box, lambda rng: polytope.random_ns_tables(rng, 1)[0]),
+    (3, tribox.make_box3, lambda rng: tribox.random_sv_polytope_box(rng).table),
+])
+def test_make_box_of_a_stack_holds_each_table_and_its_correlators_read_only(n, make, draw):
+    rng = np.random.default_rng(2102)
+    rows = np.stack([draw(rng).reshape(-1) for _ in range(7)])
+    stack = make(rows)
+    assert type(stack) is type(make(rows[0])) and stack.stacked and stack.parties == n
+    assert stack.table.shape == (7,) + (2,) * (2 * n)
+    assert stack.correlators.shape == (7, 2 ** n)
+    assert not stack.table.flags.writeable and not stack.correlators.flags.writeable
+    assert not np.shares_memory(stack.table, rows)
+    for row, table, corr in zip(rows, stack.table, stack.correlators):
+        one = make(row)
+        assert not one.stacked
+        assert np.array_equal(table, one.table)
+        assert np.max(np.abs(corr - one.correlators)) <= 1e-14
+
+
+def test_a_two_dimensional_table_of_another_shape_is_one_box():
+    box = boxcore.make_box(np.full((4, 4), 0.25))
+    assert not box.stacked and box.table.shape == (2, 2, 2, 2)
+    assert box.allclose(boxcore.noise_box())
+
+
+@pytest.mark.parametrize("n, load", [(2, boxcore.box_from_json), (3, tribox.box3_from_json)])
+def test_a_box_file_with_a_table_of_stacked_rows_is_refused(n, load):
+    rows = np.full((3, 4 ** n), 1.0 / 2 ** n).tolist()
+    with pytest.raises(boxcore.BoxError, match=f"expected {4 ** n} probabilities, got"):
+        load(json.dumps({"parties": n, "table": rows}))
+
+
+def test_box_json_refuses_a_stack():
+    two = boxcore.make_box(np.tile(boxcore.noise_box().table.reshape(-1), (3, 1)))
+    three = tribox.make_box3(np.tile(tribox.noise3_box().table.reshape(-1), (2, 1)))
+    with pytest.raises(boxcore.BoxError):
+        boxcore.box_to_json(two)
+    with pytest.raises(boxcore.BoxError):
+        tribox.box3_to_json(three)

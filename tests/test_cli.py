@@ -359,6 +359,71 @@ def test_sweep_reaching_an_invalid_state_exits_2(capsys):
     assert capsys.readouterr().err.splitlines() == ["error: negative eigenvalue -1.250e-01"]
 
 
+_MEASURE_NAMES = {2: "G, Q, T, C, CHSH, CHSH000, steering", 3: "G, Q, T, C, SV, MERMIN3, CLASS99"}
+
+
+@pytest.mark.parametrize("args, measure, parties", [
+    (["--family", "Werner2", "--settings", "MSb", "--sweep", "p:0:1:3"], "SV", 2),
+    (["--family", "Werner2", "--settings", "MSb", "--sweep", "p:0:1:3"], "bogus", 2),
+    (["--family", "GGHZ", "--settings", "SDxy", "--sweep", "theta:0:0.7:3"], "CHSH", 3),
+    (["--family", "GGHZ", "--settings", "SDxy", "--sweep", "theta:0:0.7:3"], "bogus", 3),
+    # checked at the first point, before a later point reaches an invalid state
+    (["--family", "Werner2", "--settings", "BSb", "--sweep", "p:0:2:5"], "steering,SV", 2),
+])
+def test_sweep_of_an_unknown_measure_names_the_party_count_and_the_measures(
+        args, measure, parties, capsys):
+    assert run_cli(["sweep", *args, "--measures", f"G,{measure}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: unknown measure {measure.split(',')[-1]!r} for {parties} parties; "
+        f"the measures are {_MEASURE_NAMES[parties]}"]
+
+
+def test_sweep_reports_a_frame_of_the_other_party_count_first(capsys):
+    # the first point's Born rule refuses the frame before the measure names
+    # are looked up and before any later point is built
+    assert run_cli(["sweep", "--family", "Werner2", "--settings", "SDxy",
+                    "--sweep", "p:0:2:5", "--measures", "SV"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: born_box2 needs two-party settings"]
+
+
+def _stack_and_boxes(parties, k=40):
+    """A box stack of random nonsignaling tables and catalog vertices, and its boxes one by one."""
+    rng = np.random.default_rng(2104)
+    if parties == 2:
+        make, vertices = boxcore.make_box, polytope.vertex_matrix(boxcore.ns_vertex_ids())
+        random = polytope.random_ns_tables(rng, k).reshape(k, 16)
+    else:
+        make, vertices = tribox.make_box3, tribox.tri_vertex_matrix(tribox.sv_polytope_ids()[::8])
+        random = np.stack([tribox.random_sv_polytope_box(rng).table.reshape(-1) for _ in range(k)])
+    rows = np.concatenate([random, vertices])
+    return make(rows), [make(row) for row in rows]
+
+
+@pytest.mark.parametrize("parties", [2, 3])
+def test_each_sweep_measure_of_a_box_stack_is_its_per_box_values(parties):
+    stack, boxes = _stack_and_boxes(parties)
+    for name, measure in (cli._MEASURES2 if parties == 2 else cli._MEASURES3).items():
+        want = [measure(box) for box in boxes]
+        assert all(type(v) is float for v in want), name
+        got = measure(stack)
+        assert isinstance(got, np.ndarray) and got.shape == (len(boxes),), name
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("parties", [2, 3])
+def test_correlation_split_of_a_box_stack_is_that_of_each_box(parties):
+    stack, boxes = _stack_and_boxes(parties)
+    split = discord2.correlation_split if parties == 2 else tribox.correlation_split3
+    got = split(stack)
+    for k, box in enumerate(boxes):
+        want = split(box)
+        assert type(want.sign) is int and type(want.total) is float
+        for field in ("total", "classical", "sign"):
+            assert abs(getattr(got, field)[k] - getattr(want, field)) <= 1e-12, field
+
+
 @pytest.mark.parametrize("parties", [2, 3])
 def test_measure_report_computes_the_full_correlators_once(parties, monkeypatch):
     full = []

@@ -579,6 +579,13 @@ _SWEEP_FAMILIES = {
                    lambda v: (qstate.ghz_state(), qstate.settings_catalog("SMDghz", v))),
     "gghz_sdxy": (["--family", "GGHZ", "--settings", "SDxy"], "theta:0:0.785:7", ["G"],
                   lambda v: (qstate.gghz_state(v), qstate.settings_catalog("SDxy"))),
+    # longer than one chunk of cli._SWEEP_CHUNK points, with every measure
+    "werner_msb_chunks": (["--family", "Werner2", "--settings", "MSb"], "p:0:1:70",
+                          list(cli._MEASURES2),
+                          lambda v: (qstate.werner2_state(v), qstate.settings_catalog("MSb"))),
+    "ghz_smdghz_chunks": (["--family", "GHZ", "--settings", "SMDghz",
+                           "--settings-param", "sweep"], "p:0.5:1:67", list(cli._MEASURES3),
+                          lambda v: (qstate.ghz_state(), qstate.settings_catalog("SMDghz", v))),
     "prq_settings": (["--family", "Schmidt", "--param", "theta=0.4", "--settings", "PRQ"],
                      "settings:0.2:1.8:5", ["G", "Q", "CHSH"],
                      lambda v: (qstate.schmidt_state(0.4), qstate.settings_catalog("PRQ", v))),
@@ -657,6 +664,36 @@ def test_a_state_stack_is_refused_by_born_boxes_and_json():
         qstate.born_box3(three, qstate.settings_catalog("SDxy"))
     with pytest.raises(qstate.InvalidStateError):
         qstate.state_to_json(two)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("sequence", ["states", "frames", "both"])
+def test_born_boxes_of_state_or_frame_sequences_are_the_per_point_boxes(n, sequence):
+    rng = np.random.default_rng(2103 + n)
+    born = qstate.born_box2 if n == 2 else qstate.born_box3
+    sample = qstate.random_settings2 if n == 2 else qstate.random_settings3
+    states = [random_mixed_state(rng, 2 ** n) for _ in range(5)]
+    frames = [sample(rng) for _ in range(5)]
+    if sequence == "states":
+        frames = [frames[0]] * 5
+        stack = born(states, frames[0])
+    elif sequence == "frames":
+        states = [states[0]] * 5
+        stack = born(states[0], frames)
+    else:
+        stack = born(states, frames)
+    assert stack.stacked and stack.table.shape == (5,) + (2,) * (2 * n)
+    for table, rho, frame in zip(stack.table, states, frames):
+        one = born(rho, frame)
+        assert type(one) is type(stack) and not one.stacked
+        assert np.max(np.abs(table - one.table)) <= 1e-14  # a few ulps of 4**n terms
+
+
+def test_born_boxes_refuse_sequences_of_unequal_length_or_none():
+    rho, frame = qstate.bell_psi_plus(), qstate.settings_catalog("BSb")
+    for states, frames in [([rho] * 2, [frame] * 3), ([], frame), (rho, [])]:
+        with pytest.raises(qstate.InvalidStateError):
+            qstate.born_box2(states, frames)
 
 
 def test_correlation_data_of_a_stack_is_that_of_each_state():
