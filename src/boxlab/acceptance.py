@@ -185,7 +185,7 @@ def _two_qubit_states(normals: np.ndarray) -> qstate.DensityMatrix:
     per state, (k, 32): g g^H / tr of g = the first 16 + i the next 16."""
     g = normals[:, :16].reshape(-1, 4, 4) + 1j * normals[:, 16:].reshape(-1, 4, 4)
     m = g @ g.conj().swapaxes(1, 2)
-    return qstate._density_matrix_stack(m / np.trace(m, axis1=1, axis2=2).real[:, None, None])
+    return qstate.density_matrix(m / np.trace(m, axis1=1, axis2=2).real[:, None, None])
 
 
 def _monogamy_tables(rng: np.random.Generator) -> np.ndarray:
@@ -238,8 +238,8 @@ def _nullity_states(rng: np.random.Generator, n: int) -> tuple[qstate.DensityMat
     v = normals.reshape(n, 2, 3, 3)
     v = v / np.linalg.norm(v, axis=-1, keepdims=True)
     s = v[:, :, 1:] * p[:, :, 1:, None] ** (1.0 / 3.0)
-    cq, qc = (qstate._classical_quantum(p[:, kind, 0], v[:, kind, 0], s[:, kind, 0],
-                                        s[:, kind, 1], bool(kind)) for kind in range(2))
+    cq, qc = (state(p[:, kind, 0], v[:, kind, 0], s[:, kind, 0], s[:, kind, 1])
+              for kind, state in enumerate((qstate.cq_state, qstate.qc_state)))
     return cq, qc, _two_qubit_states(g)
 
 

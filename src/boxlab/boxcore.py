@@ -156,9 +156,10 @@ def _valid_at_once(t: np.ndarray, n: int) -> bool:
 def _validate(values, n: int) -> np.ndarray:
     """The (2,)*2n table of `values`: a new array, checked, with entries in
     (-EPS_VALID, 0) clamped to 0 (decomposition residuals produce -1e-16 noise).
-    A 2-D (k, 4**n) numpy array is a stack of k tables, checked by
-    _validate_stack and returned as (k,) + (2,)*2n; nested lists, such as the
-    table of a box file, are always one table.
+    A 2-D (k, 4**n) numpy array is a stack, returned as (k,) + (2,)*2n;
+    nested lists, such as the table of a box file, are always one table.
+    One _valid_at_once test covers every table; where it fails, each table
+    that fails it alone takes the checks below in order.
 
     Raises BoxError unless `values` converts to 4**n finite numbers, then
     NegativeEntryError, NotNormalizedError or SignalingError naming the
@@ -170,45 +171,32 @@ def _validate(values, n: int) -> np.ndarray:
         t = np.array(values, dtype=float)
     except (TypeError, ValueError) as exc:
         raise BoxError(f"table is not an array of numbers: {exc}") from None
-    if isinstance(values, np.ndarray) and t.ndim == 2 and t.shape[1] == 4 ** n and len(t):
-        return _validate_stack(t, n).reshape((-1,) + (2,) * (2 * n))
-    if t.size != 4 ** n:
+    stacked = isinstance(values, np.ndarray) and t.shape[1:] == (4 ** n,) and len(t) > 0
+    if not stacked and t.size != 4 ** n:
         raise BoxError(f"expected {4 ** n} probabilities, got {t.size}")
-    t = t.reshape((2,) * (2 * n))
-    flat = t.reshape(-1)
-    if _valid_at_once(flat, n):
-        return t
-    rows, target, ends, checks = _LINEAR_CHECKS[n]
-    if not np.isfinite(t).all():
-        raise BoxError(f"table has non-finite entries: {t[~np.isfinite(t)]}")
-    neg = t < 0
-    if neg.any():
-        worst = np.unravel_index(np.argmin(t), t.shape)
-        if t[worst] < -EPS_VALID:
-            raise NegativeEntryError(
-                f"entry {_conditional(n, worst[:n], worst[n:])} = {t[worst]:.3e} < 0")
-        t[neg] = 0.0
-    residuals = rows @ flat - target
-    bad = np.abs(residuals) > EPS_VALID
-    if bad.any():
-        row = int(np.argmax(bad))
-        error, message = checks[np.searchsorted(ends, row, side="right")]
-        if error is NotNormalizedError:
-            message = (f"sum of {_conditional(n, np.unravel_index(row, (2,) * n))} "
-                       f"= {residuals[row] + 1.0:.12f} != 1")
-        raise error(message)
-    return t
-
-
-def _validate_stack(values, n: int) -> np.ndarray:
-    """The (k, 4**n) tables of `values`, each checked as _validate checks
-    one: the stack passes _valid_at_once, or else each row goes through
-    _validate in order, so the first bad table raises the error that
-    make_box (make_box3) raises on it."""
-    t = np.array(values, dtype=float).reshape(-1, 4 ** n)
-    if _valid_at_once(t, n):
-        return t
-    return np.stack([_validate(row, n).reshape(-1) for row in t])
+    flat = t.reshape(-1, 4 ** n)
+    if not _valid_at_once(flat, n):
+        rows, target, ends, checks = _LINEAR_CHECKS[n]
+        for row in flat:
+            if stacked and _valid_at_once(row, n):
+                continue
+            if not np.isfinite(row).all():
+                raise BoxError(f"table has non-finite entries: {row[~np.isfinite(row)]}")
+            worst = np.argmin(row)
+            if row[worst] < -EPS_VALID:
+                cell = np.unravel_index(worst, (2,) * (2 * n))
+                raise NegativeEntryError(
+                    f"entry {_conditional(n, cell[:n], cell[n:])} = {row[worst]:.3e} < 0")
+            row[row < 0] = 0.0
+            residuals = rows @ row - target
+            r = int(np.argmax(np.abs(residuals) > EPS_VALID))
+            if abs(residuals[r]) > EPS_VALID:
+                error, message = checks[np.searchsorted(ends, r, side="right")]
+                if error is NotNormalizedError:
+                    message = (f"sum of {_conditional(n, np.unravel_index(r, (2,) * n))} "
+                               f"= {residuals[r] + 1.0:.12f} != 1")
+                raise error(message)
+    return t.reshape(((len(t),) if stacked else ()) + (2,) * (2 * n))
 
 
 def make_box(values) -> BipartiteBox:
@@ -217,8 +205,10 @@ def make_box(values) -> BipartiteBox:
     Entries in (-EPS_VALID, 0) are clamped to 0 (decomposition residuals produce
     -1e-16 noise). Raises BoxError for input that is not 16 finite numbers,
     and NotNormalizedError, NegativeEntryError or SignalingError naming the
-    offending index. A 2-D (k, 16) array is a stack of k tables and gives a
-    box stack; its first bad table raises the error it raises alone.
+    offending index. A 2-D (k, 16) numpy array is a stack of k tables and
+    gives a box stack, checked by one test over all rows and row by row only
+    where that fails, so its first bad table raises the error it raises
+    alone; nested lists are always one table.
     """
     return BipartiteBox(_validate(values, 2))
 

@@ -54,10 +54,13 @@ def _parse_params(pairs) -> dict[str, float]:
         if "=" not in item:
             raise InputError(f"--param expects k=v, got {item!r}")
         key, value = item.split("=", 1)
+        key = key.strip()
         try:
-            out[key.strip()] = float(value)
+            out[key] = float(value)
         except ValueError:
-            raise InputError(f"--param {key.strip()}: {value!r} is not a number") from None
+            raise InputError(f"--param {key}: {value!r} is not a number") from None
+        if not np.isfinite(out[key]):
+            raise InputError(f"--param {key}: {value!r} is not a finite number")
     return out
 
 
@@ -343,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--sweep", required=True, help="name:start:stop:steps")
     p.add_argument("--settings", required=True)
-    p.add_argument("--settings-param", dest="settings_param",
+    p.add_argument("--settings-param", dest="settings_param", choices=("sweep",),
                    help="'sweep' to reuse the swept value as the settings parameter")
     p.add_argument("--measures", help="comma list, default G,Q,T")
     p.add_argument("--param", action="append")

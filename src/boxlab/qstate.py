@@ -45,8 +45,8 @@ class UnknownNameError(KeyError):
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Validated density matrix of one 4x4 (two-qubit) or 8x8 (three-qubit)
-    system, or a validated (k, d, d) stack of them, made only by
-    _density_matrix_stack; only correlation_data reads a stack."""
+    system, or a validated (k, d, d) stack of them, which density_matrix
+    makes of a 3-D numpy array; only correlation_data reads a stack."""
 
     mat: np.ndarray
 
@@ -56,40 +56,29 @@ class DensityMatrix:
 
 
 def density_matrix(mat) -> DensityMatrix:
-    m = np.asarray(mat, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (4, 8):
+    """A read-only copy of a 4x4 or 8x8 matrix, checked in order: finite,
+    Hermitian, unit trace, lowest eigenvalue >= -EIG_TOL. A 3-D (k, d, d)
+    numpy array is a stack, checked at once and matrix by matrix only where
+    that fails; nested lists are always one matrix."""
+    m = np.array(mat, dtype=complex)
+    stacked = isinstance(mat, np.ndarray) and m.ndim == 3 and len(m) > 0
+    if m.ndim != 2 + stacked or m.shape[-1] != m.shape[-2] or m.shape[-1] not in (4, 8):
         raise InvalidStateError(f"expected a 4x4 or 8x8 matrix, got {m.shape}")
-    if not np.isfinite(m).all():
-        raise InvalidStateError("matrix has non-finite entries")
-    if np.abs(m - m.conj().T).max() > EPS_VALID:
-        raise InvalidStateError("matrix is not Hermitian")
-    tr = m.trace()
-    if abs(tr.real - 1.0) > EPS_VALID or abs(tr.imag) > EPS_VALID:
-        raise InvalidStateError(f"trace is {tr:.12f}, expected 1")
-    low = np.linalg.eigvalsh(m)[0]  # ascending
-    if low < -EIG_TOL:
-        raise InvalidStateError(f"negative eigenvalue {low:.3e}")
-    m = m.copy()
-    m.setflags(write=False)
-    return DensityMatrix(m)
-
-
-def _density_matrix_stack(mats) -> DensityMatrix:
-    """The checks of density_matrix, in its order, on a (k, d, d) stack at
-    once: finite, Hermitian, unit trace, lowest eigenvalue >= -EIG_TOL. Where
-    one fails, each matrix goes through density_matrix in order, so that the
-    first bad one raises its own message."""
-    m = np.array(mats, dtype=complex)
-    if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[1] not in (4, 8):
-        raise InvalidStateError(f"expected a stack of 4x4 or 8x8 matrices, got {m.shape}")
-    tr = np.trace(m, axis1=1, axis2=2)
-    if not (np.isfinite(m).all()
+    if not (stacked and np.isfinite(m).all()
             and np.abs(m - m.conj().swapaxes(1, 2)).max() <= EPS_VALID
-            and np.abs(tr.real - 1.0).max() <= EPS_VALID
-            and np.abs(tr.imag).max() <= EPS_VALID
+            and np.abs(np.trace(m, axis1=1, axis2=2) - 1.0).max() <= EPS_VALID
             and np.linalg.eigvalsh(m)[:, 0].min() >= -EIG_TOL):
-        for one in m:
-            density_matrix(one)
+        for one in m.reshape((-1,) + m.shape[-2:]):
+            if not np.isfinite(one).all():
+                raise InvalidStateError("matrix has non-finite entries")
+            if np.abs(one - one.conj().T).max() > EPS_VALID:
+                raise InvalidStateError("matrix is not Hermitian")
+            tr = one.trace()
+            if abs(tr.real - 1.0) > EPS_VALID or abs(tr.imag) > EPS_VALID:
+                raise InvalidStateError(f"trace is {tr:.12f}, expected 1")
+            low = np.linalg.eigvalsh(one)[0]  # ascending
+            if low < -EIG_TOL:
+                raise InvalidStateError(f"negative eigenvalue {low:.3e}")
     m.setflags(write=False)
     return DensityMatrix(m)
 
@@ -256,10 +245,10 @@ def _born_tables2(rho: DensityMatrix, dirs: np.ndarray) -> np.ndarray:
     """The (k, 16) Born tables of a stack of k two-qubit states, each under
     its own frame of (k, 2, 2, 3) directions, checked as settings and
     make_box check one: directions of unit norm (_unit_directions) and the
-    box invariants (boxcore._validate_stack)."""
+    box invariants (make_box of the stack)."""
     _unit_directions(dirs)
     tables = np.einsum("kr,rck->kc", rho.mat.reshape(-1, 16), _born_operators(dirs)).real
-    return boxcore._validate_stack(tables, 2)
+    return boxcore.make_box(tables).flat
 
 
 def correlation_data(rho: DensityMatrix):
@@ -448,30 +437,31 @@ def _classical_quantum(p0, r_hat, s0, s1, quantum_first: bool) -> DensityMatrix:
     """p0 P+ (x) chi0 + (1 - p0) P- (x) chi1 for the projectors P+/- along r_hat
     and the Bloch states chi0/chi1 of s0/s1, factors swapped if `quantum_first`.
 
-    Array-first: k weights (k,) and k vectors (k, 3) each give a validated
-    (k, 4, 4) stack (_density_matrix_stack); scalars and 3-vectors give one
-    state (density_matrix), as cq_state and qc_state do.
+    Array-first: k weights and (k, 3) vectors give a (k, 4, 4) stack. A p0
+    that is not finite raises InvalidStateError before any arithmetic.
     """
     one = getattr(p0, "ndim", 0) == 0  # np.ndim(p0) takes about 2 us of a 45 us state
+    p0 = np.asarray(p0, dtype=float)[..., None, None]
+    if not np.isfinite(p0).all():
+        raise InvalidStateError(f"p0 is not finite: {p0[~np.isfinite(p0)][0]}")
     r_hat = _unit_directions(_vec3(r_hat) if one else r_hat)
     s = np.array([_vec3(s0), _vec3(s1)]) if one else np.stack([s0, s1], axis=1)
     proj = _projector_stack(r_hat)             # (.., a, i, j): P+, P-
     chi = _projector_stack(s)[..., 0, :, :]    # (.., a, i, j): chi0, chi1
     u, v = (chi, proj) if quantum_first else (proj, chi)
     kron = (u[..., :, None, :, None] * v[..., None, :, None, :]).reshape(u.shape[:-2] + (4, 4))
-    p0 = np.asarray(p0, dtype=float)[..., None, None]
     m = p0 * kron[..., 0, :, :] + (1 - p0) * kron[..., 1, :, :]
-    return density_matrix(m) if one else _density_matrix_stack(m)
+    return density_matrix(m)
 
 
 def cq_state(p0: float, r_hat, s0, s1) -> DensityMatrix:
     """Classical-quantum state: orthogonal projectors along r_hat on A, arbitrary
-    Bloch states s0/s1 on B."""
+    Bloch states s0/s1 on B; arrays of k weights and (k, 3) vectors give a stack."""
     return _classical_quantum(p0, r_hat, s0, s1, False)
 
 
 def qc_state(p0: float, r_hat, s0, s1) -> DensityMatrix:
-    """Quantum-classical mirror of :func:`cq_state`."""
+    """Quantum-classical mirror of :func:`cq_state`, stacks included."""
     return _classical_quantum(p0, r_hat, s0, s1, True)
 
 
@@ -674,6 +664,8 @@ def state_from_json(text: str) -> DensityMatrix:
         m = np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise InvalidStateError(f"'re' and 'im' are not matrices of numbers: {exc}") from None
+    if m.ndim != 2:  # a state file holds one state, not a stack
+        raise InvalidStateError(f"expected a 4x4 or 8x8 matrix, got {m.shape}")
     rho = density_matrix(m)
     if data.get("dim") != rho.dim:
         raise InvalidStateError(f"dim field {data.get('dim')} != matrix size {rho.dim}")

@@ -38,8 +38,8 @@ def make_box3(values) -> TripartiteBox:
 
     Every single-party marginal must be independent of the other two inputs
     and every two-party marginal independent of the remaining input. A 2-D
-    (k, 64) array is a stack of k tables and gives a box stack, as in
-    :func:`boxcore.make_box`.
+    (k, 64) numpy array is a stack of k tables and gives a box stack, checked
+    as :func:`boxcore.make_box` checks a (k, 16) one.
     """
     return TripartiteBox(boxcore._validate(values, 3))
 

@@ -352,10 +352,10 @@ def test_no_box_attribute_can_be_assigned(make, measure, computed):
     (2, lambda rng: polytope.random_ns_tables(rng, 1)[0]),
     (3, lambda rng: tribox.random_sv_polytope_box(rng).table),
 ])
-def test_validate_stack_passes_valid_tables_unchanged(n, draw):
+def test_box_stack_passes_valid_tables_unchanged(n, draw):
     rng = np.random.default_rng(77)
     rows = np.stack([draw(rng).reshape(-1) for _ in range(20)])
-    assert np.array_equal(boxcore._validate_stack(rows, n), rows)
+    assert np.array_equal((boxcore.make_box if n == 2 else tribox.make_box3)(rows).flat, rows)
 
 
 def _signaling_row(n):
@@ -380,21 +380,21 @@ def _stack_with_bad_rows(n, bad):
 
 @pytest.mark.parametrize("n, make", [(2, boxcore.make_box), (3, tribox.make_box3)])
 @pytest.mark.parametrize("bad", ["signaling", "negative", "unnormalized", "nan"])
-def test_validate_stack_raises_the_error_of_the_first_bad_table(n, make, bad):
+def test_box_stack_raises_the_error_of_the_first_bad_table(n, make, bad):
     rows = _stack_with_bad_rows(n, bad)
     with pytest.raises(boxcore.BoxError) as want:
         make(rows[2])
     with pytest.raises(boxcore.BoxError) as got:
-        boxcore._validate_stack(rows, n)
+        make(rows)
     assert type(got.value) is type(want.value)
     assert str(got.value) == str(want.value)
 
 
-def test_validate_stack_clamps_rounding_noise_as_make_box_does():
+def test_box_stack_clamps_rounding_noise_as_make_box_does():
     rows = polytope.random_ns_tables(np.random.default_rng(78), 5).reshape(5, 16)
     rows[3] = boxcore.pr_box(0, 0, 0).table.reshape(-1)
     rows[3, 1] -= 1e-17  # P(a=0,b=1|x=0,y=0) of PR000 is 0
-    got = boxcore._validate_stack(rows, 2)
+    got = boxcore.make_box(rows).flat
     want = np.stack([boxcore.make_box(r).table.reshape(-1) for r in rows])
     assert np.array_equal(got, want) and got[3, 1] == 0.0
 

@@ -353,6 +353,33 @@ def test_sweep_rejects_non_finite_bounds_with_one_line(spec, capsys, recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("argv", [
+    ["state-box", "--family", "Werner2", "--param", "p=inf", "--settings", "BSb"],
+    ["state-box", "--family", "Schmidt", "--param", "theta=inf", "--settings", "BSb"],
+    ["state-box", "--family", "GGHZ", "--param", "theta=inf", "--settings", "MDxy"],
+    ["state-box", "--family", "BellCC", "--param", "p=-inf", "--settings", "BSb"],
+    ["state-box", "--family", "Werner3", "--param", "p=inf", "--settings", "MDxy"],
+    ["state-box", "--family", "GhzWMix", "--param", "p=inf", "--settings", "MDxy"],
+    ["state-box", "--family", "Werner2", "--param", "p=nan", "--settings", "BSb"],
+    ["sweep", "--family", "GhzClass", "--param", "theta3=inf", "--sweep", "theta:0:0.7:3",
+     "--settings", "MDxy"],
+])
+def test_a_param_value_that_is_not_finite_exits_2_with_one_line(argv, capsys, recwarn):
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    key, value = argv[argv.index("--param") + 1].split("=")
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: --param {key}: {value!r} is not a finite number"]
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_settings_param_takes_only_sweep():
+    with pytest.raises(SystemExit) as info:
+        run_cli(["sweep", "--family", "Schmidt", "--settings", "BSb", "--settings-param", "foo",
+                 "--sweep", "theta:0:0.7:3"])
+    assert info.value.code == 2
+
+
 def test_sweep_reaching_an_invalid_state_exits_2(capsys):
     assert run_cli(["sweep", "--family", "Werner2", "--settings", "BSb",
                     "--sweep", "p:0:2:5"]) == 2

@@ -341,6 +341,12 @@ def test_state_json_round_trip():
 RE4, IM4 = (np.eye(4) / 4).tolist(), np.zeros((4, 4)).tolist()
 
 
+def test_state_from_json_refuses_a_stack_of_states():
+    doc = {"dim": 4, "re": [RE4, RE4], "im": [IM4, IM4]}
+    with pytest.raises(qstate.InvalidStateError, match=r"got \(2, 4, 4\)"):
+        qstate.state_from_json(json.dumps(doc))
+
+
 @pytest.mark.parametrize("doc", [
     [RE4, IM4],                                   # not an object
     {"dim": 4, "re": RE4},                        # no 'im'
@@ -624,6 +630,8 @@ def _bad_member(kind):
     m = np.eye(4, dtype=complex) / 4
     if kind == "non-finite":
         m[2, 2] = np.nan
+    elif kind == "both_infs":  # inf - inf in a trace would be NaN, with a warning
+        m[1, 1], m[2, 2] = np.inf, -np.inf
     elif kind == "non-Hermitian":
         m[0, 1] = 0.3
     elif kind == "trace":
@@ -633,7 +641,8 @@ def _bad_member(kind):
     return m
 
 
-@pytest.mark.parametrize("kind", ["non-finite", "non-Hermitian", "trace", "negative"])
+@pytest.mark.parametrize("kind", ["non-finite", "both_infs", "non-Hermitian", "trace",
+                                  "negative"])
 def test_a_state_stack_with_one_bad_member_raises_its_density_matrix_message(kind):
     mats = _valid_stack()
     mats[3] = _bad_member(kind)
@@ -641,23 +650,23 @@ def test_a_state_stack_with_one_bad_member_raises_its_density_matrix_message(kin
     with pytest.raises(qstate.InvalidStateError) as want:
         qstate.density_matrix(mats[3])
     with pytest.raises(qstate.InvalidStateError) as got:
-        qstate._density_matrix_stack(mats)
+        qstate.density_matrix(mats)
     assert str(got.value) == str(want.value)
 
 
 def test_a_valid_state_stack_is_a_read_only_copy():
     mats = _valid_stack()
-    rho = qstate._density_matrix_stack(mats)
+    rho = qstate.density_matrix(mats)
     assert rho.dim == 4 and rho.mat.shape == (6, 4, 4)
     assert np.array_equal(rho.mat, mats) and not np.shares_memory(rho.mat, mats)
     assert not rho.mat.flags.writeable
     with pytest.raises(qstate.InvalidStateError):
-        qstate._density_matrix_stack(mats[0])
+        qstate.density_matrix(mats[None])
 
 
 def test_a_state_stack_is_refused_by_born_boxes_and_json():
-    two = qstate._density_matrix_stack(_valid_stack(1))
-    three = qstate._density_matrix_stack(np.eye(8)[None] / 8)
+    two = qstate.density_matrix(_valid_stack(1))
+    three = qstate.density_matrix(np.eye(8)[None] / 8)
     with pytest.raises(qstate.InvalidStateError):
         qstate.born_box2(two, qstate.settings_catalog("BSb"))
     with pytest.raises(qstate.InvalidStateError):
@@ -697,13 +706,24 @@ def test_born_boxes_refuse_sequences_of_unequal_length_or_none():
 
 
 def test_correlation_data_of_a_stack_is_that_of_each_state():
-    rho = qstate._density_matrix_stack(_valid_stack())
+    rho = qstate.density_matrix(_valid_stack())
     r, s, c = qstate.correlation_data(rho)
     assert (r.shape, s.shape, c.shape) == ((6, 3), (6, 3), (6, 3, 3))
     for k, mat in enumerate(rho.mat):
         for got, want in zip((r[k], s[k], c[k]),
                              qstate.correlation_data(qstate.density_matrix(mat))):
             assert np.max(np.abs(got - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("state", [qstate.cq_state, qstate.qc_state])
+@pytest.mark.parametrize("p0", [np.inf, -np.inf, np.nan, np.array([0.3, np.inf, 0.5])])
+def test_cq_and_qc_states_refuse_a_p0_that_is_not_finite_without_a_warning(state, p0, recwarn):
+    r_hat, s0, s1 = np.array([0.0, 0.0, 1.0]), np.array([0.5, 0.0, 0.0]), np.zeros(3)
+    if np.ndim(p0):
+        r_hat, s0, s1 = (np.tile(v, (3, 1)) for v in (r_hat, s0, s1))
+    with pytest.raises(qstate.InvalidStateError, match="p0 is not finite"):
+        state(p0, r_hat, s0, s1)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("quantum_first", [False, True])
@@ -730,7 +750,7 @@ def test_stacked_born_tables_equal_born_box2_and_check_what_it_checks():
     mats = _valid_stack(8)
     dirs = rng.normal(size=(8, 2, 2, 3))
     dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-    tables = qstate._born_tables2(qstate._density_matrix_stack(mats), dirs)
+    tables = qstate._born_tables2(qstate.density_matrix(mats), dirs)
     for t, m, d in zip(tables, mats, dirs):
         box = qstate.born_box2(qstate.density_matrix(m), qstate.settings(*d.reshape(4, 3)))
         assert np.max(np.abs(t - box.table.reshape(-1))) <= 1e-15
@@ -738,7 +758,7 @@ def test_stacked_born_tables_equal_born_box2_and_check_what_it_checks():
     with pytest.raises(qstate.InvalidStateError) as want:
         qstate.settings(*dirs[5].reshape(4, 3))
     with pytest.raises(qstate.InvalidStateError) as got:
-        qstate._born_tables2(qstate._density_matrix_stack(mats), dirs)
+        qstate._born_tables2(qstate.density_matrix(mats), dirs)
     assert str(got.value) == str(want.value)
 
 
@@ -761,5 +781,5 @@ def test_stacked_born_tables_with_a_signaling_row_raise_the_error_of_make_box(mo
     with pytest.raises(boxcore.SignalingError) as want:
         boxcore.make_box(table)
     with pytest.raises(boxcore.SignalingError) as got:
-        qstate._born_tables2(qstate._density_matrix_stack(mats), dirs)
+        qstate._born_tables2(qstate.density_matrix(mats), dirs)
     assert str(got.value) == str(want.value)

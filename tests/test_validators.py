@@ -148,7 +148,7 @@ def test_out_of_range_frame_parameters_reach_the_norm_check_without_a_warning(fr
 
 
 def _one_state_stack(k):
-    return qstate._density_matrix_stack(np.tile(np.eye(4) / 4, (k, 1, 1)))
+    return qstate.density_matrix(np.tile(np.eye(4) / 4, (k, 1, 1)))
 
 
 # each entry point that checks directions, given a bad direction for its
