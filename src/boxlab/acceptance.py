@@ -188,15 +188,16 @@ def _two_qubit_states(normals: np.ndarray) -> qstate.DensityMatrix:
     return qstate.density_matrix(m / np.trace(m, axis1=1, axis2=2).real[:, None, None])
 
 
-def _monogamy_tables(rng: np.random.Generator) -> np.ndarray:
-    """Criterion 8's (1000, 16) Born tables of random two-qubit states, each
-    under a random frame. Per pair, random_two_qubit_state and then
+def _monogamy_boxes(rng: np.random.Generator) -> boxcore.BipartiteBox:
+    """Criterion 8's stack of 1,000 Born boxes of random two-qubit states,
+    each under a random frame, made by one born_box2 call on a state stack
+    and a frame stack. Per pair, random_two_qubit_state and then
     random_settings2 draw 16 + 16 + 4 x 3 normals, one after another, so
     one (1000, 44) draw is the same stream."""
     x = rng.normal(size=(1_000, 44))
-    dirs = x[:, 32:].reshape(-1, 2, 2, 3)
-    return qstate._born_tables2(_two_qubit_states(x[:, :32]),
-                                dirs / np.linalg.norm(dirs, axis=-1, keepdims=True))
+    dirs = x[:, 32:].reshape(-1, 4, 3)
+    dirs = dirs / np.linalg.norm(dirs, axis=-1, keepdims=True)
+    return qstate.born_box2(_two_qubit_states(x[:, :32]), qstate.settings(*dirs.swapaxes(0, 1)))
 
 
 def criterion_8() -> CriterionResult:
@@ -204,8 +205,9 @@ def criterion_8() -> CriterionResult:
     and 1e3 random two-qubit state/settings pairs."""
     rng = np.random.default_rng(SEED)
     tables = polytope.random_ns_tables(rng, 10_000).reshape(-1, 16)
-    tables = np.vstack([tables, _monogamy_tables(rng)])
-    e = _corr.correlators(tables, 2).reshape(-1, 2, 2)
+    # the Born boxes' correlators were computed when make_box built them
+    e = np.vstack([_corr.correlators(tables, 2), _monogamy_boxes(rng).correlators])
+    e = e.reshape(-1, 2, 2)
     b = discord2.bell_functions_from_expectations(e).reshape(-1, 4)
     i, j = discord2._PAIRS
     pair_max = max(0.0, float(np.max(b[:, i] + b[:, j])))

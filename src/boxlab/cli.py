@@ -177,13 +177,15 @@ def cmd_decompose(args) -> int:
 
 
 def _build_state(name, params):
+    """The state of `params`, or the state stack where some are (k,) arrays."""
     if name == "BellDiagonal":
         # the CLI names the eight weights w0..w7
         names = [f"w{i}" for i in range(8)]
         if sorted(params) != names:
             raise InputError(f"family {name!r} takes the parameters w0..w7, "
                              f"not {sorted(params)}")
-        return qstate.state_family(name, weights=[params[k] for k in names])
+        weights = np.stack(np.broadcast_arrays(*(params[k] for k in names)), axis=-1)
+        return qstate.state_family(name, weights=weights)
     return qstate.state_family(name, **params)
 
 
@@ -229,7 +231,20 @@ _MEASURES3 = {
     "CLASS99": tribox.class99_value,
 }
 
-_SWEEP_CHUNK = 64  # points per Born call, box check and pass of each measure
+_SWEEP_CHUNK = 64  # points per state and frame build, Born call, box check and measure pass
+
+
+def _sweep_measures(rho, frame, measures) -> dict:
+    """The measure table of the sweep's party count, after the checks its
+    Born rule makes of `rho` and `frame`; InputError for an unknown measure."""
+    parties = 2 if rho.dim == 4 else 3
+    qstate._born_inputs(rho, frame, parties)
+    table = _MEASURES2 if parties == 2 else _MEASURES3
+    unknown = [m for m in measures if m not in table]
+    if unknown:
+        raise InputError(f"unknown measure {unknown[0]!r} for {parties} parties; "
+                         f"the measures are {', '.join(table)}")
+    return table
 
 
 def cmd_sweep(args) -> int:
@@ -251,31 +266,30 @@ def cmd_sweep(args) -> int:
     if frame_moves and "settings" in params:
         raise InputError("--param settings is not taken when the sweep sets the frame's "
                          "parameter")
-    if not frame_moves:
-        frame = qstate.settings_catalog(args.settings, params.get("settings"))
+    frame = None if frame_moves else qstate.settings_catalog(args.settings, params.get("settings"))
+    fixed = {k: v for k, v in params.items() if k != "settings"}
+
+    def build(value):
+        """The frame and the state at `value`, one point or a (k,) array of them."""
+        return (qstate.settings_catalog(args.settings, value) if frame_moves else frame,
+                _build_state(args.family, {**fixed, pname: value} if to_family else fixed))
+
     values = np.linspace(start, stop, steps)
     table, columns = None, []
     for lo in range(0, steps, _SWEEP_CHUNK):
         chunk = values[lo:lo + _SWEEP_CHUNK]
-        frames, states = [], []
-        for value in chunk.tolist():
-            if frame_moves:
-                frames.append(qstate.settings_catalog(args.settings, value))
-            point = dict(params)
-            point.pop("settings", None)
-            if to_family:
-                point[pname] = value
-            states.append(_build_state(args.family, point))
-            if table is None:  # at the first point, after its Born rule's own checks
-                parties = 2 if states[0].dim == 4 else 3
-                qstate._born_table(states[0], frames[0] if frame_moves else frame, parties)
-                table = _MEASURES2 if parties == 2 else _MEASURES3
-                unknown = [m for m in measures if m not in table]
-                if unknown:
-                    raise InputError(f"unknown measure {unknown[0]!r} for {parties} parties; "
-                                     f"the measures are {', '.join(table)}")
-        born = qstate.born_box2 if parties == 2 else qstate.born_box3
-        box = born(states, frames if frame_moves else frame)
+        try:
+            frames, rho = build(chunk)
+        except (InputError, qstate.InvalidStateError, qstate.UnknownNameError):
+            # the error of the first point that fails, its frame's before its
+            # state's, and the first point's measure check before any later one
+            for value in chunk.tolist():
+                one_frame, one_state = build(value)
+                table = table or _sweep_measures(one_state, one_frame, measures)
+            raise
+        table = table or _sweep_measures(rho, frames, measures)
+        born = qstate.born_box2 if table is _MEASURES2 else qstate.born_box3
+        box = born(rho, frames)
         columns.append(np.column_stack([chunk] + [table[m](box) for m in measures]))
     rows = np.concatenate(columns).tolist()
     rows.sort(key=lambda r: r[0])
@@ -311,8 +325,16 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_CRITERION_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose refusals are one `error: ...` line on stderr
+    and exit 2, as every other input error; its subparsers are of this class."""
+
+    def error(self, message):
+        self.exit(EXIT_INPUT_ERROR, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="boxlab",
         description="Nonsignaling-box measures, decompositions and state-generated boxes.",
     )

@@ -84,21 +84,30 @@ def density_matrix(mat) -> DensityMatrix:
 
 
 def pure_dm(vec) -> DensityMatrix:
-    """|v><v| / <v|v> of a 4- or 8-entry state vector.
+    """|v><v| / <v|v> of a 4- or 8-entry state vector, or of each row of a
+    2-D (k, d) numpy array: a stack. Nested lists are always one vector.
 
-    Only the vector is checked: the normalized outer product is Hermitian,
-    of unit trace and positive semidefinite by construction.
+    Only the vectors are checked, all at once, and the first bad row raises:
+    the normalized outer product is Hermitian, of unit trace and positive
+    semidefinite by construction.
     """
-    v = np.asarray(vec, dtype=complex).reshape(-1)
-    if v.size not in (4, 8):
-        raise InvalidStateError(f"expected a 4- or 8-entry state vector, got {v.size}")
-    if not np.isfinite(v).all():
-        raise InvalidStateError("state vector has non-finite entries")
-    n = np.sqrt(np.vdot(v, v).real)
-    if n == 0 or not np.isfinite(n):
-        raise InvalidStateError(f"state vector has norm {n}")
-    v = v / n
-    m = np.outer(v, v.conj())
+    v = np.asarray(vec, dtype=complex)
+    stacked = isinstance(vec, np.ndarray) and v.ndim == 2 and len(v) > 0
+    v = v if stacked else v.reshape(1, -1)
+    if v.shape[1] not in (4, 8):
+        raise InvalidStateError(f"expected a 4- or 8-entry state vector, got {v.shape[1]}")
+    finite = np.isfinite(v).all(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # named below, not warned
+        n = np.sqrt((v.conj()[:, None, :] @ v[:, :, None])[:, 0, 0].real)  # vdot's BLAS dot
+    bad = ~(finite & (n > 0) & np.isfinite(n))
+    if bad.any():
+        first = bad.argmax()
+        if not finite[first]:
+            raise InvalidStateError("state vector has non-finite entries")
+        raise InvalidStateError(f"state vector has norm {n[first]}")
+    v = v / n[:, None]
+    m = v[:, :, None] * v.conj()[:, None, :]
+    m = m if stacked else m[0]
     m.setflags(write=False)
     return DensityMatrix(m)
 
@@ -123,21 +132,24 @@ def _unit_directions(d: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class MeasurementSettings:
-    """Two unit Bloch vectors per party; ``c`` is None for bipartite settings.
-    Construction makes the directions read-only and sets born_operator, the
+    """Two unit Bloch vectors per party, ``c`` None for bipartite settings,
+    or a frame stack: a, b, c of shape (k, 2, 3). Construction makes the
+    directions read-only and, for one frame, sets born_operator, the
     read-only B with Born table (rho.mat.reshape(-1) @ B).real in [x.., a..]
-    order (_born_operators of this one frame)."""
+    order; a frame stack has None (the Born rule traces it party by party)."""
 
-    a: np.ndarray                 # (2, 3)
-    b: np.ndarray                 # (2, 3)
-    c: np.ndarray | None = None   # (2, 3)
-    born_operator: np.ndarray = field(init=False, repr=False)
+    a: np.ndarray                 # (2, 3) or (k, 2, 3)
+    b: np.ndarray                 # (2, 3) or (k, 2, 3)
+    c: np.ndarray | None = None   # (2, 3) or (k, 2, 3)
+    born_operator: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         for d in self.dirs:
             d.setflags(write=False)
-        b = _born_operators(np.stack(self.dirs))
-        b.setflags(write=False)
+        b = None
+        if not self.stacked:
+            b = _born_operator(np.stack(self.dirs))
+            b.setflags(write=False)
         object.__setattr__(self, "born_operator", b)
 
     @property
@@ -145,12 +157,27 @@ class MeasurementSettings:
         return 2 if self.c is None else 3
 
     @property
+    def stacked(self) -> bool:
+        return self.a.ndim == 3
+
+    @property
     def dirs(self) -> tuple[np.ndarray, ...]:
         return (self.a, self.b) if self.c is None else (self.a, self.b, self.c)
 
 
 def settings(a0, a1, b0, b1, c0=None, c1=None) -> MeasurementSettings:
+    """The frame of two unit directions per party, c0 and c1 a third's. A
+    direction is 3 numbers, or a 2-D (k, 3) numpy array of k points, which
+    makes a frame stack, the other directions serving every point."""
     vecs = (a0, a1, b0, b1) if c0 is None and c1 is None else (a0, a1, b0, b1, c0, c1)
+    if any(isinstance(v, np.ndarray) and v.ndim == 2 and v.shape[1] == 3 for v in vecs):
+        vecs = [v if isinstance(v, np.ndarray) and v.shape[1:] == (3,) else _vec3(v) for v in vecs]
+        try:
+            d = np.stack(np.broadcast_arrays(*vecs), axis=1)  # (k, 2n, 3)
+        except ValueError:
+            raise InvalidStateError(f"directions of {sorted({len(v) for v in vecs if v.ndim == 2})}"
+                                    " points do not match") from None
+        return MeasurementSettings(*_unit_directions(d).reshape(len(d), -1, 2, 3).swapaxes(0, 1))
     try:
         d = np.array(vecs, dtype=float).reshape(len(vecs) // 2, 2, 3)
     except (TypeError, ValueError):  # _vec3 names the first that is not 3 numbers
@@ -171,8 +198,9 @@ _OUTCOME_SIGN = np.array([1.0, -1.0])
 
 
 def _projector_stack(dirs: np.ndarray) -> np.ndarray:
-    """P[.., x, a] = (1 +/- n_x.sigma)/2 of (.., 2, 3) directions, shape (.., 2, 2, 2, 2)."""
-    ops = (dirs @ _PAULI_STACK.reshape(3, 4)).reshape(dirs.shape[:-1] + (2, 2))
+    """P[.., a] = (1 +/- n.sigma)/2 of (.., 3) directions, shape (.., 2, 2, 2),
+    indexed [.., a, row, col]; n.sigma is one matrix product of all directions."""
+    ops = (dirs.reshape(-1, 3) @ _PAULI_STACK.reshape(3, 4)).reshape(dirs.shape[:-1] + (2, 2))
     return 0.5 * (ID2 + _OUTCOME_SIGN[:, None, None] * ops[..., None, :, :])
 
 
@@ -182,28 +210,41 @@ _BORN_ORDER = {n: np.arange(16 ** n).reshape((2,) * (4 * n)).transpose(
     [4 * k + r for r in range(4) for k in range(n)]).reshape(4 ** n, -1) for n in (2, 3)}
 
 
-def _born_operators(dirs: np.ndarray) -> np.ndarray:
-    """The Born operators of frames of (.., n, 2, 3) unit directions, n
-    parties of two each, shape (4**n, 4**n, ..): the frames' axes go last, so
-    one (n, 2, 3) frame gives its B itself and a stack's gather copies whole
-    rows. B[(i, j), (x, a)] = prod_p P_p[x_p, a_p][j_p, i_p], as outer
-    products of the parties' entries [i_p, j_p, x_p, a_p], then one gather."""
-    p = _projector_stack(dirs)  # (.., n, x, a, j, i)
-    lead = p.ndim - 5
-    q = p.transpose(lead, lead + 4, lead + 3, lead + 1, lead + 2, *range(lead))
-    q = q.reshape((len(q), 16) + q.shape[5:])
-    flat = functools.reduce(lambda u, v: (u[:, None] * v).reshape((-1,) + v.shape[1:]), q)
-    return flat[_BORN_ORDER[len(q)]]
+def _born_operator(dirs: np.ndarray) -> np.ndarray:
+    """The Born operator of one frame of (n, 2, 3) unit directions, n parties
+    of two each, shape (4**n, 4**n): B[(i, j), (x, a)] = prod_p
+    P_p[x_p, a_p][j_p, i_p], as outer products of the parties' entries
+    [i_p, j_p, x_p, a_p], then one gather."""
+    q = _projector_stack(dirs).transpose(0, 4, 3, 1, 2).reshape(len(dirs), 16)
+    return functools.reduce(np.multiply.outer, q).reshape(-1)[_BORN_ORDER[len(q)]]
+
+
+def _born_tables(mats: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """The (k, 4**n) Born tables of (k or 1, d, d) states under k frames of
+    (k, n, 2, 3) directions: each party's state indices (i_p, j_p) in turn
+    are traced against its projectors P_p[x, a][j, i] in one batched
+    product, so that no (4**n, 4**n) operator is built."""
+    k, n = dirs.shape[:2]
+    p = _projector_stack(dirs).reshape(k, n, 4, 4).swapaxes(2, 3)  # [(j, i), (x, a)]
+    t = mats.reshape(-1, 2 ** n, 2 ** n)
+    for party in range(n):
+        # axes [k, i_party, later i, j_party, later j, traced (x, a) pairs]
+        r = 2 ** (n - party - 1)
+        t = t.reshape(len(t), 2, r, 2, r, -1).transpose(0, 2, 4, 5, 3, 1)
+        t = t.reshape(len(t), -1, 4) @ p[:, party]
+    # [x_1, a_1, .., x_n, a_n] to the table's [x_1, .., x_n, a_1, .., a_n]
+    order = [0, *range(1, 2 * n, 2), *range(2, 2 * n + 1, 2)]
+    return t.reshape((k,) + (2,) * (2 * n)).transpose(order).reshape(k, -1).real
 
 
 def born_box2(rho: DensityMatrix | Sequence[DensityMatrix],
               s: MeasurementSettings | Sequence[MeasurementSettings]) -> BipartiteBox:
     """P(a,b|x,y) = Tr(rho Pi_a^x (x) Pi_b^y); output passes all box invariants.
 
-    `rho` may also be a sequence of states and `s` a sequence of frames, one
-    per point; a single state or frame applies to every point. Then the
-    result is a box stack, validated by one make_box call on the (k, 16)
-    tables. A stacked DensityMatrix is refused.
+    `rho` may also be a state stack or a sequence of states, and `s` a
+    frame stack or a sequence of frames, one per point; a single state or
+    frame serves every point. Then the result is a box stack, validated by
+    one make_box call on the (k, 16) tables.
     """
     return boxcore.make_box(_born_table(rho, s, 2))
 
@@ -211,44 +252,40 @@ def born_box2(rho: DensityMatrix | Sequence[DensityMatrix],
 def born_box3(rho: DensityMatrix | Sequence[DensityMatrix],
               s: MeasurementSettings | Sequence[MeasurementSettings]) -> TripartiteBox:
     """Tripartite Born rule; output passes the tripartite box invariants.
-    Sequences of states or frames give a box stack, as in born_box2."""
+    Stacks or sequences of states or frames give a box stack, as in born_box2."""
     return tribox.make_box3(_born_table(rho, s, 3))
+
+
+def _born_inputs(rho, s, n: int):
+    """A Born call's (d, d) or (k, d, d) states and its one frame or (k, n,
+    2, 3) frame directions, after its checks: n qubits, n parties, single
+    members of a sequence, and k states for k frames unless one serves all."""
+    d = 2 ** n
+    one_state, one_frame = isinstance(rho, DensityMatrix), isinstance(s, MeasurementSettings)
+    states, frames = [rho] if one_state else list(rho), [s] if one_frame else list(s)
+    if any(st.mat.shape[-2:] != (d, d) or (st.mat.ndim > 2 and not one_state) for st in states):
+        raise InvalidStateError(f"born_box{n} needs {('a 4x4', 'an 8x8')[n - 2]} density matrix")
+    if any(f.parties != n or (f.stacked and not one_frame) for f in frames):
+        raise InvalidStateError(f"born_box{n} needs {('two', 'three')[n - 2]}-party settings")
+    mats = rho.mat if one_state else np.array([st.mat for st in states]).reshape(-1, d, d)
+    dirs = (None if one_frame and not s.stacked else np.stack(s.dirs, axis=1) if one_frame
+            else np.array([np.stack(f.dirs) for f in frames]).reshape(-1, n, 2, 3))
+    k_states, k_frames = len(mats) if mats.ndim == 3 else 1, 1 if dirs is None else len(dirs)
+    if not (k_states and k_frames) or (mats.ndim == 3 and dirs is not None
+                                       and k_states != k_frames):
+        raise InvalidStateError(f"born_box{n} got {k_states} states for {k_frames} frames")
+    return mats, s if dirs is None else dirs
 
 
 def _born_table(rho, s, n: int) -> np.ndarray:
     """The unvalidated Born table (4**n,) of one n-qubit state under one
     n-party frame, or the (k, 4**n) tables of k points where `rho` or `s` is
-    a sequence: one product for a fixed frame, else one per point, so that
-    the frames' Born operators are never stacked."""
-    one_state, one_frame = isinstance(rho, DensityMatrix), isinstance(s, MeasurementSettings)
-    states = [rho] if one_state else list(rho)
-    frames = [s] if one_frame else list(s)
-    for state in states:
-        if state.mat.shape != (2 ** n,) * 2:
-            raise InvalidStateError(
-                f"born_box{n} needs {('a 4x4', 'an 8x8')[n - 2]} density matrix")
-    for frame in frames:
-        if frame.parties != n:
-            raise InvalidStateError(f"born_box{n} needs {('two', 'three')[n - 2]}-party settings")
-    if one_state and one_frame:
-        return (rho.mat.reshape(-1) @ s.born_operator).real
-    k = len(frames) if one_state else len(states)
-    if not k or not (one_state or one_frame or len(frames) == k):
-        raise InvalidStateError(f"born_box{n} got {len(states)} states for {len(frames)} frames")
-    if one_frame:
-        return (np.stack([state.mat.reshape(-1) for state in states]) @ s.born_operator).real
-    return np.stack([(state.mat.reshape(-1) @ frame.born_operator).real
-                     for state, frame in zip(states * k if one_state else states, frames)])
-
-
-def _born_tables2(rho: DensityMatrix, dirs: np.ndarray) -> np.ndarray:
-    """The (k, 16) Born tables of a stack of k two-qubit states, each under
-    its own frame of (k, 2, 2, 3) directions, checked as settings and
-    make_box check one: directions of unit norm (_unit_directions) and the
-    box invariants (make_box of the stack)."""
-    _unit_directions(dirs)
-    tables = np.einsum("kr,rck->kc", rho.mat.reshape(-1, 16), _born_operators(dirs)).real
-    return boxcore.make_box(tables).flat
+    a stack or a sequence: one product with a fixed frame's Born operator,
+    else the frames contracted party by party (_born_tables)."""
+    mats, frames = _born_inputs(rho, s, n)
+    if isinstance(frames, MeasurementSettings):
+        return (mats.reshape(mats.shape[:-2] + (-1,)) @ frames.born_operator).real
+    return _born_tables(mats, frames)
 
 
 def correlation_data(rho: DensityMatrix):
@@ -359,15 +396,17 @@ def settings_names() -> list[str]:
     return sorted(_FIXED_SETTINGS) + sorted(_PARAM_SETTINGS)
 
 
-def settings_catalog(name: str, param: float | None = None) -> MeasurementSettings:
+def settings_catalog(name: str, param: float | np.ndarray | None = None) -> MeasurementSettings:
     """Named measurement frames; parametric entries accept ``name`` + ``param``
-    or the combined form ``"name(value)"``. A parameter that is not a number
+    or the combined form ``"name(value)"``, and a 1-D array of k parameters
+    gives the frame stack of its k points. A parameter that is not a number
     raises InvalidStateError, and one given to a fixed frame UnknownNameError."""
     m = re.fullmatch(r"([^()]+)\(([^()]+)\)", name.strip())
     if m:
         name, param = m.group(1), m.group(2)
     try:
-        param = None if param is None else float(param)
+        if param is not None:  # a (k, 1) column makes each direction (k, 3)
+            param = np.asarray(param, dtype=float)[:, None] if np.ndim(param) == 1 else float(param)
     except (TypeError, ValueError):
         raise InvalidStateError(f"settings parameter {param!r} is not a number") from None
     if name in _FIXED_SETTINGS:
@@ -400,36 +439,57 @@ def singlet() -> DensityMatrix:
     return pure_dm([0, 1, -1, 0])
 
 
+# A family with parameters is array-first: (k,) arrays, the other parameters
+# scalars, give the stack of k states in one pure_dm or density_matrix call.
+
+def _pure_family(d: int, amplitudes: dict) -> DensityMatrix:
+    """pure_dm of the d-entry vector, zero but for {index: amplitude}, or of
+    the (k, d) vector stack where amplitudes are (k,) arrays."""
+    values = np.broadcast_arrays(*amplitudes.values())
+    v = np.zeros(values[0].shape + (d,), dtype=complex)
+    for i, a in zip(amplitudes, values):
+        v[..., i] = a
+    return pure_dm(v)
+
+
+def _mixture(p, pure: np.ndarray, noise: np.ndarray) -> DensityMatrix:
+    """density_matrix of p pure + (1 - p) noise, a stack for a (k,) array p."""
+    p = np.asarray(p, dtype=float)[..., None, None]
+    return density_matrix(p * pure + (1 - p) * noise)
+
+
 def schmidt_state(theta: float) -> DensityMatrix:
     """cos(theta)|00> + sin(theta)|11>, theta in [0, pi/4]."""
-    return pure_dm([np.cos(theta), 0, 0, np.sin(theta)])
+    return _pure_family(4, {0: np.cos(theta), 3: np.sin(theta)})
 
 
 def werner2_state(p: float) -> DensityMatrix:
-    return density_matrix(p * _PSI_PLUS + (1 - p) * _NOISE2)
+    return _mixture(p, _PSI_PLUS, _NOISE2)
 
 
 def bell_cc_state(p: float) -> DensityMatrix:
     """Bell state mixed with the classically correlated diag(|00>,|11>) noise."""
-    return density_matrix(p * _PSI_PLUS + (1 - p) * _CC)
+    return _mixture(p, _PSI_PLUS, _CC)
 
 
 def bell_diagonal_state(weights) -> DensityMatrix:
-    """Mixture of the eight phased maximally entangled states.
+    """Mixture of the eight phased maximally entangled states; a (k, 8)
+    array of weights gives a stack.
 
     Weights w[0..3] go to (|00> + (-1)^j i^k |11>)/sqrt2 and w[4..7] to
     (|01> + (-1)^j i^k |10>)/sqrt2, ordered (j,k) = 00,01,10,11.
     """
     w = np.asarray(weights, dtype=float)
-    if w.shape != (8,) or (w < -EPS_VALID).any() or abs(w.sum() - 1.0) > EPS_VALID:
+    if (w.shape[-1:] != (8,) or w.ndim > 2 or (w < -EPS_VALID).any()
+            or (np.abs(w.sum(axis=-1) - 1.0) > EPS_VALID).any()):
         raise InvalidStateError("need 8 nonnegative weights summing to 1")
-    m = np.zeros((4, 4), dtype=complex)
+    m = np.zeros(w.shape[:-1] + (4, 4), dtype=complex)
     states = itertools.product(((0, 3), (1, 2)), range(2), range(2))
-    for wi, (pair, j, k) in zip(w, states):
+    for wi, (pair, j, k) in zip(np.moveaxis(w, -1, 0), states):
         psi = np.zeros(4, dtype=complex)
         psi[list(pair)] = 1, (-1.0) ** j * (1j) ** k
         psi = psi / SQRT2
-        m += wi * np.outer(psi, psi.conj())
+        m += wi[..., None, None] * np.outer(psi, psi.conj())
     return density_matrix(m)
 
 
@@ -437,15 +497,19 @@ def _classical_quantum(p0, r_hat, s0, s1, quantum_first: bool) -> DensityMatrix:
     """p0 P+ (x) chi0 + (1 - p0) P- (x) chi1 for the projectors P+/- along r_hat
     and the Bloch states chi0/chi1 of s0/s1, factors swapped if `quantum_first`.
 
-    Array-first: k weights and (k, 3) vectors give a (k, 4, 4) stack. A p0
-    that is not finite raises InvalidStateError before any arithmetic.
+    Array-first: (k,) weights and 2-D (k, 3) vector arrays give a (k, 4, 4)
+    stack, a scalar weight or a 3-vector serving every point. A p0 that is
+    not finite raises InvalidStateError before any arithmetic.
     """
-    one = getattr(p0, "ndim", 0) == 0  # np.ndim(p0) takes about 2 us of a 45 us state
-    p0 = np.asarray(p0, dtype=float)[..., None, None]
+    p0 = np.asarray(p0, dtype=float)
     if not np.isfinite(p0).all():
         raise InvalidStateError(f"p0 is not finite: {p0[~np.isfinite(p0)][0]}")
-    r_hat = _unit_directions(_vec3(r_hat) if one else r_hat)
-    s = np.array([_vec3(s0), _vec3(s1)]) if one else np.stack([s0, s1], axis=1)
+    r_hat, s0, s1 = (v if isinstance(v, np.ndarray) and v.ndim == 2 and v.shape[1] == 3
+                     else _vec3(v) for v in (r_hat, s0, s1))
+    shape = np.broadcast_shapes(p0.shape, r_hat.shape[:-1], s0.shape[:-1], s1.shape[:-1])
+    p0 = np.broadcast_to(p0, shape)[..., None, None]
+    r_hat = _unit_directions(np.broadcast_to(r_hat, shape + (3,)))
+    s = np.broadcast_to(np.stack(np.broadcast_arrays(s0, s1), axis=-2), shape + (2, 3))
     proj = _projector_stack(r_hat)             # (.., a, i, j): P+, P-
     chi = _projector_stack(s)[..., 0, :, :]    # (.., a, i, j): chi0, chi1
     u, v = (chi, proj) if quantum_first else (proj, chi)
@@ -472,25 +536,18 @@ def ghz_state() -> DensityMatrix:
 
 def gghz_state(theta: float) -> DensityMatrix:
     """cos(theta)|000> + sin(theta)|111>."""
-    v = np.zeros(8)
-    v[0], v[7] = np.cos(theta), np.sin(theta)
-    return pure_dm(v)
+    return _pure_family(8, {0: np.cos(theta), 7: np.sin(theta)})
 
 
 def ghz_class_state(theta: float, theta3: float) -> DensityMatrix:
     """cos(theta)|000> + sin(theta)|11>(cos(theta3)|0> + sin(theta3)|1>)."""
-    v = np.zeros(8)
-    v[0] = np.cos(theta)
-    v[6] = np.sin(theta) * np.cos(theta3)
-    v[7] = np.sin(theta) * np.sin(theta3)
-    return pure_dm(v)
+    return _pure_family(8, {0: np.cos(theta), 6: np.sin(theta) * np.cos(theta3),
+                            7: np.sin(theta) * np.sin(theta3)})
 
 
 def w_class_state(alpha: float, beta: float, gamma: float) -> DensityMatrix:
     """alpha|100> + beta|010> + gamma|001> (amplitudes normalized)."""
-    v = np.zeros(8)
-    v[4], v[2], v[1] = alpha, beta, gamma
-    return pure_dm(v)
+    return _pure_family(8, {4: alpha, 2: beta, 1: gamma})
 
 
 @functools.cache
@@ -506,11 +563,11 @@ for _m in (_NOISE2, _NOISE3, _CC):
 
 
 def werner3_state(p: float) -> DensityMatrix:
-    return density_matrix(p * _GHZ + (1 - p) * _NOISE3)
+    return _mixture(p, _GHZ, _NOISE3)
 
 
 def ghz_w_mix_state(p: float) -> DensityMatrix:
-    return density_matrix(p * _GHZ + (1 - p) * _W)
+    return _mixture(p, _GHZ, _W)
 
 
 def bisep_w_state() -> DensityMatrix:
@@ -524,7 +581,7 @@ def bisep_w_state() -> DensityMatrix:
 
 
 def hardy_state(b: complex, c: complex, d: complex) -> DensityMatrix:
-    return pure_dm([0, b, c, d])
+    return _pure_family(4, {1: b, 2: c, 3: d})
 
 
 _FAMILIES = {
@@ -557,7 +614,9 @@ def family_parameter_names(name: str) -> tuple[str, ...]:
 
 def state_family(name: str, **params) -> DensityMatrix:
     """Build a catalog state by family name and keyword parameters; a missing
-    parameter, or one the family does not take, raises UnknownNameError."""
+    parameter, or one the family does not take, raises UnknownNameError.
+    (k,) array parameters give a stack of k states (BellDiagonal's weights
+    then (k, 8), CQ's and QC's vectors (k, 3)), as the builders do."""
     argnames = family_parameter_names(name)
     builder = _FAMILIES[name][0]
     missing = [a for a in argnames if a not in params]

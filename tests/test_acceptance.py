@@ -69,7 +69,7 @@ def test_criterion_8_tables_equal_a_per_point_reference_loop():
     rng, ref = np.random.default_rng(acceptance.SEED), np.random.default_rng(acceptance.SEED)
     for r in (rng, ref):
         polytope.random_ns_tables(r, 10_000)
-    got = acceptance._monogamy_tables(rng)
+    got = acceptance._monogamy_boxes(rng).flat
     want = np.stack([qstate.born_box2(qstate.random_two_qubit_state(ref),
                                       qstate.random_settings2(ref)).table.reshape(-1)
                      for _ in range(1_000)])

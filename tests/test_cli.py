@@ -380,6 +380,60 @@ def test_settings_param_takes_only_sweep():
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--family", "Schmidt", "--settings", "BSb", "--settings-param", "foo",
+     "--sweep", "theta:0:0.7:3"],
+    ["decompose", "--catalog", "PR000", "--mode", "four"],
+    ["measure", "--catalog", "PR000", "--format", "xml"],
+    ["sweep", "--settings", "BSb", "--sweep", "theta:0:0.7:3"],
+])
+def test_argparse_refusals_exit_2_with_one_line(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        run_cli(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("spec, message", [
+    # Werner2 fails at p = 2, the first point; PRQ only at p = -1, the last
+    ("p:2:-1:4", "error: negative eigenvalue -2.500e-01"),
+    # PRQ fails at p = -0.2, the first point; Werner2 only at p = 2
+    ("p:-0.2:2:3", "error: measurement direction has norm nan"),
+    # both fail at p = -0.5: the frame is built first
+    ("p:-0.5:0.5:3", "error: measurement direction has norm nan"),
+], ids=["state_first", "frame_first", "same_point"])
+def test_a_sweep_raises_the_error_of_its_first_failing_point(spec, message, capsys):
+    assert run_cli(["sweep", "--family", "Werner2", "--settings", "PRQ", "--settings-param",
+                    "sweep", "--sweep", spec]) == 2
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("args, frames", [
+    (["--family", "Werner2", "--settings", "meb1", "--settings-param", "sweep"], 2),
+    (["--family", "GGHZ", "--settings", "SDxy"], 1),
+])
+def test_a_sweep_builds_states_and_frames_once_per_chunk(args, frames, monkeypatch, tmp_path):
+    calls = {"state_family": 0, "settings_catalog": 0}
+
+    def counted(name):
+        original = getattr(qstate, name)
+
+        def wrapper(*a, **kw):
+            calls[name] += 1
+            return original(*a, **kw)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(qstate, name, counted(name))
+    pname = "p" if "Werner2" in args else "theta"
+    assert run_cli(["sweep", *args, "--sweep", f"{pname}:0.1:0.7:70",
+                    "--out", str(tmp_path / "s.csv")]) == 0
+    assert 70 > cli._SWEEP_CHUNK  # two chunks
+    assert calls == {"state_family": 2, "settings_catalog": frames}
+
+
 def test_sweep_reaching_an_invalid_state_exits_2(capsys):
     assert run_cli(["sweep", "--family", "Werner2", "--settings", "BSb",
                     "--sweep", "p:0:2:5"]) == 2

@@ -490,16 +490,20 @@ def test_born_operator_matches_the_kron_born_rule(parties):
 
 
 @pytest.mark.parametrize("parties", [2, 3])
-def test_stacked_born_operators_equal_the_kron_born_rule_per_frame(parties):
+def test_frame_stack_born_tables_equal_the_kron_born_rule_per_frame(parties):
     rng = np.random.default_rng(1410 + parties)
     dirs = rng.normal(size=(40, parties, 2, 3))
     dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-    ops = qstate._born_operators(dirs)
-    assert ops.shape == (4 ** parties, 4 ** parties, 40)
-    for d, op in zip(dirs, np.moveaxis(ops, -1, 0)):
-        frame = qstate.settings(*d.reshape(-1, 3))
-        assert np.max(np.abs(op - born_operator_by_kron(frame))) <= 1e-15
-        assert op.tobytes() == frame.born_operator.tobytes()
+    stack = qstate.settings(*dirs.reshape(40, -1, 3).swapaxes(0, 1))
+    assert stack.stacked and stack.a.shape == (40, 2, 3) and stack.born_operator is None
+    for name in ("a", "b", "c")[:parties]:
+        assert not getattr(stack, name).flags.writeable
+    states = np.stack([random_mixed_state(rng, 2 ** parties).mat for _ in range(40)])
+    tables = born_box(qstate.density_matrix(states), stack).flat
+    assert tables.shape == (40, 4 ** parties)
+    for d, m, table in zip(dirs, states, tables):
+        want = (m.reshape(-1) @ born_operator_by_kron(qstate.settings(*d.reshape(-1, 3)))).real
+        assert np.max(np.abs(table - want)) <= 1e-15
 
 
 def test_born_operator_directions_and_box_correlators_are_read_only():
@@ -664,13 +668,17 @@ def test_a_valid_state_stack_is_a_read_only_copy():
         qstate.density_matrix(mats[None])
 
 
-def test_a_state_stack_is_refused_by_born_boxes_and_json():
+def test_a_state_stack_is_refused_by_json_and_gives_born_boxes_a_box_stack():
     two = qstate.density_matrix(_valid_stack(1))
     three = qstate.density_matrix(np.eye(8)[None] / 8)
-    with pytest.raises(qstate.InvalidStateError):
-        qstate.born_box2(two, qstate.settings_catalog("BSb"))
-    with pytest.raises(qstate.InvalidStateError):
-        qstate.born_box3(three, qstate.settings_catalog("SDxy"))
+    for born, rho, frame in ((qstate.born_box2, two, qstate.settings_catalog("BSb")),
+                             (qstate.born_box3, three, qstate.settings_catalog("SDxy"))):
+        stack = born(rho, frame)
+        assert stack.stacked and len(stack.table) == 1
+        one = born(qstate.density_matrix(rho.mat[0]), frame)
+        assert stack.table[0].tobytes() == one.table.tobytes()
+    with pytest.raises(qstate.InvalidStateError, match="needs a 4x4"):
+        qstate.born_box2(three, qstate.settings_catalog("BSb"))
     with pytest.raises(qstate.InvalidStateError):
         qstate.state_to_json(two)
 
@@ -745,41 +753,108 @@ def test_cq_and_qc_stacks_equal_their_single_states(quantum_first):
     assert str(got.value) == str(want.value)
 
 
-def test_stacked_born_tables_equal_born_box2_and_check_what_it_checks():
+def test_born_box2_of_a_state_and_a_frame_stack_equals_the_per_point_boxes():
     rng = np.random.default_rng(1440)
     mats = _valid_stack(8)
-    dirs = rng.normal(size=(8, 2, 2, 3))
+    dirs = rng.normal(size=(8, 4, 3))
     dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-    tables = qstate._born_tables2(qstate.density_matrix(mats), dirs)
-    for t, m, d in zip(tables, mats, dirs):
-        box = qstate.born_box2(qstate.density_matrix(m), qstate.settings(*d.reshape(4, 3)))
+    stack = qstate.born_box2(qstate.density_matrix(mats), qstate.settings(*dirs.swapaxes(0, 1)))
+    for t, e, m, d in zip(stack.flat, stack.correlators, mats, dirs):
+        box = qstate.born_box2(qstate.density_matrix(m), qstate.settings(*d))
         assert np.max(np.abs(t - box.table.reshape(-1))) <= 1e-15
-    dirs[5, 1, 0] *= 1.5
+        assert np.max(np.abs(e - box.correlators)) <= 1e-15
+    dirs[5, 2] *= 1.5
+    dirs[6, 0] *= 2.0
     with pytest.raises(qstate.InvalidStateError) as want:
-        qstate.settings(*dirs[5].reshape(4, 3))
+        qstate.settings(*dirs[5])
     with pytest.raises(qstate.InvalidStateError) as got:
-        qstate._born_tables2(qstate.density_matrix(mats), dirs)
+        qstate.settings(*dirs.swapaxes(0, 1))
     assert str(got.value) == str(want.value)
 
 
 def test_stacked_born_tables_with_a_signaling_row_raise_the_error_of_make_box(monkeypatch):
-    # swapping the columns of P(0,0|0,1) and P(1,0|0,1) in one Born operator
-    # keeps its table normalized and nonnegative but makes it signal
+    # swapping P(0,0|0,1) and P(1,0|0,1) in one table keeps it normalized
+    # and nonnegative but makes it signal
     rng = np.random.default_rng(1450)
     mats = _valid_stack(8)
-    dirs = rng.normal(size=(8, 2, 2, 3))
+    dirs = rng.normal(size=(8, 4, 3))
     dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-    born_operators = qstate._born_operators
+    born_tables = qstate._born_tables
 
-    def one_bad(d):
-        ops = born_operators(d).copy()
-        ops[:, [4, 6], 6] = ops[:, [6, 4], 6]
-        return ops
+    def one_bad(m, d):
+        tables = born_tables(m, d)
+        tables[6, [4, 6]] = tables[6, [6, 4]]
+        return tables
 
-    monkeypatch.setattr(qstate, "_born_operators", one_bad)
-    table = (mats[6].reshape(-1) @ one_bad(dirs)[..., 6]).real
+    monkeypatch.setattr(qstate, "_born_tables", one_bad)
+    rho, frames = qstate.density_matrix(mats), qstate.settings(*dirs.swapaxes(0, 1))
+    table = qstate._born_table(rho, frames, 2)[6]
     with pytest.raises(boxcore.SignalingError) as want:
         boxcore.make_box(table)
     with pytest.raises(boxcore.SignalingError) as got:
-        qstate._born_tables2(qstate.density_matrix(mats), dirs)
+        qstate.born_box2(rho, frames)
     assert str(got.value) == str(want.value)
+
+
+def _family_arrays(name, rng, k):
+    """k points of each parameter of a family, as state_family takes them."""
+    t = rng.uniform(0.05, 0.95, k)
+    if name == "BellDiagonal":
+        return {"weights": rng.dirichlet(np.ones(8), k)}
+    if name in ("CQ", "QC"):
+        unit = rng.normal(size=(k, 3))
+        return {"p0": t if name == "CQ" else 0.4,  # a scalar weight serves every point
+                "r_hat": unit / np.linalg.norm(unit, axis=1, keepdims=True),
+                "s0": rng.uniform(-0.5, 0.5, (k, 3)), "s1": rng.uniform(-0.5, 0.5, (k, 3))}
+    if name == "Hardy":
+        return {"b": t, "c": t[::-1] + 0.3j, "d": 0.7}  # a scalar serves every point
+    if name == "WClass":
+        return {"alpha": t, "beta": 0.4, "gamma": t[::-1]}
+    if name == "GhzClass":
+        return {"theta": t, "theta3": 1.1}
+    return {param: t for param in qstate.family_parameter_names(name)}
+
+
+@pytest.mark.parametrize("name", [name for name in sorted(qstate._FAMILIES)
+                                  if qstate.family_parameter_names(name)])
+def test_a_family_of_parameter_arrays_is_the_stack_of_its_scalar_calls(name):
+    rng = np.random.default_rng(2300)
+    params = _family_arrays(name, rng, 9)
+    stack = qstate.state_family(name, **params)
+    points = [{key: value[i] if np.ndim(value) else value for key, value in params.items()}
+              for i in range(9)]
+    want = np.stack([qstate.state_family(name, **point).mat for point in points])
+    assert stack.mat.shape == want.shape and np.array_equal(stack.mat, want)
+    assert not stack.mat.flags.writeable
+
+
+@pytest.mark.parametrize("name", sorted(qstate._PARAM_SETTINGS))
+def test_a_frame_stack_of_the_catalog_gives_the_per_frame_born_tables(name):
+    values = np.linspace(0.1, 0.9, 7)
+    stack = qstate.settings_catalog(name, values)
+    assert stack.stacked and stack.born_operator is None
+    for party in stack.dirs:
+        assert party.shape == (7, 2, 3)
+    n = stack.parties
+    rho = random_mixed_state(np.random.default_rng(2310), 2 ** n)
+    states = qstate.density_matrix(np.stack([rho.mat] * 7))
+    for state in (rho, states):  # one state serving every point, and a stack
+        tables = born_box(state, stack).flat
+        for table, value in zip(tables, values):
+            one = qstate.settings_catalog(name, float(value))
+            assert np.max(np.abs(table - born_box(rho, one).flat)) <= 1e-15
+
+
+def test_a_frame_stack_names_the_first_bad_point_and_pure_dm_the_first_bad_row():
+    with pytest.raises(qstate.InvalidStateError) as want:
+        qstate.settings_catalog("PRQ", -0.5)
+    with pytest.raises(qstate.InvalidStateError) as got:
+        qstate.settings_catalog("PRQ", np.array([0.5, -0.5, np.inf]))
+    assert str(got.value) == str(want.value)
+    v = np.ones((4, 4))
+    v[1], v[2, 0] = 0.0, np.nan
+    with pytest.raises(qstate.InvalidStateError, match="state vector has norm 0.0"):
+        qstate.pure_dm(v)
+    v[1] = 1.0
+    with pytest.raises(qstate.InvalidStateError, match="non-finite entries"):
+        qstate.pure_dm(v)

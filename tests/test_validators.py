@@ -126,6 +126,10 @@ SETTINGS_CASES = [
     ("one_third_party_direction", (X, Y, X, Y, Z), "expected a vector of 3 numbers, got None"),
     ("nan", (X, Y, [np.nan, 0.0, 0.0], Y), "measurement direction has norm nan"),
     ("inf", (X, Y, [np.inf, 0.0, 0.0], Y), "measurement direction has norm inf"),
+    ("unequal_point_counts", (np.tile(X, (2, 1)), Y, np.tile(X, (3, 1)), Y),
+     "directions of [2, 3] points do not match"),
+    ("point_array_and_a_short_direction", (np.tile(X, (2, 1)), Y, [1.0, 0.0], Y),
+     "expected a vector of 3 numbers, got [1.0, 0.0]"),
 ]
 
 
@@ -160,8 +164,8 @@ DIRECTION_ENTRY_POINTS = {
     "classical_quantum_stack": lambda bad: qstate._classical_quantum(
         np.full(4, 0.3), np.array([X, Y, bad, 3 * Z]), np.zeros((4, 3)), np.zeros((4, 3)),
         False),
-    "born_tables2": lambda bad: qstate._born_tables2(
-        _one_state_stack(2), np.array([[[X, Y], [bad, 3 * Y]], [[X, Y], [X, Y]]])),
+    "frame_stack": lambda bad: qstate.born_box2(
+        _one_state_stack(2), qstate.settings(X, Y, np.array([bad, X]), np.array([3 * Y, Y]))),
 }
 BAD_DIRECTIONS = [("nan", [np.nan, 0.0, 0.0], "nan"), ("inf", [0.0, np.inf, 0.0], "inf"),
                   ("norm_2", [0.0, 0.0, 2.0], "2.000000000000"),
