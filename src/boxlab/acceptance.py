@@ -36,84 +36,77 @@ def _result(number, description, max_err, tol, extra="") -> CriterionResult:
     return CriterionResult(number, description, bool(max_err <= tol), detail)
 
 
+def _closed_forms(number, description, *pairs) -> CriterionResult:
+    """The result of a criterion whose closed forms are (got, want) pairs of
+    arrays or numbers: its error is the largest |got - want| over every
+    entry of every pair (NaN if any is NaN), its tolerance TOL_CLOSED."""
+    worst = np.max([np.max(np.abs(np.subtract(got, want, dtype=float))) for got, want in pairs])
+    return _result(number, description, float(worst), TOL_CLOSED)
+
+
 # -- criteria ----------------------------------------------------------------
+#
+# Criteria 1-5, 7, 14 and 16, and the GGHZ, Werner3 and GHZ-class parts of
+# 12, run on stacks: one state stack for the curve's points, a frame stack
+# where the frame moves with them, one Born call per frame, and each measure
+# read as a (k,) array.
 
 def criterion_1() -> CriterionResult:
     """Isotropic PR family: G(p) = 4p and signed CHSH B000 = 4p."""
-    errs = []
-    pr = boxcore.pr_box(0, 0, 0)
-    noise = boxcore.noise_box()
-    for p in np.linspace(0.0, 1.0, 11):
-        box = boxcore.mix([pr, noise], [p, 1 - p])
-        errs.append(abs(discord2.bell_discord(box) - 4 * p))
-        errs.append(abs(discord2.chsh_value(box, 0, 0, 0) - 4 * p))
-    return _result(1, "isotropic PR: G = 4p, B000 = 4p", max(errs), TOL_CLOSED)
+    p = np.linspace(0.0, 1.0, 11)[:, None]
+    box = boxcore.make_box(p * boxcore.pr_box(0, 0, 0).flat + (1 - p) * boxcore.noise_box().flat)
+    return _closed_forms(1, "isotropic PR: G = 4p, B000 = 4p",
+                         (discord2.bell_discord(box), 4 * p[:, 0]),
+                         (discord2.chsh_value(box, 0, 0, 0), 4 * p[:, 0]))
 
 
 def criterion_2() -> CriterionResult:
     """Schmidt states, BSb settings: box = (sin2t/sqrt2) PR + noise, G = CHSH = 2 sqrt(2 tau)."""
-    errs = []
-    frame = qstate.settings_catalog("BSb")
-    pr = boxcore.pr_box(0, 0, 0).table
-    for th in np.linspace(0.0, np.pi / 4, 20):
-        s = np.sin(2 * th)
-        tau = s * s
-        box = qstate.born_box2(qstate.schmidt_state(th), frame)
-        w = s / SQRT2
-        expected = w * pr + (1 - w) * 0.25
-        errs.append(float(np.max(np.abs(box.table - expected))))
-        errs.append(abs(discord2.bell_discord(box) - 2 * np.sqrt(2 * tau)))
-        errs.append(abs(discord2.chsh_value(box, 0, 0, 0) - 2 * np.sqrt(2 * tau)))
-    return _result(2, "Schmidt + BSb: noisy PR box, G = CHSH = 2 sqrt(2 tau)",
-                   max(errs), TOL_CLOSED)
+    th = np.linspace(0.0, np.pi / 4, 20)
+    s = np.sin(2 * th)
+    box = qstate.born_box2(qstate.schmidt_state(th), qstate.settings_catalog("BSb"))
+    w = (s / SQRT2)[:, None, None, None, None]
+    want = 2 * np.sqrt(2 * s * s)
+    return _closed_forms(2, "Schmidt + BSb: noisy PR box, G = CHSH = 2 sqrt(2 tau)",
+                         (box.table, w * boxcore.pr_box(0, 0, 0).table + (1 - w) * 0.25),
+                         (discord2.bell_discord(box), want),
+                         (discord2.chsh_value(box, 0, 0, 0), want))
 
 
 def criterion_3() -> CriterionResult:
     """Schmidt states, PRQ settings: CHSH = 2 sqrt(1+tau), G = 4 tau / sqrt(1+tau)."""
-    errs = []
-    for th in np.linspace(0.0, np.pi / 4, 20):
-        tau = np.sin(2 * th) ** 2
-        box = qstate.born_box2(qstate.schmidt_state(th),
-                               qstate.settings_catalog("PRQ", tau))
-        errs.append(abs(discord2.chsh_value(box, 0, 0, 0) - 2 * np.sqrt(1 + tau)))
-        errs.append(abs(discord2.bell_discord(box) - 4 * tau / np.sqrt(1 + tau)))
-    return _result(3, "Schmidt + PRQ: CHSH = 2 sqrt(1+tau), G = 4 tau/sqrt(1+tau)",
-                   max(errs), TOL_CLOSED)
+    th = np.linspace(0.0, np.pi / 4, 20)
+    tau = np.sin(2 * th) ** 2
+    box = qstate.born_box2(qstate.schmidt_state(th), qstate.settings_catalog("PRQ", tau))
+    return _closed_forms(3, "Schmidt + PRQ: CHSH = 2 sqrt(1+tau), G = 4 tau/sqrt(1+tau)",
+                         (discord2.chsh_value(box, 0, 0, 0), 2 * np.sqrt(1 + tau)),
+                         (discord2.bell_discord(box), 4 * tau / np.sqrt(1 + tau)))
 
 
 def criterion_4() -> CriterionResult:
     """Schmidt states: Q = 2 sqrt(tau) under MSb, Q = 2 sqrt2 tau / sqrt(1+tau) under CSB."""
-    errs = []
-    msb = qstate.settings_catalog("MSb")
-    for th in np.linspace(0.0, np.pi / 4, 20):
-        tau = np.sin(2 * th) ** 2
-        rho = qstate.schmidt_state(th)
-        box = qstate.born_box2(rho, msb)
-        errs.append(abs(discord2.mermin_discord(box) - 2 * np.sqrt(tau)))
-        errs.append(abs(discord2.steering_value(box) - 2 * np.sqrt(tau)))
-        want_flag = 2 * np.sqrt(tau) > discord2.STEERING_BOUND + TOL_CLOSED
-        if want_flag != bool(discord2.steering_flags(box).any()):
-            errs.append(1.0)
-        box_c = qstate.born_box2(rho, qstate.settings_catalog("CSB", tau))
-        errs.append(abs(discord2.mermin_discord(box_c)
-                        - 2 * SQRT2 * tau / np.sqrt(1 + tau)))
-    return _result(4, "Schmidt: Q(MSb) = 2 sqrt tau, Q(CSB) = 2 sqrt2 tau/sqrt(1+tau)",
-                   max(errs), TOL_CLOSED)
+    th = np.linspace(0.0, np.pi / 4, 20)
+    tau = np.sin(2 * th) ** 2
+    rho = qstate.schmidt_state(th)
+    box = qstate.born_box2(rho, qstate.settings_catalog("MSb"))
+    box_c = qstate.born_box2(rho, qstate.settings_catalog("CSB", tau))
+    want_flag = 2 * np.sqrt(tau) > discord2.STEERING_BOUND + TOL_CLOSED
+    return _closed_forms(4, "Schmidt: Q(MSb) = 2 sqrt tau, Q(CSB) = 2 sqrt2 tau/sqrt(1+tau)",
+                         (discord2.mermin_discord(box), 2 * np.sqrt(tau)),
+                         (discord2.steering_value(box), 2 * np.sqrt(tau)),
+                         (discord2.steering_flags(box).any(axis=(1, 2)), want_flag),
+                         (discord2.mermin_discord(box_c), 2 * SQRT2 * tau / np.sqrt(1 + tau)))
 
 
 def criterion_5() -> CriterionResult:
     """Werner states: G = 2 sqrt2 p under BSb, Q = 2p under MSb."""
-    errs = []
-    bsb = qstate.settings_catalog("BSb")
-    msb = qstate.settings_catalog("MSb")
-    for p in np.linspace(0.0, 1.0, 20):
-        rho = qstate.werner2_state(p)
-        errs.append(abs(discord2.bell_discord(qstate.born_box2(rho, bsb))
-                        - 2 * SQRT2 * p))
-        errs.append(abs(discord2.mermin_discord(qstate.born_box2(rho, msb))
-                        - 2 * p))
-    return _result(5, "Werner: G = 2 sqrt2 p (BSb), Q = 2p (MSb)", max(errs),
-                   TOL_CLOSED)
+    p = np.linspace(0.0, 1.0, 20)
+    rho = qstate.werner2_state(p)
+    return _closed_forms(5, "Werner: G = 2 sqrt2 p (BSb), Q = 2p (MSb)",
+                         (discord2.bell_discord(qstate.born_box2(
+                             rho, qstate.settings_catalog("BSb"))), 2 * SQRT2 * p),
+                         (discord2.mermin_discord(qstate.born_box2(
+                             rho, qstate.settings_catalog("MSb"))), 2 * p))
 
 
 def criterion_6() -> CriterionResult:
@@ -137,47 +130,27 @@ def criterion_6() -> CriterionResult:
 
 def criterion_7() -> CriterionResult:
     """Additivity catalog: T/G/Q/C closed forms for six named frames."""
-    errs = []
-    for th in np.linspace(0.01, np.pi / 4, 15):
-        s = np.sin(2 * th)
-        rho = qstate.schmidt_state(th)
-
-        sp = discord2.correlation_split(
-            qstate.born_box2(rho, qstate.settings_catalog("BSb")))
-        errs.append(abs(sp.total - 2 * SQRT2 * s))
-        errs.append(abs(sp.bell - 2 * SQRT2 * s))
-
-        sp = discord2.correlation_split(
-            qstate.born_box2(rho, qstate.settings_catalog("PRQ", s * s)))
-        errs.append(abs(sp.total - 4 * s * s / np.sqrt(1 + s * s)))
-        errs.append(abs(sp.bell - 4 * s * s / np.sqrt(1 + s * s)))
-
-        sp = discord2.correlation_split(
-            qstate.born_box2(rho, qstate.settings_catalog("ZSb1")))
-        errs.append(abs(sp.classical - SQRT2 * s * (1 - s)))
-        errs.append(abs(sp.total - SQRT2 * s * (1 + s)))
-        errs.append(abs(sp.bell - 2 * SQRT2 * s))
-
-        sp = discord2.correlation_split(
-            qstate.born_box2(rho, qstate.settings_catalog("MSb1")))
-        errs.append(abs(sp.total - 2 * s))
-        errs.append(abs(sp.mermin - 2 * s))
-
-        sp = discord2.correlation_split(
-            qstate.born_box2(rho, qstate.settings_catalog("CSB2")))
-        errs.append(abs(sp.classical - s * (1 - s)))
-        errs.append(abs(sp.total - s * (1 + s)))
-    for p in np.linspace(0.01, 0.99, 15):
-        rho = qstate.werner2_state(p)
-        sp = discord2.correlation_split(
-            qstate.born_box2(rho, qstate.settings_catalog("BMW", p)))
-        sp_, sm = np.sqrt(p), np.sqrt(1 - p)
-        errs.append(abs(sp.bell - 2 * SQRT2 * p * abs(sp_ - sm)))
-        errs.append(abs(sp.mermin - SQRT2 * p * (sp_ + sm - abs(sp_ - sm))))
-        want_t = 2 * p * np.sqrt(2 * (1 - p)) if p <= 0.5 else 2 * p * np.sqrt(2 * p)
-        errs.append(abs(sp.total - want_t))
-        errs.append(abs(sp.total - sp.bell - sp.mermin))
-    return _result(7, "additivity catalog (six frames)", max(errs), TOL_CLOSED)
+    th = np.linspace(0.01, np.pi / 4, 15)
+    s = np.sin(2 * th)
+    rho = qstate.schmidt_state(th)
+    bsb, prq, zsb1, msb1, csb2 = (
+        discord2.correlation_split(qstate.born_box2(rho, qstate.settings_catalog(*frame)))
+        for frame in (("BSb",), ("PRQ", s * s), ("ZSb1",), ("MSb1",), ("CSB2",)))
+    p = np.linspace(0.01, 0.99, 15)
+    bmw = discord2.correlation_split(qstate.born_box2(qstate.werner2_state(p),
+                                                      qstate.settings_catalog("BMW", p)))
+    sp_, sm = np.sqrt(p), np.sqrt(1 - p)
+    return _closed_forms(
+        7, "additivity catalog (six frames)",
+        (bsb.total, 2 * SQRT2 * s), (bsb.bell, 2 * SQRT2 * s),
+        (prq.total, 4 * s * s / np.sqrt(1 + s * s)), (prq.bell, 4 * s * s / np.sqrt(1 + s * s)),
+        (zsb1.classical, SQRT2 * s * (1 - s)), (zsb1.total, SQRT2 * s * (1 + s)),
+        (zsb1.bell, 2 * SQRT2 * s), (msb1.total, 2 * s), (msb1.mermin, 2 * s),
+        (csb2.classical, s * (1 - s)), (csb2.total, s * (1 + s)),
+        (bmw.bell, 2 * SQRT2 * p * abs(sp_ - sm)),
+        (bmw.mermin, SQRT2 * p * (sp_ + sm - abs(sp_ - sm))),
+        (bmw.total, np.where(p <= 0.5, 2 * p * np.sqrt(2 * (1 - p)), 2 * p * np.sqrt(2 * p))),
+        (bmw.total - bmw.bell, bmw.mermin))
 
 
 def _two_qubit_states(normals: np.ndarray) -> qstate.DensityMatrix:
@@ -351,52 +324,38 @@ def criterion_11() -> CriterionResult:
 def criterion_12() -> CriterionResult:
     """Tripartite closed forms: GGHZ, Werner3, GHZ-class (optimal-violation
     frame), W-class with marginal discords."""
-    errs = []
-    sdxy = qstate.settings_catalog("SDxy")
-    mdxy = qstate.settings_catalog("MDxy")
-    sdxz = qstate.settings_catalog("SDxz")
-    mdxz = qstate.settings_catalog("MDxz")
-    for th in np.linspace(0.0, np.pi / 4, 8):
-        s = np.sin(2 * th)
-        rho = qstate.gghz_state(th)
-        errs.append(abs(tribox.svetlichny_discord(qstate.born_box3(rho, sdxy))
-                        - 4 * SQRT2 * s))
-        errs.append(abs(tribox.mermin3_discord(qstate.born_box3(rho, mdxy))
-                        - 4 * s))
-    for p in np.linspace(0.0, 1.0, 8):
-        rho = qstate.werner3_state(p)
-        errs.append(abs(tribox.svetlichny_discord(qstate.born_box3(rho, sdxy))
-                        - 4 * SQRT2 * p))
-        errs.append(abs(tribox.mermin3_discord(qstate.born_box3(rho, mdxy))
-                        - 4 * p))
-    for th in np.linspace(0.2, np.pi / 4, 4):
-        for t3 in np.linspace(0.3, np.pi / 2, 4):
-            rho = qstate.ghz_class_state(th, t3)
-            pars = qstate.entanglement_params("GhzClass", theta=th, theta3=t3)
-            tau3, c12 = pars["three_tangle"], pars["c12"]
-            box = qstate.born_box3(rho, qstate.settings_catalog("Ghose", t3))
-            errs.append(abs(tribox.svetlichny_discord(box)
-                            - 8 * tau3 / np.sqrt(c12 ** 2 + 2 * tau3)))
+    sdxy, mdxy = qstate.settings_catalog("SDxy"), qstate.settings_catalog("MDxy")
+    s, p = np.sin(2 * np.linspace(0.0, np.pi / 4, 8)), np.linspace(0.0, 1.0, 8)
+    gghz, werner3 = qstate.gghz_state(np.linspace(0.0, np.pi / 4, 8)), qstate.werner3_state(p)
+    th, t3 = (g.ravel() for g in np.meshgrid(np.linspace(0.2, np.pi / 4, 4),
+                                             np.linspace(0.3, np.pi / 2, 4), indexing="ij"))
+    pars = qstate.entanglement_params("GhzClass", theta=th, theta3=t3)
+    tau3, c12 = pars["three_tangle"], pars["c12"]
+    ghz_class = qstate.born_box3(qstate.ghz_class_state(th, t3),
+                                 qstate.settings_catalog("Ghose", t3))
+    pairs = [(tribox.svetlichny_discord(qstate.born_box3(gghz, sdxy)), 4 * SQRT2 * s),
+             (tribox.mermin3_discord(qstate.born_box3(gghz, mdxy)), 4 * s),
+             (tribox.svetlichny_discord(qstate.born_box3(werner3, sdxy)), 4 * SQRT2 * p),
+             (tribox.mermin3_discord(qstate.born_box3(werner3, mdxy)), 4 * p),
+             (tribox.svetlichny_discord(ghz_class), 8 * tau3 / np.sqrt(c12 ** 2 + 2 * tau3))]
+    sdxz, mdxz = qstate.settings_catalog("SDxz"), qstate.settings_catalog("MDxz")
     for amps in [(1, 1, 1), (0.6, 0.5, np.sqrt(1 - 0.61)), (0.45, 0.7, 0.55),
                  (0.35, 0.36, 0.866), (0.3, 0.5, 0.812)]:
         al, be, ga = np.asarray(amps, dtype=float) / np.linalg.norm(amps)
         pars = qstate.entanglement_params("WClass", alpha=al, beta=be, gamma=ga)
         rho = qstate.w_class_state(al, be, ga)
-        box_s = qstate.born_box3(rho, sdxz)
-        errs.append(abs(tribox.svetlichny_discord(box_s)
-                        - 4 * SQRT2 * pars["ca_min"]))
-        box_m = qstate.born_box3(rho, mdxz)
-        errs.append(abs(tribox.mermin3_discord(box_m) - 4 * pars["ca_min"]))
+        box_s, box_m = qstate.born_box3(rho, sdxz), qstate.born_box3(rho, mdxz)
+        pairs += [(tribox.svetlichny_discord(box_s), 4 * SQRT2 * pars["ca_min"]),
+                  (tribox.mermin3_discord(box_m), 4 * pars["ca_min"])]
         # the marginal closed forms G12 = 2 sqrt2 C12 and Q12 = 2 C12 are
         # exact iff C12 <= |1 - 2 gamma^2| (generally the minimum of the two;
         # see the decisions ledger); assert them where they are exact
         if pars["c12"] <= abs(1 - 2 * ga ** 2):
-            errs.append(abs(discord2.bell_discord(tribox.marginal2(box_s, "AB"))
-                            - 2 * SQRT2 * pars["c12"]))
-            errs.append(abs(discord2.mermin_discord(tribox.marginal2(box_m, "AB"))
-                            - 2 * pars["c12"]))
-    return _result(12, "tripartite closed forms (GGHZ/Werner3/GHZ-class/W-class)",
-                   max(errs), TOL_CLOSED)
+            pairs += [(discord2.bell_discord(tribox.marginal2(box_s, "AB")),
+                       2 * SQRT2 * pars["c12"]),
+                      (discord2.mermin_discord(tribox.marginal2(box_m, "AB")),
+                       2 * pars["c12"])]
+    return _closed_forms(12, "tripartite closed forms (GGHZ/Werner3/GHZ-class/W-class)", *pairs)
 
 
 def criterion_13() -> CriterionResult:
@@ -425,17 +384,13 @@ def criterion_13() -> CriterionResult:
 def criterion_14() -> CriterionResult:
     """Class-99 values: GGHZ curve 1 + 2 sqrt(1+sin^2 2t), maximum 1 + 2 sqrt2,
     class-8 representative exactly 5."""
-    errs = []
-    for th in np.linspace(0.0, np.pi / 4, 12):
-        box = qstate.born_box3(qstate.gghz_state(th),
-                               qstate.settings_catalog("class99", th))
-        errs.append(abs(tribox.class99_value(box)
-                        - (1 + 2 * np.sqrt(1 + np.sin(2 * th) ** 2))))
-    box_max = qstate.born_box3(qstate.gghz_state(np.pi / 4),
-                               qstate.settings_catalog("class99", np.pi / 4))
-    errs.append(abs(tribox.class99_value(box_max) - (1 + 2 * SQRT2)))
-    errs.append(abs(tribox.class99_value(tribox.class8_box()) - 5.0))
-    return _result(14, "class-99 inequality values", max(errs), TOL_CLOSED)
+    th = np.linspace(0.0, np.pi / 4, 12)
+    values = tribox.class99_value(qstate.born_box3(qstate.gghz_state(th),
+                                                   qstate.settings_catalog("class99", th)))
+    return _closed_forms(14, "class-99 inequality values",
+                         (values, 1 + 2 * np.sqrt(1 + np.sin(2 * th) ** 2)),
+                         (values[-1], 1 + 2 * SQRT2),  # the maximum, at th = pi/4
+                         (tribox.class99_value(tribox.class8_box()), 5.0))
 
 
 def criterion_15() -> CriterionResult:
@@ -458,21 +413,20 @@ def criterion_15() -> CriterionResult:
     return _result(15, "GHZ paradox flags and signs", max(errs), TOL_CLOSED)
 
 
+def _phased_bell_mixtures(rng: np.random.Generator) -> qstate.DensityMatrix:
+    """Criterion 16's stack of 100 Bell-diagonal states of normalized
+    exponential weights: one (100, 8) draw, the stream of 100 draws of 8."""
+    w = rng.exponential(size=(100, 8))
+    return qstate.bell_diagonal_state(w / w.sum(axis=1, keepdims=True))
+
+
 def criterion_16() -> CriterionResult:
     """Phased-Bell-mixture identity: G under the Tsirelson frame equals
     sqrt2 times Q under the parity frame, 100 random mixtures."""
-    rng = np.random.default_rng(SEED + 4)
-    frame_n = qstate.settings_catalog("M_N")
-    frame_c = qstate.settings_catalog("M_C")
-    worst = 0.0
-    for _ in range(100):
-        w = rng.exponential(size=8)
-        rho = qstate.bell_diagonal_state(w / w.sum())
-        g = discord2.bell_discord(qstate.born_box2(rho, frame_n))
-        q = discord2.mermin_discord(qstate.born_box2(rho, frame_c))
-        worst = max(worst, abs(g - SQRT2 * q))
-    return _result(16, "Bell-diagonal mixtures: G(M_N) = sqrt2 Q(M_C)",
-                   worst, TOL_CLOSED)
+    rho = _phased_bell_mixtures(np.random.default_rng(SEED + 4))
+    g = discord2.bell_discord(qstate.born_box2(rho, qstate.settings_catalog("M_N")))
+    q = discord2.mermin_discord(qstate.born_box2(rho, qstate.settings_catalog("M_C")))
+    return _closed_forms(16, "Bell-diagonal mixtures: G(M_N) = sqrt2 Q(M_C)", (g, SQRT2 * q))
 
 
 ALL_CRITERIA = [

@@ -537,10 +537,11 @@ def joint_expectation(box: BipartiteBox, x: int, y: int) -> float:
 
 
 def marginal_expectations(box: BipartiteBox) -> tuple[np.ndarray, np.ndarray]:
-    """(<A_0>, <A_1>) and (<B_0>, <B_1>), each from the NS-consistent marginal."""
+    """(<A_0>, <A_1>) and (<B_0>, <B_1>), each from the NS-consistent marginal;
+    each (k, 2) for a stack."""
     sign = np.array([1.0, -1.0])
-    pa = box.table.sum(axis=3).mean(axis=1)  # [x, a], averaged over y
-    pb = box.table.sum(axis=2).mean(axis=0)  # [y, b]
+    pa = box.table.sum(axis=-1).mean(axis=-2)  # [.., x, a], averaged over y
+    pb = box.table.sum(axis=-2).mean(axis=-3)  # [.., y, b]
     return pa @ sign, pb @ sign
 
 

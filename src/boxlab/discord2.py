@@ -151,9 +151,11 @@ def is_epr_steerable(box: BipartiteBox) -> bool:
     """Steerable means some Mermin operator exceeds sqrt(2) *and* Q > 0.
 
     The second condition excludes classically correlated boxes, which reach
-    Mermin value 2 without any irreducible Mermin-box component.
+    Mermin value 2 without any irreducible Mermin-box component. A stack
+    gives a (k,) bool array, one flag per box.
     """
-    return bool(steering_flags(box).any()) and mermin_discord(box) > EPS_VALID
+    return _per_box(box, steering_flags(box).any(axis=(-2, -1))
+                    & (mermin_discord(box) > EPS_VALID))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ import functools
 import itertools
 import json
 import re
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,7 +176,8 @@ def settings(a0, a1, b0, b1, c0=None, c1=None) -> MeasurementSettings:
         except ValueError:
             raise InvalidStateError(f"directions of {sorted({len(v) for v in vecs if v.ndim == 2})}"
                                     " points do not match") from None
-        return MeasurementSettings(*_unit_directions(d).reshape(len(d), -1, 2, 3).swapaxes(0, 1))
+        d = _unit_directions(d).reshape(len(d), len(vecs) // 2, 2, 3)  # k may be 0
+        return MeasurementSettings(*d.swapaxes(0, 1))
     try:
         d = np.array(vecs, dtype=float).reshape(len(vecs) // 2, 2, 3)
     except (TypeError, ValueError):  # _vec3 names the first that is not 3 numbers
@@ -237,51 +237,43 @@ def _born_tables(mats: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     return t.reshape((k,) + (2,) * (2 * n)).transpose(order).reshape(k, -1).real
 
 
-def born_box2(rho: DensityMatrix | Sequence[DensityMatrix],
-              s: MeasurementSettings | Sequence[MeasurementSettings]) -> BipartiteBox:
+def born_box2(rho: DensityMatrix, s: MeasurementSettings) -> BipartiteBox:
     """P(a,b|x,y) = Tr(rho Pi_a^x (x) Pi_b^y); output passes all box invariants.
 
-    `rho` may also be a state stack or a sequence of states, and `s` a
-    frame stack or a sequence of frames, one per point; a single state or
-    frame serves every point. Then the result is a box stack, validated by
-    one make_box call on the (k, 16) tables.
+    `rho` may also be a state stack and `s` a frame stack, one per point; a
+    single state or frame serves every point. Then the result is a box
+    stack, validated by one make_box call on the (k, 16) tables.
     """
     return boxcore.make_box(_born_table(rho, s, 2))
 
 
-def born_box3(rho: DensityMatrix | Sequence[DensityMatrix],
-              s: MeasurementSettings | Sequence[MeasurementSettings]) -> TripartiteBox:
+def born_box3(rho: DensityMatrix, s: MeasurementSettings) -> TripartiteBox:
     """Tripartite Born rule; output passes the tripartite box invariants.
-    Stacks or sequences of states or frames give a box stack, as in born_box2."""
+    A state stack or a frame stack gives a box stack, as in born_box2."""
     return tribox.make_box3(_born_table(rho, s, 3))
 
 
 def _born_inputs(rho, s, n: int):
     """A Born call's (d, d) or (k, d, d) states and its one frame or (k, n,
-    2, 3) frame directions, after its checks: n qubits, n parties, single
-    members of a sequence, and k states for k frames unless one serves all."""
+    2, 3) frame directions, after its checks: a DensityMatrix of n qubits, a
+    MeasurementSettings of n parties, and a frame stack that is not empty
+    and, with a state stack, as long as it."""
     d = 2 ** n
-    one_state, one_frame = isinstance(rho, DensityMatrix), isinstance(s, MeasurementSettings)
-    states, frames = [rho] if one_state else list(rho), [s] if one_frame else list(s)
-    if any(st.mat.shape[-2:] != (d, d) or (st.mat.ndim > 2 and not one_state) for st in states):
+    if not isinstance(rho, DensityMatrix) or rho.mat.shape[-2:] != (d, d):
         raise InvalidStateError(f"born_box{n} needs {('a 4x4', 'an 8x8')[n - 2]} density matrix")
-    if any(f.parties != n or (f.stacked and not one_frame) for f in frames):
+    if not isinstance(s, MeasurementSettings) or s.parties != n:
         raise InvalidStateError(f"born_box{n} needs {('two', 'three')[n - 2]}-party settings")
-    mats = rho.mat if one_state else np.array([st.mat for st in states]).reshape(-1, d, d)
-    dirs = (None if one_frame and not s.stacked else np.stack(s.dirs, axis=1) if one_frame
-            else np.array([np.stack(f.dirs) for f in frames]).reshape(-1, n, 2, 3))
-    k_states, k_frames = len(mats) if mats.ndim == 3 else 1, 1 if dirs is None else len(dirs)
-    if not (k_states and k_frames) or (mats.ndim == 3 and dirs is not None
-                                       and k_states != k_frames):
-        raise InvalidStateError(f"born_box{n} got {k_states} states for {k_frames} frames")
-    return mats, s if dirs is None else dirs
+    k_states = len(rho.mat) if rho.mat.ndim == 3 else 1
+    if s.stacked and (not len(s.a) or (rho.mat.ndim == 3 and k_states != len(s.a))):
+        raise InvalidStateError(f"born_box{n} got {k_states} states for {len(s.a)} frames")
+    return rho.mat, np.stack(s.dirs, axis=1) if s.stacked else s
 
 
 def _born_table(rho, s, n: int) -> np.ndarray:
     """The unvalidated Born table (4**n,) of one n-qubit state under one
     n-party frame, or the (k, 4**n) tables of k points where `rho` or `s` is
-    a stack or a sequence: one product with a fixed frame's Born operator,
-    else the frames contracted party by party (_born_tables)."""
+    a stack: one product with a fixed frame's Born operator, else the frames
+    contracted party by party (_born_tables)."""
     mats, frames = _born_inputs(rho, s, n)
     if isinstance(frames, MeasurementSettings):
         return (mats.reshape(mats.shape[:-2] + (-1,)) @ frames.born_operator).real
@@ -359,25 +351,29 @@ def _class99_settings(theta: float) -> MeasurementSettings:
 
 _FIXED_SETTINGS = {
     # orthogonal pair maximizing Bell discord (also the Tsirelson frame M_N)
-    "BSb": lambda: settings(XHAT, YHAT, (XHAT - YHAT) / SQRT2, (XHAT + YHAT) / SQRT2),
+    "BSb": (XHAT, YHAT, (XHAT - YHAT) / SQRT2, (XHAT + YHAT) / SQRT2),
     # matched x/y pair maximizing Mermin discord
-    "MSb": lambda: settings(XHAT, YHAT, XHAT, YHAT),
-    "M_C": lambda: settings(XHAT, YHAT, -YHAT, XHAT),
-    "MSb1": lambda: settings(XHAT, -YHAT, YHAT, XHAT),
-    "ZSb1": lambda: settings(ZHAT, XHAT, (ZHAT + XHAT) / SQRT2, (ZHAT - XHAT) / SQRT2),
-    "CSB2": lambda: settings((ZHAT + XHAT) / SQRT2, (ZHAT - XHAT) / SQRT2,
-                             (ZHAT - XHAT) / SQRT2, (ZHAT + XHAT) / SQRT2),
+    "MSb": (XHAT, YHAT, XHAT, YHAT),
+    "M_C": (XHAT, YHAT, -YHAT, XHAT),
+    "MSb1": (XHAT, -YHAT, YHAT, XHAT),
+    "ZSb1": (ZHAT, XHAT, (ZHAT + XHAT) / SQRT2, (ZHAT - XHAT) / SQRT2),
+    "CSB2": ((ZHAT + XHAT) / SQRT2, (ZHAT - XHAT) / SQRT2,
+             (ZHAT - XHAT) / SQRT2, (ZHAT + XHAT) / SQRT2),
     # tripartite frames: Svetlichny-optimal and Mermin-optimal, xy and xz planes
-    "SDxy": lambda: settings(XHAT, YHAT,
-                             (XHAT - YHAT) / SQRT2, (XHAT + YHAT) / SQRT2,
-                             XHAT, YHAT),
-    "SDxz": lambda: settings(ZHAT, XHAT,
-                             (ZHAT + XHAT) / SQRT2, (ZHAT - XHAT) / SQRT2,
-                             ZHAT, XHAT),
-    "MDxy": lambda: settings(XHAT, YHAT, XHAT, YHAT, XHAT, YHAT),
-    "MDxz": lambda: settings(ZHAT, XHAT, ZHAT, XHAT, ZHAT, XHAT),
+    "SDxy": (XHAT, YHAT, (XHAT - YHAT) / SQRT2, (XHAT + YHAT) / SQRT2, XHAT, YHAT),
+    "SDxz": (ZHAT, XHAT, (ZHAT + XHAT) / SQRT2, (ZHAT - XHAT) / SQRT2, ZHAT, XHAT),
+    "MDxy": (XHAT, YHAT, XHAT, YHAT, XHAT, YHAT),
+    "MDxz": (ZHAT, XHAT, ZHAT, XHAT, ZHAT, XHAT),
 }
 _FIXED_SETTINGS["M_N"] = _FIXED_SETTINGS["BSb"]
+
+
+@functools.cache
+def _fixed_settings(name: str) -> MeasurementSettings:
+    """A fixed catalog frame, built once: MeasurementSettings is frozen and
+    its arrays read-only, so every caller can share it."""
+    return settings(*_FIXED_SETTINGS[name])
+
 
 _PARAM_SETTINGS = {
     "PRQ": _prq_settings,
@@ -412,7 +408,7 @@ def settings_catalog(name: str, param: float | np.ndarray | None = None) -> Meas
     if name in _FIXED_SETTINGS:
         if param is not None:
             raise UnknownNameError(f"settings {name!r} takes no parameter")
-        return _FIXED_SETTINGS[name]()
+        return _fixed_settings(name)
     if name in _PARAM_SETTINGS:
         if param is None:
             raise UnknownNameError(f"settings {name!r} needs a parameter")

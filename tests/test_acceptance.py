@@ -9,7 +9,7 @@ The README's known-limitations section carries the counterexample.
 import numpy as np
 import pytest
 
-from boxlab import acceptance, polytope, qstate
+from boxlab import acceptance, discord2, polytope, qstate
 
 CRITERIA = {fn.__name__: fn for fn in acceptance.ALL_CRITERIA}
 
@@ -61,6 +61,35 @@ def test_criterion_10_fails_a_verdict_path_that_gives_one_answer_for_every_box(
     result = acceptance.criterion_10()
     assert not result.passed
     assert "10000 non-boundary boxes, two-sided 502 inside / 498 outside" in result.detail
+
+
+@pytest.mark.parametrize("number", [1, 2, 3, 5])
+def test_a_bell_discord_wrong_at_the_last_point_of_a_stack_fails_its_criterion(
+        number, monkeypatch):
+    # the criteria read G as a (k,) array; an error at the last point must
+    # count, not only the first
+    bell_discord = discord2.bell_discord
+
+    def last_off(box):
+        g = np.array(bell_discord(box))
+        g[-1] += 1e-6
+        return g
+
+    monkeypatch.setattr(discord2, "bell_discord", last_off)
+    result = CRITERIA[f"criterion_{number}"]()
+    assert not result.passed
+    assert result.detail.startswith("max error 1.000e-06")
+
+
+def test_criterion_16_states_equal_a_per_point_reference_loop():
+    # one (100, 8) exponential draw is the stream of a loop of 100 draws of 8
+    rng, ref = np.random.default_rng(acceptance.SEED + 4), np.random.default_rng(acceptance.SEED + 4)
+    got = acceptance._phased_bell_mixtures(rng).mat
+    want = np.stack([qstate.bell_diagonal_state(w / w.sum()).mat
+                     for w in (ref.exponential(size=8) for _ in range(100))])
+    assert got.shape == (100, 4, 4)
+    assert np.max(np.abs(got - want)) <= 1e-15
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_criterion_8_tables_equal_a_per_point_reference_loop():

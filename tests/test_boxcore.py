@@ -198,6 +198,16 @@ def test_marginal_expectations():
     assert boxcore.marginal_expectation(nmm, "A", 0) == 1.0
 
 
+def test_marginal_expectations_of_a_stack_are_those_of_each_box():
+    # a stack's tables have a leading axis, so the party axes are counted from the end
+    tables = polytope.random_ns_tables(np.random.default_rng(2401), 6).reshape(6, 16)
+    got = boxcore.marginal_expectations(boxcore.make_box(tables))
+    assert [g.shape for g in got] == [(6, 2), (6, 2)]
+    for k, table in enumerate(tables):
+        for g, want in zip(got, boxcore.marginal_expectations(boxcore.make_box(table))):
+            assert np.array_equal(g[k], want)
+
+
 def test_ns_check_matches_h_representation():
     # sample the 8 reduced coordinates (two marginals per party + one joint per
     # input pair) and compare table validity with the H-representation facets

@@ -135,6 +135,19 @@ def test_steering_examples():
     assert not discord2.is_epr_steerable(boxcore.tsirelson_box(0, 0, 0))
 
 
+def test_is_epr_steerable_of_a_stack_flags_each_box():
+    # Werner p = 0.2 under MSb has steering value 0.4 < sqrt2, p = 0.9 has 1.8;
+    # the classically correlated box passes the flags but has Q = 0
+    msb = qstate.settings_catalog("MSb")
+    werner = qstate.born_box2(qstate.werner2_state(np.array([0.2, 0.9])), msb)
+    assert discord2.is_epr_steerable(werner).tolist() == [False, True]
+    mm, cc = boxcore.mermin_box(0, 0, 0), boxcore.cc_box(0, 0, 0)
+    assert discord2.is_epr_steerable(boxcore.make_box(np.stack([cc.flat, mm.flat]))).tolist() \
+        == [False, True]
+    assert discord2.is_epr_steerable(qstate.born_box2(qstate.werner2_state(0.9), msb)) is True
+    assert discord2.is_epr_steerable(cc) is False
+
+
 def test_monogamy_report_examples():
     # PR/deterministic mixtures sit exactly on the pair boundary
     for p in (0.0, 0.3, 1.0):

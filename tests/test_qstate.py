@@ -683,34 +683,22 @@ def test_a_state_stack_is_refused_by_json_and_gives_born_boxes_a_box_stack():
         qstate.state_to_json(two)
 
 
-@pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("sequence", ["states", "frames", "both"])
-def test_born_boxes_of_state_or_frame_sequences_are_the_per_point_boxes(n, sequence):
-    rng = np.random.default_rng(2103 + n)
-    born = qstate.born_box2 if n == 2 else qstate.born_box3
-    sample = qstate.random_settings2 if n == 2 else qstate.random_settings3
-    states = [random_mixed_state(rng, 2 ** n) for _ in range(5)]
-    frames = [sample(rng) for _ in range(5)]
-    if sequence == "states":
-        frames = [frames[0]] * 5
-        stack = born(states, frames[0])
-    elif sequence == "frames":
-        states = [states[0]] * 5
-        stack = born(states[0], frames)
-    else:
-        stack = born(states, frames)
-    assert stack.stacked and stack.table.shape == (5,) + (2,) * (2 * n)
-    for table, rho, frame in zip(stack.table, states, frames):
-        one = born(rho, frame)
-        assert type(one) is type(stack) and not one.stacked
-        assert np.max(np.abs(table - one.table)) <= 1e-14  # a few ulps of 4**n terms
-
-
-def test_born_boxes_refuse_sequences_of_unequal_length_or_none():
+def test_born_boxes_refuse_unequal_stacks_an_empty_frame_stack_and_lists():
+    states = qstate.density_matrix(_valid_stack(2))
+    frames, empty = (qstate.settings_catalog("PRQ", np.linspace(0.1, 0.9, k)) for k in (3, 0))
     rho, frame = qstate.bell_psi_plus(), qstate.settings_catalog("BSb")
-    for states, frames in [([rho] * 2, [frame] * 3), ([], frame), (rho, [])]:
+    for states, frames in [(states, frames), (rho, empty), ([rho] * 2, frame),
+                           (rho, [frame] * 2), (rho.mat, frame)]:
         with pytest.raises(qstate.InvalidStateError):
             qstate.born_box2(states, frames)
+
+
+def test_fixed_catalog_frames_are_built_once_and_read_only():
+    for name in ("BSb", "M_N", "SDxy"):
+        frame = qstate.settings_catalog(name)
+        assert qstate.settings_catalog(name) is frame
+        assert not any(d.flags.writeable for d in frame.dirs)
+        assert not frame.born_operator.flags.writeable
 
 
 def test_correlation_data_of_a_stack_is_that_of_each_state():
