@@ -1,13 +1,20 @@
-"""boxlab: nonsignaling boxes, discord measures and canonical decompositions."""
+"""boxlab: nonsignaling boxes, discord measures and canonical decompositions.
+
+qstate's names and the qstate, acceptance and cli modules load on first
+use, so that a command that runs no Born rule never loads them. The state
+errors live in boxcore and load with it.
+"""
 
 from .boxcore import (
     BadWeightsError,
     BipartiteBox,
     BoxError,
+    InvalidStateError,
     Lro,
     NegativeEntryError,
     NotNormalizedError,
     SignalingError,
+    UnknownNameError,
     VertexId,
     apply_lro,
     box_from_json,
@@ -56,20 +63,6 @@ from .polytope import (
     random_ns_box,
     three_decomposition,
 )
-from .qstate import (
-    DensityMatrix,
-    InvalidStateError,
-    MeasurementSettings,
-    UnknownNameError,
-    born_box2,
-    born_box3,
-    density_matrix,
-    entanglement_params,
-    hardy_probability,
-    settings,
-    settings_catalog,
-    state_family,
-)
 from .tribox import (
     NotInPolytopeError,
     TripartiteBox,
@@ -93,3 +86,26 @@ from .tribox import (
 )
 
 __version__ = "0.1.0"
+
+_QSTATE_NAMES = frozenset({
+    "DensityMatrix", "MeasurementSettings", "born_box2", "born_box3", "density_matrix",
+    "entanglement_params", "hardy_probability", "settings", "settings_catalog",
+    "state_family",
+})
+_LAZY_MODULES = frozenset({"qstate", "acceptance", "cli"})
+
+
+def _submodule(name: str):
+    # __import__ rather than importlib.import_module, whose imports
+    # `python -X importtime` does not report
+    return __import__(f"{__name__}.{name}", fromlist=["*"])
+
+
+def __getattr__(name):
+    """A qstate name, cached here on first use, or a lazy submodule."""
+    if name in _QSTATE_NAMES:
+        value = globals()[name] = getattr(_submodule("qstate"), name)
+        return value
+    if name in _LAZY_MODULES:
+        return _submodule(name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

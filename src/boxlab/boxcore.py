@@ -50,6 +50,16 @@ class BadWeightsError(ValueError):
     pass
 
 
+# The state and name errors of qstate, defined here so that the CLI maps
+# them to its exit code without loading qstate
+class InvalidStateError(ValueError):
+    pass
+
+
+class UnknownNameError(KeyError):
+    __str__ = Exception.__str__  # the message, without KeyError's quotes
+
+
 @dataclass(frozen=True, eq=False)
 class _Box:
     """Immutable box of the class's party count n, or a stack of k boxes.
@@ -100,6 +110,12 @@ def _per_box(box: _Box, values):
     """A measure's `values` of `box`: a Python number for one box, the
     (k,) array as it is for a stack."""
     return values if box.stacked else values.item()
+
+
+def _one_box(box: _Box, name: str) -> None:
+    """BoxError if `box` is a stack: the function `name` reads one box only."""
+    if box.stacked:
+        raise BoxError(f"{name} takes one box, got a stack of {len(box.table)}")
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +549,7 @@ def joint_expectations(box: BipartiteBox) -> np.ndarray:
 
 
 def joint_expectation(box: BipartiteBox, x: int, y: int) -> float:
+    _one_box(box, "joint_expectation")
     return float(joint_expectations(box)[x, y])
 
 
@@ -546,6 +563,7 @@ def marginal_expectations(box: BipartiteBox) -> tuple[np.ndarray, np.ndarray]:
 
 
 def marginal_expectation(box: BipartiteBox, party: str, x: int) -> float:
+    _one_box(box, "marginal_expectation")
     ea, eb = marginal_expectations(box)
     if party == PARTY_A:
         return float(ea[x])

@@ -1,6 +1,9 @@
 """Command-line front end: measure, decompose, state-box, sweep, verify.
 
 Exit codes: 0 success, 1 verification failure, 2 input error.
+
+qstate loads only in the Born-rule commands (state-box, sweep) and
+acceptance only in verify, so measure and decompose start without them.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import acceptance, boxcore, discord2, polytope, qstate, tribox
+from . import boxcore, discord2, polytope, tribox
 
 EXIT_OK = 0
 EXIT_CRITERION_FAILED = 1
@@ -178,6 +181,8 @@ def cmd_decompose(args) -> int:
 
 def _build_state(name, params):
     """The state of `params`, or the state stack where some are (k,) arrays."""
+    from . import qstate
+
     if name == "BellDiagonal":
         # the CLI names the eight weights w0..w7
         names = [f"w{i}" for i in range(8)]
@@ -190,6 +195,8 @@ def _build_state(name, params):
 
 
 def cmd_state_box(args) -> int:
+    from . import qstate
+
     params = _parse_params(args.param)
     frame = qstate.settings_catalog(args.settings, params.pop("settings", None))
     rho = _build_state(args.family, params)
@@ -237,6 +244,8 @@ _SWEEP_CHUNK = 64  # points per state and frame build, Born call, box check and 
 def _sweep_measures(rho, frame, measures) -> dict:
     """The measure table of the sweep's party count, after the checks its
     Born rule makes of `rho` and `frame`; InputError for an unknown measure."""
+    from . import qstate
+
     parties = 2 if rho.dim == 4 else 3
     qstate._born_inputs(rho, frame, parties)
     table = _MEASURES2 if parties == 2 else _MEASURES3
@@ -248,6 +257,8 @@ def _sweep_measures(rho, frame, measures) -> dict:
 
 
 def cmd_sweep(args) -> int:
+    from . import qstate
+
     params = _parse_params(args.param)
     try:
         pname, start, stop, steps = args.sweep.split(":")
@@ -301,12 +312,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import acceptance
+
     numbers = None
     if args.only:
         known = {str(n) for n in range(1, len(acceptance.ALL_CRITERIA) + 1)}
         unknown = [n for n in args.only.split(",") if n.strip() not in known]
         if unknown:
-            raise InputError(f"--only: no criterion {', '.join(unknown)}; "
+            raise InputError(f"--only: no criterion {', '.join(map(repr, unknown))}; "
                              f"criteria are 1..{len(acceptance.ALL_CRITERIA)}")
         numbers = [int(n) for n in args.only.split(",")]
     results = acceptance.run_all(numbers)
@@ -394,7 +407,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, boxcore.BoxError, qstate.InvalidStateError, qstate.UnknownNameError,
+    except (InputError, boxcore.BoxError, boxcore.InvalidStateError, boxcore.UnknownNameError,
             OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -18,6 +18,7 @@ from . import _corr
 from .boxcore import (
     EPS_VALID,
     BipartiteBox,
+    _one_box,
     _per_box,
     joint_expectations,
 )
@@ -170,6 +171,7 @@ class MonogamyReport:
 
 def monogamy_checks(box: BipartiteBox) -> MonogamyReport:
     """Check B_i + B_j <= 4 for every pair of Bell functions and G + 2Q <= 4."""
+    _one_box(box, "monogamy_checks")
     b = bell_functions(box).reshape(4)
     i, j = _PAIRS
     margins = 4.0 - (b[i] + b[j])

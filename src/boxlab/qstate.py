@@ -17,7 +17,7 @@ import numpy as np
 
 from . import boxcore, tribox
 from ._tol import EIG_TOL, EPS_VALID, HARDY_DEGENERATE, TOL_CLOSED
-from .boxcore import BipartiteBox
+from .boxcore import BipartiteBox, InvalidStateError, UnknownNameError
 from .tribox import TripartiteBox
 
 SQRT2 = float(np.sqrt(2.0))
@@ -31,14 +31,6 @@ ID2 = np.eye(2, dtype=complex)
 XHAT = np.array([1.0, 0.0, 0.0])
 YHAT = np.array([0.0, 1.0, 0.0])
 ZHAT = np.array([0.0, 0.0, 1.0])
-
-
-class InvalidStateError(ValueError):
-    pass
-
-
-class UnknownNameError(KeyError):
-    __str__ = Exception.__str__  # the message, without KeyError's quotes
 
 
 @dataclass(frozen=True, eq=False)

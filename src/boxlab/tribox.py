@@ -288,6 +288,7 @@ def class99_value(box: TripartiteBox) -> float:
 def marginal2(box: TripartiteBox, pair: str) -> BipartiteBox:
     """Two-party box left after summing out the third party (NS makes the
     spectator input irrelevant; input 0 is used)."""
+    boxcore._one_box(box, "marginal2")
     t = box.table
     if pair == PAIR_AB:
         sub = t[:, :, 0].sum(axis=4)
@@ -338,6 +339,7 @@ def monogamy_checks3(box: TripartiteBox) -> MonogamyReport3:
     """Trade-off margins; the marginal-discord relations hold for quantum
     boxes (their proofs use monogamy of entanglement) and are reported, not
     folded into ``holds``."""
+    boxcore._one_box(box, "monogamy_checks3")
     s = sv_functions(box).reshape(8)
     sv_margin = min(8.0 - (s[i] + s[j]) for i, j in combinations(range(8), 2))
     gq_margin = 8.0 - (svetlichny_discord(box) + 2.0 * mermin3_discord(box))
@@ -361,6 +363,7 @@ def monogamy_checks3(box: TripartiteBox) -> MonogamyReport3:
 
 def ghz_paradox_check(box: TripartiteBox) -> bool:
     """True iff <A0B0C0> = +1 and <A0B1C1> = <A1B0C1> = <A1B1C0> = -1."""
+    boxcore._one_box(box, "ghz_paradox_check")
     e3 = expectations3(box).abc
     return bool(
         abs(e3[0, 0, 0] - 1.0) <= EPS_VALID

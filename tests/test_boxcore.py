@@ -441,6 +441,23 @@ def test_make_box_of_a_stack_holds_each_table_and_its_correlators_read_only(n, m
         assert np.max(np.abs(corr - one.correlators)) <= 1e-14
 
 
+@pytest.mark.parametrize("fn, n, args", [
+    (boxcore.joint_expectation, 2, (0, 1)),
+    (boxcore.marginal_expectation, 2, ("A", 0)),
+    (discord2.monogamy_checks, 2, ()),
+    (tribox.ghz_paradox_check, 3, ()),
+    (tribox.monogamy_checks3, 3, ()),
+    (tribox.marginal2, 3, (tribox.PAIR_AB,)),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_one_box_functions_refuse_a_stack_by_name_and_length(fn, n, args):
+    make, noise = ((boxcore.make_box, boxcore.noise_box()) if n == 2
+                   else (tribox.make_box3, tribox.noise3_box()))
+    fn(noise, *args)  # one box is read as before
+    stack = make(np.tile(noise.table.reshape(-1), (2, 1)))
+    with pytest.raises(boxcore.BoxError, match=f"^{fn.__name__} takes one box, got a stack of 2$"):
+        fn(stack, *args)
+
+
 def test_a_two_dimensional_table_of_another_shape_is_one_box():
     box = boxcore.make_box(np.full((4, 4), 0.25))
     assert not box.stacked and box.table.shape == (2, 2, 2, 2)

@@ -289,6 +289,10 @@ def test_verify_unknown_criterion_exit_2(capsys):
     assert run_cli(["verify", "--only", "99"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    # each unknown entry is quoted, so an empty one shows
+    assert run_cli(["verify", "--only", "1,,2,x"]) == 2
+    assert capsys.readouterr().err == ("error: --only: no criterion '', 'x'; "
+                                       "criteria are 1..16\n")
 
 
 def test_parser_is_built_once_and_keeps_no_options(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """When and how the HiGHS binding loads: not on import, not for the CLI's
-Born-rule commands, and as one shared copy on the first LP."""
+Born-rule commands, and as one shared copy on the first LP; and which of
+boxlab's own modules a command loads."""
 
 import json
 import os
@@ -14,6 +15,30 @@ from scipy import sparse
 from boxlab import polytope, tribox
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+DATA = Path(__file__).resolve().parent / "data"
+
+# The names `import boxlab` gave before its state names loaded lazily, by the
+# module that defines or re-exports them
+EXPORTS = {
+    "boxcore": "BadWeightsError BipartiteBox BoxError Lro NegativeEntryError NotNormalizedError "
+               "SignalingError VertexId apply_lro box_from_json box_to_json cc_box det_box "
+               "joint_expectation joint_expectations lro_group make_box marginal_expectation "
+               "mermin_box mermin_nmm_box mix noise_box pr_box tsirelson_box vertex",
+    "discord2": "CorrelationSplit bell_discord bell_functions chsh_value chsh_values "
+                "classical_correlation correlation_split is_epr_steerable mermin_discord "
+                "mermin_functions mermin_value monogamy_checks steering_flags steering_value "
+                "total_correlation",
+    "polytope": "DecompositionResult LpNumericalFailure MembershipResult ResidualInvalidError "
+                "canonical_2decomposition is_local lp_vertex_decomposition ns_membership "
+                "random_ns_box three_decomposition",
+    "qstate": "DensityMatrix InvalidStateError MeasurementSettings UnknownNameError born_box2 "
+              "born_box3 density_matrix entanglement_params hardy_probability settings "
+              "settings_catalog state_family",
+    "tribox": "NotInPolytopeError TripartiteBox TriVertexId class99_value classical_correlation3 "
+              "ghz_paradox_check make_box3 marginal2 mermin3_discord mermin3_functions "
+              "mermin3_value monogamy_checks3 sv_box sv_functions sv_value svetlichny_discord "
+              "three_decomposition3 total_correlation3 tri_vertex",
+}
 
 PRELUDE = """
 import contextlib, io, json, sys
@@ -58,6 +83,54 @@ print(json.dumps({"after_import": after_import, "codes": codes,
                   "after_commands": modules("scipy")}))
 """)
     assert out == {"after_import": [], "codes": [0, 0, 0], "after_commands": []}
+
+
+def test_measure_and_decompose_load_neither_qstate_acceptance_nor_scipy():
+    out = run_python(f"DATA = {str(DATA)!r}\n" + """
+from boxlab import tribox
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main([command, "--box", f"{DATA}/witness_box{n}.json"])
+             for n in (2, 3) for command in ("measure", "decompose")]
+print(json.dumps({"codes": codes, "loaded": [k for k in (
+    "boxlab.qstate", "boxlab.acceptance", "scipy", "scipy.optimize._highspy._core")
+    if k in sys.modules]}))
+""")
+    assert out == {"codes": [0, 0, 0, 0], "loaded": ["scipy.optimize._highspy._core"]}
+
+
+def test_sweep_loads_qstate_but_not_acceptance():
+    out = run_python("""
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["sweep", "--family", "Werner2", "--settings", "BSb",
+                     "--sweep", "p:0:1:3"])
+print(json.dumps({"code": code, "loaded": modules("boxlab.qstate", "boxlab.acceptance")}))
+""")
+    assert out == {"code": 0, "loaded": ["boxlab.qstate"]}
+
+
+def test_package_names_load_on_first_use_as_the_modules_own_objects():
+    out = run_python(f"EXPORTS = {EXPORTS!r}\n" + """
+from importlib import import_module
+import boxlab
+lazy_before = modules("boxlab.qstate", "boxlab.acceptance")
+from boxlab import born_box2
+cached = "born_box2" in vars(boxlab)
+differ = [name for module, names in EXPORTS.items() for name in names.split()
+          if getattr(boxlab, name) is not getattr(import_module("boxlab." + module), name)]
+submodules = [getattr(boxlab, m) is import_module("boxlab." + m)
+              for m in ("qstate", "acceptance", "cli")]
+try:
+    boxlab.no_such_name
+    unknown = None
+except AttributeError as exc:
+    unknown = str(exc)
+print(json.dumps({"lazy_before": lazy_before, "cached": cached,
+                  "born_box2": born_box2 is import_module("boxlab.qstate").born_box2,
+                  "differ": differ, "submodules": submodules, "unknown": unknown}))
+""")
+    assert out == {"lazy_before": [], "cached": True, "born_box2": True, "differ": [],
+                   "submodules": [True, True, True],
+                   "unknown": "module 'boxlab' has no attribute 'no_such_name'"}
 
 
 def test_first_lp_loads_highs_without_scipy_optimize_and_shares_it():
