@@ -109,7 +109,8 @@ def _moduli(corr, n: int, mermin: bool) -> np.ndarray:
 
 def operator_values(corr, n: int, mermin: bool = False) -> np.ndarray:
     """Signed operator values (..., 2**n, 2), indexed [label, output bit]."""
-    return np.matmul(corr, _SIGNS[n][mermin].T)[..., None] * _NEGATE
+    # + 0.0 turns the -0.0 of a negated zero into +0.0 and leaves all else
+    return np.matmul(corr, _SIGNS[n][mermin].T)[..., None] * _NEGATE + 0.0
 
 
 def moduli(corr, n: int, mermin: bool = False) -> np.ndarray:

@@ -30,6 +30,15 @@ def test_measure_noise_all_zero(capsys):
     assert report["local"] is True
 
 
+
+@pytest.mark.parametrize("label", ["Noise", "Noise3", "PR000"])
+def test_measure_reports_no_negative_zero(label, capsys):
+    assert run_cli(["measure", "--catalog", label, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert "-0.0" not in out
+    assert run_cli(["measure", "--catalog", label]) == 0
+    assert [line for line in capsys.readouterr().out.splitlines() if line.endswith(" -0")] == []
+
 def test_measure_tsirelson(capsys):
     assert run_cli(["measure", "--catalog", "Tsirelson000", "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)

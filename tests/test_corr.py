@@ -544,3 +544,9 @@ def test_classical_sign_is_plus_one_wherever_t_equals_g_plus_q():
             additive += 1
             assert split.sign == 1, box
     assert additive > 100
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_operator_values_of_zero_correlators_are_positive_zeros(n):
+    for mermin in (False, True):
+        assert not np.signbit(_corr.operator_values(np.zeros(2 ** n), n, mermin)).any()
