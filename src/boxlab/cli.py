@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -92,68 +92,9 @@ def _write(text: str, args) -> None:
         print(text)
 
 
-def _measure_report2(box) -> dict:
-    split = discord2.correlation_split(box)
-    chsh = discord2.chsh_values(box)
-    membership = polytope.is_local(box)
-    report = {
-        "parties": 2,
-        "bell_discord": split.bell,
-        "mermin_discord": split.mermin,
-        "total_correlation": split.total,
-        "classical_correlation": split.classical,
-        "classical_sign": split.sign,
-        "chsh_max": float(np.max(chsh)),
-        "steering_value": discord2.steering_value(box),
-        "epr_steerable": discord2.is_epr_steerable(box),
-        "local": membership.inside,
-    }
-    mermin = discord2.mermin_values(box)
-    for al, be, ga in itertools.product(range(2), repeat=3):
-        report[f"chsh_{al}{be}{ga}"] = float(chsh[al, be, ga])
-        report[f"mermin_{al}{be}{ga}"] = float(mermin[al, be, ga])
-    if not membership.inside:
-        report["violated_facet"] = membership.violated_facet[0]
-        report["violation"] = membership.violated_facet[1]
-    return report
-
-
-# The tripartite membership flags, one per hull of tribox._SV_STARTS
-_TRI_FLAGS = ("in_sv_polytope", "two_way_local", "local")
-
-
-def _measure_report3(box) -> dict:
-    split = tribox.correlation_split3(box)
-    svv = tribox.sv_values(box)
-    mermin = tribox.mermin3_values(box)
-    flags = polytope.nested_hull_flags(box.table.reshape(-1),
-                                       tribox.tri_vertex_matrix(tribox._sv_polytope_key()),
-                                       tribox._SV_STARTS)
-    report = {
-        "parties": 3,
-        "svetlichny_discord": split.svetlichny,
-        "mermin3_discord": split.mermin,
-        "total_correlation": split.total,
-        "classical_correlation": split.classical,
-        "classical_sign": split.sign,
-        "svetlichny_max": float(np.max(svv)),
-        "mermin3_max": float(np.max(tribox.mermin3_functions(box))),
-        "class99_value": tribox.class99_value(box),
-        "ghz_paradox": tribox.ghz_paradox_check(box),
-        **dict(zip(_TRI_FLAGS, flags)),
-    }
-    for al, be, ga in itertools.product(range(2), repeat=3):
-        report[f"sv_{al}{be}{ga}0"] = float(svv[al, be, ga, 0])
-        report[f"mermin3_{al}{be}{ga}0"] = float(mermin[al, be, ga, 0])
-    return report
-
-
 def cmd_measure(args) -> int:
     box = _load_box(args)
-    if isinstance(box, boxcore.BipartiteBox):
-        _emit(_measure_report2(box), args)
-    else:
-        _emit(_measure_report3(box), args)
+    _emit(_PARTIES[box.parties].report(box), args)
     return EXIT_OK
 
 
@@ -200,13 +141,8 @@ def cmd_state_box(args) -> int:
     params = _parse_params(args.param)
     frame = qstate.settings_catalog(args.settings, params.pop("settings", None))
     rho = _build_state(args.family, params)
-    if rho.dim == 4:
-        box = qstate.born_box2(rho, frame)
-        text = boxcore.box_to_json(box)
-    else:
-        box = qstate.born_box3(rho, frame)
-        text = tribox.box3_to_json(box)
-    _write(text, args)
+    box = getattr(qstate, _PARTIES[2 if rho.dim == 4 else 3].born)(rho, frame)
+    _write(boxcore._to_json(box), args)
     return EXIT_OK
 
 
@@ -217,7 +153,8 @@ def _box_max(box, values) -> float | np.ndarray:
     return boxcore._per_box(box, values.reshape(lead + (-1,)).max(axis=-1))
 
 
-# Each measure maps one box to a float and a box stack to a (k,) array
+# Each measure maps one box to a float and a box stack to a (k,) array;
+# `sweep` takes them by name
 _MEASURES2 = {
     "G": discord2.bell_discord,
     "Q": discord2.mermin_discord,
@@ -238,22 +175,83 @@ _MEASURES3 = {
     "CLASS99": tribox.class99_value,
 }
 
+
+class _Parties(NamedTuple):
+    """What the commands read for one party count: its measures; the report
+    key of each correlation-split field (T, G, Q, C, sign) and of each
+    measure a report takes, in report order; its report; its Born rule."""
+
+    measures: dict
+    keys: dict
+    report: Callable
+    born: str  # a qstate function name
+
+
+def _report(box, split, labeled, **only) -> dict:
+    """The `measure` report of `box`: its `split` and measures under their
+    keys, `only`, then each label's `labeled` values by key template."""
+    party = _PARTIES[box.parties]
+    fields = dict(zip(("T", "G", "Q", "C", "sign"), vars(split).values()))
+    report = {"parties": box.parties}
+    for name, key in party.keys.items():
+        report[key] = fields[name] if name in fields else party.measures[name](box)
+    report.update(only)
+    values = [(key, v.reshape(8).tolist()) for key, v in labeled.items()]
+    for i in range(8):  # the label (al, be, ga) is i in binary
+        report.update((key % f"{i:03b}", v[i]) for key, v in values)
+    return report
+
+
+def _measure_report2(box) -> dict:
+    membership = polytope.is_local(box)
+    report = _report(box, discord2.correlation_split(box),
+                     {"chsh_%s": discord2.chsh_values(box),
+                      "mermin_%s": discord2.mermin_values(box)},
+                     epr_steerable=discord2.is_epr_steerable(box), local=membership.inside)
+    if not membership.inside:
+        report["violated_facet"], report["violation"] = membership.violated_facet
+    return report
+
+
+def _measure_report3(box) -> dict:
+    # the membership flags, one per hull of tribox._SV_STARTS
+    flags = polytope.nested_hull_flags(box.table.reshape(-1),
+                                       tribox.tri_vertex_matrix(tribox._sv_polytope_key()),
+                                       tribox._SV_STARTS)
+    return _report(box, tribox.correlation_split3(box),
+                   {"sv_%s0": tribox.sv_values(box)[..., 0],
+                    "mermin3_%s0": tribox.mermin3_values(box)[..., 0]},
+                   ghz_paradox=tribox.ghz_paradox_check(box),
+                   **dict(zip(("in_sv_polytope", "two_way_local", "local"), flags)))
+
+
+_SPLIT_KEYS = {"T": "total_correlation", "C": "classical_correlation", "sign": "classical_sign"}
+
+_PARTIES = {
+    2: _Parties(_MEASURES2, {"G": "bell_discord", "Q": "mermin_discord", **_SPLIT_KEYS,
+                             "CHSH": "chsh_max", "steering": "steering_value"},
+                _measure_report2, "born_box2"),
+    3: _Parties(_MEASURES3, {"G": "svetlichny_discord", "Q": "mermin3_discord", **_SPLIT_KEYS,
+                             "SV": "svetlichny_max", "MERMIN3": "mermin3_max",
+                             "CLASS99": "class99_value"}, _measure_report3, "born_box3"),
+}
+
 _SWEEP_CHUNK = 64  # points per state and frame build, Born call, box check and measure pass
 
 
-def _sweep_measures(rho, frame, measures) -> dict:
-    """The measure table of the sweep's party count, after the checks its
-    Born rule makes of `rho` and `frame`; InputError for an unknown measure."""
+def _sweep_party(rho, frame, measures) -> _Parties:
+    """What the sweep reads for its party count, after the checks its Born
+    rule makes of `rho` and `frame`; InputError for an unknown measure."""
     from . import qstate
 
     parties = 2 if rho.dim == 4 else 3
     qstate._born_inputs(rho, frame, parties)
-    table = _MEASURES2 if parties == 2 else _MEASURES3
-    unknown = [m for m in measures if m not in table]
+    party = _PARTIES[parties]
+    unknown = [m for m in measures if m not in party.measures]
     if unknown:
         raise InputError(f"unknown measure {unknown[0]!r} for {parties} parties; "
-                         f"the measures are {', '.join(table)}")
-    return table
+                         f"the measures are {', '.join(party.measures)}")
+    return party
 
 
 def cmd_sweep(args) -> int:
@@ -286,7 +284,7 @@ def cmd_sweep(args) -> int:
                 _build_state(args.family, {**fixed, pname: value} if to_family else fixed))
 
     values = np.linspace(start, stop, steps)
-    table, columns = None, []
+    party, columns = None, []
     for lo in range(0, steps, _SWEEP_CHUNK):
         chunk = values[lo:lo + _SWEEP_CHUNK]
         try:
@@ -296,12 +294,11 @@ def cmd_sweep(args) -> int:
             # state's, and the first point's measure check before any later one
             for value in chunk.tolist():
                 one_frame, one_state = build(value)
-                table = table or _sweep_measures(one_state, one_frame, measures)
+                party = party or _sweep_party(one_state, one_frame, measures)
             raise
-        table = table or _sweep_measures(rho, frames, measures)
-        born = qstate.born_box2 if table is _MEASURES2 else qstate.born_box3
-        box = born(rho, frames)
-        columns.append(np.column_stack([chunk] + [table[m](box) for m in measures]))
+        party = party or _sweep_party(rho, frames, measures)
+        box = getattr(qstate, party.born)(rho, frames)
+        columns.append(np.column_stack([chunk] + [party.measures[m](box) for m in measures]))
     rows = np.concatenate(columns).tolist()
     rows.sort(key=lambda r: r[0])
     lines = [",".join([pname] + measures)]
