@@ -364,13 +364,9 @@ def monogamy_checks3(box: TripartiteBox) -> MonogamyReport3:
 def ghz_paradox_check(box: TripartiteBox) -> bool:
     """True iff <A0B0C0> = +1 and <A0B1C1> = <A1B0C1> = <A1B1C0> = -1."""
     boxcore._one_box(box, "ghz_paradox_check")
-    e3 = expectations3(box).abc
-    return bool(
-        abs(e3[0, 0, 0] - 1.0) <= EPS_VALID
-        and abs(e3[0, 1, 1] + 1.0) <= EPS_VALID
-        and abs(e3[1, 0, 1] + 1.0) <= EPS_VALID
-        and abs(e3[1, 1, 0] + 1.0) <= EPS_VALID
-    )
+    e = box.correlators  # <A_x B_y C_z> at 4x + 2y + z
+    return bool(abs(e[0] - 1.0) <= EPS_VALID
+                and all(abs(e[xyz] + 1.0) <= EPS_VALID for xyz in (0b011, 0b101, 0b110)))
 
 
 # ---------------------------------------------------------------------------
