@@ -312,7 +312,7 @@ def cmd_verify(args) -> int:
     from . import acceptance
 
     numbers = None
-    if args.only:
+    if args.only is not None:
         known = {str(n) for n in range(1, len(acceptance.ALL_CRITERIA) + 1)}
         unknown = [n for n in args.only.split(",") if n.strip() not in known]
         if unknown:
@@ -351,8 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_box_source(p):
-        p.add_argument("--box", help="JSON box file")
-        p.add_argument("--catalog", help="catalog label, e.g. PR000 or Sv0000")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--box", help="JSON box file")
+        source.add_argument("--catalog", help="catalog label, e.g. PR000 or Sv0000")
 
     p = sub.add_parser("measure", help="discords, totals, inequality values, locality class")
     add_box_source(p)

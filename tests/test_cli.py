@@ -302,6 +302,21 @@ def test_verify_unknown_criterion_exit_2(capsys):
     assert run_cli(["verify", "--only", "1,,2,x"]) == 2
     assert capsys.readouterr().err == ("error: --only: no criterion '', 'x'; "
                                        "criteria are 1..16\n")
+    # an empty list names no criterion; it does not run them all
+    assert run_cli(["verify", "--only", ""]) == 2
+    assert capsys.readouterr().err == "error: --only: no criterion ''; criteria are 1..16\n"
+
+
+@pytest.mark.parametrize("command", ["measure", "decompose"])
+def test_box_and_catalog_together_exit_2_with_one_line(command, capsys):
+    with pytest.raises(SystemExit) as info:
+        run_cli([command, "--box", str(Path(__file__).parent / "data" / "witness_box2.json"),
+                 "--catalog", "Sv0000"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: argument --catalog: not allowed with argument --box"]
 
 
 def test_parser_is_built_once_and_keeps_no_options(tmp_path, capsys):
