@@ -61,23 +61,9 @@ def _leaf_orders(n: int) -> np.ndarray:
     return np.array(orders)
 
 
-def _cut_map(n: int) -> np.ndarray:
-    """L, (4**n, cuts * 2 * 2**n): block [cut, side] of t @ L holds one side's
-    correlators, averaged over the other side's inputs, at every input string.
-    A cut S|S' has S among the party masks below 2**(n-1)."""
-    cells = np.eye(4 ** n).reshape((4 ** n,) + (2,) * n + (2 ** n,))  # [cell, inputs, outputs]
-    blocks = []
-    for side in (s for cut in range(1, 2 ** (n - 1)) for s in (cut, 2 ** n - 1 - cut)):
-        e = cells @ _OUTPUT_PARITY[n][side]
-        others = tuple(1 + p for p in range(n) if not side >> (n - 1 - p) & 1)
-        blocks.append(np.broadcast_to(e.mean(axis=others, keepdims=True), e.shape))
-    return np.stack(blocks, axis=1).reshape(4 ** n, -1)
-
-
 _SIGNS = {n: _sign_rules(n) for n in (2, 3)}
 _OUTPUT_PARITY = {n: (-1.0) ** _popcount(np.arange(2 ** n)[:, None] & np.arange(2 ** n), n)
                   for n in (2, 3)}  # [party mask, outputs]
-_CUT_MAPS = {n: _cut_map(n) for n in (2, 3)}
 GROUPINGS = {n: _leaf_orders(n) for n in (2, 3)}
 _NEGATE = np.array([1.0, -1.0])  # output bit 1 negates an operator value
 _BLOCK = 1 << 15  # rows per block of a large nested_min, which bounds its scratch memory
@@ -93,6 +79,33 @@ def correlators(tables, n: int, parties: int | None = None) -> np.ndarray:
     t = np.asarray(tables)
     mask = 2 ** n - 1 if parties is None else parties
     return t.reshape(t.shape[:-1] + (2 ** n, 2 ** n)) @ _OUTPUT_PARITY[n][mask]
+
+
+def _marginal_map(n: int) -> np.ndarray:
+    """M, (4**n, 2**n masks * 2**n inputs): block [mask] of t @ M holds the
+    mask's correlators, averaged over the other parties' inputs, at every
+    input string. Its entries, 0, +-1 and their means, are exact."""
+    blocks = []
+    for mask in range(2 ** n):
+        e = correlators(np.eye(4 ** n), n, mask).reshape((4 ** n,) + (2,) * n)
+        others = tuple(1 + p for p in range(n) if not mask >> (n - 1 - p) & 1)
+        blocks.append(np.broadcast_to(e.mean(axis=others, keepdims=True), e.shape))
+    return np.stack(blocks, axis=1).reshape(4 ** n, -1)
+
+
+_MARGINALS = {n: _marginal_map(n) for n in (2, 3)}
+# the blocks of both sides of every cut S|S', S among the masks below 2**(n-1)
+_CUT_MAPS = {n: _MARGINALS[n].reshape(4 ** n, 2 ** n, 2 ** n)[
+                 :, np.ravel([(cut, 2 ** n - 1 - cut) for cut in range(1, 2 ** (n - 1))])
+             ].reshape(4 ** n, -1) for n in (2, 3)}
+
+
+def _marginals(tables, n: int) -> np.ndarray:
+    """Flat tables (..., 4**n) times _MARGINALS[n], as (..., 2**n masks) + (2,)*n
+    inputs: one vector-matrix product per table, so a stack's rows have the
+    bits of each table alone."""
+    m = np.matmul(tables[..., None, :], _MARGINALS[n])
+    return m.reshape(tables.shape[:-1] + (2 ** n,) + (2,) * n)
 
 
 def _signed_sums(corr, n: int, mermin: bool) -> np.ndarray:

@@ -90,6 +90,7 @@ class _Box:
 
     def prob(self, *cell: int) -> float:
         """P(a|x) at the cell given as the inputs, then the outputs."""
+        _one_box(self, "prob")
         return float(self.table[cell])
 
     def allclose(self, other: "_Box", tol: float = EPS_VALID) -> bool:
@@ -554,12 +555,10 @@ def joint_expectation(box: BipartiteBox, x: int, y: int) -> float:
 
 
 def marginal_expectations(box: BipartiteBox) -> tuple[np.ndarray, np.ndarray]:
-    """(<A_0>, <A_1>) and (<B_0>, <B_1>), each from the NS-consistent marginal;
-    each (k, 2) for a stack."""
-    sign = np.array([1.0, -1.0])
-    pa = box.table.sum(axis=-1).mean(axis=-2)  # [.., x, a], averaged over y
-    pb = box.table.sum(axis=-2).mean(axis=-3)  # [.., y, b]
-    return pa @ sign, pb @ sign
+    """(<A_0>, <A_1>) and (<B_0>, <B_1>), each averaged over the other
+    party's input; each (k, 2) for a stack."""
+    m = _corr._marginals(box.flat, 2)  # [.., party mask, x, y]
+    return m[..., 2, :, 0], m[..., 1, 0, :]
 
 
 def marginal_expectation(box: BipartiteBox, party: str, x: int) -> float:

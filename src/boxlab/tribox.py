@@ -19,6 +19,7 @@ from .boxcore import EPS_VALID, BipartiteBox, PartyRelabel
 from .polytope import DecompositionResult, ResidualInvalidError
 
 PAIR_AB, PAIR_AC, PAIR_BC = "AB", "AC", "BC"
+_PAIRS = (PAIR_BC, PAIR_AC, PAIR_AB)  # the pair left by spectator party A, B, C
 
 
 class NotInPolytopeError(RuntimeError):
@@ -58,22 +59,12 @@ class TriExpectations:
     abc: np.ndarray  # (2,2,2) <A_i B_j C_k>
 
 
-_S1 = np.array([1.0, -1.0])
-_S2 = np.einsum("a,b->ab", _S1, _S1)
-
-
 def expectations3(box: TripartiteBox) -> TriExpectations:
     """The 26 expectations; each field gets a leading (k,) axis for a stack."""
-    t = box.table
-    return TriExpectations(
-        a=np.einsum("...xyzabc,a->...x", t, _S1) / 4.0,
-        b=np.einsum("...xyzabc,b->...y", t, _S1) / 4.0,
-        c=np.einsum("...xyzabc,c->...z", t, _S1) / 4.0,
-        ab=np.einsum("...xyzabc,ab->...xy", t, _S2) / 2.0,
-        ac=np.einsum("...xyzabc,ac->...xz", t, _S2) / 2.0,
-        bc=np.einsum("...xyzabc,bc->...yz", t, _S2) / 2.0,
-        abc=_per_label(box, box.correlators),
-    )
+    m = _corr._marginals(box.flat, 3)  # [.., party mask, x, y, z]
+    return TriExpectations(a=m[..., 4, :, 0, 0], b=m[..., 2, 0, :, 0], c=m[..., 1, 0, 0, :],
+                           ab=m[..., 6, :, :, 0], ac=m[..., 5, :, 0, :], bc=m[..., 3, 0, :, :],
+                           abc=_per_label(box, box.correlators))
 
 
 def box3_from_expectations(e: TriExpectations, validate: bool = True):
@@ -289,16 +280,10 @@ def marginal2(box: TripartiteBox, pair: str) -> BipartiteBox:
     """Two-party box left after summing out the third party (NS makes the
     spectator input irrelevant; input 0 is used)."""
     boxcore._one_box(box, "marginal2")
-    t = box.table
-    if pair == PAIR_AB:
-        sub = t[:, :, 0].sum(axis=4)
-    elif pair == PAIR_AC:
-        sub = t[:, 0, :].sum(axis=3)
-    elif pair == PAIR_BC:
-        sub = t[0].sum(axis=2)
-    else:
+    if pair not in _PAIRS:
         raise ValueError(f"unknown pair {pair!r}")
-    return boxcore.make_box(sub)
+    s = _PAIRS.index(pair)
+    return boxcore.make_box(box.table.take(0, axis=s).sum(axis=s + 2))
 
 
 def total_correlation3(box: TripartiteBox) -> float:

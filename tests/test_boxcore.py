@@ -448,6 +448,7 @@ def test_make_box_of_a_stack_holds_each_table_and_its_correlators_read_only(n, m
     (tribox.ghz_paradox_check, 3, ()),
     (tribox.monogamy_checks3, 3, ()),
     (tribox.marginal2, 3, (tribox.PAIR_AB,)),
+    (boxcore.BipartiteBox.prob, 2, (0, 0, 0, 0)),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_one_box_functions_refuse_a_stack_by_name_and_length(fn, n, args):
     make, noise = ((boxcore.make_box, boxcore.noise_box()) if n == 2

@@ -313,3 +313,72 @@ def test_validators_agree_with_reference_loops(n, make, ref):
             assert make(values).table.tobytes() == want.tobytes()
             outcomes.add(None)
     assert outcomes == {None, BoxError, NegativeEntryError, NotNormalizedError, SignalingError}
+
+
+# -- reference expectations ----------------------------------------------------
+
+def ref_expectations(table, n):
+    """{party mask: its correlators (2,)*|mask|} of a (2,)*2n table by a loop
+    over its cells, each averaged over the other parties' inputs; the first
+    party is the most significant bit of the mask."""
+    e = {}
+    for mask in range(1, 2 ** n):
+        parties = [p for p in range(n) if mask >> (n - 1 - p) & 1]
+        e[mask] = np.zeros((2,) * len(parties))
+        for x, a in product(product(range(2), repeat=n), repeat=2):
+            sign = (-1.0) ** sum(a[p] for p in parties)
+            e[mask][tuple(x[p] for p in parties)] += sign * table[x + a] / 2 ** (n - len(parties))
+    return e
+
+
+def ref_marginal2(table, pair):
+    p, q = ("ABC".index(party) for party in pair)
+    spectator = 3 - p - q
+    m = np.zeros((2,) * 4)
+    for x, a in product(product(range(2), repeat=3), repeat=2):
+        if x[spectator] == 0:
+            m[x[p], x[q], a[p], a[q]] += table[x + a]
+    return m
+
+
+def _expectation_tables(n):
+    """(k, 4**n) rows: 40 random boxes (NS boxes of two parties, mixtures of
+    the Svetlichny polytope of three), then every catalog vertex of n parties."""
+    rng = np.random.default_rng(2800 + n)
+    if n == 2:
+        drawn = polytope.random_ns_tables(rng, 40).reshape(40, 16)
+    else:
+        drawn = np.stack([tribox.random_sv_polytope_box(rng).flat for _ in range(40)])
+    ids = [v for family_ids, _ in CATALOG.values() for v in family_ids if v.parties == n]
+    return np.vstack([drawn, polytope.vertex_matrix(ids)])
+
+
+def test_bipartite_expectations_match_reference_loops_and_a_stack_each_box():
+    tables = _expectation_tables(2)
+    stack = boxcore.marginal_expectations(boxcore.make_box(tables))
+    for k, row in enumerate(tables):
+        box = boxcore.make_box(row)
+        ea, eb = boxcore.marginal_expectations(box)
+        assert np.array_equal(stack[0][k], ea) and np.array_equal(stack[1][k], eb)
+        want = ref_expectations(box.table, 2)
+        for got, mask in ((ea, 2), (eb, 1), (boxcore.joint_expectations(box), 3)):
+            np.testing.assert_allclose(got, want[mask], rtol=0, atol=1e-15, err_msg=str(k))
+
+
+def test_tripartite_expectations_match_reference_loops_and_a_stack_each_box():
+    tables = _expectation_tables(3)
+    stack = tribox.make_box3(tables)
+    fields = {"a": 4, "b": 2, "c": 1, "ab": 6, "ac": 5, "bc": 3, "abc": 7}
+    stacked, class99 = tribox.expectations3(stack), tribox.class99_value(stack)
+    for k, row in enumerate(tables):
+        box = tribox.make_box3(row)
+        e, want = tribox.expectations3(box), ref_expectations(box.table, 3)
+        for name, mask in fields.items():
+            assert np.array_equal(getattr(stacked, name)[k], getattr(e, name)), (k, name)
+            np.testing.assert_allclose(getattr(e, name), want[mask], rtol=0, atol=1e-15,
+                                       err_msg=f"{k} {name}")
+        assert class99[k] == tribox.class99_value(box)
+        for pair in (tribox.PAIR_AB, tribox.PAIR_AC, tribox.PAIR_BC):
+            np.testing.assert_allclose(tribox.marginal2(box, pair).table,
+                                       ref_marginal2(box.table, pair), rtol=0, atol=1e-15,
+                                       err_msg=f"{k} {pair}")
