@@ -112,20 +112,17 @@ def criterion_5() -> CriterionResult:
 def criterion_6() -> CriterionResult:
     """Bell-state 3-decomposition: mu = sqrt(1-p), nu = sqrt(p) - sqrt(1-p),
     residual white noise, reconstruction to 1e-9."""
-    errs = []
+    pairs = []
     rho = qstate.bell_psi_plus()
     noise = boxcore.noise_box()
     for p in np.linspace(0.5, 1.0, 11):
         box = qstate.born_box2(rho, qstate.settings_catalog("meb1", p))
         dec = polytope.three_decomposition(box)
-        errs.append(abs(dec.mu - np.sqrt(1 - p)))
-        errs.append(abs(dec.nu - (np.sqrt(p) - np.sqrt(1 - p))))
-        errs.append(float(np.max(np.abs(dec.residual.table - noise.table))))
         recon = dec.reconstruction(boxcore.vertex(dec.pr_id).table,
                                    boxcore.vertex(dec.mermin_id).table)
-        errs.append(float(np.max(np.abs(recon - box.table))))
-    return _result(6, "Bell state + meb1: 3-decomposition closed form",
-                   max(errs), TOL_CLOSED)
+        pairs += [(dec.mu, np.sqrt(1 - p)), (dec.nu, np.sqrt(p) - np.sqrt(1 - p)),
+                  (dec.residual.table, noise.table), (recon, box.table)]
+    return _closed_forms(6, "Bell state + meb1: 3-decomposition closed form", *pairs)
 
 
 def criterion_7() -> CriterionResult:
@@ -361,24 +358,19 @@ def criterion_12() -> CriterionResult:
 def criterion_13() -> CriterionResult:
     """GHZ + SMDghz: decomposition weights, T = G + Q = 4(sqrt p + sqrt(1-p)),
     G + 2Q = 8 sqrt(p) <= 8."""
-    errs = []
+    pairs = []
     rho = qstate.ghz_state()
     for p in np.linspace(0.5, 1.0, 9):
         box = qstate.born_box3(rho, qstate.settings_catalog("SMDghz", p))
         dec = tribox.three_decomposition3(box)
-        errs.append(abs(dec.mu - np.sqrt(1 - p)))
-        errs.append(abs(dec.nu - (np.sqrt(p) - np.sqrt(1 - p))))
         g = tribox.svetlichny_discord(box)
         q = tribox.mermin3_discord(box)
         t = tribox.total_correlation3(box)
-        errs.append(abs(t - 4 * (np.sqrt(p) + np.sqrt(1 - p))))
-        errs.append(abs(t - g - q))
-        errs.append(abs(g + 2 * q - 8 * np.sqrt(p)))
-        errs.append(max(0.0, g + 2 * q - 8.0))
-        if not tribox.monogamy_checks3(box).holds:
-            errs.append(1.0)
-    return _result(13, "GHZ + SMDghz: weights, T = G+Q, G+2Q = 8 sqrt p <= 8",
-                   max(errs), TOL_CLOSED)
+        pairs += [(dec.mu, np.sqrt(1 - p)), (dec.nu, np.sqrt(p) - np.sqrt(1 - p)),
+                  (t, 4 * (np.sqrt(p) + np.sqrt(1 - p))), (t - g, q),
+                  (g + 2 * q, 8 * np.sqrt(p)), (max(0.0, g + 2 * q - 8.0), 0.0),
+                  (tribox.monogamy_checks3(box).holds, True)]
+    return _closed_forms(13, "GHZ + SMDghz: weights, T = G+Q, G+2Q = 8 sqrt p <= 8", *pairs)
 
 
 def criterion_14() -> CriterionResult:
@@ -396,21 +388,14 @@ def criterion_14() -> CriterionResult:
 def criterion_15() -> CriterionResult:
     """GHZ-paradox flag true for the tripartite Mermin box and for the GHZ
     state under MDxy, with the advertised perfect-correlation signs."""
-    errs = []
     m_box = tribox.mermin3_box(0, 0, 0, 0)
     born = qstate.born_box3(qstate.ghz_state(), qstate.settings_catalog("MDxy"))
-    if not tribox.ghz_paradox_check(m_box):
-        errs.append(1.0)
-    if not tribox.ghz_paradox_check(born):
-        errs.append(1.0)
+    pairs = [(tribox.ghz_paradox_check(m_box), True), (tribox.ghz_paradox_check(born), True)]
     for box in (m_box, born):
         e3 = tribox.expectations3(box).abc
-        errs.append(abs(e3[0, 0, 0] - 1.0))
-        errs.append(abs(e3[0, 1, 1] + 1.0))
-        errs.append(abs(e3[1, 0, 1] + 1.0))
-        errs.append(abs(e3[1, 1, 0] + 1.0))
-    errs.append(float(np.max(np.abs(born.table - m_box.table))))
-    return _result(15, "GHZ paradox flags and signs", max(errs), TOL_CLOSED)
+        pairs += [(e3[0, 0, 0], 1.0), (e3[0, 1, 1], -1.0), (e3[1, 0, 1], -1.0),
+                  (e3[1, 1, 0], -1.0)]
+    return _closed_forms(15, "GHZ paradox flags and signs", *pairs, (born.table, m_box.table))
 
 
 def _phased_bell_mixtures(rng: np.random.Generator) -> qstate.DensityMatrix:
