@@ -177,12 +177,10 @@ def criterion_8() -> CriterionResult:
     tables = polytope.random_ns_tables(rng, 10_000).reshape(-1, 16)
     # the Born boxes' correlators were computed when make_box built them
     e = np.vstack([_corr.correlators(tables, 2), _monogamy_boxes(rng).correlators])
-    e = e.reshape(-1, 2, 2)
-    b = discord2.bell_functions_from_expectations(e).reshape(-1, 4)
+    b = _corr.moduli(e, 2)
     i, j = discord2._PAIRS
     pair_max = max(0.0, float(np.max(b[:, i] + b[:, j])))
-    g = discord2.bell_discord_from_expectations(e)
-    q = discord2.mermin_discord_from_expectations(e)
+    g, q = _corr.discord(e, 2), _corr.discord(e, 2, mermin=True)
     gq_max = float(np.max(g + 2 * q))
     worst = max(pair_max - 4.0, gq_max - 4.0)
     return _result(8, "monogamy: B_i+B_j <= 4, G+2Q <= 4 (1e4 boxes + 1e3 states)",
@@ -235,9 +233,8 @@ def criterion_9() -> CriterionResult:
         flat = corrs.reshape(len(corrs), 9)
         worst = 0.0
         for start in range(0, len(flat), 100):
-            e = (flat[start:start + 100] @ ab).reshape(-1, len(a), 2, 2)
-            worst = max(worst, discord2.bell_discord_from_expectations(e).max(),
-                        discord2.mermin_discord_from_expectations(e).max())
+            e = (flat[start:start + 100] @ ab).reshape(-1, 4)
+            worst = max(worst, _corr.discord(e, 2).max(), _corr.discord(e, 2, mermin=True).max())
         return float(worst)
 
     cq_corr, qc_corr, any_corr = (qstate.correlation_data(rho)[2]
@@ -291,9 +288,7 @@ def criterion_10() -> CriterionResult:
     rng = np.random.default_rng(SEED + 2)
     tables = np.vstack([polytope.random_ns_tables(rng, 10_000).reshape(-1, 16),
                         _two_sided_tables(np.random.default_rng(SEED + 5), 500)])
-    e = _corr.correlators(tables, 2).reshape(-1, 2, 2)
-    bmax = np.max(discord2.bell_functions_from_expectations(e).reshape(-1, 4),
-                  axis=1)
+    bmax = np.max(_corr.moduli(_corr.correlators(tables, 2), 2), axis=1)
     keep = np.abs(bmax - 2.0) > boxcore.EPS_LP
     det = polytope.vertex_matrix(boxcore.all_det_ids())
     local = polytope._inside_flags(tables[keep], det)

@@ -113,6 +113,13 @@ def _per_box(box: _Box, values):
     return values if box.stacked else values.item()
 
 
+def _per_label(box: _Box, values) -> np.ndarray:
+    """`values` of a box or a stack with their axis of 2**n labels split into
+    the n label bits; a stack's axis stays in front."""
+    lead = box.correlators.shape[:-1]
+    return values.reshape(lead + (2,) * box.parties + values.shape[len(lead) + 1:])
+
+
 def _one_box(box: _Box, name: str) -> None:
     """BoxError if `box` is a stack: the function `name` reads one box only."""
     if box.stacked:

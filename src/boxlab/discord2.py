@@ -1,11 +1,11 @@
 """Bipartite correlation measures: Bell/Mermin functions, discords, totals, monogamy.
 
 All measures depend on the box only through its joint and marginal
-expectations. The ``*_from_expectations`` functions take ``(..., 2, 2)``
-stacks of joint expectations; they and the box functions share the
-sign-rule core in :mod:`boxlab._corr`. The measures that the CLI sweeps
-(G, Q, T, C, the CHSH and Mermin values, steering) also read a box stack
-and give one value per box, as a (k,) array; one box gives a float.
+expectations. The box functions read ``box.correlators`` through the
+sign-rule core :mod:`boxlab._corr`, and the ``*_from_expectations`` functions
+adapt it to ``(..., 2, 2)`` stacks of joint expectations. The measures that
+the CLI sweeps (G, Q, T, C, the CHSH and Mermin values, steering) also read a
+box stack and give one value per box, as a (k,) array; one box gives a float.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .boxcore import (
     BipartiteBox,
     _one_box,
     _per_box,
-    joint_expectations,
+    _per_label,
 )
 
 SQRT2 = float(np.sqrt(2.0))
@@ -37,7 +37,7 @@ def chsh_value(box: BipartiteBox, alpha: int, beta: int, gamma: int) -> float:
 
 def chsh_values(box: BipartiteBox) -> np.ndarray:
     """All 8 signed CHSH values, shape (2, 2, 2) indexed [alpha, beta, gamma]."""
-    return chsh_values_from_expectations(joint_expectations(box))
+    return _per_label(box, _corr.operator_values(box.correlators, 2))
 
 
 def _flat(e) -> np.ndarray:
@@ -52,7 +52,7 @@ def chsh_values_from_expectations(e: np.ndarray) -> np.ndarray:
 
 def bell_functions(box: BipartiteBox) -> np.ndarray:
     """The four CHSH moduli B[alpha, beta] = |B_{alpha beta gamma}|, shape (2, 2)."""
-    return bell_functions_from_expectations(joint_expectations(box))
+    return _per_label(box, _corr.moduli(box.correlators, 2))
 
 
 def bell_functions_from_expectations(e: np.ndarray) -> np.ndarray:
@@ -69,8 +69,7 @@ def mermin_value(box: BipartiteBox, alpha: int, beta: int, gamma: int) -> float:
 
 def mermin_values(box: BipartiteBox) -> np.ndarray:
     """All 8 signed Mermin values, shape (2, 2, 2) indexed [alpha, beta, gamma]."""
-    e = joint_expectations(box)
-    return _corr.operator_values(_flat(e), 2, mermin=True).reshape(e.shape[:-2] + (2, 2, 2))
+    return _per_label(box, _corr.operator_values(box.correlators, 2, mermin=True))
 
 
 def mermin_functions(box: BipartiteBox) -> np.ndarray:
@@ -79,7 +78,7 @@ def mermin_functions(box: BipartiteBox) -> np.ndarray:
     M[0,0]=|<A0B0>-<A1B1>|, M[0,1]=|<A0B1>-<A1B0>|,
     M[1,0]=|<A0B0>+<A1B1>|, M[1,1]=|<A0B1>+<A1B0>|.
     """
-    return mermin_functions_from_expectations(joint_expectations(box))
+    return _per_label(box, _corr.moduli(box.correlators, 2, mermin=True))
 
 
 def mermin_functions_from_expectations(e: np.ndarray) -> np.ndarray:
@@ -88,7 +87,7 @@ def mermin_functions_from_expectations(e: np.ndarray) -> np.ndarray:
 
 def bell_discord(box: BipartiteBox) -> float:
     """Irreducible PR-box content times 4; 0 for every deterministic box."""
-    return _per_box(box, bell_discord_from_expectations(joint_expectations(box)))
+    return _per_box(box, _corr.discord(box.correlators, 2))
 
 
 def bell_discord_from_expectations(e: np.ndarray) -> np.ndarray:
@@ -97,7 +96,7 @@ def bell_discord_from_expectations(e: np.ndarray) -> np.ndarray:
 
 def mermin_discord(box: BipartiteBox) -> float:
     """Irreducible Mermin-box content times 2; 0 for PR and deterministic boxes."""
-    return _per_box(box, mermin_discord_from_expectations(joint_expectations(box)))
+    return _per_box(box, _corr.discord(box.correlators, 2, mermin=True))
 
 
 def mermin_discord_from_expectations(e: np.ndarray) -> np.ndarray:

@@ -451,13 +451,10 @@ def is_local(box: BipartiteBox) -> MembershipResult:
     if w is not None:
         weights = {vid: float(wi) for vid, wi in zip(_DET_IDS, w) if wi > EPS_LP}
         return MembershipResult(inside=True, weights=weights)
-    chsh = discord2.chsh_values(box)
-    idx = np.unravel_index(np.argmax(chsh), chsh.shape)
-    label = "B" + "".join(str(i) for i in idx)
+    chsh = discord2.chsh_values(box).reshape(8)
+    i = int(np.argmax(chsh))  # the label (alpha, beta, gamma) in binary
     return MembershipResult(
-        inside=False,
-        violated_facet=(label, float(chsh[idx] - discord2.CHSH_LOCAL_BOUND)),
-    )
+        inside=False, violated_facet=(f"B{i:03b}", float(chsh[i] - discord2.CHSH_LOCAL_BOUND)))
 
 
 def _zero_bell_residual(table: np.ndarray) -> BipartiteBox | None:

@@ -64,7 +64,7 @@ def expectations3(box: TripartiteBox) -> TriExpectations:
     m = _corr._marginals(box.flat, 3)  # [.., party mask, x, y, z]
     return TriExpectations(a=m[..., 4, :, 0, 0], b=m[..., 2, 0, :, 0], c=m[..., 1, 0, 0, :],
                            ab=m[..., 6, :, :, 0], ac=m[..., 5, :, 0, :], bc=m[..., 3, 0, :, :],
-                           abc=_per_label(box, box.correlators))
+                           abc=boxcore._per_label(box, box.correlators))
 
 
 def box3_from_expectations(e: TriExpectations, validate: bool = True):
@@ -204,13 +204,6 @@ def parse_tri_vertex_label(label: str) -> TriVertexId:
 # ---------------------------------------------------------------------------
 # Svetlichny / tripartite-Mermin functions and discords
 
-def _per_label(box: TripartiteBox, values) -> np.ndarray:
-    """`values` of a box or a stack with their axis of 8 labels split into
-    the label bits [al, be, ga]; a stack's axis stays in front."""
-    lead = box.correlators.shape[:-1]
-    return values.reshape(lead + (2, 2, 2) + values.shape[len(lead) + 1:])
-
-
 def sv_value(box: TripartiteBox, al: int, be: int, ga: int, ep: int) -> float:
     """Signed Svetlichny operator value; hybrid-local bound 4, maximum 8."""
     return boxcore._per_box(box, sv_values(box)[..., al, be, ga, ep])
@@ -219,12 +212,12 @@ def sv_value(box: TripartiteBox, al: int, be: int, ga: int, ep: int) -> float:
 def sv_values(box: TripartiteBox) -> np.ndarray:
     """All 16 signed values, shape (2,2,2,2) indexed [al,be,ga,ep]; (k,2,2,2,2)
     for a stack."""
-    return _per_label(box, _corr.operator_values(box.correlators, 3))
+    return boxcore._per_label(box, _corr.operator_values(box.correlators, 3))
 
 
 def sv_functions(box: TripartiteBox) -> np.ndarray:
     """The 8 Svetlichny moduli S[al,be,ga] in [0, 8]."""
-    return _per_label(box, _corr.moduli(box.correlators, 3))
+    return boxcore._per_label(box, _corr.moduli(box.correlators, 3))
 
 
 def mermin3_value(box: TripartiteBox, al: int, be: int, ga: int, ep: int) -> float:
@@ -235,12 +228,12 @@ def mermin3_value(box: TripartiteBox, al: int, be: int, ga: int, ep: int) -> flo
 def mermin3_values(box: TripartiteBox) -> np.ndarray:
     """All 16 signed Mermin values, shape (2,2,2,2) indexed [al,be,ga,ep];
     (k,2,2,2,2) for a stack."""
-    return _per_label(box, _corr.operator_values(box.correlators, 3, mermin=True))
+    return boxcore._per_label(box, _corr.operator_values(box.correlators, 3, mermin=True))
 
 
 def mermin3_functions(box: TripartiteBox) -> np.ndarray:
     """The 8 Mermin moduli M[al,be,ga] in [0, 4]."""
-    return _per_label(box, _corr.moduli(box.correlators, 3, mermin=True))
+    return boxcore._per_label(box, _corr.moduli(box.correlators, 3, mermin=True))
 
 
 def discord_groupings() -> list[tuple]:
