@@ -30,7 +30,7 @@ class InputError(Exception):
 
 def _load_box(args):
     """Box from --box FILE (JSON) or --catalog LABEL."""
-    if getattr(args, "box", None):
+    if args.box:
         text = Path(args.box).read_text()
         parties = boxcore._json_object(text).get("parties")
         if parties == 2:
@@ -38,7 +38,7 @@ def _load_box(args):
         if parties == 3:
             return tribox.box3_from_json(text)
         raise InputError(f"unsupported parties={parties}")
-    if getattr(args, "catalog", None):
+    if args.catalog:
         label = args.catalog
         try:
             return boxcore.vertex(boxcore.parse_vertex_label(label))
@@ -68,10 +68,9 @@ def _parse_params(pairs) -> dict[str, float]:
 
 
 def _emit(data, args) -> None:
-    fmt = getattr(args, "format", "table") or "table"
-    if fmt == "json":
+    if args.format == "json":
         text = json.dumps(data, sort_keys=True)
-    elif fmt == "table":
+    else:
         width = max(len(k) for k in data)
         lines = []
         for key, value in data.items():
@@ -79,14 +78,12 @@ def _emit(data, args) -> None:
                 value = f"{value:.12g}"
             lines.append(f"{key.ljust(width)}  {value}")
         text = "\n".join(lines)
-    else:
-        raise InputError(f"unsupported format {fmt!r} for this command")
     _write(text, args)
 
 
 def _write(text: str, args) -> None:
     """`text` to the --out file if one is given, else to stdout."""
-    if getattr(args, "out", None):
+    if args.out:
         Path(args.out).write_text(text + "\n")
     else:
         print(text)

@@ -37,7 +37,7 @@ ZHAT = np.array([0.0, 0.0, 1.0])
 class DensityMatrix:
     """Validated density matrix of one 4x4 (two-qubit) or 8x8 (three-qubit)
     system, or a validated (k, d, d) stack of them, which density_matrix
-    makes of a 3-D numpy array; only correlation_data reads a stack."""
+    makes of a 3-D numpy array; correlation_data and born_box2/born_box3 read it."""
 
     mat: np.ndarray
 
