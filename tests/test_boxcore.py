@@ -152,6 +152,11 @@ def test_parse_vertex_label_rejects_wrong_parameters(label):
         boxcore.parse_vertex_label(label)
 
 
+def test_a_vertex_id_of_the_other_party_count_is_refused():
+    with pytest.raises(ValueError, match="unknown 2-party vertex kind 'Sv'"):
+        boxcore.VertexId("Sv", (0, 0, 0, 0))
+
+
 def test_mix_identity_and_average():
     pr = boxcore.pr_box(0, 0, 0)
     assert boxcore.mix([pr], [1.0]).allclose(pr)
@@ -170,6 +175,8 @@ def test_mix_rejects_bad_weights():
         boxcore.mix([pr, boxcore.noise_box()], [1.5, -0.5])
     with pytest.raises(BadWeightsError):
         boxcore.mix([pr, boxcore.noise_box()], [np.nan, 1.0])
+    with pytest.raises(BadWeightsError, match="length"):
+        boxcore.mix([pr], [0.5, 0.5])
 
 
 def test_joint_expectations_pr_and_noise():
@@ -196,6 +203,10 @@ def test_marginal_expectations():
     nmm = boxcore.mermin_nmm_box(16)
     assert boxcore.marginal_expectation(nmm, "A", 1) == 0.0
     assert boxcore.marginal_expectation(nmm, "A", 0) == 1.0
+    b_is_y = boxcore.det_box(0, 0, 1, 0)
+    assert [boxcore.marginal_expectation(b_is_y, "B", y) for y in (0, 1)] == [1.0, -1.0]
+    with pytest.raises(ValueError, match="party must be 'A' or 'B'"):
+        boxcore.marginal_expectation(b_is_y, "C", 0)
 
 
 def test_marginal_expectations_of_a_stack_are_those_of_each_box():

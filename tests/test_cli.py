@@ -96,6 +96,13 @@ def test_measure_malformed_box_file_exit_2(data, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_measure_box_file_of_another_party_count_exit_2(tmp_path, capsys):
+    path = tmp_path / "box4.json"
+    path.write_text(json.dumps({"parties": 4, "table": np.full((2,) * 8, 1 / 16).tolist()}))
+    assert run_cli(["measure", "--box", str(path)]) == 2
+    assert capsys.readouterr().err == "error: unsupported parties=4\n"
+
+
 @pytest.mark.parametrize("label", ["PR00", "Sv00"])
 def test_measure_malformed_catalog_label_exit_2(label, capsys):
     assert run_cli(["measure", "--catalog", label]) == 2
@@ -170,6 +177,7 @@ def test_state_box_unknown_family_exit_2():
 
 @pytest.mark.parametrize("argv", [
     ["--family", "Werner2", "--param", "p=abc", "--settings", "BSb"],
+    ["--family", "Werner2", "--param", "p", "--settings", "BSb"],  # no '='
     ["--family", "Werner2", "--param", "p=0.5", "--settings", "PRQ(abc)"],
     # out of range: NaN directions, refused by the norm check without a numpy warning
     ["--family", "Werner2", "--param", "p=0.5", "--settings", "PRQ(-0.5)"],
@@ -184,6 +192,17 @@ def test_state_box_malformed_parameter_exit_2(argv, capsys):
 
 
 BELL_WEIGHTS = [arg for i in range(8) for arg in ("--param", f"w{i}=0.125")]
+
+
+def test_state_box_of_bell_diagonal_weights_is_the_born_box(tmp_path):
+    weights = [0.4, 0.1, 0.05, 0.15, 0.1, 0.05, 0.1, 0.05]
+    out = tmp_path / "out.json"
+    argv = [arg for i, w in enumerate(weights) for arg in ("--param", f"w{i}={w!r}")]
+    assert run_cli(["state-box", "--family", "BellDiagonal", *argv, "--settings", "BSb",
+                    "--out", str(out)]) == 0
+    want = qstate.born_box2(qstate.state_family("BellDiagonal", weights=np.array(weights)),
+                            qstate.settings_catalog("BSb"))
+    assert np.array_equal(boxcore.box_from_json(out.read_text()).table, want.table)
 
 
 @pytest.mark.parametrize("argv, named", [

@@ -119,6 +119,17 @@ def test_classical_correlation_product_box():
     assert abs(sp.total - sp.bell) < 1e-12 and sp.classical < 1e-12
 
 
+def test_correlation_split_residual_is_within_twice_eps_valid():
+    # T - G - Q = sign * C but where T - G - Q lies within EPS_VALID below 0:
+    # there the sign reads +1, which leaves at most twice that gap
+    tables = polytope.random_ns_tables(np.random.default_rng(2901), 500).reshape(500, 16)
+    split = discord2.correlation_split(boxcore.make_box(tables))
+    assert np.max(np.abs(split.residual)) <= 2 * boxcore.EPS_VALID
+    for vid in boxcore.all_pr_ids() + boxcore.all_mermin_ids() + boxcore.all_cc_ids():
+        residual = discord2.correlation_split(boxcore.vertex(vid)).residual
+        assert abs(residual) <= 2 * boxcore.EPS_VALID
+
+
 def test_chsh_value_tsirelson():
     assert abs(discord2.chsh_value(boxcore.tsirelson_box(0, 0, 0), 0, 0, 0)
                - 2 * SQRT2) < 1e-12

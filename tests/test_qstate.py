@@ -267,6 +267,8 @@ def test_state_families_are_valid_states():
         assert rho.dim in (4, 8)
     with pytest.raises(qstate.UnknownNameError):
         qstate.state_family("Nonsense")
+    with pytest.raises(qstate.UnknownNameError, match=r"needs parameters \['p'\]"):
+        qstate.state_family("Werner2")
 
 
 def test_parameters_a_family_or_fixed_frame_does_not_take_are_refused():
@@ -297,6 +299,15 @@ def test_entanglement_params():
     assert w["ca_min"] == pytest.approx(2 / 3)
     with pytest.raises(qstate.UnknownNameError):
         qstate.entanglement_params("BellCC", p=0.3)
+    # Werner: concurrence max(0, (3p - 1)/2); GGHZ: three-tangle sin^2(2 theta)
+    # and no pairwise concurrence; W: every pairwise concurrence 2/3
+    for p in (0.2, 1 / 3, 0.6, 1.0):
+        assert qstate.entanglement_params("Werner2", p=p) == \
+            pytest.approx({"concurrence": max(0.0, (3 * p - 1) / 2)})
+    assert qstate.entanglement_params("GGHZ", theta=0.3) == \
+        pytest.approx({"three_tangle": np.sin(0.6) ** 2, "c12": 0.0})
+    assert qstate.entanglement_params("W") == \
+        pytest.approx(dict.fromkeys(("c12", "c13", "c23", "ca_min"), 2 / 3))
 
 
 def test_hardy_probability_values():
@@ -336,6 +347,8 @@ def test_state_json_round_trip():
     assert np.allclose(again.mat, rho.mat, atol=1e-15)
     with pytest.raises(qstate.InvalidStateError):
         qstate.state_from_json('{"dim": 4, "re": [[1]], "im": [[0]]}')
+    with pytest.raises(qstate.InvalidStateError, match="dim field 8 != matrix size 4"):
+        qstate.state_from_json(json.dumps({"dim": 8, "re": RE4, "im": IM4}))
 
 
 RE4, IM4 = (np.eye(4) / 4).tolist(), np.zeros((4, 4)).tolist()
@@ -709,6 +722,11 @@ def test_correlation_data_of_a_stack_is_that_of_each_state():
         for got, want in zip((r[k], s[k], c[k]),
                              qstate.correlation_data(qstate.density_matrix(mat))):
             assert np.max(np.abs(got - want)) <= 1e-15
+
+
+def test_correlation_data_refuses_a_three_qubit_state():
+    with pytest.raises(qstate.InvalidStateError, match="4x4"):
+        qstate.correlation_data(qstate.state_family("GHZ"))
 
 
 @pytest.mark.parametrize("state", [qstate.cq_state, qstate.qc_state])

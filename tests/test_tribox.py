@@ -181,6 +181,11 @@ def test_marginal2_of_w_class_follows_min_law():
             pytest.approx(SQRT2 * law, abs=1e-12)
 
 
+def test_marginal2_refuses_an_unknown_pair():
+    with pytest.raises(ValueError, match="unknown pair 'XY'"):
+        tribox.marginal2(tribox.tri_vertex(tribox.NOISE3_ID), "XY")
+
+
 def test_total_correlation3_product_and_noise():
     assert tribox.total_correlation3(tribox.noise3_box()) == 0.0
     # rho_A (x) rho_BC products have T = 0
