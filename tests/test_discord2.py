@@ -119,6 +119,22 @@ def test_classical_correlation_product_box():
     assert abs(sp.total - sp.bell) < 1e-12 and sp.classical < 1e-12
 
 
+def test_expectation_adapters_give_the_bits_of_the_box_readers():
+    # the box readers call _corr on box.correlators; each adapter takes the
+    # same correlators as a (k, 2, 2) array of joint expectations
+    tables = polytope.random_ns_tables(np.random.default_rng(2902), 50).reshape(50, 16)
+    box = boxcore.make_box(tables)
+    e = boxcore.joint_expectations(box)
+    for reader, adapter in ((discord2.chsh_values, discord2.chsh_values_from_expectations),
+                            (discord2.bell_functions, discord2.bell_functions_from_expectations),
+                            (discord2.mermin_functions,
+                             discord2.mermin_functions_from_expectations),
+                            (discord2.bell_discord, discord2.bell_discord_from_expectations),
+                            (discord2.mermin_discord, discord2.mermin_discord_from_expectations)):
+        got, want = adapter(e), reader(box)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_correlation_split_residual_is_within_twice_eps_valid():
     # T - G - Q = sign * C but where T - G - Q lies within EPS_VALID below 0:
     # there the sign reads +1, which leaves at most twice that gap
