@@ -2,10 +2,9 @@
 
 All measures depend on the box only through its joint and marginal
 expectations. The box functions read ``box.correlators`` through the
-sign-rule core :mod:`boxlab._corr`, and the ``*_from_expectations`` functions
-adapt it to ``(..., 2, 2)`` stacks of joint expectations. The measures that
-the CLI sweeps (G, Q, T, C, the CHSH and Mermin values, steering) also read a
-box stack and give one value per box, as a (k,) array; one box gives a float.
+sign-rule core :mod:`boxlab._corr`. The measures that the CLI sweeps (G, Q,
+T, C, the CHSH and Mermin values, steering) also read a box stack and give
+one value per box, as a (k,) array; one box gives a float.
 """
 
 from __future__ import annotations
@@ -40,23 +39,9 @@ def chsh_values(box: BipartiteBox) -> np.ndarray:
     return _per_label(box, _corr.operator_values(box.correlators, 2))
 
 
-def _flat(e) -> np.ndarray:
-    e = np.asarray(e)
-    return e.reshape(e.shape[:-2] + (4,))
-
-
-def chsh_values_from_expectations(e: np.ndarray) -> np.ndarray:
-    e = np.asarray(e)
-    return _corr.operator_values(_flat(e), 2).reshape(e.shape[:-2] + (2, 2, 2))
-
-
 def bell_functions(box: BipartiteBox) -> np.ndarray:
     """The four CHSH moduli B[alpha, beta] = |B_{alpha beta gamma}|, shape (2, 2)."""
     return _per_label(box, _corr.moduli(box.correlators, 2))
-
-
-def bell_functions_from_expectations(e: np.ndarray) -> np.ndarray:
-    return _corr.moduli(_flat(e), 2).reshape(np.shape(e))
 
 
 def mermin_value(box: BipartiteBox, alpha: int, beta: int, gamma: int) -> float:
@@ -81,26 +66,14 @@ def mermin_functions(box: BipartiteBox) -> np.ndarray:
     return _per_label(box, _corr.moduli(box.correlators, 2, mermin=True))
 
 
-def mermin_functions_from_expectations(e: np.ndarray) -> np.ndarray:
-    return _corr.moduli(_flat(e), 2, mermin=True).reshape(np.shape(e))
-
-
 def bell_discord(box: BipartiteBox) -> float:
     """Irreducible PR-box content times 4; 0 for every deterministic box."""
     return _per_box(box, _corr.discord(box.correlators, 2))
 
 
-def bell_discord_from_expectations(e: np.ndarray) -> np.ndarray:
-    return _corr.discord(_flat(e), 2)
-
-
 def mermin_discord(box: BipartiteBox) -> float:
     """Irreducible Mermin-box content times 2; 0 for PR and deterministic boxes."""
     return _per_box(box, _corr.discord(box.correlators, 2, mermin=True))
-
-
-def mermin_discord_from_expectations(e: np.ndarray) -> np.ndarray:
-    return _corr.discord(_flat(e), 2, mermin=True)
 
 
 def total_correlation(box: BipartiteBox) -> float:

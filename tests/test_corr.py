@@ -264,13 +264,10 @@ def test_bipartite_core_matches_oracle_on_hard_regions():
             single.append((got["G"], got["Q"], got["T"]))
         batched = np.stack(_corr.measures(tables, 2), axis=-1)
         np.testing.assert_allclose(batched, single, rtol=0, atol=1e-14, err_msg=name)
-        e = _corr.correlators(tables, 2).reshape(-1, 2, 2)
-        chsh = discord2.chsh_values_from_expectations(e)
-        np.testing.assert_allclose(chsh, [oracle_chsh(x) for x in e], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(discord2.bell_discord_from_expectations(e),
-                                   batched[:, 0], rtol=0, atol=1e-14)
-        np.testing.assert_allclose(discord2.mermin_discord_from_expectations(e),
-                                   batched[:, 1], rtol=0, atol=1e-14)
+        e = _corr.correlators(tables, 2)
+        chsh = _corr.operator_values(e, 2).reshape(-1, 2, 2, 2)
+        np.testing.assert_allclose(chsh, [oracle_chsh(x) for x in e.reshape(-1, 2, 2)],
+                                   rtol=0, atol=1e-12)
     # the near-facet sampler does reach the facet from both sides
     c = np.array([oracle_chsh(oracle_e2(t)).max() for t in bipartite_regions()["near_facet"]])
     assert np.all(np.abs(c - 2) < 1.1e-2) and (c > 2).any() and (c < 2).any()

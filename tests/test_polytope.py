@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import linalg
 from scipy.optimize import linprog
 
-from boxlab import _tol, boxcore, discord2, polytope, qstate, tribox
+from boxlab import _corr, _tol, boxcore, discord2, polytope, qstate, tribox
 
 RNG = np.random.default_rng(2024)
 
@@ -249,7 +249,7 @@ PR = polytope.vertex_matrix(boxcore.all_pr_ids())
 def _signed_chsh(tables):
     """The 8 signed CHSH values of each table in a stack, shape (n, 8)."""
     e = np.einsum("nxyab,ab->nxy", tables.reshape(-1, 2, 2, 2, 2), SIGN2)
-    return discord2.chsh_values_from_expectations(e).reshape(len(e), -1)
+    return _corr.operator_values(e.reshape(-1, 4), 2).reshape(len(e), -1)
 
 
 def _pr_weighted_mixtures(rng, n):
