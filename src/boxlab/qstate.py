@@ -494,7 +494,11 @@ def _classical_quantum(p0, r_hat, s0, s1, quantum_first: bool) -> DensityMatrix:
         raise InvalidStateError(f"p0 is not finite: {p0[~np.isfinite(p0)][0]}")
     r_hat, s0, s1 = (v if isinstance(v, np.ndarray) and v.ndim == 2 and v.shape[1] == 3
                      else _vec3(v) for v in (r_hat, s0, s1))
-    shape = np.broadcast_shapes(p0.shape, r_hat.shape[:-1], s0.shape[:-1], s1.shape[:-1])
+    try:
+        shape = np.broadcast_shapes(p0.shape, r_hat.shape[:-1], s0.shape[:-1], s1.shape[:-1])
+    except ValueError:
+        counts = sorted({len(v) for v in (p0, r_hat[..., 0], s0[..., 0], s1[..., 0]) if v.ndim})
+        raise InvalidStateError(f"p0 and directions of {counts} points do not match") from None
     p0 = np.broadcast_to(p0, shape)[..., None, None]
     r_hat = _unit_directions(np.broadcast_to(r_hat, shape + (3,)))
     s = np.broadcast_to(np.stack(np.broadcast_arrays(s0, s1), axis=-2), shape + (2, 3))

@@ -740,6 +740,16 @@ def test_cq_and_qc_states_refuse_a_p0_that_is_not_finite_without_a_warning(state
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("state", [qstate.cq_state, qstate.qc_state])
+@pytest.mark.parametrize("p0, s0", [(0.3, np.tile(qstate.XHAT / 2, (2, 1))),
+                                    (np.full(2, 0.3), qstate.XHAT / 2)])
+def test_cq_and_qc_states_refuse_point_counts_that_do_not_match(state, p0, s0):
+    # directions of 2 and 3 points, or 2 weights against 3 directions
+    with pytest.raises(qstate.InvalidStateError,
+                       match=r"^p0 and directions of \[2, 3\] points do not match$"):
+        state(p0, np.tile(qstate.ZHAT, (3, 1)), s0, qstate.ZHAT / 2)
+
+
 @pytest.mark.parametrize("quantum_first", [False, True])
 def test_cq_and_qc_stacks_equal_their_single_states(quantum_first):
     rng = np.random.default_rng(1430)
