@@ -332,6 +332,24 @@ def test_json_round_trip():
     assert again.allclose(box, tol=1e-15)
 
 
+def test_json_round_trips_are_byte_identical_for_the_catalog_and_random_draws():
+    rng = np.random.default_rng(3002)
+    two = ([boxcore.vertex(vid) for vid in boxcore.all_pr_ids() + boxcore.all_det_ids()
+            + boxcore.all_mermin_ids() + boxcore.all_mermin_nmm_ids() + boxcore.all_cc_ids()
+            + boxcore.all_tsirelson_ids() + [boxcore.NOISE_ID]]
+           + [boxcore.make_box(t) for t in polytope.random_ns_tables(rng, 100)])
+    three = ([tribox.tri_vertex(vid) for vid in tribox.all_sv_ids() + tribox.all_det3_ids()
+              + tribox.all_pr2_ids() + tribox.all_mermin3_ids()
+              + [tribox.CLASS8_ID, tribox.NOISE3_ID]]
+             + [tribox.random_sv_polytope_box(rng) for _ in range(40)])
+    assert (len(two), len(three)) == (81 + 100, 146 + 40)  # the 227 catalog boxes
+    for boxes, to_json, from_json in ((two, boxcore.box_to_json, boxcore.box_from_json),
+                                      (three, tribox.box3_to_json, tribox.box3_from_json)):
+        for box in boxes:
+            text = to_json(box)
+            assert to_json(from_json(text)) == text
+
+
 def test_json_rejects_wrong_parties():
     text = boxcore.box_to_json(boxcore.noise_box()).replace('"parties": 2',
                                                             '"parties": 5')

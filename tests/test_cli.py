@@ -540,6 +540,38 @@ def test_each_sweep_measure_of_a_box_stack_is_its_per_box_values(parties):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
 
 
+def _draws(parties, k=130):
+    """k seeded rows: PR-weighted nonsignaling boxes, p PR + (1 - p) NS with p
+    uniform, or Svetlichny-polytope boxes."""
+    rng = np.random.default_rng(3001)
+    if parties == 3:
+        return np.stack([tribox.random_sv_polytope_box(rng).table.reshape(-1) for _ in range(k)])
+    p = rng.uniform(size=(k, 1))
+    pr = polytope.vertex_matrix(boxcore.all_pr_ids())[rng.integers(8, size=k)]
+    return p * pr + (1 - p) * polytope.random_ns_tables(rng, k).reshape(k, 16)
+
+
+# (start, stop) of slices of 2 to 129 rows, on both sides of _corr._FEW = 64
+_SLICES = [(0, 2), (128, 130), (41, 44), (3, 66), (0, 64), (66, 130), (10, 75), (30, 97),
+           (1, 130), (0, 129)]
+
+
+@pytest.mark.parametrize("parties", [2, 3])
+def test_each_sweep_measure_of_a_stack_slice_has_the_bits_of_the_stack_rows(parties):
+    # a stack of two or more rows gives each row the same bits; one box may
+    # differ from its row in the last bits (a matrix-vector product)
+    rows = _draws(parties)
+    make = boxcore.make_box if parties == 2 else tribox.make_box3
+    stack = make(rows)
+    for name, measure in (cli._MEASURES2 if parties == 2 else cli._MEASURES3).items():
+        full = measure(stack)
+        for start, stop in _SLICES:
+            assert measure(make(rows[start:stop])).tobytes() == full[start:stop].tobytes(), \
+                (name, start, stop)
+        one = np.array([measure(make(row)) for row in rows])
+        assert np.max(np.abs(one - full)) <= 1e-15, name
+
+
 @pytest.mark.parametrize("parties", [2, 3])
 def test_correlation_split_of_a_box_stack_is_that_of_each_box(parties):
     stack, boxes = _stack_and_boxes(parties)
