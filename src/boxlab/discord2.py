@@ -1,10 +1,12 @@
-"""Bipartite correlation measures: Bell/Mermin functions, discords, totals, monogamy.
+"""Correlation measures: Bell/Mermin functions, discords, totals, monogamy.
 
 All measures depend on the box only through its joint and marginal
-expectations. The box functions read ``box.correlators`` through the
-sign-rule core :mod:`boxlab._corr`. The measures that the CLI sweeps (G, Q,
-T, C, the CHSH and Mermin values, steering) also read a box stack and give
-one value per box, as a (k,) array; one box gives a float.
+expectations. The readers call the sign-rule core :mod:`boxlab._corr` on
+``box.correlators`` at ``box.parties``, so they serve two parties (CHSH,
+Mermin) and three (Svetlichny, tripartite Mermin; ``tribox`` names them).
+The measures that the CLI sweeps (G, Q, T, C, the operator values,
+steering) also read a box stack and give one value per box, as a (k,)
+array; one box gives a float.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from . import _corr
 from .boxcore import (
     EPS_VALID,
     BipartiteBox,
+    _Box,
     _one_box,
     _per_box,
     _per_label,
@@ -34,14 +37,17 @@ def chsh_value(box: BipartiteBox, alpha: int, beta: int, gamma: int) -> float:
     return _per_box(box, chsh_values(box)[..., alpha, beta, gamma])
 
 
-def chsh_values(box: BipartiteBox) -> np.ndarray:
-    """All 8 signed CHSH values, shape (2, 2, 2) indexed [alpha, beta, gamma]."""
-    return _per_label(box, _corr.operator_values(box.correlators, 2))
+def chsh_values(box: _Box) -> np.ndarray:
+    """All signed CHSH values, shape (2, 2, 2) [alpha, beta, gamma], local
+    bound 2, maximum 4; or Svetlichny values, (2, 2, 2, 2) [al, be, ga, ep],
+    hybrid-local bound 4, maximum 8. A stack's axis comes first."""
+    return _per_label(box, _corr.operator_values(box.correlators, box.parties))
 
 
-def bell_functions(box: BipartiteBox) -> np.ndarray:
-    """The four CHSH moduli B[alpha, beta] = |B_{alpha beta gamma}|, shape (2, 2)."""
-    return _per_label(box, _corr.moduli(box.correlators, 2))
+def bell_functions(box: _Box) -> np.ndarray:
+    """The CHSH moduli B[alpha, beta] in [0, 4], or the Svetlichny moduli
+    S[al, be, ga] in [0, 8]."""
+    return _per_label(box, _corr.moduli(box.correlators, box.parties))
 
 
 def mermin_value(box: BipartiteBox, alpha: int, beta: int, gamma: int) -> float:
@@ -52,37 +58,42 @@ def mermin_value(box: BipartiteBox, alpha: int, beta: int, gamma: int) -> float:
     return _per_box(box, mermin_values(box)[..., alpha, beta, gamma])
 
 
-def mermin_values(box: BipartiteBox) -> np.ndarray:
-    """All 8 signed Mermin values, shape (2, 2, 2) indexed [alpha, beta, gamma]."""
-    return _per_label(box, _corr.operator_values(box.correlators, 2, mermin=True))
+def mermin_values(box: _Box) -> np.ndarray:
+    """All signed Mermin values, indexed as chsh_values: maximum 2 for two
+    parties; LHV bound 2, maximum 4 for three."""
+    return _per_label(box, _corr.operator_values(box.correlators, box.parties, mermin=True))
 
 
-def mermin_functions(box: BipartiteBox) -> np.ndarray:
-    """The four Mermin moduli M[alpha, beta], shape (2, 2).
+def mermin_functions(box: _Box) -> np.ndarray:
+    """The Mermin moduli M[alpha, beta] in [0, 2], or M[al, be, ga] in [0, 4].
 
     M[0,0]=|<A0B0>-<A1B1>|, M[0,1]=|<A0B1>-<A1B0>|,
     M[1,0]=|<A0B0>+<A1B1>|, M[1,1]=|<A0B1>+<A1B0>|.
     """
-    return _per_label(box, _corr.moduli(box.correlators, 2, mermin=True))
+    return _per_label(box, _corr.moduli(box.correlators, box.parties, mermin=True))
 
 
-def bell_discord(box: BipartiteBox) -> float:
-    """Irreducible PR-box content times 4; 0 for every deterministic box."""
-    return _per_box(box, _corr.discord(box.correlators, 2))
+def bell_discord(box: _Box) -> float:
+    """Irreducible PR-box content times 4, in [0, 4], or Svetlichny-box
+    content times 8, in [0, 8]; 0 for every deterministic box."""
+    return _per_box(box, _corr.discord(box.correlators, box.parties))
 
 
-def mermin_discord(box: BipartiteBox) -> float:
-    """Irreducible Mermin-box content times 2; 0 for PR and deterministic boxes."""
-    return _per_box(box, _corr.discord(box.correlators, 2, mermin=True))
+def mermin_discord(box: _Box) -> float:
+    """Irreducible Mermin-box content times 2, in [0, 2], or tripartite-Mermin
+    content times 4, in [0, 4]; 0 for PR, Svetlichny and deterministic boxes."""
+    return _per_box(box, _corr.discord(box.correlators, box.parties, mermin=True))
 
 
-def total_correlation(box: BipartiteBox) -> float:
+def total_correlation(box: _Box) -> float:
     """Distance of the box from the product of its own marginals.
 
     max over (alpha, beta) of |B_{ab} - B^prod_{ab}|, where B^prod is the
-    Bell function of the product box built from the single-party expectations.
+    Bell function of the product box built from the single-party
+    expectations; for three parties, the least over the three bipartitions
+    of the largest Svetlichny-function gap to the cut-factorized box.
     """
-    return _per_box(box, _corr.total_correlation(box.flat, 2, box.correlators))
+    return _per_box(box, _corr.total_correlation(box.flat, box.parties, box.correlators))
 
 
 @dataclass(frozen=True)
@@ -100,12 +111,12 @@ class CorrelationSplit:
         return self.total - self.bell - self.mermin - self.sign * self.classical
 
 
-def correlation_split(box: BipartiteBox) -> CorrelationSplit:
+def correlation_split(box: _Box) -> CorrelationSplit:
     return CorrelationSplit(*(_per_box(box, v)
-                              for v in _corr.split(box.flat, 2, box.correlators)))
+                              for v in _corr.split(box.flat, box.parties, box.correlators)))
 
 
-def classical_correlation(box: BipartiteBox) -> float:
+def classical_correlation(box: _Box) -> float:
     """|T - G - Q|; the sign convention lives in correlation_split."""
     return correlation_split(box).classical
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from boxlab import boxcore, cli, tribox
+from boxlab import boxcore, cli, discord2, tribox
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "measure_golden.json"
@@ -80,3 +80,42 @@ def test_measure_report_matches_the_golden_report(name, golden, capsys):
             assert abs(value - expected) <= 1e-12, key
         else:
             assert value == expected, key
+
+
+def _by_label(values, key: str) -> dict:
+    """Operator values (2, 2, 2) under the report keys `key` % label bits."""
+    return {key % f"{i:03b}": v for i, v in enumerate(values.reshape(8).tolist())}
+
+
+def _assert_reads(got: dict, want: list):
+    want = dict(want)
+    for key, value in got.items():
+        assert abs(value - want[key]) <= 1e-12, key
+
+
+@pytest.mark.parametrize("label", [vid.label() for vid in _catalog_ids()[1]])
+def test_discord2_readers_read_a_tripartite_box(label, golden):
+    box = tribox.tri_vertex(tribox.parse_tri_vertex_label(label))
+    _assert_reads({"svetlichny_discord": discord2.bell_discord(box),
+                   "mermin3_discord": discord2.mermin_discord(box),
+                   "total_correlation": discord2.total_correlation(box),
+                   "classical_correlation": discord2.classical_correlation(box),
+                   "classical_sign": discord2.correlation_split(box).sign,
+                   "svetlichny_max": discord2.bell_functions(box).max(),
+                   "mermin3_max": discord2.mermin_functions(box).max(),
+                   **_by_label(discord2.chsh_values(box)[..., 0], "sv_%s0"),
+                   **_by_label(discord2.mermin_values(box)[..., 0], "mermin3_%s0")},
+                  golden[label])
+
+
+@pytest.mark.parametrize("label", [vid.label() for vid in _catalog_ids()[0]])
+def test_tripartite_names_read_a_bipartite_box(label, golden):
+    box = boxcore.vertex(boxcore.parse_vertex_label(label))
+    _assert_reads({"mermin_discord": tribox.mermin3_discord(box),
+                   "total_correlation": tribox.total_correlation3(box),
+                   "classical_correlation": tribox.classical_correlation3(box),
+                   "chsh_max": tribox.sv_functions(box).max(),
+                   "steering_value": tribox.mermin3_functions(box).max(),
+                   **_by_label(tribox.sv_values(box), "chsh_%s"),
+                   **_by_label(tribox.mermin3_values(box), "mermin_%s")},
+                  golden[label])

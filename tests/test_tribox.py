@@ -27,6 +27,23 @@ def brute_sv_functions(box):
     return out
 
 
+# tribox's name of each party-generic discord2 reader
+ALIASES = {"sv_values": "chsh_values", "sv_functions": "bell_functions",
+           "mermin3_values": "mermin_values", "mermin3_functions": "mermin_functions",
+           "mermin3_discord": "mermin_discord", "total_correlation3": "total_correlation",
+           "classical_correlation3": "classical_correlation"}
+
+
+@pytest.mark.parametrize("name, reader", ALIASES.items())
+def test_tripartite_reader_is_the_discord2_reader(name, reader):
+    assert getattr(tribox, name) is getattr(discord2, reader)
+
+
+def test_svetlichny_values_doc_gives_the_svetlichny_bounds():
+    doc = tribox.sv_values.__doc__
+    assert "hybrid-local bound 4" in doc and "maximum 8" in doc
+
+
 def test_sv_box_table_and_functions():
     box = tribox.sv_box(0, 0, 0, 0)
     for x, y, z, a, b, c in itertools.product(range(2), repeat=6):
