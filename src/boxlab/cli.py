@@ -298,9 +298,8 @@ def cmd_sweep(args) -> int:
         columns.append(np.column_stack([chunk] + [party.measures[m](box) for m in measures]))
     rows = np.concatenate(columns).tolist()
     rows.sort(key=lambda r: r[0])
-    lines = [",".join([pname] + measures)]
-    for row in rows:
-        lines.append(",".join(f"{v:.12g}" for v in row))
+    row_format = ",".join(["%.12g"] * (1 + len(measures)))
+    lines = [",".join([pname] + measures)] + [row_format % tuple(row) for row in rows]
     _write("\n".join(lines), args)
     return EXIT_OK
 
