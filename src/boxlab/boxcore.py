@@ -6,9 +6,9 @@ array indexed ``[x_1..x_n][a_1..a_n]``; flattened, it is the ``4**n`` table of
 :mod:`boxlab._corr`. Outcome bit 0 corresponds to the +1 outcome, so joint
 expectations are ``sum_a (-1)^(a_1 ^ .. ^ a_n) P(a|x)``.
 
-The validator, the catalog's kind table, the label parser, the relabelings
-and the JSON format here serve both party counts. The public functions of
-this module are the bipartite ones, on (2,2,2,2) tables indexed
+The validator, the catalog's kind table and both id classes, the label
+parser, the relabelings and the JSON format here serve both party counts.
+Its other public functions are the bipartite ones, on (2,2,2,2) tables
 ``[x][y][a][b]``; :mod:`boxlab.tribox` wraps the same core for three parties.
 """
 
@@ -360,6 +360,12 @@ class VertexId(_CatalogId):
     """Label of a bipartite catalog box, e.g. VertexId("PR", (0, 0, 1))."""
 
     parties = 2
+
+
+class TriVertexId(_CatalogId):
+    """Label of a tripartite catalog box, e.g. TriVertexId("Sv", (0, 1, 0, 1))."""
+
+    parties = 3
 
 
 def _vertex_table(vid: _CatalogId) -> np.ndarray:

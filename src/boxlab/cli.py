@@ -184,11 +184,12 @@ class _Parties(NamedTuple):
     born: str  # a qstate function name
 
 
-def _report(box, split, labeled, **only) -> dict:
-    """The `measure` report of `box`: its `split` and measures under their
-    keys, `only`, then each label's `labeled` values by key template."""
+def _report(box, split, known, labeled, **only) -> dict:
+    """The `measure` report of `box`: its `split`, the measures `known` by
+    name and the others under their keys, `only`, then each label's
+    `labeled` values by key template."""
     party = _PARTIES[box.parties]
-    fields = dict(zip(("T", "G", "Q", "C", "sign"), vars(split).values()))
+    fields = dict(zip(("T", "G", "Q", "C", "sign"), vars(split).values()), **known)
     report = {"parties": box.parties}
     for name, key in party.keys.items():
         report[key] = fields[name] if name in fields else party.measures[name](box)
@@ -201,9 +202,9 @@ def _report(box, split, labeled, **only) -> dict:
 
 def _measure_report2(box) -> dict:
     membership = polytope.is_local(box)
-    report = _report(box, discord2.correlation_split(box),
-                     {"chsh_%s": discord2.chsh_values(box),
-                      "mermin_%s": discord2.mermin_values(box)},
+    chsh = discord2.chsh_values(box)
+    report = _report(box, discord2.correlation_split(box), {"CHSH": _box_max(box, chsh)},
+                     {"chsh_%s": chsh, "mermin_%s": discord2.mermin_values(box)},
                      epr_steerable=discord2.is_epr_steerable(box), local=membership.inside)
     if not membership.inside:
         report["violated_facet"], report["violation"] = membership.violated_facet
@@ -215,9 +216,9 @@ def _measure_report3(box) -> dict:
     flags = polytope.nested_hull_flags(box.table.reshape(-1),
                                        tribox.tri_vertex_matrix(tribox._sv_polytope_key()),
                                        tribox._SV_STARTS)
-    return _report(box, tribox.correlation_split3(box),
-                   {"sv_%s0": tribox.sv_values(box)[..., 0],
-                    "mermin3_%s0": tribox.mermin3_values(box)[..., 0]},
+    sv = tribox.sv_values(box)
+    return _report(box, tribox.correlation_split3(box), {"SV": _box_max(box, sv)},
+                   {"sv_%s0": sv[..., 0], "mermin3_%s0": tribox.mermin3_values(box)[..., 0]},
                    ghz_paradox=tribox.ghz_paradox_check(box),
                    **dict(zip(("in_sv_polytope", "two_way_local", "local"), flags)))
 

@@ -4,8 +4,8 @@ Membership is decided by elastic LPs over named vertex sets
 (16 deterministic / 24 nonsignaling vertices bipartite; the tripartite sets
 live in :mod:`boxlab.tribox` and reuse :func:`lp_vertex_weights`), and in
 nested hulls by one LP whose flags are checked by certificates
-(:func:`nested_hull_flags`). The canonical pair screen of both three-way
-decompositions lives here too.
+(:func:`nested_hull_flags`). The three-way split of both party counts lives
+here too: its pair table, Mermin-partner rule, weights and pair screen.
 """
 
 from __future__ import annotations
@@ -474,7 +474,7 @@ def canonical_2decomposition(box: BipartiteBox) -> DecompositionResult:
     box, which must still have zero Bell discord.
     """
     mu = discord2.bell_discord(box) / 4.0
-    pid = _bipartite_pairs().top_ids[_tops_by_value(box.correlators, 2)[0]]
+    pid = _pairs(2).top_ids[_tops_by_value(box.correlators, 2)[0]]
     pr = boxcore.vertex(pid)
     if mu >= 1.0 - EPS_VALID:
         return DecompositionResult(mu=1.0, nu=0.0, pr_id=pid, mermin_id=None,
@@ -498,20 +498,13 @@ def canonical_2decomposition(box: BipartiteBox) -> DecompositionResult:
                                residual=residual)
 
 
-def _identify_mermin_mixture(al: int, be: int, ga: int, gp: int) -> VertexId:
-    # (PR(a,b,g) + PR(1-a,1-b,g^b))/2 is MerminMM(a,b,g); the other partner
-    # (g' = g^b^1) is MerminMM(1-a,1-b,g') by the same identity.
-    if gp == ga ^ be:
-        return boxcore.mermin_id(al, be, ga)
-    return boxcore.mermin_id(al ^ 1, be ^ 1, ga ^ be ^ 1)
-
-
 def three_decomposition(box: BipartiteBox) -> DecompositionResult:
     """Split into PR box, Mermin box and a residual with both discords zero.
 
-    mu = bell_discord/4, nu = mermin_discord/2, taken over the first of the
-    16 canonical (PR, Mermin) pairs that leaves a valid residual, in the
-    order of _canonical_split. Raises ResidualInvalidError if none does.
+    The direct split that tribox.three_decomposition3 shares: mu =
+    bell_discord/4, nu = mermin_discord/2, taken over the first of the 16
+    canonical (PR, Mermin) pairs that leaves a valid residual, in the order
+    of _canonical_split. Raises ResidualInvalidError if none does.
     """
     result = _three_decomposition_direct(box)
     if result is None:
@@ -519,10 +512,12 @@ def three_decomposition(box: BipartiteBox) -> DecompositionResult:
     return result
 
 
-def _three_decomposition_direct(box: BipartiteBox) -> DecompositionResult | None:
-    """The split of three_decomposition, or None."""
-    return _canonical_split(box, _bipartite_pairs(), discord2.bell_discord(box) / 4.0,
-                            discord2.mermin_discord(box) / 2.0, DISCORD_TOL)
+def _three_decomposition_direct(box) -> DecompositionResult | None:
+    """The three-way split of a box of n = box.parties parties at the
+    paper's weights mu = G / 2**n and nu = Q / 2**(n - 1), or None."""
+    n = box.parties
+    return _canonical_split(box, _pairs(n), discord2.bell_discord(box) / 2 ** n,
+                            discord2.mermin_discord(box) / 2 ** (n - 1), DISCORD_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -547,9 +542,30 @@ class _CanonicalPairs:
     labels: np.ndarray
 
 
-def _canonical_pairs(n: int, top_ids: list, partner_ids: list) -> _CanonicalPairs:
-    """Pair tables of the tops `top_ids`, top t with the two partners
-    `partner_ids[t]`."""
+# Per party count: the id class, the top kind and the Mermin kind
+_SPLIT_KINDS = {2: (VertexId, "PR", "MerminMM"), 3: (boxcore.TriVertexId, "Sv", "Mermin3")}
+
+
+def _partners(top) -> list:
+    """The Mermin boxes M(l, e) and M(~l, s ^ 1) that mix the top T(l, e)
+    evenly with a top of label ~l, by MerminMM(a,b,g) = (PR(a,b,g) +
+    PR(1-a,1-b,g^b))/2 and Mermin3(l,e) = (Sv(l,e) + Sv(~l, e^parity(l)))/2,
+    where s = e^b or e^parity(l). The first wins a tie in _canonical_split:
+    M(l, e) at three parties, the one mixing in PR(~l, 0) at two."""
+    cls, _, kind = _SPLIT_KINDS[top.parties]
+    *l, e = top.params
+    s = e ^ (l[-1] if top.parties == 2 else sum(l) % 2)
+    pair = [cls(kind, (*l, e)), cls(kind, (*(b ^ 1 for b in l), s ^ 1))]
+    return pair[::-1] if top.parties == 2 and s else pair
+
+
+@functools.cache
+def _pairs(n: int) -> _CanonicalPairs:
+    """The tops of n parties (8 PR or 16 Svetlichny boxes) with their
+    canonical Mermin partners, built on first use."""
+    cls, top, _ = _SPLIT_KINDS[n]
+    top_ids = list(boxcore._family(cls, top))
+    partner_ids = [_partners(t) for t in top_ids]
     partners = boxcore._vertex_rows([m for pair in partner_ids for m in pair])
     partners = partners.reshape(len(top_ids), 2, -1)
     mermin = _corr.moduli(_corr.correlators(partners, n), n, mermin=True)
@@ -617,14 +633,6 @@ def _double_zero(num: np.ndarray, n: int, rest: float, tol: float) -> np.ndarray
     e = _corr.correlators(num[good] / rest, n)
     good[good] = (_corr.discord(e, n) <= tol) & (_corr.discord(e, n, mermin=True) <= tol)
     return good
-
-
-@functools.cache
-def _bipartite_pairs() -> _CanonicalPairs:
-    """The 8 PR boxes with their canonical Mermin partners, built once."""
-    tops = boxcore.all_pr_ids()
-    partners = [[_identify_mermin_mixture(*pid.params, gp) for gp in (0, 1)] for pid in tops]
-    return _canonical_pairs(2, tops, partners)
 
 
 def random_ns_box(rng: np.random.Generator) -> BipartiteBox:

@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from . import _corr, boxcore, discord2, polytope
-from .boxcore import EPS_VALID, BipartiteBox, PartyRelabel
+from .boxcore import EPS_VALID, BipartiteBox, PartyRelabel, TriVertexId
 from .polytope import DecompositionResult, ResidualInvalidError
 
 PAIR_AB, PAIR_AC, PAIR_BC = "AB", "AC", "BC"
@@ -78,12 +78,6 @@ def box3_from_expectations(e: TriExpectations, validate: bool = True):
 
 # ---------------------------------------------------------------------------
 # vertex catalog: Svetlichny-box polytope (128 vertices) + class-8 representative
-
-class TriVertexId(boxcore._CatalogId):
-    """Label of a tripartite catalog box, e.g. TriVertexId("Sv", (0, 1, 0, 1))."""
-
-    parties = 3
-
 
 def sv_id(al, be, ga, ep) -> TriVertexId:
     return TriVertexId("Sv", (al, be, ga, ep))
@@ -338,36 +332,23 @@ def in_sv_polytope(box: TripartiteBox) -> bool:
     return polytope._hull_flag(t, vertices, 0, x, y)
 
 
-def _mermin3_partners(svid: TriVertexId) -> list[TriVertexId]:
-    """Both Mermin boxes canonical to the Svetlichny label."""
-    al, be, ga, ep = svid.params
-    return [mermin3_id(al, be, ga, ep),
-            mermin3_id(al ^ 1, be ^ 1, ga ^ 1, ep ^ al ^ be ^ ga ^ 1)]
-
-
 def three_decomposition3(box: TripartiteBox) -> DecompositionResult:
     """Split a Svetlichny-polytope box into Svetlichny box, tripartite Mermin
     box and a residual with both discords zero.
 
-    mu = svetlichny_discord/8, nu = mermin3_discord/4, taken over the first
-    of the 32 canonical (Svetlichny, Mermin) pairs that leaves a valid
-    residual, in the order of polytope._canonical_split. Raises
-    NotInPolytopeError for boxes outside the 128-vertex polytope and
-    ResidualInvalidError if no pair splits the box.
+    After the membership gate, the direct split that
+    polytope.three_decomposition shares: mu = svetlichny_discord/8,
+    nu = mermin3_discord/4, taken over the first of the 32 canonical
+    (Svetlichny, Mermin) pairs that leaves a valid residual, in the order of
+    polytope._canonical_split. Raises NotInPolytopeError for boxes outside
+    the 128-vertex polytope and ResidualInvalidError if no pair splits the box.
     """
     if not in_sv_polytope(box):
         raise NotInPolytopeError("box is outside the Svetlichny-box polytope")
-    result = polytope._canonical_split(box, _sv_pairs(), svetlichny_discord(box) / 8.0,
-                                       mermin3_discord(box) / 4.0, polytope.DISCORD_TOL)
+    result = polytope._three_decomposition_direct(box)
     if result is None:
         raise ResidualInvalidError("no canonical pair yields a valid double-zero residual")
     return result
-
-
-@functools.cache
-def _sv_pairs() -> polytope._CanonicalPairs:
-    """The 16 Svetlichny boxes with their canonical Mermin partners, built once."""
-    return polytope._canonical_pairs(3, all_sv_ids(), [_mermin3_partners(s) for s in all_sv_ids()])
 
 
 # ---------------------------------------------------------------------------

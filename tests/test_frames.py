@@ -74,16 +74,16 @@ class Party:
 
 
 BI = Party(2, boxcore.all_pr_ids(), boxcore.all_mermin_ids(),
-           lambda t: [polytope._identify_mermin_mixture(*t.params, gp) for gp in (0, 1)],
+           polytope._partners,
            discord2.chsh_values, discord2.mermin_functions,
            lambda b: (discord2.bell_discord(b), discord2.mermin_discord(b)), (4.0, 2.0),
            boxcore.vertex, boxcore.make_box, boxcore.noise_box, boxcore.apply_lro,
-           boxcore.invert_lro, FRAMES2, PERMS2, polytope._bipartite_pairs)
-TRI = Party(3, tribox.all_sv_ids(), tribox.all_mermin3_ids(), tribox._mermin3_partners,
+           boxcore.invert_lro, FRAMES2, PERMS2, lambda: polytope._pairs(2))
+TRI = Party(3, tribox.all_sv_ids(), tribox.all_mermin3_ids(), polytope._partners,
             tribox.sv_values, tribox.mermin3_functions,
             lambda b: (tribox.svetlichny_discord(b), tribox.mermin3_discord(b)), (8.0, 4.0),
             tribox.tri_vertex, tribox.make_box3, tribox.noise3_box, tribox.apply_lro3,
-            tribox.invert_lro3, FRAMES3, PERMS3, tribox._sv_pairs)
+            tribox.invert_lro3, FRAMES3, PERMS3, lambda: polytope._pairs(3))
 PARTIES = {2: BI, 3: TRI}
 
 
@@ -148,7 +148,7 @@ def oracle_frame_search(box, p, frames, tol=TOL):
 def oracle_frame_verdicts3(box, tol=TOL):
     """The tripartite screen that ran both discords on each frame's own
     residual: each frame's argmax top, and (2, n_frames) verdicts for its
-    two Mermin partners in _mermin3_partners order."""
+    two Mermin partners in polytope._partners order."""
     moved = box.table.reshape(-1)[PERMS3]
     mu = tribox.svetlichny_discord(box) / 8.0
     nu = tribox.mermin3_discord(box) / 4.0

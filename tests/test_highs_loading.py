@@ -98,6 +98,17 @@ print(json.dumps({"codes": codes, "loaded": [k for k in (
     assert out == {"codes": [0, 0, 0, 0], "loaded": ["scipy.optimize._highspy._core"]}
 
 
+def test_pair_tables_are_built_on_the_first_split_not_at_import():
+    out = run_python("""
+before = polytope._pairs.cache_info().currsize
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["decompose", "--catalog", "Sv0000"])
+print(json.dumps({"before": before, "code": code,
+                  "after": polytope._pairs.cache_info().currsize}))
+""")
+    assert out == {"before": 0, "code": 0, "after": 1}
+
+
 def test_sweep_loads_qstate_but_not_acceptance():
     out = run_python("""
 with contextlib.redirect_stdout(io.StringIO()):

@@ -162,6 +162,22 @@ def test_canonical_2decomposition_lowers_mu_by_bisection():
         polytope.canonical_2decomposition(_bisection_witness(1e-6))
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_each_mermin_partner_mixes_its_top_with_a_top_of_the_complementary_label(n):
+    # MerminMM(a,b,g) = (PR(a,b,g) + PR(1-a,1-b,g^b))/2 and
+    # Mermin3(l,e) = (Sv(l,e) + Sv(~l, e^parity(l)))/2
+    pairs = polytope._pairs(n)
+    assert len(pairs.top_ids) == 2 ** (n + 1)
+    for t, top in enumerate(pairs.top_ids):
+        others = []
+        for k in range(2):
+            other = 2 * pairs.partners[t, k] - pairs.top[t]
+            [u] = [u for u, row in enumerate(pairs.top) if np.array_equal(row, other)]
+            assert [b ^ 1 for b in pairs.top_ids[u].params[:-1]] == list(top.params[:-1])
+            others.append(u)
+        assert others[0] != others[1]
+
+
 def test_three_decomposition_mermin_box():
     dec = polytope.three_decomposition(boxcore.mermin_box(0, 0, 0))
     assert dec.mu == pytest.approx(0.0, abs=1e-12)

@@ -39,6 +39,10 @@ def test_tripartite_reader_is_the_discord2_reader(name, reader):
     assert getattr(tribox, name) is getattr(discord2, reader)
 
 
+def test_tripartite_ids_are_boxcores():
+    assert tribox.TriVertexId is boxcore.TriVertexId
+
+
 def test_svetlichny_values_doc_gives_the_svetlichny_bounds():
     doc = tribox.sv_values.__doc__
     assert "hybrid-local bound 4" in doc and "maximum 8" in doc
