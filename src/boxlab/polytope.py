@@ -73,11 +73,14 @@ _DET_MATRIX = vertex_matrix(_DET_IDS)
 _NS_MATRIX = vertex_matrix(boxcore.ns_vertex_ids())
 
 # Targets per block-diagonal LP of a stack. Without presolve HiGHS's time
-# per bipartite target grows with the block: about 0.15 ms in blocks of 25
-# to 50, 0.18 ms at 100, 0.24 ms at 500 and 0.40 ms at 2,000 (10,000 random
-# NS boxes over the 16 deterministic vertices, one thread). From the fixed
-# start basis of _inside_flags it is flat at about 0.06 ms from 25 to 100
-# and 0.07 to 0.09 ms at 500 (the same boxes, best of three).
+# per bipartite target grows with the block: about 0.11 ms in blocks of 25
+# to 50, 0.14 ms at 100, 0.19 ms at 500 and 0.31 ms at 2,000 (10,000 random
+# NS boxes over the 16 deterministic vertices, one thread, best of three).
+# From the fixed start basis of _inside_flags it is flat at about 0.055 ms
+# from 25 to 100, 0.08 ms at 500 and 0.11 ms at 2,000. There the block also
+# sets how many targets reach HiGHS before certificates settle the rest: on
+# criterion 10's 11,000 boxes 175 in blocks of 25, 250 at 50, 375 at 100
+# and 1,000 at 500, and _inside_flags takes 0.06, 0.08, 0.11 and 0.35 s.
 _LP_BLOCK = 50
 
 # Options of every membership LP, kept models and stacks alike: dual simplex
@@ -122,7 +125,10 @@ def lp_vertex_weights(target: np.ndarray, vertices: np.ndarray) -> np.ndarray | 
     target found inside miss it by more than EPS_LP.
     """
     t = _finite(target)
-    w = _stack_lp(t, vertices, warm=False)
+    stack = _rows(t, vertices)
+    w = np.empty((len(stack), vertices.shape[0]))
+    for i in range(0, len(stack), _LP_BLOCK):
+        w[i:i + _LP_BLOCK] = _elastic_lp(stack[i:i + _LP_BLOCK], vertices)[0]
     if t.ndim == 1:
         return None if np.isnan(w[0, 0]) else w[0]
     return w
@@ -133,31 +139,86 @@ def _inside_flags(targets, vertices: np.ndarray) -> np.ndarray:
     of lp_vertex_weights, as a bool array of one entry per target, with its
     checks and errors.
 
+    Most targets are settled without an LP, by a certificate that an
+    earlier block of the same call produced. The loop solves the first
+    _LP_BLOCK unsettled targets as one block, then screens the rest of the
+    stack with that block's certificates (_screen): the weight support of
+    each target found inside, and the duals of each target found outside.
+    Both are one-sided and sound, so each verdict is the elastic LP's. On
+    criterion 10's 11,000 boxes over the 16 deterministic vertices 250
+    targets reach the solver, in 5 blocks, and the call takes about 0.08 s
+    where warm blocks of every target took about 0.6 s (one thread).
+
     Every block starts its dual simplex from one fixed basis (_start_basis)
-    instead of from scratch, which takes about a fifth of the iterations on
-    random NS boxes over the 16 deterministic vertices. The start depends on
-    the vertex matrix alone, so the verdicts do not depend on what was
-    solved before. The weights found this way differ from the cold ones,
-    since a point inside has many decompositions; they are not returned.
+    instead of from scratch. Solved block by block, criterion 10's 10,000
+    random NS boxes then take 21,000 simplex iterations instead of 97,000,
+    about 0.055 ms per target instead of 0.11 ms (_LP_BLOCK); screened,
+    they take 400. Neither the start nor the certificates outlive the
+    call, so the verdicts do not depend on what was solved before. The
+    weights found this way differ from the cold ones, since a point inside
+    has many decompositions; they are not returned.
     """
-    return ~np.isnan(_stack_lp(_finite(targets), vertices, warm=True)[:, 0])
+    stack = _rows(_finite(targets), vertices)
+    key, options = _MatrixKey(np.asarray(vertices, dtype=float)), tuple(_HIGHS_OPTIONS.items())
+    flags, todo = np.zeros(len(stack), dtype=bool), np.ones(len(stack), dtype=bool)
+    while todo.any():
+        block = np.flatnonzero(todo)[:_LP_BLOCK]
+        w, y = _elastic_lp(stack[block], vertices, _start_basis(key, len(block), options))
+        inside = ~np.isnan(w[:, 0])
+        flags[block], todo[block] = inside, False
+        rest = np.flatnonzero(todo)
+        proved_in, proved_out = _screen(stack, rest, vertices, w[inside], y[~inside])
+        flags[rest[proved_in]] = True
+        todo[rest[proved_in | proved_out]] = False
+    return flags
 
 
-def _stack_lp(t: np.ndarray, vertices: np.ndarray, warm: bool) -> np.ndarray:
-    """Weights of each target of `t` (d,) or (n, d), one row per target, NaN
-    rows outside: _elastic_lp block by block, from _start_basis if `warm`."""
+# Rows of a stack screened at a time by _screen, which builds a few arrays
+# of this many rows per certificate: screening criterion 10's 11,000-target
+# stack in one piece raised the peak memory of a verify run by about 3 MB.
+_SCREEN_ROWS = 1_000
+
+
+def _screen(stack: np.ndarray, rows: np.ndarray, vertices: np.ndarray, weights: np.ndarray,
+            duals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masks over the targets stack[rows]: those the certificates of a
+    solved block prove inside the hull of the vertex rows, and those they
+    prove outside.
+
+    - inside, when for the support S of one row of `weights` (targets found
+      inside), w = max(t @ P_S, 0) with P_S the right inverse of the rows
+      V_S of S gives ||w @ V_S - t||_1 <= d * EPS_LP_SLACK: w and its
+      slacks are a feasible point of the elastic LP of t at or below the
+      threshold, so its optimum is too. Any P_S keeps this sound;
+    - outside, when one row of `duals` (targets found outside) proves a gap
+      above the threshold (_certified_outside).
+    """
+    thr = stack.shape[1] * EPS_LP_SLACK
+    supports = []
+    for support in np.unique(weights > 0.0, axis=0):
+        v = vertices[support]
+        try:
+            supports.append((v, np.linalg.solve(v @ v.T, v).T))
+        except np.linalg.LinAlgError:
+            pass
+    proved_in, proved_out = np.zeros((2, len(rows)), dtype=bool)
+    for i in range(0, len(rows), _SCREEN_ROWS):
+        t, part = stack[rows[i:i + _SCREEN_ROWS]], slice(i, i + _SCREEN_ROWS)
+        for v, right in supports:
+            w = np.clip(t @ right, 0.0, None)
+            proved_in[part] |= np.abs(w @ v - t).sum(axis=1) <= thr
+        for y in duals:
+            proved_out[part] |= _certified_outside(t, y, vertices, thr)
+    return proved_in, proved_out
+
+
+def _rows(t: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """The target (d,) or stack (n, d) `t` as a stack of rows of `vertices`."""
     if (not isinstance(vertices, np.ndarray) or vertices.ndim != 2
             or t.ndim not in (1, 2) or t.shape[-1] != vertices.shape[1]):
         raise ValueError(f"target of shape {t.shape} does not match vertices "
                          f"of shape {getattr(vertices, 'shape', None)}")
-    stack = t.reshape(-1, vertices.shape[1])
-    w = np.empty((len(stack), vertices.shape[0]))
-    key = _MatrixKey(np.asarray(vertices, dtype=float)) if warm else None
-    for i in range(0, len(stack), _LP_BLOCK):
-        block = stack[i:i + _LP_BLOCK]
-        basis = _start_basis(key, len(block), tuple(_HIGHS_OPTIONS.items())) if warm else None
-        w[i:i + _LP_BLOCK] = _elastic_lp(block, vertices, basis)
-    return w
+    return t.reshape(-1, vertices.shape[1])
 
 
 def _finite(target) -> np.ndarray:
@@ -282,14 +343,13 @@ def _run(model, basis=None):
 
 
 def _solve_target(vertices: np.ndarray, weight_cost: np.ndarray, targets: np.ndarray,
-                  basis=None, duals: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+                  basis=None) -> tuple[np.ndarray, np.ndarray]:
     """_run, from `basis` if given, on the elastic LP of one target (d,)
     over `vertices`, with `weight_cost` per vertex, or on the block-diagonal
-    LP of a stack (m, d): the optimal point and, unless `duals` is false
-    (None then), the duals of the equality rows. Its model is kept per
-    vertex matrix, weight costs, block count m and solver options; a call
-    writes the targets into the kept LP's row bounds and passes the LP to
-    the model again, in one call."""
+    LP of a stack (m, d): the optimal point and the duals of the equality
+    rows. Its model is kept per vertex matrix, weight costs, block count m
+    and solver options; a call writes the targets into the kept LP's row
+    bounds and passes the LP to the model again, in one call."""
     m = targets.size // vertices.shape[1]
     lp, model = _target_model(_MatrixKey(np.asarray(vertices, dtype=float)),
                               weight_cost.tobytes(), m, tuple(_HIGHS_OPTIONS.items()))
@@ -298,7 +358,7 @@ def _solve_target(vertices: np.ndarray, weight_cost: np.ndarray, targets: np.nda
         lp.row_lower_ = lp.row_upper_ = bounds
         model.passModel(lp)
         solution = _run(model, basis)
-    return np.array(solution.col_value), (np.array(solution.row_dual) if duals else None)
+    return np.array(solution.col_value), np.array(solution.row_dual)
 
 
 class _MatrixKey:
@@ -345,17 +405,20 @@ def _start_basis(key: _MatrixKey, m: int, options: tuple):
     return basis
 
 
-def _elastic_lp(targets: np.ndarray, vertices: np.ndarray, basis=None) -> np.ndarray:
-    """Weights of each target, NaN rows for targets outside the hull; the
-    LP starts from `basis` if given."""
+def _elastic_lp(targets: np.ndarray, vertices: np.ndarray,
+                basis=None) -> tuple[np.ndarray, np.ndarray]:
+    """Weights of each target of the stack (m, d), NaN rows for targets
+    outside the hull, and the duals of each target's equality rows, shape
+    (m, d); the LP starts from `basis` if given."""
     m, (k, d) = len(targets), vertices.shape
-    x = _solve_target(vertices, np.zeros(k), targets, basis, duals=False)[0].reshape(m, k + 2 * d)
+    x, y = _solve_target(vertices, np.zeros(k), targets, basis)
+    x = x.reshape(m, k + 2 * d)
     w = np.clip(x[:, :k], 0.0, None)
     inside = x[:, k:].sum(axis=1) <= d * EPS_LP_SLACK
     if np.max(np.abs(w[inside] @ vertices - targets[inside]), initial=0.0) > EPS_LP:
         raise LpNumericalFailure("LP solution does not reconstruct the target")
     w[~inside] = np.nan
-    return w
+    return w, y.reshape(m, d)
 
 
 def nested_hull_flags(target: np.ndarray, vertices: np.ndarray, starts) -> list[bool]:
@@ -417,9 +480,10 @@ def _hull_flag(t: np.ndarray, vertices: np.ndarray, start: int,
 
 
 def _certified_outside(t: np.ndarray, y: np.ndarray, hull: np.ndarray,
-                       thr: float) -> bool:
+                       thr: float) -> np.ndarray:
     """Whether the dual vector `y` proves that no weights w >= 0 on the hull
-    rows bring w @ hull within `thr` of `t` in L1.
+    rows bring w @ hull within `thr` of `t` in L1: a numpy bool, or one per
+    target of a stack `t` (m, d).
 
     Weak duality, which holds for any y once divided by max|y| so that
     |y_i| <= 1, and so ||r||_1 >= y.r for every r:
@@ -428,8 +492,8 @@ def _certified_outside(t: np.ndarray, y: np.ndarray, hull: np.ndarray,
     sums to the same mass. Unlike clipping, this undoes the tier-cost scaling.
     """
     y = y / (np.max(np.abs(y)) or 1.0)
-    cap = (t.sum() + thr) / hull[0].sum()
-    return bool(y @ t - cap * max(0.0, np.max(hull @ y)) > thr)
+    cap = (t.sum(axis=-1) + thr) / hull[0].sum()
+    return t @ y - cap * max(0.0, np.max(hull @ y)) > thr
 
 
 def lp_vertex_decomposition(box, vertex_ids: list[VertexId]) -> dict[VertexId, float] | None:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import linalg
 from scipy.optimize import linprog
 
-from boxlab import _corr, _tol, boxcore, discord2, polytope, qstate, tribox
+from boxlab import _corr, _tol, acceptance, boxcore, discord2, polytope, qstate, tribox
 
 RNG = np.random.default_rng(2024)
 
@@ -275,16 +275,17 @@ def _pr_weighted_mixtures(rng, n):
     return p * PR[rng.integers(8, size=n)] + (1 - p) * ns
 
 
-def _near_facet_tables(rng, n):
+def _near_facet_tables(rng, n, decades=(-6, -2)):
     """Boxes on the segment from a random local box to a random PR box, placed
     where the largest CHSH value is 2 +- delta, delta log-uniform in
-    [1e-6, 1e-2]; returns the tables and their signed distance CHSH - 2."""
+    [1e-6, 1e-2], or between the powers of ten `decades`; returns the
+    tables and their signed distance CHSH - 2."""
     local = rng.dirichlet(np.ones(len(DET)), size=n) @ DET
     pr = PR[rng.integers(8, size=n)]
     c_local = _signed_chsh(local)
     c_pr = _signed_chsh(pr)
     assert np.all(c_local.max(axis=1) < 2 - 1e-2)
-    delta = rng.choice([-1.0, 1.0], size=n) * 10 ** rng.uniform(-6, -2, size=n)
+    delta = rng.choice([-1.0, 1.0], size=n) * 10 ** rng.uniform(*decades, size=n)
     rising = c_pr > c_local
     with np.errstate(divide="ignore", invalid="ignore"):
         s = np.where(rising, (2 + delta[:, None] - c_local) / (c_pr - c_local), np.inf)
@@ -889,3 +890,67 @@ def test_inside_flags_raise_when_the_solver_stops_early(monkeypatch):
     with pytest.raises(polytope.LpNumericalFailure, match="status 14: Iteration limit"):
         polytope._inside_flags(targets, DET)
 
+
+
+@pytest.mark.parametrize("seed", [9000, 9001])
+def test_inside_flags_give_the_cold_verdicts_within_1e_6_of_the_facet(seed):
+    # closer to the CHSH facet than any stratum above: |CHSH - 2| down to
+    # 1e-11, where the L1 distance to the hull crosses the slack threshold
+    rng = np.random.default_rng(seed)
+    near, gap = _near_facet_tables(rng, 2000, decades=(-11, -6))
+    assert np.all((np.abs(gap) >= 0.9e-11) & (np.abs(gap) <= 1.01e-6))
+    stack = rng.permutation(np.vstack([_pr_weighted_mixtures(rng, 2000), near]))
+    assert np.array_equal(polytope._inside_flags(stack, DET), _cold_verdicts(stack, DET))
+
+
+def _counting_solves(monkeypatch):
+    """Replace polytope._solve_target by a wrapper; returns the list of the
+    target counts it is given, one entry per call."""
+    solve, sent = polytope._solve_target, []
+
+    def counted(vertices, weight_cost, targets, *args):
+        sent.append(targets.size // vertices.shape[1])
+        return solve(vertices, weight_cost, targets, *args)
+
+    monkeypatch.setattr(polytope, "_solve_target", counted)
+    return sent
+
+
+def test_inside_flags_send_few_of_criterion_10s_targets_to_the_solver(monkeypatch):
+    # the certificates of the first blocks settle almost all of the stack:
+    # count the targets that reach an LP inside criterion 10's verdict call
+    flags, stacks, sent = polytope._inside_flags, [], []
+
+    def screened(targets, vertices):
+        stacks.append(len(targets))
+        with monkeypatch.context() as inner:
+            calls = _counting_solves(inner)
+            out = flags(targets, vertices)
+        sent.extend(calls)
+        return out
+
+    monkeypatch.setattr(polytope, "_inside_flags", screened)
+    assert acceptance.criterion_10().passed
+    assert len(stacks) == 1 and stacks[0] > 10_900
+    assert 0 < sum(sent) <= 0.1 * stacks[0], (sum(sent), stacks)
+    assert all(m == polytope._LP_BLOCK for m in sent[:-1])
+
+
+def test_inside_flags_of_a_shuffled_stack_are_the_flags_shuffled():
+    rng = np.random.default_rng(4118)
+    stack = np.vstack([_pr_weighted_mixtures(rng, 600), _near_facet_tables(rng, 600)[0]])
+    flags = polytope._inside_flags(stack, DET)
+    order = rng.permutation(len(stack))
+    assert np.array_equal(polytope._inside_flags(stack[order], DET), flags[order])
+    assert {True, False} <= set(flags.tolist())
+
+
+def test_copies_of_one_box_take_one_lp_block(monkeypatch):
+    sent = _counting_solves(monkeypatch)
+    inside = boxcore.mix([boxcore.pr_box(0, 0, 0), boxcore.noise_box()], [0.3, 0.7])
+    outside = boxcore.mix([boxcore.pr_box(1, 0, 1), boxcore.noise_box()], [0.8, 0.2])
+    for box, want in ((inside, True), (outside, False)):
+        sent.clear()
+        flags = polytope._inside_flags(np.repeat(box.table.reshape(1, 16), 500, axis=0), DET)
+        assert flags.tolist() == [want] * 500
+        assert sent == [polytope._LP_BLOCK]
