@@ -195,7 +195,9 @@ def _screen(stack: np.ndarray, rows: np.ndarray, vertices: np.ndarray, weights: 
     """
     thr = stack.shape[1] * EPS_LP_SLACK
     supports = []
-    for support in np.unique(weights > 0.0, axis=0):
+    # distinct supports by their bytes: np.unique(..., axis=0) would import
+    # numpy.ma, about 1.7 MB
+    for support in {s.tobytes(): s for s in weights > 0.0}.values():
         v = vertices[support]
         try:
             supports.append((v, np.linalg.solve(v @ v.T, v).T))
