@@ -163,7 +163,8 @@ def _inside_flags(targets, vertices: np.ndarray) -> np.ndarray:
     flags, todo = np.zeros(len(stack), dtype=bool), np.ones(len(stack), dtype=bool)
     while todo.any():
         block = np.flatnonzero(todo)[:_LP_BLOCK]
-        w, y = _elastic_lp(stack[block], vertices, _start_basis(key, len(block), options))
+        basis = _start_basis(key, len(block), options)
+        w, y = _elastic_lp(stack[block], vertices, basis, duals=True)
         inside = ~np.isnan(w[:, 0])
         flags[block], todo[block] = inside, False
         rest = np.flatnonzero(todo)
@@ -345,13 +346,14 @@ def _run(model, basis=None):
 
 
 def _solve_target(vertices: np.ndarray, weight_cost: np.ndarray, targets: np.ndarray,
-                  basis=None) -> tuple[np.ndarray, np.ndarray]:
+                  basis=None, duals: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """_run, from `basis` if given, on the elastic LP of one target (d,)
     over `vertices`, with `weight_cost` per vertex, or on the block-diagonal
-    LP of a stack (m, d): the optimal point and the duals of the equality
-    rows. Its model is kept per vertex matrix, weight costs, block count m
-    and solver options; a call writes the targets into the kept LP's row
-    bounds and passes the LP to the model again, in one call."""
+    LP of a stack (m, d): the optimal point and, unless `duals` is false
+    (None then), the duals of the equality rows. Its model is kept per
+    vertex matrix, weight costs, block count m and solver options; a call
+    writes the targets into the kept LP's row bounds and passes the LP to
+    the model again, in one call."""
     m = targets.size // vertices.shape[1]
     lp, model = _target_model(_MatrixKey(np.asarray(vertices, dtype=float)),
                               weight_cost.tobytes(), m, tuple(_HIGHS_OPTIONS.items()))
@@ -360,7 +362,7 @@ def _solve_target(vertices: np.ndarray, weight_cost: np.ndarray, targets: np.nda
         lp.row_lower_ = lp.row_upper_ = bounds
         model.passModel(lp)
         solution = _run(model, basis)
-    return np.array(solution.col_value), np.array(solution.row_dual)
+    return np.array(solution.col_value), (np.array(solution.row_dual) if duals else None)
 
 
 class _MatrixKey:
@@ -407,20 +409,20 @@ def _start_basis(key: _MatrixKey, m: int, options: tuple):
     return basis
 
 
-def _elastic_lp(targets: np.ndarray, vertices: np.ndarray,
-                basis=None) -> tuple[np.ndarray, np.ndarray]:
+def _elastic_lp(targets: np.ndarray, vertices: np.ndarray, basis=None,
+                duals: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
     """Weights of each target of the stack (m, d), NaN rows for targets
-    outside the hull, and the duals of each target's equality rows, shape
-    (m, d); the LP starts from `basis` if given."""
+    outside the hull, and if `duals`, the duals of each target's equality
+    rows, shape (m, d), else None; the LP starts from `basis` if given."""
     m, (k, d) = len(targets), vertices.shape
-    x, y = _solve_target(vertices, np.zeros(k), targets, basis)
+    x, y = _solve_target(vertices, np.zeros(k), targets, basis, duals)
     x = x.reshape(m, k + 2 * d)
     w = np.clip(x[:, :k], 0.0, None)
     inside = x[:, k:].sum(axis=1) <= d * EPS_LP_SLACK
     if np.max(np.abs(w[inside] @ vertices - targets[inside]), initial=0.0) > EPS_LP:
         raise LpNumericalFailure("LP solution does not reconstruct the target")
     w[~inside] = np.nan
-    return w, y.reshape(m, d)
+    return w, (y.reshape(m, d) if duals else None)
 
 
 def nested_hull_flags(target: np.ndarray, vertices: np.ndarray, starts) -> list[bool]:

@@ -908,9 +908,9 @@ def _counting_solves(monkeypatch):
     target counts it is given, one entry per call."""
     solve, sent = polytope._solve_target, []
 
-    def counted(vertices, weight_cost, targets, *args):
+    def counted(vertices, weight_cost, targets, *args, **kwargs):
         sent.append(targets.size // vertices.shape[1])
-        return solve(vertices, weight_cost, targets, *args)
+        return solve(vertices, weight_cost, targets, *args, **kwargs)
 
     monkeypatch.setattr(polytope, "_solve_target", counted)
     return sent
