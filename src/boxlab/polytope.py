@@ -147,7 +147,7 @@ def _inside_flags(targets, vertices: np.ndarray) -> np.ndarray:
     Both are one-sided and sound, so each verdict is the elastic LP's. On
     criterion 10's 11,000 boxes over the 16 deterministic vertices 250
     targets reach the solver, in 5 blocks, and the call takes about 0.08 s
-    where warm blocks of every target took about 0.6 s (one thread).
+    where warm blocks of every target took about 0.7 s (one thread).
 
     Every block starts its dual simplex from one fixed basis (_start_basis)
     instead of from scratch. Solved block by block, criterion 10's 10,000

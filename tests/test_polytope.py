@@ -891,7 +891,6 @@ def test_inside_flags_raise_when_the_solver_stops_early(monkeypatch):
         polytope._inside_flags(targets, DET)
 
 
-
 @pytest.mark.parametrize("seed", [9000, 9001])
 def test_inside_flags_give_the_cold_verdicts_within_1e_6_of_the_facet(seed):
     # closer to the CHSH facet than any stratum above: |CHSH - 2| down to
