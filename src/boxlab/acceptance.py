@@ -250,11 +250,12 @@ def criterion_9() -> CriterionResult:
     compat_a = np.repeat(a_dirs[:, :1, :], 2, axis=1)  # a1 = a0
     compat_max = grid_max(any_corr, a=compat_a)
     # The random sweep cannot reach 1e-8: classical-quantum (even product)
-    # states give factorized joint expectations e = outer(f, g), and the
-    # discord minima over the three pairings are nonzero for generic tilted
-    # f, g; only frames aligned with the classical basis direction null
-    # them (see README, known limitations). The compatible-measurement
-    # clause is exact and asserted at full strength.
+    # states give factorized expectations e_xy = f_x g_y, with f_x = a_x.r and
+    # g_y = b_y.w, w = p0 s0 - p1 s1, and generic f, g give nonzero discords.
+    # Four frame sets are measured to null both: a0 perp r, |a0.r| = |a1.r|,
+    # b0 perp w and |b0.w| = |b1.w|; whether they are the whole zero set is
+    # open (see README, known limitations). The compatible-measurement clause
+    # is exact and asserted at full strength.
     return _result(
         9, "CQ/QC and compatible-measurement nullity (1e6 grid)",
         max(sweep_max, compat_max), 1e-8,

@@ -525,45 +525,29 @@ def is_local(box: BipartiteBox) -> MembershipResult:
         inside=False, violated_facet=(f"B{i:03b}", float(chsh[i] - discord2.CHSH_LOCAL_BOUND)))
 
 
-def _zero_bell_residual(table: np.ndarray) -> BipartiteBox | None:
-    try:
-        res = boxcore.make_box(table)
-    except boxcore.BoxError:
-        return None
-    return res if discord2.bell_discord(res) <= DISCORD_TOL else None
-
-
 def canonical_2decomposition(box: BipartiteBox) -> DecompositionResult:
     """Split into an irreducible PR box and a local box with zero Bell discord.
 
-    mu equals bell_discord/4; the PR label is the signed-CHSH argmax, the
-    first top of the three-way split's order. If the direct residual is
-    invalid, mu is lowered by bisection to the largest value giving a valid
-    box, which must still have zero Bell discord.
+    mu equals bell_discord/4. The PR boxes are tried in the three-way split's
+    signed-CHSH order, argmax first, and the first whose residual is a valid
+    box with zero Bell discord wins; ResidualInvalidError if none leaves one.
+    A box with mu = 1 is the argmax PR box itself.
     """
     mu = discord2.bell_discord(box) / 4.0
-    pid = _pairs(2).top_ids[_tops_by_value(box.correlators, 2)[0]]
-    pr = boxcore.vertex(pid)
-    if mu >= 1.0 - EPS_VALID:
-        return DecompositionResult(mu=1.0, nu=0.0, pr_id=pid, mermin_id=None,
-                                   residual=pr)
-    residual = _zero_bell_residual((box.table - mu * pr.table) / (1.0 - mu))
-    if residual is None:
-        lo, hi = 0.0, mu
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            try:
-                boxcore._validate((box.table - mid * pr.table) / (1.0 - mid), 2)
-                lo = mid
-            except boxcore.BoxError:
-                hi = mid
-        mu = lo
-        residual = _zero_bell_residual((box.table - mu * pr.table) / (1.0 - mu))
-        if residual is None:
-            raise ResidualInvalidError(
-                "no valid zero-discord residual for any PR weight")
-    return DecompositionResult(mu=mu, nu=0.0, pr_id=pid, mermin_id=None,
-                               residual=residual)
+    for t in _tops_by_value(box.correlators, 2):
+        pid = _pairs(2).top_ids[t]
+        pr = boxcore.vertex(pid)
+        if mu >= 1.0 - EPS_VALID:
+            return DecompositionResult(mu=1.0, nu=0.0, pr_id=pid, mermin_id=None,
+                                       residual=pr)
+        try:
+            residual = boxcore.make_box((box.table - mu * pr.table) / (1.0 - mu))
+        except boxcore.BoxError:
+            continue
+        if discord2.bell_discord(residual) <= DISCORD_TOL:
+            return DecompositionResult(mu=mu, nu=0.0, pr_id=pid, mermin_id=None,
+                                       residual=residual)
+    raise ResidualInvalidError("no PR box leaves a valid zero-discord residual at mu = G/4")
 
 
 def three_decomposition(box: BipartiteBox) -> DecompositionResult:

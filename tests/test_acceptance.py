@@ -28,9 +28,11 @@ def test_criterion(name):
 @pytest.mark.xfail(
     strict=True,
     reason="unattainable nullity clause: CQ/QC states give nonzero G/Q under "
-           "generic measurement frames (only basis-aligned orthogonal frames "
-           "null them); the compatible-measurement clause does hold and is "
-           "asserted inside the criterion",
+           "generic measurement frames (four frame sets are measured to null "
+           "them: a0 perp r, |a0.r| = |a1.r|, b0 perp w and |b0.w| = |b1.w|, "
+           "w = p0 s0 - p1 s1; whether they are the whole zero set is open); "
+           "the compatible-measurement clause does hold and is asserted "
+           "inside the criterion",
 )
 def test_criterion_9():
     _check(CRITERIA["criterion_9"]())

@@ -114,10 +114,7 @@ def test_canonical_2decomposition_degenerate_pr():
 def test_canonical_2decomposition_idempotent_and_reconstructs():
     for _ in range(25):
         box = polytope.random_ns_box(RNG)
-        try:
-            dec = polytope.canonical_2decomposition(box)
-        except polytope.ResidualInvalidError:
-            continue  # boxes without a PR-subtractable frame are reported, not forced
+        dec = polytope.canonical_2decomposition(box)
         recon = dec.reconstruction(boxcore.vertex(dec.pr_id).table, None)
         assert np.max(np.abs(recon - box.table)) <= 1e-7
         again = polytope.canonical_2decomposition(dec.residual)
@@ -139,27 +136,24 @@ def test_canonical_2decomposition_reports_tilted_product_box():
         polytope.canonical_2decomposition(box)
 
 
-def _bisection_witness(eps):
+def _second_pr_witness(eps):
     """(1 - eps)(PR010 + Det0001)/2 + eps PR100."""
     parts = [boxcore.vertex(boxcore.parse_vertex_label(label))
              for label in ("PR010", "Det0001", "PR100")]
     return boxcore.mix(parts, [(1 - eps) / 2, (1 - eps) / 2, eps])
 
 
-def test_canonical_2decomposition_lowers_mu_by_bisection():
-    # mu = G/4 leaves an invalid residual; the bisection lowers mu to the
-    # largest weight whose residual is a valid box, here of zero Bell discord
-    box = _bisection_witness(1e-7)
+@pytest.mark.parametrize("eps", [1e-7, 1e-6])
+def test_canonical_2decomposition_splits_over_the_second_pr_box(eps):
+    # the argmax PR box leaves an invalid residual at mu = G/4; PR010, the
+    # second in signed-CHSH order, leaves a valid one of zero Bell discord
+    box = _second_pr_witness(eps)
     dec = polytope.canonical_2decomposition(box)
-    assert dec.pr_id == boxcore.pr_id(0, 0, 1)
-    assert dec.mu == pytest.approx(2.0e-9, rel=1e-3)
-    assert dec.mu < discord2.bell_discord(box) / 4 / 10
+    assert dec.pr_id == boxcore.pr_id(0, 1, 0)
+    assert dec.mu == discord2.bell_discord(box) / 4
     assert discord2.bell_discord(dec.residual) <= _tol.DISCORD_TOL
     recon = dec.reconstruction(boxcore.vertex(dec.pr_id).table, None)
     assert np.max(np.abs(recon - box.table)) <= 1e-9
-    # ten times more PR100 weight: no lowered mu leaves zero Bell discord
-    with pytest.raises(polytope.ResidualInvalidError):
-        polytope.canonical_2decomposition(_bisection_witness(1e-6))
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -187,6 +187,59 @@ def test_cq_state_nullity_in_aligned_frames():
         assert discord2.mermin_discord(box) <= 1e-9
 
 
+def _perpendicular(rng, v):
+    u = np.cross(v, qstate.random_unit_vector(rng))
+    return u / np.linalg.norm(u)
+
+
+def _same_projection(rng, v, d):
+    """A unit vector u with |u.d| = |v.d|: v turned about d by a random
+    angle, its sign flipped at random."""
+    k, th = d / np.linalg.norm(d), rng.uniform(0, 2 * np.pi)
+    u = v * np.cos(th) + np.cross(k, v) * np.sin(th) + k * (k @ v) * (1 - np.cos(th))
+    return rng.choice([-1.0, 1.0]) * u
+
+
+# A CQ state's correlators factorize, e_xy = f_x g_y with f_x = a_x.r and
+# g_y = b_y.w, w = p0 s0 - p1 s1. Each of these frame sets nulls both
+# discords; a names the classical party's directions, b the quantum party's
+NULLING_FRAMES = ["a0 perp r", "|a0.r| = |a1.r|", "b0 perp w", "|b0.w| = |b1.w|"]
+
+
+def _nulling_frame(rng, frames, r, w):
+    """Random (a0, a1, b0, b1) in one of NULLING_FRAMES."""
+    a0, a1, b0, b1 = (qstate.random_unit_vector(rng) for _ in range(4))
+    if frames == "a0 perp r":
+        a0 = _perpendicular(rng, r)
+    elif frames == "|a0.r| = |a1.r|":
+        a1 = _same_projection(rng, a0, r)
+    elif frames == "b0 perp w":
+        b0 = _perpendicular(rng, w)
+    else:
+        b1 = _same_projection(rng, b0, w)
+    return a0, a1, b0, b1
+
+
+@pytest.mark.parametrize("quantum_first", [False, True])
+@pytest.mark.parametrize("frames", NULLING_FRAMES)
+def test_cq_and_qc_discords_vanish_on_each_nulling_frame_set(frames, quantum_first):
+    # QC states swap the parties; whether these sets are the whole zero set
+    # is open, and random frames do not null the discords
+    rng = np.random.default_rng(9)
+    nulled, generic = [], []
+    for _ in range(50):
+        p0, r, s0, s1 = (rng.uniform(), qstate.random_unit_vector(rng),
+                         qstate.random_bloch_vector(rng), qstate.random_bloch_vector(rng))
+        rho = (qstate.qc_state if quantum_first else qstate.cq_state)(p0, r, s0, s1)
+        a0, a1, b0, b1 = _nulling_frame(rng, frames, r, p0 * s0 - (1 - p0) * s1)
+        frame = qstate.settings(*((b0, b1, a0, a1) if quantum_first else (a0, a1, b0, b1)))
+        for found, box in ((nulled, qstate.born_box2(rho, frame)),
+                           (generic, qstate.born_box2(rho, qstate.random_settings2(rng)))):
+            found.append(max(discord2.bell_discord(box), discord2.mermin_discord(box)))
+    assert max(nulled) <= 1e-12
+    assert max(generic) > 1e-2
+
+
 def test_cq_state_has_factorized_expectations():
     for _ in range(20):
         rho = qstate.random_cq_state(RNG)
