@@ -188,29 +188,49 @@ def criterion_8() -> CriterionResult:
                    extra=f"tightest margin {-worst:.3e}")
 
 
-def _nullity_states(rng: np.random.Generator, n: int) -> tuple[qstate.DensityMatrix, ...]:
-    """Criterion 9's stacks of n states of random_cq_state, random_qc_state
-    and random_two_qubit_state, on the stream of a loop calling the three n
-    times. A CQ or QC state interleaves uniform and normal draws (p0, r_hat
-    and s0's direction, s0's radius, s1's direction, s1's radius), so only
-    they are drawn one call at a time; the rest is done on the stacks."""
-    p = np.empty((n, 2, 3))        # [state, CQ/QC, (p0, s0 radius, s1 radius)]
-    normals = np.empty((n, 2, 9))  # [state, CQ/QC, (r_hat, s0, s1) directions]
-    g = np.empty((n, 32))
+def _classical_quantum_draws(rng: np.random.Generator, n: int, per_point: int, tail: int):
+    """The stream of a loop over n points making per_point random_cq_state
+    or random_qc_state states, then drawing `tail` normals: the states'
+    (p0, r_hat, s0, s1), each (n, per_point, ...), and the (n, tail)
+    normals. Only the states, which interleave uniform and normal draws,
+    are drawn one call at a time."""
+    p, normals, g = np.empty((n, per_point, 3)), np.empty((n, per_point, 9)), np.empty((n, tail))
     for k in range(n):
-        for kind in range(2):
+        for kind in range(per_point):
             p[k, kind, 0] = rng.uniform()
             normals[k, kind, :6] = rng.normal(size=6)
             p[k, kind, 1] = rng.uniform()
             normals[k, kind, 6:] = rng.normal(size=3)
             p[k, kind, 2] = rng.uniform()
-        g[k] = rng.normal(size=32)
-    v = normals.reshape(n, 2, 3, 3)
+        g[k] = rng.normal(size=tail)
+    v = normals.reshape(n, per_point, 3, 3)
     v = v / np.linalg.norm(v, axis=-1, keepdims=True)
-    s = v[:, :, 1:] * p[:, :, 1:, None] ** (1.0 / 3.0)
-    cq, qc = (state(p[:, kind, 0], v[:, kind, 0], s[:, kind, 0], s[:, kind, 1])
+    s = v[..., 1:, :] * p[..., 1:, None] ** (1.0 / 3.0)
+    return (p[..., 0], v[..., 0, :], s[..., 0, :], s[..., 1, :]), g
+
+
+def _nullity_states(rng: np.random.Generator, n: int) -> tuple[qstate.DensityMatrix, ...]:
+    """Criterion 9's stacks of n states of random_cq_state, random_qc_state
+    and random_two_qubit_state, on the stream of a loop calling the three n
+    times."""
+    args, g = _classical_quantum_draws(rng, n, 2, 32)
+    cq, qc = (state(*(a[:, kind] for a in args))
               for kind, state in enumerate((qstate.cq_state, qstate.qc_state)))
     return cq, qc, _two_qubit_states(g)
+
+
+def _born_subsample(rng: np.random.Generator) -> float:
+    """Criterion 9's largest G or Q of 100 Born boxes, on the stream of a
+    loop that calls random_qc_state (k even) or random_cq_state (k odd) and
+    then random_settings2 for box k, from one born_box2 call per kind."""
+    args, normals = _classical_quantum_draws(rng, 100, 1, 12)
+    dirs, worst = normals.reshape(-1, 4, 3), 0.0
+    dirs = dirs / np.linalg.norm(dirs, axis=-1, keepdims=True)
+    for kind, state in enumerate((qstate.qc_state, qstate.cq_state)):
+        box = qstate.born_box2(state(*(a[kind::2, 0] for a in args)),
+                               qstate.settings(*dirs[kind::2].swapaxes(0, 1)))
+        worst = max(worst, np.max(discord2.bell_discord(box)), np.max(discord2.mermin_discord(box)))
+    return float(worst)
 
 
 def criterion_9() -> CriterionResult:
@@ -239,14 +259,8 @@ def criterion_9() -> CriterionResult:
 
     cq_corr, qc_corr, any_corr = (qstate.correlation_data(rho)[2]
                                   for rho in _nullity_states(rng, n_states))
-    sweep_max = max(grid_max(cq_corr), grid_max(qc_corr))
     # tie the shortcut to the full Born rule on a subsample
-    for n in range(100):
-        rho = qstate.random_cq_state(rng) if n % 2 else qstate.random_qc_state(rng)
-        frame = qstate.random_settings2(rng)
-        box = qstate.born_box2(rho, frame)
-        sweep_max = max(sweep_max, discord2.bell_discord(box),
-                        discord2.mermin_discord(box))
+    sweep_max = max(grid_max(cq_corr), grid_max(qc_corr), _born_subsample(rng))
     compat_a = np.repeat(a_dirs[:, :1, :], 2, axis=1)  # a1 = a0
     compat_max = grid_max(any_corr, a=compat_a)
     # The random sweep cannot reach 1e-8: classical-quantum (even product)
@@ -285,7 +299,8 @@ def criterion_10() -> CriterionResult:
     on 1e4 random NS boxes and on 1e3 boxes on both sides of the local
     polytope (_two_sided_tables), eps-boundary cases excluded. The verdicts
     of every box come from the warm-started stacked LP; the two-sided boxes
-    are checked with the weights of lp_vertex_weights too."""
+    are checked with lp_vertex_weights's cold blocks too, which skip the
+    boxes that earlier blocks' duals prove outside."""
     rng = np.random.default_rng(SEED + 2)
     tables = np.vstack([polytope.random_ns_tables(rng, 10_000).reshape(-1, 16),
                         _two_sided_tables(np.random.default_rng(SEED + 5), 500)])

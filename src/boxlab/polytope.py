@@ -77,10 +77,12 @@ _NS_MATRIX = vertex_matrix(boxcore.ns_vertex_ids())
 # to 50, 0.14 ms at 100, 0.19 ms at 500 and 0.31 ms at 2,000 (10,000 random
 # NS boxes over the 16 deterministic vertices, one thread, best of three).
 # From the fixed start basis of _inside_flags it is flat at about 0.055 ms
-# from 25 to 100, 0.08 ms at 500 and 0.11 ms at 2,000. There the block also
-# sets how many targets reach HiGHS before certificates settle the rest: on
-# criterion 10's 11,000 boxes 175 in blocks of 25, 250 at 50, 375 at 100
-# and 1,000 at 500, and _inside_flags takes 0.06, 0.08, 0.11 and 0.35 s.
+# from 25 to 100, 0.08 ms at 500 and 0.11 ms at 2,000. The block also sets
+# how many targets reach HiGHS before certificates settle the rest
+# (_block_loop): 175, 250, 375 and 1,000 of criterion 10's 11,000 boxes in
+# _inside_flags at blocks of 25, 50, 100 and 500 (0.06, 0.08, 0.11, 0.35 s),
+# and 518, 527, 550 and 757 of its 1,000 two-sided boxes in
+# lp_vertex_weights, which screens only outside (0.045, 0.05, 0.06, 0.16 s).
 _LP_BLOCK = 50
 
 # Options of every membership LP, kept models and stacks alike: dual simplex
@@ -118,17 +120,18 @@ def lp_vertex_weights(target: np.ndarray, vertices: np.ndarray) -> np.ndarray | 
     Stacks are solved _LP_BLOCK targets at a time as one block-diagonal LP,
     whose optimum splits into the per-target optima; one target is a block
     of one. Each block size has a HiGHS model kept for its vertex matrix
-    (_solve_target), which takes the block's targets as row bounds.
+    (_solve_target), which takes the block's targets as row bounds. Targets
+    that the duals of an earlier block prove outside skip the LP (_block_loop).
+    So a stack of at most _LP_BLOCK targets is one cold block, as linprog
+    solves it; in a longer one, the weights of a target inside (not unique)
+    depend on which earlier targets were proved outside.
     Raises ValueError unless `vertices` is one (k, d) matrix and `target`
     has the shape above and finite entries, and LpNumericalFailure
     when the solver does not report an optimum, or when the weights of a
     target found inside miss it by more than EPS_LP.
     """
     t = _finite(target)
-    stack = _rows(t, vertices)
-    w = np.empty((len(stack), vertices.shape[0]))
-    for i in range(0, len(stack), _LP_BLOCK):
-        w[i:i + _LP_BLOCK] = _elastic_lp(stack[i:i + _LP_BLOCK], vertices)[0]
+    w = _block_loop(_rows(t, vertices), vertices)[0]
     if t.ndim == 1:
         return None if np.isnan(w[0, 0]) else w[0]
     return w
@@ -139,15 +142,9 @@ def _inside_flags(targets, vertices: np.ndarray) -> np.ndarray:
     of lp_vertex_weights, as a bool array of one entry per target, with its
     checks and errors.
 
-    Most targets are settled without an LP, by a certificate that an
-    earlier block of the same call produced. The loop solves the first
-    _LP_BLOCK unsettled targets as one block, then screens the rest of the
-    stack with that block's certificates (_screen): the weight support of
-    each target found inside, and the duals of each target found outside.
-    Both are one-sided and sound, so each verdict is the elastic LP's. On
-    criterion 10's 11,000 boxes over the 16 deterministic vertices 250
-    targets reach the solver, in 5 blocks, and the call takes about 0.08 s
-    where warm blocks of every target took about 0.7 s (one thread).
+    Most targets are settled without an LP by the certificates of an
+    earlier block of the same call, inside as well as outside (_block_loop):
+    250 of criterion 10's 11,000 boxes reach the solver, in 5 blocks.
 
     Every block starts its dual simplex from one fixed basis (_start_basis)
     instead of from scratch. Solved block by block, criterion 10's 10,000
@@ -158,20 +155,33 @@ def _inside_flags(targets, vertices: np.ndarray) -> np.ndarray:
     weights found this way differ from the cold ones, since a point inside
     has many decompositions; they are not returned.
     """
-    stack = _rows(_finite(targets), vertices)
-    key, options = _MatrixKey(np.asarray(vertices, dtype=float)), tuple(_HIGHS_OPTIONS.items())
+    return _block_loop(_rows(_finite(targets), vertices), vertices, warm=True)[1]
+
+
+def _block_loop(stack: np.ndarray, vertices: np.ndarray,
+                warm: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The weights (n, k) of the targets stack (n, d), NaN rows outside or
+    not solved, and whether each target is inside, shape (n,). Each pass
+    solves the first _LP_BLOCK open targets, from _start_basis if `warm`,
+    cold otherwise; while targets stay open, _screen settles them with the
+    block's duals of each target outside, and if `warm` with the weight
+    support of each target inside. Both certificates are sound."""
+    w = np.full((len(stack), vertices.shape[0]), np.nan)
     flags, todo = np.zeros(len(stack), dtype=bool), np.ones(len(stack), dtype=bool)
     while todo.any():
         block = np.flatnonzero(todo)[:_LP_BLOCK]
-        basis = _start_basis(key, len(block), options)
-        w, y = _elastic_lp(stack[block], vertices, basis, duals=True)
-        inside = ~np.isnan(w[:, 0])
-        flags[block], todo[block] = inside, False
+        todo[block] = False
         rest = np.flatnonzero(todo)
-        proved_in, proved_out = _screen(stack, rest, vertices, w[inside], y[~inside])
-        flags[rest[proved_in]] = True
-        todo[rest[proved_in | proved_out]] = False
-    return flags
+        basis = (_start_basis(_MatrixKey(np.asarray(vertices, dtype=float)), len(block),
+                              tuple(_HIGHS_OPTIONS.items())) if warm else None)
+        w[block], y = _elastic_lp(stack[block], vertices, basis, duals=rest.size > 0)
+        inside = flags[block] = ~np.isnan(w[block, 0])
+        if rest.size:
+            proved_in, proved_out = _screen(stack, rest, vertices,
+                                            w[block[inside]] if warm else w[:0], y[~inside])
+            flags[rest[proved_in]] = True
+            todo[rest[proved_in | proved_out]] = False
+    return w, flags
 
 
 # Rows of a stack screened at a time by _screen, which builds a few arrays

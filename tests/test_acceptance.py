@@ -122,3 +122,20 @@ def test_criterion_9_states_equal_a_per_point_reference_loop():
         assert stack.mat.shape == (1_000, 4, 4)
         assert np.max(np.abs(stack.mat - mats)) <= 1e-15
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_criterion_9_born_subsample_equals_a_per_box_reference_loop():
+    # the stream of a loop of random_qc_state or random_cq_state,
+    # random_settings2 and born_box2, drawn after the frames and the states
+    rng, ref = np.random.default_rng(acceptance.SEED + 1), np.random.default_rng(acceptance.SEED + 1)
+    for r in (rng, ref):
+        r.normal(size=(2, 1_000, 2, 3))
+        acceptance._nullity_states(r, 1_000)
+    got = acceptance._born_subsample(rng)
+    want = 0.0
+    for n in range(100):
+        rho = qstate.random_cq_state(ref) if n % 2 else qstate.random_qc_state(ref)
+        box = qstate.born_box2(rho, qstate.random_settings2(ref))
+        want = max(want, discord2.bell_discord(box), discord2.mermin_discord(box))
+    assert abs(got - want) <= 1e-15
+    assert rng.bit_generator.state == ref.bit_generator.state

@@ -947,3 +947,40 @@ def test_copies_of_one_box_take_one_lp_block(monkeypatch):
         flags = polytope._inside_flags(np.repeat(box.table.reshape(1, 16), 500, axis=0), DET)
         assert flags.tolist() == [want] * 500
         assert sent == [polytope._LP_BLOCK]
+
+
+def _outside_first_stack(n):
+    """n PR-weighted mixtures, about half of them outside, then n boxes
+    within 1e-6 to 1e-2 of a CHSH facet: 2n targets over the 16 vertices."""
+    rng = np.random.default_rng(4120)
+    return np.vstack([_pr_weighted_mixtures(rng, n), _near_facet_tables(rng, n)[0]])
+
+
+def test_weight_stacks_skip_targets_that_earlier_blocks_prove_outside(monkeypatch):
+    stack = _outside_first_stack(2 * polytope._LP_BLOCK)  # four blocks
+    sent = _counting_solves(monkeypatch)
+    weights = polytope.lp_vertex_weights(stack, DET)
+    assert sum(sent) < len(stack), sent
+    assert sent[0] == polytope._LP_BLOCK
+    inside = ~np.isnan(weights[:, 0])
+    assert inside.tolist() == [polytope.lp_vertex_weights(t, DET) is not None for t in stack]
+    assert {True, False} <= set(inside.tolist())
+    assert np.isnan(weights[~inside]).all()
+    assert weights[inside].min() >= 0.0
+    assert np.max(np.abs(weights[inside] @ DET - stack[inside])) <= boxcore.EPS_LP
+
+
+@pytest.mark.parametrize("n", [1, 17, polytope._LP_BLOCK])
+def test_weight_stacks_of_one_block_are_the_linprog_block(monkeypatch, n):
+    # no screen and no start basis: the bytes of the one cold block LP
+    d, k = DET.shape[1], len(DET)
+    stack = _outside_first_stack(polytope._LP_BLOCK)[-n:]
+    sent = _counting_solves(monkeypatch)
+    got = polytope.lp_vertex_weights(stack, DET)
+    assert sent == [n]
+    x, _ = _linprog(np.tile(polytope._elastic_cost(np.zeros(k), d), n),
+                    linalg.block_diag(*[polytope._elastic_block(DET)] * n), stack.reshape(-1))
+    x = x.reshape(n, k + 2 * d)
+    want = np.clip(x[:, :k], 0.0, None)
+    want[x[:, k:].sum(axis=1) > d * _tol.EPS_LP_SLACK] = np.nan
+    assert got.tobytes() == want.tobytes()
