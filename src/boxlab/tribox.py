@@ -159,11 +159,6 @@ def sv_polytope_ids() -> list[TriVertexId]:
     return [*all_sv_ids(), *all_pr2_ids(), *all_det3_ids()]
 
 
-def two_way_local_ids() -> list[TriVertexId]:
-    """The 112 vertices of the two-way local polytope."""
-    return [*all_pr2_ids(), *all_det3_ids()]
-
-
 def tri_vertex_matrix(vertex_ids: list[TriVertexId]) -> np.ndarray:
     """Vertex tables as rows of a read-only (n_vertices, 64) matrix.
 
@@ -216,19 +211,6 @@ classical_correlation3 = discord2.classical_correlation
 def mermin3_value(box: TripartiteBox, al: int, be: int, ga: int, ep: int) -> float:
     """Signed tripartite Mermin operator value; LHV bound 2, maximum 4."""
     return boxcore._per_box(box, mermin3_values(box)[..., al, be, ga, ep])
-
-
-def discord_groupings() -> list[tuple]:
-    """The nine nested-difference groupings over the 8 function labels.
-
-    Labels are flattened as idx = 4*al + 2*be + ga. Each grouping picks an
-    outer split bit (3 choices) and pairs the four labels inside each half
-    either by one of the two remaining bits or diagonally (3 choices).
-    Returned as ((pair, pair), (pair, pair)) per grouping.
-    """
-    return [tuple(tuple(zip(map(int, order[h:h + 4:2]), map(int, order[h + 1:h + 4:2])))
-                  for h in (0, 4))
-            for order in _corr.GROUPINGS[3]]
 
 
 # a def, not an alias: perfbench's tracer layers calls by function identity
@@ -365,16 +347,6 @@ class Lro3:
 
 def apply_lro3(box: TripartiteBox, g: Lro3) -> TripartiteBox:
     return TripartiteBox(boxcore._relabeled(box.table, g.relabels, g.perm))
-
-
-def lro3_index_permutation(g: Lro3) -> np.ndarray:
-    """Index map: apply_lro3(box, g).table.ravel() == table.ravel()[perm]."""
-    return boxcore._index_permutation(g.relabels, g.perm)
-
-
-def invert_lro3(g: Lro3) -> Lro3:
-    relabels, perm = boxcore._inverse(g.relabels, g.perm)
-    return Lro3(perm=perm, relabels=relabels)
 
 
 _PARTY_PERMS = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]

@@ -379,7 +379,7 @@ def test_tripartite_membership_flags_match_separate_lps():
         target = box.table.reshape(-1)
         flags = []
         for key, ids in (("in_sv_polytope", tribox.sv_polytope_ids()),
-                         ("two_way_local", tribox.two_way_local_ids()),
+                         ("two_way_local", [*tribox.all_pr2_ids(), *tribox.all_det3_ids()]),
                          ("local", tribox.all_det3_ids())):
             inside = polytope.lp_vertex_weights(target, tribox.tri_vertex_matrix(ids)) is not None
             assert report[key] is inside

@@ -334,7 +334,9 @@ def test_nested_min_matches_oracles_across_blocks():
 
 
 def test_discord_groupings_match_the_explicit_construction():
-    assert tribox.discord_groupings() == oracle_groupings()
+    # each leaf order of _corr.GROUPINGS[3] is its grouping's four pairs in turn
+    want = [[i for half in g for pair in half for i in pair] for g in oracle_groupings()]
+    assert _corr.GROUPINGS[3].tolist() == want
 
 
 def test_mermin3_sign_rule_reproduces_the_coefficient_table():

@@ -67,7 +67,6 @@ class Party:
     make: Callable
     noise: Callable
     relabel: Callable
-    invert: Callable
     frames: list
     perms: np.ndarray
     pairs: Callable             # the library's pair tables
@@ -78,13 +77,18 @@ BI = Party(2, boxcore.all_pr_ids(), boxcore.all_mermin_ids(),
            discord2.chsh_values, discord2.mermin_functions,
            lambda b: (discord2.bell_discord(b), discord2.mermin_discord(b)), (4.0, 2.0),
            boxcore.vertex, boxcore.make_box, boxcore.noise_box, boxcore.apply_lro,
-           boxcore.invert_lro, FRAMES2, PERMS2, lambda: polytope._pairs(2))
+           FRAMES2, PERMS2, lambda: polytope._pairs(2))
 TRI = Party(3, tribox.all_sv_ids(), tribox.all_mermin3_ids(), polytope._partners,
             tribox.sv_values, tribox.mermin3_functions,
             lambda b: (tribox.svetlichny_discord(b), tribox.mermin3_discord(b)), (8.0, 4.0),
             tribox.tri_vertex, tribox.make_box3, tribox.noise3_box, tribox.apply_lro3,
-            tribox.invert_lro3, FRAMES3, PERMS3, lambda: polytope._pairs(3))
+            FRAMES3, PERMS3, lambda: polytope._pairs(3))
 PARTIES = {2: BI, 3: TRI}
+
+
+def relabel_back(box, p, f):
+    """`box` relabeled by the inverse of frame f, through the inverse of its index map."""
+    return type(box)(box.table.reshape(-1)[np.argsort(p.perms[f])].reshape(box.table.shape))
 
 
 def oracle_direct(box, p, tol=TOL):
@@ -141,7 +145,7 @@ def oracle_frame_search(box, p, frames, tol=TOL):
         return polytope.DecompositionResult(
             mu=result.mu, nu=result.nu, pr_id=p.tops[top_back[f, p.tops.index(result.pr_id)]],
             mermin_id=p.mermins[mermin_back[f, p.mermins.index(result.mermin_id)]],
-            residual=p.relabel(result.residual, p.invert(p.frames[f])))
+            residual=relabel_back(result.residual, p, f))
     raise polytope.ResidualInvalidError("no frame")
 
 
@@ -312,7 +316,7 @@ BI_BOXES = bipartite_boxes()
 
 def test_frame_permutations_match_per_frame_builders():
     for g, perm in zip(FRAMES3, PERMS3):
-        assert np.array_equal(tribox.lro3_index_permutation(g), perm)
+        assert np.array_equal(boxcore._index_permutation(g.relabels, g.perm), perm)
     for g, perm in zip(FRAMES2, PERMS2):
         assert np.array_equal(boxcore.lro_index_permutation(g), perm)
 
@@ -334,10 +338,9 @@ def test_canonical_pairs_are_closed_under_relabeling(n):
                     p.mermins[mermin_back[f, p.mermins.index(m)]]) in canonical
     # the oracle's mapped-back rows are the vertices relabeled by the inverse frame
     for f in range(0, len(p.frames), 1 if n == 2 else 11):
-        ginv = p.invert(p.frames[f])
         for ids, back in ((p.tops, top_back), (p.mermins, mermin_back)):
             for v, vid in enumerate(ids):
-                assert np.array_equal(p.relabel(p.vertex(vid), ginv).table,
+                assert np.array_equal(relabel_back(p.vertex(vid), p, f).table,
                                       p.vertex(ids[back[f, v]]).table)
 
 
