@@ -58,7 +58,6 @@ from .polytope import (
     ResidualInvalidError,
     canonical_2decomposition,
     is_local,
-    lp_vertex_decomposition,
     ns_membership,
     random_ns_box,
     three_decomposition,

@@ -510,14 +510,6 @@ def _certified_outside(t: np.ndarray, y: np.ndarray, hull: np.ndarray,
     return t @ y - cap * max(0.0, np.max(hull @ y)) > thr
 
 
-def lp_vertex_decomposition(box, vertex_ids: list[VertexId]) -> dict[VertexId, float] | None:
-    """Weights over a named vertex set reconstructing the box, or None."""
-    w = lp_vertex_weights(box.table.reshape(-1), vertex_matrix(vertex_ids))
-    if w is None:
-        return None
-    return {vid: float(wi) for vid, wi in zip(vertex_ids, w) if wi > EPS_LP}
-
-
 def ns_membership(box: BipartiteBox) -> bool:
     """Feasibility over the 24 nonsignaling vertices."""
     return lp_vertex_weights(box.table.reshape(-1), _NS_MATRIX) is not None

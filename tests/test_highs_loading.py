@@ -29,7 +29,7 @@ EXPORTS = {
                 "mermin_functions mermin_value monogamy_checks steering_flags steering_value "
                 "total_correlation",
     "polytope": "DecompositionResult LpNumericalFailure MembershipResult ResidualInvalidError "
-                "canonical_2decomposition is_local lp_vertex_decomposition ns_membership "
+                "canonical_2decomposition is_local ns_membership "
                 "random_ns_box three_decomposition",
     "qstate": "DensityMatrix InvalidStateError MeasurementSettings UnknownNameError born_box2 "
               "born_box3 density_matrix entanglement_params hardy_probability settings "

@@ -38,10 +38,10 @@ def test_is_local_isotropic_pr_boundary():
 def test_membership_reconstruction_tolerance():
     for _ in range(20):
         box = polytope.random_ns_box(RNG)
-        weights = polytope.lp_vertex_decomposition(box, boxcore.ns_vertex_ids())
+        vertices = polytope.vertex_matrix(boxcore.ns_vertex_ids())
+        weights = polytope.lp_vertex_weights(box.table.reshape(-1), vertices)
         assert weights is not None
-        recon = sum(w * boxcore.vertex(v).table for v, w in weights.items())
-        assert np.max(np.abs(recon - box.table)) <= 1e-7
+        assert np.max(np.abs(weights @ vertices - box.table.reshape(-1))) <= 1e-7
 
 
 def test_ns_membership_and_monotonicity():
@@ -54,14 +54,15 @@ def test_ns_membership_and_monotonicity():
 
 
 def test_pr_box_is_not_local():
-    weights = polytope.lp_vertex_decomposition(boxcore.pr_box(0, 0, 0),
-                                               boxcore.all_det_ids())
+    weights = polytope.lp_vertex_weights(boxcore.pr_box(0, 0, 0).table.reshape(-1),
+                                         polytope.vertex_matrix(boxcore.all_det_ids()))
     assert weights is None
 
 
 def test_tsirelson_decomposition_weight():
     box = boxcore.tsirelson_box(0, 0, 0)
-    weights = polytope.lp_vertex_decomposition(box, boxcore.ns_vertex_ids())
+    weights = polytope.lp_vertex_weights(box.table.reshape(-1),
+                                         polytope.vertex_matrix(boxcore.ns_vertex_ids()))
     assert weights is not None  # the LP picks one of many representations
     # the advertised representation (1/sqrt2 on PR000, rest white noise)
     # reconstructs the box exactly, and the canonical split returns it
