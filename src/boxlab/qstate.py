@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import re
 from dataclasses import dataclass, field
 
@@ -380,10 +379,6 @@ _PARAM_SETTINGS = {
 }
 
 
-def settings_names() -> list[str]:
-    return sorted(_FIXED_SETTINGS) + sorted(_PARAM_SETTINGS)
-
-
 def settings_catalog(name: str, param: float | np.ndarray | None = None) -> MeasurementSettings:
     """Named measurement frames; parametric entries accept ``name`` + ``param``
     or the combined form ``"name(value)"``, and a 1-D array of k parameters
@@ -691,51 +686,6 @@ def hardy_probability(b: complex, c: complex, d: complex) -> float:
     if abs(box.prob(1, 1, 0, 0) - value) > TOL_CLOSED:
         raise InvalidStateError("closed form disagrees with the constructed box")
     return float(value)
-
-
-# ---------------------------------------------------------------------------
-# JSON interchange
-
-def state_to_json(rho: DensityMatrix) -> str:
-    if rho.mat.ndim != 2:
-        raise InvalidStateError(f"state_to_json needs one state, got a stack {rho.mat.shape}")
-    return json.dumps({
-        "dim": rho.dim,
-        "re": rho.mat.real.tolist(),
-        "im": rho.mat.imag.tolist(),
-    })
-
-
-def state_from_json(text: str) -> DensityMatrix:
-    """The state of a JSON object with 'dim', 're' and 'im'; InvalidStateError if invalid."""
-    data = json.loads(text)
-    if not isinstance(data, dict) or "re" not in data or "im" not in data:
-        raise InvalidStateError("a state file holds one JSON object with 'dim', 're' and 'im'")
-    try:
-        m = np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidStateError(f"'re' and 'im' are not matrices of numbers: {exc}") from None
-    if m.ndim != 2:  # a state file holds one state, not a stack
-        raise InvalidStateError(f"expected a 4x4 or 8x8 matrix, got {m.shape}")
-    rho = density_matrix(m)
-    if data.get("dim") != rho.dim:
-        raise InvalidStateError(f"dim field {data.get('dim')} != matrix size {rho.dim}")
-    return rho
-
-
-def settings_to_json(s: MeasurementSettings) -> str:
-    vecs = [v.tolist() for v in s.a] + [v.tolist() for v in s.b]
-    if s.c is not None:
-        vecs += [v.tolist() for v in s.c]
-    return json.dumps(vecs)
-
-
-def settings_from_json(text: str) -> MeasurementSettings:
-    vecs = json.loads(text)
-    # six entries with null C directions would read as a bipartite frame
-    if not isinstance(vecs, list) or len(vecs) not in (4, 6) or None in vecs:
-        raise InvalidStateError(f"expected a list of 4 or 6 unit vectors, got {vecs!r}")
-    return settings(*vecs)
 
 
 # ---------------------------------------------------------------------------

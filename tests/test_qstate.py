@@ -1,7 +1,6 @@
 """Density matrices, Born boxes, catalogs and the Hardy construction."""
 
 import itertools
-import json
 import threading
 
 import hypothesis
@@ -286,7 +285,7 @@ def test_product_state_z_measurements_deterministic():
 
 
 def test_settings_catalog_entries():
-    assert len(qstate.settings_names()) >= 14
+    assert len(qstate._FIXED_SETTINGS) + len(qstate._PARAM_SETTINGS) >= 14
     bsb = qstate.settings_catalog("BSb")
     assert np.allclose(bsb.a[0], [1, 0, 0])
     assert np.allclose(bsb.b[0], [1 / SQRT2, -1 / SQRT2, 0])
@@ -394,58 +393,6 @@ def test_hardy_probability_does_not_depend_on_the_amplitudes_scale(scale):
         qstate.hardy_probability(0, 0, 0)
 
 
-def test_state_json_round_trip():
-    rho = qstate.random_two_qubit_state(RNG)
-    again = qstate.state_from_json(qstate.state_to_json(rho))
-    assert np.allclose(again.mat, rho.mat, atol=1e-15)
-    with pytest.raises(qstate.InvalidStateError):
-        qstate.state_from_json('{"dim": 4, "re": [[1]], "im": [[0]]}')
-    with pytest.raises(qstate.InvalidStateError, match="dim field 8 != matrix size 4"):
-        qstate.state_from_json(json.dumps({"dim": 8, "re": RE4, "im": IM4}))
-
-
-RE4, IM4 = (np.eye(4) / 4).tolist(), np.zeros((4, 4)).tolist()
-
-
-def test_state_from_json_refuses_a_stack_of_states():
-    doc = {"dim": 4, "re": [RE4, RE4], "im": [IM4, IM4]}
-    with pytest.raises(qstate.InvalidStateError, match=r"got \(2, 4, 4\)"):
-        qstate.state_from_json(json.dumps(doc))
-
-
-@pytest.mark.parametrize("doc", [
-    [RE4, IM4],                                   # not an object
-    {"dim": 4, "re": RE4},                        # no 'im'
-    {"dim": 4, "im": IM4},                        # no 're'
-    {"dim": 4, "re": [["a"] * 4] * 4, "im": IM4},  # non-numeric entries
-])
-def test_state_from_json_rejects_malformed_documents(doc):
-    with pytest.raises(qstate.InvalidStateError):
-        qstate.state_from_json(json.dumps(doc))
-
-
-@pytest.mark.parametrize("doc", [
-    5,                                            # not a list
-    {"a": 1, "b": 2, "c": 3, "d": 4},             # an object, not a list
-    [[1, 0, 0], [0, 1, 0], [1, 0, 0], "x"],       # non-numeric entry
-    [[1, 0, 0], [0, 1, 0], [1, 0, 0], [0, 1]],    # a vector of two numbers
-    [[1, 0, 0], [0, 1, 0], [1, 0, 0], [0, 1, 0], None, None],  # six entries, no C
-])
-def test_settings_from_json_rejects_malformed_documents(doc):
-    with pytest.raises(qstate.InvalidStateError):
-        qstate.settings_from_json(json.dumps(doc))
-
-
-def test_settings_json_round_trip():
-    frame = qstate.settings_catalog("SDxz")
-    again = qstate.settings_from_json(qstate.settings_to_json(frame))
-    assert np.allclose(again.a, frame.a)
-    assert np.allclose(again.c, frame.c)
-    frame2 = qstate.settings_from_json(qstate.settings_to_json(
-        qstate.settings_catalog("BSb")))
-    assert frame2.parties == 2
-
-
 @pytest.mark.parametrize("dim", [4, 8])
 @pytest.mark.parametrize("kind", ["mixed", "pure"])
 def test_born_rule_matches_definition_on_random_states(dim, kind):
@@ -466,7 +413,7 @@ def test_born_rule_matches_definition_on_random_states(dim, kind):
                 assert np.max(np.abs(got - want)) <= 1e-12
 
 
-@pytest.mark.parametrize("name", qstate.settings_names())
+@pytest.mark.parametrize("name", sorted(qstate._FIXED_SETTINGS) + sorted(qstate._PARAM_SETTINGS))
 def test_born_rule_matches_definition_on_named_frames(name):
     rng = np.random.default_rng(sum(map(ord, name)))
     # 0.4 lies in range for every parametric frame (tau >= 0, p and theta in
@@ -734,7 +681,7 @@ def test_a_valid_state_stack_is_a_read_only_copy():
         qstate.density_matrix(mats[None])
 
 
-def test_a_state_stack_is_refused_by_json_and_gives_born_boxes_a_box_stack():
+def test_a_state_stack_gives_born_boxes_a_box_stack():
     two = qstate.density_matrix(_valid_stack(1))
     three = qstate.density_matrix(np.eye(8)[None] / 8)
     for born, rho, frame in ((qstate.born_box2, two, qstate.settings_catalog("BSb")),
@@ -745,8 +692,6 @@ def test_a_state_stack_is_refused_by_json_and_gives_born_boxes_a_box_stack():
         assert stack.table[0].tobytes() == one.table.tobytes()
     with pytest.raises(qstate.InvalidStateError, match="needs a 4x4"):
         qstate.born_box2(three, qstate.settings_catalog("BSb"))
-    with pytest.raises(qstate.InvalidStateError):
-        qstate.state_to_json(two)
 
 
 def test_born_boxes_refuse_unequal_stacks_an_empty_frame_stack_and_lists():
