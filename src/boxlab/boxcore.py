@@ -644,25 +644,6 @@ def compose_lro(g: Lro, h: Lro) -> Lro:
     )
 
 
-def _invert_relabel(r: PartyRelabel) -> PartyRelabel:
-    return PartyRelabel(r.input_flip, r.out_by_input,
-                        r.out_const ^ (r.out_by_input & r.input_flip))
-
-
-def _inverse(relabels: tuple, targets: tuple) -> tuple[tuple, tuple]:
-    """The inverse relabeling: the slots move back, and each slot's relabel
-    is undone in the slot it started from."""
-    back = [0] * len(targets)
-    for k, t in enumerate(targets):
-        back[t] = k
-    return tuple(_invert_relabel(relabels[back[k]]) for k in range(len(back))), tuple(back)
-
-
-def invert_lro(g: Lro) -> Lro:
-    (ia, ib), back = _inverse(*_slots(g))
-    return Lro(party_swap=back != (0, 1), a=ia, b=ib)
-
-
 def lro_index_permutation(g: Lro) -> np.ndarray:
     """Index map so that apply_lro(box, g).table.ravel() == table.ravel()[perm].
 
