@@ -185,16 +185,20 @@ def _validate(values, n: int) -> np.ndarray:
     One _valid_at_once test covers every table; where it fails, each table
     that fails it alone takes the checks below in order.
 
-    Raises BoxError unless `values` converts to 4**n finite numbers, then
+    Raises BoxError unless `values` is an array of 4**n finite real numbers
+    (integers or floats: a boolean, complex or string table is refused), then
     NegativeEntryError, NotNormalizedError or SignalingError naming the
     offending entry, inputs or marginal. Nonsignaling means that for every
     nonempty proper subset of parties summed out, the marginal of the others
     does not depend on the inputs of that subset.
     """
     try:
-        t = np.array(values, dtype=float)
-    except (TypeError, ValueError) as exc:
+        t = np.asarray(values)
+    except ValueError as exc:  # a ragged table
         raise BoxError(f"table is not an array of numbers: {exc}") from None
+    if t.dtype.kind not in "fiu":
+        raise BoxError(f"table is not an array of real numbers: dtype {t.dtype}")
+    t = np.array(t, dtype=float)
     stacked = isinstance(values, np.ndarray) and t.shape[1:] == (4 ** n,) and len(t) > 0
     if not stacked and t.size != 4 ** n:
         raise BoxError(f"expected {4 ** n} probabilities, got {t.size}")
@@ -713,10 +717,19 @@ def _json_object(text: str) -> dict:
 
 
 def _json_table(text: str, n: int):
-    """The unvalidated table of a box file of n parties."""
+    """The unvalidated table of a box file of n parties; BoxError for an entry
+    that is not a JSON number, which numpy would read as one when the table
+    mixes it with numbers (true as 1, "0.5" as 0.5)."""
     data = _json_object(text)
     if data.get("parties") != n:
         raise BoxError(f"expected parties={n}, got {data.get('parties')}")
+    entries = [data["table"]]
+    while entries:
+        entry = entries.pop()
+        if isinstance(entry, list):
+            entries.extend(entry)
+        elif type(entry) not in (int, float):
+            raise BoxError(f"table entry {json.dumps(entry)} is not a number")
     return data["table"]
 
 

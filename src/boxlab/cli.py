@@ -281,7 +281,10 @@ def cmd_sweep(args) -> int:
         return (qstate.settings_catalog(args.settings, value) if frame_moves else frame,
                 _build_state(args.family, {**fixed, pname: value} if to_family else fixed))
 
-    values = np.linspace(start, stop, steps)
+    try:
+        values = np.linspace(start, stop, steps)
+    except MemoryError:
+        raise InputError(f"sweep cannot allocate a grid of {steps} steps") from None
     party, columns = None, []
     for lo in range(0, steps, _SWEEP_CHUNK):
         chunk = values[lo:lo + _SWEEP_CHUNK]

@@ -83,6 +83,11 @@ MALFORMED_BOX_FILES = [
     b'{"parties": 2, "table": [[0.25, 0.25, 0.25, 0.25], [0.25, 0.25, 0.25]]}',
     b"\xff\xfe not UTF-8",
     (Path(__file__).parent / "data" / "malformed_box3.json").read_bytes(),
+    # det_box(0, 0, 0, 0) with its ones written as strings, then as true:
+    # numpy would read either table as that box
+    (Path(__file__).parent / "data" / "string_entry_box2.json").read_bytes(),
+    (Path(__file__).parent / "data" / "string_entry_box2.json").read_bytes().replace(
+        b'"1.0"', b"true"),
 ]
 
 
@@ -398,6 +403,16 @@ def test_sweep_rejects_non_finite_bounds_with_one_line(spec, capsys, recwarn):
     assert captured.err.splitlines() == [f"error: --sweep start and stop must be finite, "
                                          f"got {spec!r}"]
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_sweep_refuses_a_grid_it_cannot_allocate_with_one_line(capsys):
+    # 8 * 10**16 bytes lie beyond a 47-bit address space, so numpy refuses
+    # the grid before it allocates anything
+    assert run_cli(["sweep", "--family", "Werner2", "--settings", "BSb",
+                    "--sweep", f"p:0:1:{10 ** 16}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: sweep cannot allocate a grid of {10 ** 16} steps"]
 
 
 @pytest.mark.parametrize("argv", [

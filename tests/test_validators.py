@@ -62,7 +62,17 @@ for _n in (2, 3):
         ("both_infs", _noise(_n, 3, np.inf, 4, -np.inf), BoxError,
          "table has non-finite entries: [ inf -inf]"),
         ("not_numbers", ["a"] * 4 ** _n, BoxError,
-         "table is not an array of numbers: could not convert string to float: 'a'"),
+         "table is not an array of real numbers: dtype <U1"),
+        # tables that numpy would convert to a valid box: all are refused
+        ("complex", _noise(_n).astype(complex), BoxError,
+         "table is not an array of real numbers: dtype complex128"),
+        ("complex_imaginary_part", _noise(_n) + 1e-3j, BoxError,
+         "table is not an array of real numbers: dtype complex128"),
+        ("bool", (boxcore.det_box(0, 0, 0, 0) if _n == 2
+                  else tribox.det3_box(0, 0, 0, 0, 0, 0)).table > 0, BoxError,
+         "table is not an array of real numbers: dtype bool"),
+        ("strings", _noise(_n).astype(str), BoxError,
+         "table is not an array of real numbers: dtype <U32"),
         ("wrong_size", _noise(_n)[:-1], BoxError,
          f"expected {4 ** _n} probabilities, got {4 ** _n - 1}"),
     ]
