@@ -76,6 +76,9 @@ def test_measure_invalid_box_file(tmp_path, capsys):
     assert run_cli(["measure", "--box", str(path)]) == 2
 
 
+# det_box(0, 0, 0, 0) with its ones written as strings: numpy would read it,
+# and the same table with true for the strings, as that box
+STRING_ENTRY_BOX2 = (Path(__file__).parent / "data" / "string_entry_box2.json").read_bytes()
 MALFORMED_BOX_FILES = [
     b"[0.25, 0.25]",
     b'{"parties": 2}',
@@ -83,11 +86,8 @@ MALFORMED_BOX_FILES = [
     b'{"parties": 2, "table": [[0.25, 0.25, 0.25, 0.25], [0.25, 0.25, 0.25]]}',
     b"\xff\xfe not UTF-8",
     (Path(__file__).parent / "data" / "malformed_box3.json").read_bytes(),
-    # det_box(0, 0, 0, 0) with its ones written as strings, then as true:
-    # numpy would read either table as that box
-    (Path(__file__).parent / "data" / "string_entry_box2.json").read_bytes(),
-    (Path(__file__).parent / "data" / "string_entry_box2.json").read_bytes().replace(
-        b'"1.0"', b"true"),
+    STRING_ENTRY_BOX2,
+    STRING_ENTRY_BOX2.replace(b'"1.0"', b"true"),
 ]
 
 
