@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from boxlab import boxcore, discord2, polytope, qstate, tribox
+from boxlab import _corr, boxcore, discord2, polytope, qstate, tribox
 
 RNG = np.random.default_rng(77)
 SQRT2 = np.sqrt(2.0)
@@ -164,6 +164,15 @@ def test_make_box3_rejects_non_finite(bad):
 def test_parse_tri_vertex_label_rejects_wrong_parameters(label):
     with pytest.raises(ValueError):
         tribox.parse_tri_vertex_label(label)
+
+
+def test_discord_groupings_structure():
+    # the tripartite discords minimise over nine groupings of the eight labels
+    groups = _corr.GROUPINGS[3]
+    assert groups.shape == (9, 8)
+    for order in groups:
+        assert sorted(order.tolist()) == list(range(8))
+    assert len({tuple(order) for order in groups.tolist()}) == 9
 
 
 def test_ghz_paradox_examples():
