@@ -663,29 +663,12 @@ def _relabeled(table: np.ndarray, relabels: tuple, targets: tuple) -> np.ndarray
 
 def _index_permutation(relabels, targets) -> np.ndarray:
     """Index map of one relabeling: party slot k is relabeled by relabels[k]
-    and moved to slot targets[k]."""
-    contrib = _SLOT_CONTRIBUTIONS[len(relabels)]
-    return sum(contrib[k, 4 * r.input_flip + 2 * r.out_by_input + r.out_const, t]
-               for k, (r, t) in enumerate(zip(relabels, targets)))
-
-
-def _slot_contributions(n: int) -> np.ndarray:
-    """contrib[k, r, p]: what party slot k of a relabeled n-party box adds to
-    the flat source index when relabel r (party_relabels() order) acts on it
-    and it lands on source slot p; shape (n, 8, n, 4**n)."""
-    cells = np.indices((2,) * (2 * n)).reshape(2 * n, 4 ** n)
-    r = np.arange(8)[:, None]
-    flip, by_input, const = r >> 2 & 1, r >> 1 & 1, r & 1
-    contrib = np.empty((n, 8, n, 4 ** n), dtype=np.intp)
-    for k in range(n):
-        x, a = cells[k], cells[n + k]
-        src_x, src_a = x ^ flip, a ^ (by_input & x) ^ const
-        for p in range(n):
-            contrib[k, :, p] = (src_x << (2 * n - 1 - p)) | (src_a << (n - 1 - p))
-    return contrib
-
-
-_SLOT_CONTRIBUTIONS = {n: _slot_contributions(n) for n in (2, 3)}
+    and moved to slot targets[k]; computed from the bits of each cell
+    [x_1..x_n][a_1..a_n]."""
+    n = len(relabels)
+    cells = np.indices((2,) * (2 * n), dtype=np.intp).reshape(2 * n, 4 ** n)
+    return sum((x ^ r.input_flip) << (2 * n - 1 - p) | (a ^ (r.out_by_input & x) ^ r.out_const)
+               << (n - 1 - p) for r, p, x, a in zip(relabels, targets, cells[:n], cells[n:]))
 
 
 def party_relabels() -> list[PartyRelabel]:

@@ -172,9 +172,9 @@ def _block_loop(stack: np.ndarray, vertices: np.ndarray,
         block = np.flatnonzero(todo)[:_LP_BLOCK]
         todo[block] = False
         rest = np.flatnonzero(todo)
-        basis = (_start_basis(_MatrixKey(np.asarray(vertices, dtype=float)), len(block),
-                              tuple(_HIGHS_OPTIONS.items())) if warm else None)
-        w[block], y = _elastic_lp(stack[block], vertices, basis, duals=rest.size > 0)
+        basis = (_start_basis(_matrix_key(vertices), len(block), tuple(_HIGHS_OPTIONS.items()))
+                 if warm else None)
+        w[block], y = _elastic_lp(stack[block], vertices, basis)
         inside = flags[block] = ~np.isnan(w[block, 0])
         if rest.size:
             proved_in, proved_out = _screen(stack, rest, vertices,
@@ -356,59 +356,49 @@ def _run(model, basis=None):
 
 
 def _solve_target(vertices: np.ndarray, weight_cost: np.ndarray, targets: np.ndarray,
-                  basis=None, duals: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+                  basis=None) -> tuple[np.ndarray, np.ndarray]:
     """_run, from `basis` if given, on the elastic LP of one target (d,)
     over `vertices`, with `weight_cost` per vertex, or on the block-diagonal
-    LP of a stack (m, d): the optimal point and, unless `duals` is false
-    (None then), the duals of the equality rows. Its model is kept per
-    vertex matrix, weight costs, block count m and solver options; a call
-    writes the targets into the kept LP's row bounds and passes the LP to
-    the model again, in one call."""
+    LP of a stack (m, d): the optimal point and the duals of the equality
+    rows. Its model is kept per vertex matrix, weight costs, block count m
+    and solver options; a call writes the targets into the kept LP's row
+    bounds and passes the LP to the model again, in one call."""
     m = targets.size // vertices.shape[1]
-    lp, model = _target_model(_MatrixKey(np.asarray(vertices, dtype=float)),
-                              weight_cost.tobytes(), m, tuple(_HIGHS_OPTIONS.items()))
+    lp, model = _target_model(_matrix_key(vertices), weight_cost.tobytes(), m,
+                              tuple(_HIGHS_OPTIONS.items()))
     bounds = targets.reshape(-1).tolist()
     with _TARGET_LOCK:
         lp.row_lower_ = lp.row_upper_ = bounds
         model.passModel(lp)
         solution = _run(model, basis)
-    return np.array(solution.col_value), (np.array(solution.row_dual) if duals else None)
+    return np.array(solution.col_value), np.array(solution.row_dual)
 
 
-class _MatrixKey:
-    """Cache key of a float matrix. Keys are equal when the shapes and all
-    the bytes are; the hash reads only the shape and the first and last kB,
-    so a lookup copies the matrix once but does not hash all of it."""
-
-    __slots__ = ("shape", "data", "_hash")
-
-    def __init__(self, matrix: np.ndarray):
-        self.shape, self.data = matrix.shape, matrix.tobytes()
-        self._hash = hash((self.shape, self.data[:1024], self.data[-1024:]))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        return self.shape == other.shape and self.data == other.data
+def _matrix_key(matrix: np.ndarray) -> tuple:
+    """Cache key of a float matrix: its shape and bytes."""
+    m = np.asarray(matrix, dtype=float)
+    return m.shape, m.tobytes()
 
 
 @functools.lru_cache(maxsize=8)
-def _target_model(key: _MatrixKey, cost_bytes: bytes, m: int, options: tuple):
-    """The LP and model of m targets kept for _solve_target; `options`, the
-    items of _HIGHS_OPTIONS the model is built under, only keys the cache."""
-    vertices, d = np.frombuffer(key.data).reshape(key.shape), key.shape[1]
+def _target_model(key: tuple, cost_bytes: bytes, m: int, options: tuple):
+    """The LP and model of m targets kept for _solve_target, over the matrix
+    of _matrix_key `key`; `options`, the items of _HIGHS_OPTIONS the model
+    is built under, only keys the cache."""
+    (k, d), data = key
+    vertices = np.frombuffer(data).reshape(k, d)
     return _highs_model(np.tile(_elastic_cost(np.frombuffer(cost_bytes), d), m),
                         _elastic_block(vertices), m)
 
 
 @functools.lru_cache(maxsize=8)
-def _start_basis(key: _MatrixKey, m: int, options: tuple):
+def _start_basis(key: tuple, m: int, options: tuple):
     """The optimal basis of the elastic LP of the hull's centroid, the mean
     of the vertex rows (the noise box for the 16 deterministic vertices),
     tiled over the m targets of a block: the start of _inside_flags. It is
     solved cold on a model of its own; `options` only keys the cache."""
-    vertices, (k, d) = np.frombuffer(key.data).reshape(key.shape), key.shape
+    (k, d), data = key
+    vertices = np.frombuffer(data).reshape(k, d)
     lp, model = _highs_model(_elastic_cost(np.zeros(k), d), _elastic_block(vertices), 1)
     lp.row_lower_ = lp.row_upper_ = vertices.mean(axis=0)
     model.passModel(lp)
@@ -419,20 +409,20 @@ def _start_basis(key: _MatrixKey, m: int, options: tuple):
     return basis
 
 
-def _elastic_lp(targets: np.ndarray, vertices: np.ndarray, basis=None,
-                duals: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+def _elastic_lp(targets: np.ndarray, vertices: np.ndarray,
+                basis=None) -> tuple[np.ndarray, np.ndarray]:
     """Weights of each target of the stack (m, d), NaN rows for targets
-    outside the hull, and if `duals`, the duals of each target's equality
-    rows, shape (m, d), else None; the LP starts from `basis` if given."""
+    outside the hull, and the duals of each target's equality rows, shape
+    (m, d); the LP starts from `basis` if given."""
     m, (k, d) = len(targets), vertices.shape
-    x, y = _solve_target(vertices, np.zeros(k), targets, basis, duals)
+    x, y = _solve_target(vertices, np.zeros(k), targets, basis)
     x = x.reshape(m, k + 2 * d)
     w = np.clip(x[:, :k], 0.0, None)
     inside = x[:, k:].sum(axis=1) <= d * EPS_LP_SLACK
     if np.max(np.abs(w[inside] @ vertices - targets[inside]), initial=0.0) > EPS_LP:
         raise LpNumericalFailure("LP solution does not reconstruct the target")
     w[~inside] = np.nan
-    return w, (y.reshape(m, d) if duals else None)
+    return w, y.reshape(m, d)
 
 
 def nested_hull_flags(target: np.ndarray, vertices: np.ndarray, starts) -> list[bool]:

@@ -160,20 +160,15 @@ def settings(a0, a1, b0, b1, c0=None, c1=None) -> MeasurementSettings:
     direction is 3 numbers, or a 2-D (k, 3) numpy array of k points, which
     makes a frame stack, the other directions serving every point."""
     vecs = (a0, a1, b0, b1) if c0 is None and c1 is None else (a0, a1, b0, b1, c0, c1)
-    if any(isinstance(v, np.ndarray) and v.ndim == 2 and v.shape[1] == 3 for v in vecs):
-        vecs = [v if isinstance(v, np.ndarray) and v.shape[1:] == (3,) else _vec3(v) for v in vecs]
-        try:
-            d = np.stack(np.broadcast_arrays(*vecs), axis=1)  # (k, 2n, 3)
-        except ValueError:
-            raise InvalidStateError(f"directions of {sorted({len(v) for v in vecs if v.ndim == 2})}"
-                                    " points do not match") from None
-        d = _unit_directions(d).reshape(len(d), len(vecs) // 2, 2, 3)  # k may be 0
-        return MeasurementSettings(*d.swapaxes(0, 1))
+    vecs = [v if isinstance(v, np.ndarray) and v.ndim == 2 and v.shape[1] == 3 else _vec3(v)
+            for v in vecs]  # _vec3 names the first that is not 3 numbers
     try:
-        d = np.array(vecs, dtype=float).reshape(len(vecs) // 2, 2, 3)
-    except (TypeError, ValueError):  # _vec3 names the first that is not 3 numbers
-        d = np.reshape([_vec3(v) for v in vecs], (-1, 2, 3))
-    return MeasurementSettings(*_unit_directions(d))
+        d = np.stack(np.broadcast_arrays(*vecs), axis=-2)  # (2n, 3) or (k, 2n, 3)
+    except ValueError:
+        raise InvalidStateError(f"directions of {sorted({len(v) for v in vecs if v.ndim == 2})}"
+                                " points do not match") from None
+    d = _unit_directions(d)  # k may be 0
+    return MeasurementSettings(*(d[..., i:i + 2, :] for i in range(0, len(vecs), 2)))
 
 
 def bloch_operator(n: np.ndarray) -> np.ndarray:

@@ -67,13 +67,10 @@ def expectations3(box: TripartiteBox) -> TriExpectations:
                            abc=boxcore._per_label(box, box.correlators))
 
 
-def box3_from_expectations(e: TriExpectations, validate: bool = True):
+def box3_from_expectations(e: TriExpectations):
     """Inverse of :func:`expectations3`; exact round trip for valid boxes."""
-    t = boxcore._expand(3, [(4, e.a), (2, e.b), (1, e.c), (6, e.ab), (5, e.ac), (3, e.bc),
-                            (7, e.abc)])
-    if validate:
-        return make_box3(t)
-    return TripartiteBox(t)
+    return make_box3(boxcore._expand(3, [(4, e.a), (2, e.b), (1, e.c), (6, e.ab), (5, e.ac),
+                                         (3, e.bc), (7, e.abc)]))
 
 
 # ---------------------------------------------------------------------------
