@@ -177,6 +177,28 @@ def _valid_at_once(t: np.ndarray, n: int) -> bool:
                 and np.abs(t @ rows.T - target).max() <= EPS_VALID)
 
 
+def _numbers(values, what: str, error: type, kinds: str = "fiu") -> np.ndarray:
+    """`values` as a numpy array, unconverted, if numpy reads it as numbers
+    of the dtype `kinds` (integer, unsigned, float; add "c" for complex),
+    else `error` naming `what`. numpy reads a list that mixes bools with
+    numbers as numbers, so the entries of lists and tuples are walked too."""
+    try:
+        t = np.asarray(values)
+    except ValueError as exc:  # a ragged list
+        raise error(f"{what} is not an array of numbers: {exc}") from None
+    if t.dtype.kind not in kinds:
+        real = "" if "c" in kinds else "real "
+        raise error(f"{what} is not an array of {real}numbers: dtype {t.dtype}")
+    entries = [values] if isinstance(values, (list, tuple)) else []
+    while entries:
+        entry = entries.pop()
+        if isinstance(entry, (list, tuple)):
+            entries.extend(entry)
+        elif isinstance(entry, (bool, np.bool_)):
+            raise error(f"{what} entry {entry} is not a number")
+    return t
+
+
 def _validate(values, n: int) -> np.ndarray:
     """The (2,)*2n table of `values`: a new array, checked, with entries in
     (-EPS_VALID, 0) clamped to 0 (decomposition residuals produce -1e-16 noise).
@@ -192,13 +214,7 @@ def _validate(values, n: int) -> np.ndarray:
     nonempty proper subset of parties summed out, the marginal of the others
     does not depend on the inputs of that subset.
     """
-    try:
-        t = np.asarray(values)
-    except ValueError as exc:  # a ragged table
-        raise BoxError(f"table is not an array of numbers: {exc}") from None
-    if t.dtype.kind not in "fiu":
-        raise BoxError(f"table is not an array of real numbers: dtype {t.dtype}")
-    t = np.array(t, dtype=float)
+    t = np.array(_numbers(values, "table", BoxError), dtype=float)
     stacked = isinstance(values, np.ndarray) and t.shape[1:] == (4 ** n,) and len(t) > 0
     if not stacked and t.size != 4 ** n:
         raise BoxError(f"expected {4 ** n} probabilities, got {t.size}")
@@ -550,7 +566,7 @@ def parse_vertex_label(label: str) -> VertexId:
 
 def mix(boxes: list[BipartiteBox], weights) -> BipartiteBox:
     """Entrywise convex combination of boxes."""
-    w = np.asarray(weights, dtype=float)
+    w = np.asarray(_numbers(weights, "weights", BadWeightsError), dtype=float)
     if len(boxes) != w.size:
         raise BadWeightsError("weights length must match number of boxes")
     # written so that a NaN weight fails both comparisons
@@ -700,19 +716,10 @@ def _json_object(text: str) -> dict:
 
 
 def _json_table(text: str, n: int):
-    """The unvalidated table of a box file of n parties; BoxError for an entry
-    that is not a JSON number, which numpy would read as one when the table
-    mixes it with numbers (true as 1, "0.5" as 0.5)."""
+    """The unvalidated table of a box file of n parties."""
     data = _json_object(text)
     if data.get("parties") != n:
         raise BoxError(f"expected parties={n}, got {data.get('parties')}")
-    entries = [data["table"]]
-    while entries:
-        entry = entries.pop()
-        if isinstance(entry, list):
-            entries.extend(entry)
-        elif type(entry) not in (int, float):
-            raise BoxError(f"table entry {json.dumps(entry)} is not a number")
     return data["table"]
 
 

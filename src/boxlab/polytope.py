@@ -237,7 +237,7 @@ def _rows(t: np.ndarray, vertices: np.ndarray) -> np.ndarray:
 def _finite(target) -> np.ndarray:
     # HiGHS refuses a non-finite row bound and keeps the previous one, which
     # would answer a kept model's previous target
-    t = np.asarray(target, dtype=float)
+    t = np.asarray(boxcore._numbers(target, "target", ValueError), dtype=float)
     if not np.isfinite(t).all():
         raise ValueError("target has a non-finite entry")
     return t

@@ -50,7 +50,7 @@ def density_matrix(mat) -> DensityMatrix:
     Hermitian, unit trace, lowest eigenvalue >= -EIG_TOL. A 3-D (k, d, d)
     numpy array is a stack, checked at once and matrix by matrix only where
     that fails; nested lists are always one matrix."""
-    m = np.array(mat, dtype=complex)
+    m = np.array(boxcore._numbers(mat, "matrix", InvalidStateError, "fiuc"), dtype=complex)
     stacked = isinstance(mat, np.ndarray) and m.ndim == 3 and len(m) > 0
     if m.ndim != 2 + stacked or m.shape[-1] != m.shape[-2] or m.shape[-1] not in (4, 8):
         raise InvalidStateError(f"expected a 4x4 or 8x8 matrix, got {m.shape}")
@@ -81,7 +81,8 @@ def pure_dm(vec) -> DensityMatrix:
     the normalized outer product is Hermitian, of unit trace and positive
     semidefinite by construction.
     """
-    v = np.asarray(vec, dtype=complex)
+    v = np.asarray(boxcore._numbers(vec, "state vector", InvalidStateError, "fiuc"),
+                   dtype=complex)
     stacked = isinstance(vec, np.ndarray) and v.ndim == 2 and len(v) > 0
     v = v if stacked else v.reshape(1, -1)
     if v.shape[1] not in (4, 8):
@@ -103,9 +104,11 @@ def pure_dm(vec) -> DensityMatrix:
 
 
 def _vec3(v) -> np.ndarray:
-    """A Bloch vector as 3 floats; InvalidStateError for anything else."""
+    """A Bloch vector as 3 floats, or a 2-D (k, 3) numpy array as k of them;
+    InvalidStateError for anything else."""
     try:
-        return np.asarray(v, dtype=float).reshape(3)
+        d = np.asarray(boxcore._numbers(v, "vector", InvalidStateError), dtype=float)
+        return d if isinstance(v, np.ndarray) and d.ndim == 2 and d.shape[1] == 3 else d.reshape(3)
     except (TypeError, ValueError):
         raise InvalidStateError(f"expected a vector of 3 numbers, got {v!r}") from None
 
@@ -160,8 +163,7 @@ def settings(a0, a1, b0, b1, c0=None, c1=None) -> MeasurementSettings:
     direction is 3 numbers, or a 2-D (k, 3) numpy array of k points, which
     makes a frame stack, the other directions serving every point."""
     vecs = (a0, a1, b0, b1) if c0 is None and c1 is None else (a0, a1, b0, b1, c0, c1)
-    vecs = [v if isinstance(v, np.ndarray) and v.ndim == 2 and v.shape[1] == 3 else _vec3(v)
-            for v in vecs]  # _vec3 names the first that is not 3 numbers
+    vecs = [_vec3(v) for v in vecs]  # names the first that is not 3 numbers
     try:
         d = np.stack(np.broadcast_arrays(*vecs), axis=-2)  # (2n, 3) or (k, 2n, 3)
     except ValueError:
@@ -384,7 +386,10 @@ def settings_catalog(name: str, param: float | np.ndarray | None = None) -> Meas
         name, param = m.group(1), m.group(2)
     try:
         if param is not None:  # a (k, 1) column makes each direction (k, 3)
-            param = np.asarray(param, dtype=float)[:, None] if np.ndim(param) == 1 else float(param)
+            p = np.asarray(float(param) if m else
+                           boxcore._numbers(param, "settings parameter", InvalidStateError),
+                           dtype=float)
+            param = p[:, None] if p.ndim == 1 else float(p)
     except (TypeError, ValueError):
         raise InvalidStateError(f"settings parameter {param!r} is not a number") from None
     if name in _FIXED_SETTINGS:
@@ -423,7 +428,8 @@ def singlet() -> DensityMatrix:
 def _pure_family(d: int, amplitudes: dict) -> DensityMatrix:
     """pure_dm of the d-entry vector, zero but for {index: amplitude}, or of
     the (k, d) vector stack where amplitudes are (k,) arrays."""
-    values = np.broadcast_arrays(*amplitudes.values())
+    values = np.broadcast_arrays(*(boxcore._numbers(a, "amplitude", InvalidStateError, "fiuc")
+                                   for a in amplitudes.values()))
     v = np.zeros(values[0].shape + (d,), dtype=complex)
     for i, a in zip(amplitudes, values):
         v[..., i] = a
@@ -432,12 +438,13 @@ def _pure_family(d: int, amplitudes: dict) -> DensityMatrix:
 
 def _mixture(p, pure: np.ndarray, noise: np.ndarray) -> DensityMatrix:
     """density_matrix of p pure + (1 - p) noise, a stack for a (k,) array p."""
-    p = np.asarray(p, dtype=float)[..., None, None]
+    p = np.asarray(boxcore._numbers(p, "p", InvalidStateError), dtype=float)[..., None, None]
     return density_matrix(p * pure + (1 - p) * noise)
 
 
 def schmidt_state(theta: float) -> DensityMatrix:
     """cos(theta)|00> + sin(theta)|11>, theta in [0, pi/4]."""
+    theta = boxcore._numbers(theta, "theta", InvalidStateError)
     return _pure_family(4, {0: np.cos(theta), 3: np.sin(theta)})
 
 
@@ -457,7 +464,7 @@ def bell_diagonal_state(weights) -> DensityMatrix:
     Weights w[0..3] go to (|00> + (-1)^j i^k |11>)/sqrt2 and w[4..7] to
     (|01> + (-1)^j i^k |10>)/sqrt2, ordered (j,k) = 00,01,10,11.
     """
-    w = np.asarray(weights, dtype=float)
+    w = np.asarray(boxcore._numbers(weights, "weights", InvalidStateError), dtype=float)
     if (w.shape[-1:] != (8,) or w.ndim > 2 or (w < -EPS_VALID).any()
             or (np.abs(w.sum(axis=-1) - 1.0) > EPS_VALID).any()):
         raise InvalidStateError("need 8 nonnegative weights summing to 1")
@@ -479,11 +486,10 @@ def _classical_quantum(p0, r_hat, s0, s1, quantum_first: bool) -> DensityMatrix:
     stack, a scalar weight or a 3-vector serving every point. A p0 that is
     not finite raises InvalidStateError before any arithmetic.
     """
-    p0 = np.asarray(p0, dtype=float)
+    p0 = np.asarray(boxcore._numbers(p0, "p0", InvalidStateError), dtype=float)
     if not np.isfinite(p0).all():
         raise InvalidStateError(f"p0 is not finite: {p0[~np.isfinite(p0)][0]}")
-    r_hat, s0, s1 = (v if isinstance(v, np.ndarray) and v.ndim == 2 and v.shape[1] == 3
-                     else _vec3(v) for v in (r_hat, s0, s1))
+    r_hat, s0, s1 = (_vec3(v) for v in (r_hat, s0, s1))
     try:
         shape = np.broadcast_shapes(p0.shape, r_hat.shape[:-1], s0.shape[:-1], s1.shape[:-1])
     except ValueError:
@@ -518,11 +524,14 @@ def ghz_state() -> DensityMatrix:
 
 def gghz_state(theta: float) -> DensityMatrix:
     """cos(theta)|000> + sin(theta)|111>."""
+    theta = boxcore._numbers(theta, "theta", InvalidStateError)
     return _pure_family(8, {0: np.cos(theta), 7: np.sin(theta)})
 
 
 def ghz_class_state(theta: float, theta3: float) -> DensityMatrix:
     """cos(theta)|000> + sin(theta)|11>(cos(theta3)|0> + sin(theta3)|1>)."""
+    theta = boxcore._numbers(theta, "theta", InvalidStateError)
+    theta3 = boxcore._numbers(theta3, "theta3", InvalidStateError)
     return _pure_family(8, {0: np.cos(theta), 6: np.sin(theta) * np.cos(theta3),
                             7: np.sin(theta) * np.sin(theta3)})
 
@@ -649,7 +658,8 @@ def hardy_probability(b: complex, c: complex, d: complex) -> float:
     measurements that zero out the three excluded joint outcomes; degenerate
     inputs (product or maximally entangled, i.e. b*c*d = 0) give 0.
     """
-    amps = np.array([b, c, d], dtype=complex)
+    amps = np.array(boxcore._numbers([b, c, d], "amplitudes", InvalidStateError, "fiuc"),
+                    dtype=complex)
     if not np.isfinite(amps).all():
         raise InvalidStateError(f"amplitudes {b}, {c}, {d} are not all finite")
     # divided by the largest modulus before the norm, so that tiny amplitudes

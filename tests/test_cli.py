@@ -88,6 +88,8 @@ MALFORMED_BOX_FILES = [
     (Path(__file__).parent / "data" / "malformed_box3.json").read_bytes(),
     STRING_ENTRY_BOX2,
     STRING_ENTRY_BOX2.replace(b'"1.0"', b"true"),
+    # det3_box(0, 0, 0, 0, 0, 0) with its ones written as true
+    (Path(__file__).parent / "data" / "bool_entry_box3.json").read_bytes(),
 ]
 
 

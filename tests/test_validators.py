@@ -11,8 +11,9 @@ arithmetic.
 import numpy as np
 import pytest
 
-from boxlab import boxcore, qstate, tribox
-from boxlab.boxcore import BoxError, NegativeEntryError, NotNormalizedError, SignalingError
+from boxlab import boxcore, polytope, qstate, tribox
+from boxlab.boxcore import (BadWeightsError, BoxError, NegativeEntryError, NotNormalizedError,
+                            SignalingError)
 from boxlab.qstate import InvalidStateError
 
 X, Y, Z = np.eye(3)
@@ -42,6 +43,11 @@ def _matrix(cell=None, value=None, cell2=None, value2=None):
     return m
 
 
+def _det(n):
+    """The deterministic box whose first table entry is 1."""
+    return boxcore.det_box(0, 0, 0, 0) if n == 2 else tribox.det3_box(0, 0, 0, 0, 0, 0)
+
+
 BOX_CASES = {
     2: [("negative", _noise(2, 5, -0.01), NegativeEntryError,
          "entry P(a=0,b=1|x=0,y=1) = -1.000e-02 < 0"),
@@ -68,11 +74,12 @@ for _n in (2, 3):
          "table is not an array of real numbers: dtype complex128"),
         ("complex_imaginary_part", _noise(_n) + 1e-3j, BoxError,
          "table is not an array of real numbers: dtype complex128"),
-        ("bool", (boxcore.det_box(0, 0, 0, 0) if _n == 2
-                  else tribox.det3_box(0, 0, 0, 0, 0, 0)).table > 0, BoxError,
+        ("bool", _det(_n).table > 0, BoxError,
          "table is not an array of real numbers: dtype bool"),
         ("strings", _noise(_n).astype(str), BoxError,
          "table is not an array of real numbers: dtype <U32"),
+        ("bool_in_a_list", [True] + _det(_n).table.reshape(-1).tolist()[1:], BoxError,
+         "table entry True is not a number"),
         ("wrong_size", _noise(_n)[:-1], BoxError,
          f"expected {4 ** _n} probabilities, got {4 ** _n - 1}"),
     ]
@@ -204,3 +211,70 @@ def test_settings_take_directions_of_any_three_entry_shape():
 def test_pure_dm_rejects_an_overflowing_norm_without_a_warning():
     with pytest.raises(InvalidStateError, match="state vector has norm inf"):
         qstate.pure_dm([1e200, 1e200, 0, 0])
+
+
+def _first_leaf_true(values):
+    """`values` as nested lists with their first number replaced by True."""
+    out = np.asarray(values).tolist()
+    inner = out
+    while isinstance(inner[0], list):
+        inner = inner[0]
+    inner[0] = True
+    return out
+
+
+_NOISE = boxcore.noise_box()
+DET = polytope.vertex_matrix(boxcore.all_det_ids())
+# each constructor that reads numbers from its caller but make_box and
+# make_box3 (BOX_CASES): the call with the input under test, a valid numeric
+# input, its error class and the word its message names the input by
+READERS = {
+    "mix": (lambda v: boxcore.mix([_NOISE, _NOISE], v), [1.0, 0.0], BadWeightsError, "weights"),
+    "lp_vertex_weights": (lambda v: polytope.lp_vertex_weights(v, DET), _noise(2), ValueError,
+                          "target"),
+    "density_matrix": (qstate.density_matrix, np.eye(4) / 4, InvalidStateError, "matrix"),
+    "pure_dm": (qstate.pure_dm, [1.0, 0.0, 0.0, 1.0], InvalidStateError, "state vector"),
+    "settings": (lambda v: qstate.settings(X, Y, v, Z), X, InvalidStateError, "vector"),
+    "settings_point_stack": (lambda v: qstate.settings(X, Y, v, Z), np.array([X, Y]),
+                             InvalidStateError, "vector"),
+    "settings_catalog": (lambda v: qstate.settings_catalog("PRQ", v), [0.3, 0.5],
+                         InvalidStateError, "settings parameter"),
+    "cq_state_p0": (lambda v: qstate.cq_state(v, X, X / 2, -Y / 2), [0.3, 0.5],
+                    InvalidStateError, "p0"),
+    "qc_state_point_stack": (lambda v: qstate.qc_state(0.3, v, X / 2, -Y / 2), np.array([X, Y]),
+                             InvalidStateError, "vector"),
+    "bell_diagonal_state": (qstate.bell_diagonal_state, [1.0] + [0.0] * 7, InvalidStateError,
+                            "weights"),
+    "hardy_probability": (lambda v: qstate.hardy_probability(*v), [0.5, 0.5, 0.5],
+                          InvalidStateError, "amplitudes"),
+    "hardy_state": (lambda v: qstate.hardy_state(v, 0.5, 0.5), [0.5, 0.5], InvalidStateError,
+                    "amplitude"),
+    "werner2_state": (qstate.werner2_state, [0.5, 1.0], InvalidStateError, "p"),
+    "schmidt_state": (qstate.schmidt_state, [0.3, 0.5], InvalidStateError, "theta"),
+    "gghz_state": (qstate.gghz_state, [0.3, 0.5], InvalidStateError, "theta"),
+    "ghz_class_state": (lambda v: qstate.ghz_class_state(0.3, v), [0.3, 0.5], InvalidStateError,
+                        "theta3"),
+}
+# numpy reads each of these as numbers: strings when converted to float, a
+# list mixing True with numbers as floats
+NOT_NUMBERS = {
+    "strings": lambda v: np.asarray(v).astype(str),
+    "bools": lambda v: np.asarray(v) != 0,
+    "bool_in_a_list": _first_leaf_true,
+}
+
+
+@pytest.mark.parametrize("kind", list(NOT_NUMBERS))
+@pytest.mark.parametrize("reader", list(READERS))
+def test_every_reader_refuses_strings_and_bools_with_its_own_error(reader, kind):
+    build, valid, error, what = READERS[reader]
+    build(valid)
+    with pytest.raises(error) as info:
+        build(NOT_NUMBERS[kind](valid))
+    assert type(info.value) is error and what in str(info.value)
+
+
+def test_schmidt_state_refuses_a_string_parameter():
+    # numpy's cosine of a string escaped as its own TypeError
+    with pytest.raises(InvalidStateError, match="^theta is not an array of real numbers"):
+        qstate.schmidt_state("0.3")
