@@ -3,11 +3,14 @@
 Each criterion returns a CriterionResult with the worst observed error, so the
 CLI `verify` command and tests/test_acceptance.py share the same code path.
 Closed-form tolerances are 1e-9; criteria 9, 10 and 11 state their own bounds.
+`run_all` runs the criteria concurrently, one thread per CPU.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
+import threading
 import time
 from dataclasses import dataclass
 
@@ -26,7 +29,9 @@ class CriterionResult:
     description: str
     passed: bool
     detail: str = ""
-    seconds: float = 0.0  # wall time, set by run_all
+    # the criterion's own wall time, set by run_all while other criteria
+    # run beside it, so a run's criteria can sum to more than the run
+    seconds: float = 0.0
 
 
 def _result(number, description, max_err, tol, extra="") -> CriterionResult:
@@ -247,13 +252,15 @@ def criterion_9() -> CriterionResult:
     def grid_max(corrs: np.ndarray, a=a_dirs, b=b_dirs) -> float:
         # e[n,s,x,y] = a[s,x] . corrs[n] . b[s,y], as a matrix product of
         # the 9 entries of each corrs[n] with the settings' outer products
-        # (a three-operand einsum loops naively), 100 states at a time:
-        # a whole (1000, 1000, 2, 2) grid and its discords take about 90 MB
+        # (a three-operand einsum loops naively), 20 states at a time:
+        # a whole (1000, 1000, 2, 2) grid and its discords take about 90 MB,
+        # and chunks of 100 states, beside criterion 10 on another thread,
+        # raised a verify run's peak RSS by about 6 MB (and were slower)
         ab = np.einsum("sxi,syj->ijsxy", a, b).reshape(9, -1)
         flat = corrs.reshape(len(corrs), 9)
         worst = 0.0
-        for start in range(0, len(flat), 100):
-            e = (flat[start:start + 100] @ ab).reshape(-1, 4)
+        for start in range(0, len(flat), 20):
+            e = (flat[start:start + 20] @ ab).reshape(-1, 4)
             worst = max(worst, _corr.discord(e, 2).max(), _corr.discord(e, 2, mermin=True).max())
         return float(worst)
 
@@ -435,11 +442,38 @@ ALL_CRITERIA = [
 
 def run_all(numbers=None) -> list[CriterionResult]:
     """The results of the criteria numbered in `numbers`, or of all, in
-    order, each with its wall time."""
-    results = []
-    for idx, crit in enumerate(ALL_CRITERIA, start=1):
-        if not numbers or idx in numbers:
+    order, each with its own wall time. They run on one thread per CPU the
+    process may use, at most one per criterion, the calling thread being
+    one: each takes the next criterion in order. The criteria share no
+    mutable state (each seeds its own rng, kept HiGHS models are locked,
+    and HiGHS releases the GIL while it solves). If one raises, no thread
+    takes another, and the lowest-numbered error is raised once every
+    thread has joined."""
+    selected = [crit for n, crit in enumerate(ALL_CRITERIA, start=1) if not numbers or n in numbers]
+    results, errors = [None] * len(selected), {}
+    todo, lock = iter(range(len(selected))), threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                i = None if errors else next(todo, None)
+            if i is None:
+                return
             start = time.perf_counter()
-            result = crit()
-            results.append(dataclasses.replace(result, seconds=time.perf_counter() - start))
+            try:
+                result = selected[i]()
+            except BaseException as exc:  # raised below, once every thread has joined
+                errors[i] = exc
+                return
+            results[i] = dataclasses.replace(result, seconds=time.perf_counter() - start)
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    threads = [threading.Thread(target=work) for _ in range(min(cpus or 1, len(selected)) - 1)]
+    for thread in threads:
+        thread.start()
+    work()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[min(errors)]
     return results

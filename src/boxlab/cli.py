@@ -389,7 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the acceptance suite")
     p.add_argument("--only", help="comma list of criterion numbers")
     p.add_argument("--json", action="store_true",
-                   help="one JSON line: each criterion's number, verdict, detail and wall time")
+                   help="one JSON line: each criterion's number, verdict, detail and seconds, "
+                        "its own wall time while other criteria run concurrently (the "
+                        "seconds can sum to more than the run)")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -110,7 +110,10 @@ def _vec3(v) -> np.ndarray:
         d = np.asarray(boxcore._numbers(v, "vector", InvalidStateError), dtype=float)
         return d if isinstance(v, np.ndarray) and d.ndim == 2 and d.shape[1] == 3 else d.reshape(3)
     except (TypeError, ValueError):
-        raise InvalidStateError(f"expected a vector of 3 numbers, got {v!r}") from None
+        # an array's repr runs to a line per row
+        got = (f"an array of shape {v.shape} and dtype {v.dtype}" if isinstance(v, np.ndarray)
+               else repr(v))
+        raise InvalidStateError(f"expected a vector of 3 numbers, got {got}") from None
 
 
 def _unit_directions(d: np.ndarray) -> np.ndarray:

@@ -6,6 +6,12 @@ generic frames); it runs unweakened and is marked as an expected failure.
 The README's known-limitations section carries the counterexample.
 """
 
+import dataclasses
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -139,3 +145,118 @@ def test_criterion_9_born_subsample_equals_a_per_box_reference_loop():
         want = max(want, discord2.bell_discord(box), discord2.mermin_discord(box))
     assert abs(got - want) <= 1e-15
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+# -- run_all: the criteria on one thread per CPU -------------------------------
+
+QUICK = [1, 6, 11, 13, 14]
+
+
+def _alone(numbers):
+    return [acceptance.ALL_CRITERIA[n - 1]() for n in numbers]
+
+
+def _without_seconds(results):
+    return [dataclasses.replace(r, seconds=0.0) for r in results]
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+
+def _no_threads(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_all started a thread")
+    monkeypatch.setattr(threading, "Thread", refuse)
+
+
+def test_run_all_equals_each_criterion_called_alone_in_order():
+    results = acceptance.run_all(QUICK)
+    assert [r.number for r in results] == QUICK
+    assert _without_seconds(results) == _alone(QUICK)
+    assert all(r.seconds > 0.0 for r in results)
+
+
+def test_run_all_on_one_cpu_starts_no_thread_and_gives_the_same_results(monkeypatch):
+    want = _alone(QUICK)
+    _cpus(monkeypatch, 1)
+    _no_threads(monkeypatch)
+    assert _without_seconds(acceptance.run_all(QUICK)) == want
+
+
+def test_run_all_of_one_criterion_starts_no_thread(monkeypatch):
+    want = _alone([1])
+    _cpus(monkeypatch, 2)
+    _no_threads(monkeypatch)
+    assert _without_seconds(acceptance.run_all([1])) == want
+
+
+def test_run_all_on_more_threads_than_cpus_runs_each_criterion_once_in_order(monkeypatch):
+    # many short criteria and a short switch interval, so that two threads
+    # taking the same criterion, or a lost result, would show
+    calls = []
+
+    def criterion(n):
+        def run():
+            calls.append(n)
+            time.sleep(0)  # lets the other threads in
+            return acceptance.CriterionResult(n, f"criterion {n}", True)
+        return run
+
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", [criterion(n) for n in range(1, 301)])
+    _cpus(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = acceptance.run_all()
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(calls) == list(range(1, 301))
+    assert [r.number for r in results] == list(range(1, 301))
+
+
+class _Raised(Exception):
+    pass
+
+
+@pytest.mark.parametrize("second", ["returns", "raises"])
+def test_run_all_raises_the_lowest_numbered_error_and_takes_no_later_criterion(
+        second, monkeypatch):
+    # two workers: one holds criterion 1 until the other is in criterion 2,
+    # then takes 3, which raises while 2 runs; 2 then returns or raises
+    started, raising, called = threading.Event(), threading.Event(), []
+
+    def wait(event):
+        assert event.wait(timeout=10), "the other worker did not arrive"
+
+    def first():
+        wait(started)
+        return acceptance.CriterionResult(1, "first", True)
+
+    def middle():
+        started.set()
+        wait(raising)
+        time.sleep(0.05)  # for the other worker to record criterion 3's error
+        if second == "raises":
+            raise _Raised(2)
+        return acceptance.CriterionResult(2, "second", True)
+
+    def third():
+        raising.set()
+        raise _Raised(3)
+
+    def later(n):
+        def criterion():
+            called.append(n)
+            return acceptance.CriterionResult(n, "later", True)
+        return criterion
+
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", [first, middle, third, later(4), later(5)])
+    _cpus(monkeypatch, 2)
+    before = threading.active_count()
+    with pytest.raises(_Raised) as info:
+        acceptance.run_all()
+    assert info.value.args == ((2,) if second == "raises" else (3,))
+    assert called == []
+    assert threading.active_count() == before

@@ -147,6 +147,11 @@ SETTINGS_CASES = [
      "directions of [2, 3] points do not match"),
     ("point_array_and_a_short_direction", (np.tile(X, (2, 1)), Y, [1.0, 0.0], Y),
      "expected a vector of 3 numbers, got [1.0, 0.0]"),
+    # an array is named by its shape and dtype, in one line: its repr has a line per row
+    ("bool_point_array", (X, Y, np.array([[True, False, False]] * 2), Z),
+     "expected a vector of 3 numbers, got an array of shape (2, 3) and dtype bool"),
+    ("point_array_of_4_columns", (X, Y, np.zeros((2, 4)), Z),
+     "expected a vector of 3 numbers, got an array of shape (2, 4) and dtype float64"),
 ]
 
 
