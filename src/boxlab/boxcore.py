@@ -388,7 +388,10 @@ class TriVertexId(_CatalogId):
     parties = 3
 
 
-def _vertex_table(vid: _CatalogId) -> np.ndarray:
+def _vertex_table(vid: _CatalogId, parties: int | None = None) -> np.ndarray:
+    """The table of `vid`; ValueError if it is not an id of `parties` parties."""
+    if parties not in (None, vid.parties):
+        raise ValueError(f"{vid!r} is a {vid.parties}-party id, not a {parties}-party one")
     return _KINDS[vid.kind].build(*vid.params)
 
 
@@ -517,8 +520,8 @@ def tsirelson_box(alpha: int, beta: int, gamma: int) -> BipartiteBox:
 
 
 def vertex(vid: VertexId) -> BipartiteBox:
-    """Exact table of a catalog box."""
-    return BipartiteBox(_vertex_table(vid))
+    """Exact table of a catalog box; ValueError for an id of another party count."""
+    return BipartiteBox(_vertex_table(vid, 2))
 
 
 def all_pr_ids() -> list[VertexId]:
@@ -641,6 +644,7 @@ def _slots(g: Lro) -> tuple[tuple, tuple]:
 
 def apply_lro(box: BipartiteBox, g: Lro) -> BipartiteBox:
     """Relabeled box; the party swap acts first, then the per-party relabels."""
+    _one_box(box, "apply_lro")
     return BipartiteBox(_relabeled(box.table, *_slots(g)))
 
 

@@ -13,7 +13,6 @@ import functools
 import json
 import sys
 from pathlib import Path
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -91,7 +90,7 @@ def _write(text: str, args) -> None:
 
 def cmd_measure(args) -> int:
     box = _load_box(args)
-    _emit(_PARTIES[box.parties].report(box), args)
+    _emit((_measure_report2 if box.parties == 2 else _measure_report3)(box), args)
     return EXIT_OK
 
 
@@ -138,7 +137,7 @@ def cmd_state_box(args) -> int:
     params = _parse_params(args.param)
     frame = qstate.settings_catalog(args.settings, params.pop("settings", None))
     rho = _build_state(args.family, params)
-    box = getattr(qstate, _PARTIES[2 if rho.dim == 4 else 3].born)(rho, frame)
+    box = (qstate.born_box2 if rho.dim == 4 else qstate.born_box3)(rho, frame)
     _write(boxcore._to_json(box), args)
     return EXIT_OK
 
@@ -173,39 +172,25 @@ _MEASURES3 = {
 }
 
 
-class _Parties(NamedTuple):
-    """What the commands read for one party count: its measures; the report
-    key of each correlation-split field (T, G, Q, C, sign) and of each
-    measure a report takes, in report order; its report; its Born rule."""
-
-    measures: dict
-    keys: dict
-    report: Callable
-    born: str  # a qstate function name
-
-
-def _report(box, split, known, labeled, **only) -> dict:
-    """The `measure` report of `box`: its `split`, the measures `known` by
-    name and the others under their keys, `only`, then each label's
-    `labeled` values by key template."""
-    party = _PARTIES[box.parties]
-    fields = dict(zip(("T", "G", "Q", "C", "sign"), vars(split).values()), **known)
-    report = {"parties": box.parties}
-    for name, key in party.keys.items():
-        report[key] = fields[name] if name in fields else party.measures[name](box)
-    report.update(only)
-    values = [(key, v.reshape(8).tolist()) for key, v in labeled.items()]
+def _labeled(report: dict, values: dict) -> dict:
+    """`report` with each label's entry of every (2, 2, 2) array of `values`
+    under its key template, label by label."""
+    rows = [(key, v.reshape(8).tolist()) for key, v in values.items()]
     for i in range(8):  # the label (al, be, ga) is i in binary
-        report.update((key % f"{i:03b}", v[i]) for key, v in values)
+        report.update((key % f"{i:03b}", v[i]) for key, v in rows)
     return report
 
 
 def _measure_report2(box) -> dict:
     membership = polytope.is_local(box)
-    chsh = discord2.chsh_values(box)
-    report = _report(box, discord2.correlation_split(box), {"CHSH": _box_max(box, chsh)},
-                     {"chsh_%s": chsh, "mermin_%s": discord2.mermin_values(box)},
-                     epr_steerable=discord2.is_epr_steerable(box), local=membership.inside)
+    chsh, split = discord2.chsh_values(box), discord2.correlation_split(box)
+    report = _labeled({
+        "parties": 2, "bell_discord": split.bell, "mermin_discord": split.mermin,
+        "total_correlation": split.total, "classical_correlation": split.classical,
+        "classical_sign": split.sign, "chsh_max": _box_max(box, chsh),
+        "steering_value": discord2.steering_value(box),
+        "epr_steerable": discord2.is_epr_steerable(box), "local": membership.inside,
+    }, {"chsh_%s": chsh, "mermin_%s": discord2.mermin_values(box)})
     if not membership.inside:
         report["violated_facet"], report["violation"] = membership.violated_facet
     return report
@@ -213,43 +198,38 @@ def _measure_report2(box) -> dict:
 
 def _measure_report3(box) -> dict:
     # the membership flags, one per hull of tribox._SV_STARTS
-    flags = polytope.nested_hull_flags(box.table.reshape(-1),
-                                       tribox.tri_vertex_matrix(tribox._sv_polytope_key()),
-                                       tribox._SV_STARTS)
-    sv = tribox.sv_values(box)
-    return _report(box, tribox.correlation_split3(box), {"SV": _box_max(box, sv)},
-                   {"sv_%s0": sv[..., 0], "mermin3_%s0": tribox.mermin3_values(box)[..., 0]},
-                   ghz_paradox=tribox.ghz_paradox_check(box),
-                   **dict(zip(("in_sv_polytope", "two_way_local", "local"), flags)))
+    in_sv, two_way_local, local = polytope.nested_hull_flags(
+        box.table.reshape(-1), tribox.tri_vertex_matrix(tribox._sv_polytope_key()),
+        tribox._SV_STARTS)
+    sv, split = tribox.sv_values(box), tribox.correlation_split3(box)
+    return _labeled({
+        "parties": 3, "svetlichny_discord": split.svetlichny, "mermin3_discord": split.mermin,
+        "total_correlation": split.total, "classical_correlation": split.classical,
+        "classical_sign": split.sign, "svetlichny_max": _box_max(box, sv),
+        "mermin3_max": _box_max(box, tribox.mermin3_functions(box)),
+        "class99_value": tribox.class99_value(box),
+        "ghz_paradox": tribox.ghz_paradox_check(box), "in_sv_polytope": in_sv,
+        "two_way_local": two_way_local, "local": local,
+    }, {"sv_%s0": sv[..., 0], "mermin3_%s0": tribox.mermin3_values(box)[..., 0]})
 
-
-_SPLIT_KEYS = {"T": "total_correlation", "C": "classical_correlation", "sign": "classical_sign"}
-
-_PARTIES = {
-    2: _Parties(_MEASURES2, {"G": "bell_discord", "Q": "mermin_discord", **_SPLIT_KEYS,
-                             "CHSH": "chsh_max", "steering": "steering_value"},
-                _measure_report2, "born_box2"),
-    3: _Parties(_MEASURES3, {"G": "svetlichny_discord", "Q": "mermin3_discord", **_SPLIT_KEYS,
-                             "SV": "svetlichny_max", "MERMIN3": "mermin3_max",
-                             "CLASS99": "class99_value"}, _measure_report3, "born_box3"),
-}
 
 _SWEEP_CHUNK = 64  # points per state and frame build, Born call, box check and measure pass
 
 
-def _sweep_party(rho, frame, measures) -> _Parties:
-    """What the sweep reads for its party count, after the checks its Born
-    rule makes of `rho` and `frame`; InputError for an unknown measure."""
+def _sweep_party(rho, frame, measures) -> tuple:
+    """The Born rule and measures of the sweep's party count, after the checks
+    its Born rule makes of `rho` and `frame`; InputError for an unknown measure."""
     from . import qstate
 
     parties = 2 if rho.dim == 4 else 3
     qstate._born_inputs(rho, frame, parties)
-    party = _PARTIES[parties]
-    unknown = [m for m in measures if m not in party.measures]
+    born, table = ((qstate.born_box2, _MEASURES2) if parties == 2
+                   else (qstate.born_box3, _MEASURES3))
+    unknown = [m for m in measures if m not in table]
     if unknown:
         raise InputError(f"unknown measure {unknown[0]!r} for {parties} parties; "
-                         f"the measures are {', '.join(party.measures)}")
-    return party
+                         f"the measures are {', '.join(table)}")
+    return born, table
 
 
 def cmd_sweep(args) -> int:
@@ -298,8 +278,9 @@ def cmd_sweep(args) -> int:
                 party = party or _sweep_party(one_state, one_frame, measures)
             raise
         party = party or _sweep_party(rho, frames, measures)
-        box = getattr(qstate, party.born)(rho, frames)
-        columns.append(np.column_stack([chunk] + [party.measures[m](box) for m in measures]))
+        born, table = party
+        box = born(rho, frames)
+        columns.append(np.column_stack([chunk] + [table[m](box) for m in measures]))
     rows = np.concatenate(columns).tolist()
     rows.sort(key=lambda r: r[0])
     row_format = ",".join(["%.12g"] * (1 + len(measures)))

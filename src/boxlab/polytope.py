@@ -502,11 +502,13 @@ def _certified_outside(t: np.ndarray, y: np.ndarray, hull: np.ndarray,
 
 def ns_membership(box: BipartiteBox) -> bool:
     """Feasibility over the 24 nonsignaling vertices."""
+    boxcore._one_box(box, "ns_membership")
     return lp_vertex_weights(box.table.reshape(-1), _NS_MATRIX) is not None
 
 
 def is_local(box: BipartiteBox) -> MembershipResult:
     """LP membership in the convex hull of the 16 deterministic boxes."""
+    boxcore._one_box(box, "is_local")
     w = lp_vertex_weights(box.table.reshape(-1), _DET_MATRIX)
     if w is not None:
         weights = {vid: float(wi) for vid, wi in zip(_DET_IDS, w) if wi > EPS_LP}
@@ -525,6 +527,7 @@ def canonical_2decomposition(box: BipartiteBox) -> DecompositionResult:
     box with zero Bell discord wins; ResidualInvalidError if none leaves one.
     A box with mu = 1 is the argmax PR box itself.
     """
+    boxcore._one_box(box, "canonical_2decomposition")
     mu = discord2.bell_discord(box) / 4.0
     for t in _tops_by_value(box.correlators, 2):
         pid = _pairs(2).top_ids[t]
@@ -548,20 +551,13 @@ def three_decomposition(box: BipartiteBox) -> DecompositionResult:
     The direct split that tribox.three_decomposition3 shares: mu =
     bell_discord/4, nu = mermin_discord/2, taken over the first of the 16
     canonical (PR, Mermin) pairs that leaves a valid residual, in the order
-    of _canonical_split. Raises ResidualInvalidError if none does.
+    of _three_decomposition_direct. Raises ResidualInvalidError if none does.
     """
+    boxcore._one_box(box, "three_decomposition")
     result = _three_decomposition_direct(box)
     if result is None:
         raise ResidualInvalidError("no canonical pair yields a valid double-zero residual")
     return result
-
-
-def _three_decomposition_direct(box) -> DecompositionResult | None:
-    """The three-way split of a box of n = box.parties parties at the
-    paper's weights mu = G / 2**n and nu = Q / 2**(n - 1), or None."""
-    n = box.parties
-    return _canonical_split(box, _pairs(n), discord2.bell_discord(box) / 2 ** n,
-                            discord2.mermin_discord(box) / 2 ** (n - 1), DISCORD_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +574,6 @@ class _CanonicalPairs:
     function of partner k of top t.
     """
 
-    n: int
     top_ids: list
     partner_ids: list
     top: np.ndarray
@@ -594,8 +589,9 @@ def _partners(top) -> list:
     """The Mermin boxes M(l, e) and M(~l, s ^ 1) that mix the top T(l, e)
     evenly with a top of label ~l, by MerminMM(a,b,g) = (PR(a,b,g) +
     PR(1-a,1-b,g^b))/2 and Mermin3(l,e) = (Sv(l,e) + Sv(~l, e^parity(l)))/2,
-    where s = e^b or e^parity(l). The first wins a tie in _canonical_split:
-    M(l, e) at three parties, the one mixing in PR(~l, 0) at two."""
+    where s = e^b or e^parity(l). The first wins a tie in
+    _three_decomposition_direct: M(l, e) at three parties, the one mixing in
+    PR(~l, 0) at two."""
     cls, _, kind = _SPLIT_KINDS[top.parties]
     *l, e = top.params
     s = e ^ (l[-1] if top.parties == 2 else sum(l) % 2)
@@ -613,8 +609,8 @@ def _pairs(n: int) -> _CanonicalPairs:
     partners = boxcore._vertex_rows([m for pair in partner_ids for m in pair])
     partners = partners.reshape(len(top_ids), 2, -1)
     mermin = _corr.moduli(_corr.correlators(partners, n), n, mermin=True)
-    return _CanonicalPairs(n, top_ids, partner_ids, boxcore._vertex_rows(top_ids),
-                           partners, np.argmax(mermin, axis=-1))
+    return _CanonicalPairs(top_ids, partner_ids, boxcore._vertex_rows(top_ids), partners,
+                           np.argmax(mermin, axis=-1))
 
 
 def _tops_by_value(corr: np.ndarray, n: int) -> np.ndarray:
@@ -624,11 +620,11 @@ def _tops_by_value(corr: np.ndarray, n: int) -> np.ndarray:
     return np.argsort(-(signed - 1e-12 * np.arange(signed.size)), kind="stable")
 
 
-def _canonical_split(box, pairs: _CanonicalPairs, mu: float, nu: float,
-                     tol: float) -> DecompositionResult | None:
-    """box = mu * top + nu * Mermin + (1 - mu - nu) * residual over the first
-    canonical pair whose residual is a valid box with both discords at most
-    `tol`, or None if no pair leaves one.
+def _three_decomposition_direct(box) -> DecompositionResult | None:
+    """box = mu * top + nu * Mermin + (1 - mu - nu) * residual at the paper's
+    weights mu = G / 2**n and nu = Q / 2**(n - 1), n = box.parties, over the
+    first canonical pair whose residual is a valid box with both discords at
+    most DISCORD_TOL; None if no pair leaves one.
 
     The pairs run top by top in _tops_by_value order, the two partners of a
     top best match first: the one whose surviving Mermin function is larger
@@ -639,15 +635,15 @@ def _canonical_split(box, pairs: _CanonicalPairs, mu: float, nu: float,
     maps canonical pairs to canonical pairs, so every pair a relabeling
     frame of the box would split over is here.
     """
-    n, table = pairs.n, box.table.reshape(-1)
-    corr = box.correlators
-    tops = _tops_by_value(corr, n)
+    n, table, corr = box.parties, box.table.reshape(-1), box.correlators
+    mu, nu = discord2.bell_discord(box) / 2 ** n, discord2.mermin_discord(box) / 2 ** (n - 1)
+    pairs, tops = _pairs(n), _tops_by_value(corr, n)
     score = _corr.moduli(corr, n, mermin=True)[pairs.labels[tops]]
     top = np.repeat(tops, 2)
     partner = ((score[:, 1] > score[:, 0])[:, None] ^ np.arange(2)).reshape(-1)
     rest = 1.0 - mu - nu
     num = table - mu * pairs.top[top] - nu * pairs.partners[top, partner]
-    for i in np.flatnonzero(_double_zero(num, n, rest, tol)):
+    for i in np.flatnonzero(_double_zero(num, n, rest, DISCORD_TOL)):
         if rest <= EPS_VALID:
             residual = type(box)(boxcore._expand(n))
         else:
@@ -656,7 +652,7 @@ def _canonical_split(box, pairs: _CanonicalPairs, mu: float, nu: float,
             except boxcore.BoxError:
                 continue
             e = residual.correlators
-            if _corr.discord(e, n) > tol or _corr.discord(e, n, mermin=True) > tol:
+            if _corr.discord(e, n) > DISCORD_TOL or _corr.discord(e, n, mermin=True) > DISCORD_TOL:
                 continue
         t = top[i]
         return DecompositionResult(mu=mu, nu=nu, pr_id=pairs.top_ids[t],

@@ -132,7 +132,8 @@ def class8_box() -> TripartiteBox:
 
 
 def tri_vertex(vid: TriVertexId) -> TripartiteBox:
-    return TripartiteBox(boxcore._vertex_table(vid))
+    """Exact table of a catalog box; ValueError for an id of another party count."""
+    return TripartiteBox(boxcore._vertex_table(vid, 3))
 
 
 def all_sv_ids() -> list[TriVertexId]:
@@ -306,6 +307,7 @@ def in_sv_polytope(box: TripartiteBox) -> bool:
     0.36 against 0.46 ms); a target neither of its certificates settles
     gets the zero-cost LP.
     """
+    boxcore._one_box(box, "in_sv_polytope")
     vertices = tri_vertex_matrix(_sv_polytope_key())
     t, x, y = polytope._nested_lp(box.table.reshape(-1), vertices, _SV_STARTS)
     return polytope._hull_flag(t, vertices, 0, x, y)
@@ -319,9 +321,10 @@ def three_decomposition3(box: TripartiteBox) -> DecompositionResult:
     polytope.three_decomposition shares: mu = svetlichny_discord/8,
     nu = mermin3_discord/4, taken over the first of the 32 canonical
     (Svetlichny, Mermin) pairs that leaves a valid residual, in the order of
-    polytope._canonical_split. Raises NotInPolytopeError for boxes outside
+    polytope._three_decomposition_direct. Raises NotInPolytopeError outside
     the 128-vertex polytope and ResidualInvalidError if no pair splits the box.
     """
+    boxcore._one_box(box, "three_decomposition3")
     if not in_sv_polytope(box):
         raise NotInPolytopeError("box is outside the Svetlichny-box polytope")
     result = polytope._three_decomposition_direct(box)
@@ -343,6 +346,7 @@ class Lro3:
 
 
 def apply_lro3(box: TripartiteBox, g: Lro3) -> TripartiteBox:
+    boxcore._one_box(box, "apply_lro3")
     return TripartiteBox(boxcore._relabeled(box.table, g.relabels, g.perm))
 
 

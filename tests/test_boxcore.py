@@ -157,6 +157,15 @@ def test_a_vertex_id_of_the_other_party_count_is_refused():
         boxcore.VertexId("Sv", (0, 0, 0, 0))
 
 
+def test_vertex_and_tri_vertex_refuse_an_id_of_the_other_party_count():
+    with pytest.raises(ValueError, match=r"^TriVertexId\(kind='Sv', params=\(0, 0, 0, 0\)\) "
+                                         "is a 3-party id, not a 2-party one$"):
+        boxcore.vertex(boxcore.TriVertexId("Sv", (0, 0, 0, 0)))
+    with pytest.raises(ValueError, match=r"^VertexId\(kind='PR', params=\(0, 0, 0\)\) "
+                                         "is a 2-party id, not a 3-party one$"):
+        tribox.tri_vertex(boxcore.VertexId("PR", (0, 0, 0)))
+
+
 def test_mix_identity_and_average():
     pr = boxcore.pr_box(0, 0, 0)
     assert boxcore.mix([pr], [1.0]).allclose(pr)
@@ -477,6 +486,14 @@ def test_make_box_of_a_stack_holds_each_table_and_its_correlators_read_only(n, m
     (tribox.monogamy_checks3, 3, ()),
     (tribox.marginal2, 3, (tribox.PAIR_AB,)),
     (boxcore.BipartiteBox.prob, 2, (0, 0, 0, 0)),
+    (boxcore.apply_lro, 2, (boxcore.IDENTITY_LRO,)),
+    (polytope.three_decomposition, 2, ()),
+    (polytope.canonical_2decomposition, 2, ()),
+    (polytope.is_local, 2, ()),
+    (polytope.ns_membership, 2, ()),
+    (tribox.in_sv_polytope, 3, ()),
+    (tribox.three_decomposition3, 3, ()),
+    (tribox.apply_lro3, 3, (tribox.Lro3(),)),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_one_box_functions_refuse_a_stack_by_name_and_length(fn, n, args):
     make, noise = ((boxcore.make_box, boxcore.noise_box()) if n == 2

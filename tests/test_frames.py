@@ -451,10 +451,7 @@ def test_refusal_and_weights_are_relabeling_invariant(n):
     else:
         boxes = TRI_BOXES + [tribox.random_sv_polytope_box(rng) for _ in range(40)]
 
-    def split(box):
-        g, q = p.discords(box)
-        return polytope._canonical_split(box, p.pairs(), g / p.scale[0], q / p.scale[1], TOL)
-
+    split = polytope._three_decomposition_direct
     splits = 0
     for box, f in zip(boxes, rng.integers(len(p.frames), size=len(boxes))):
         got, moved = split(box), split(p.relabel(box, p.frames[f]))
