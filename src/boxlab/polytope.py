@@ -3,9 +3,10 @@
 Membership is decided by elastic LPs over named vertex sets
 (16 deterministic / 24 nonsignaling vertices bipartite; the tripartite sets
 live in :mod:`boxlab.tribox` and reuse :func:`lp_vertex_weights`), and in
-nested hulls by one LP whose flags are checked by certificates
-(:func:`nested_hull_flags`). The three-way split of both party counts lives
-here too: its pair table, Mermin-partner rule, weights and pair screen.
+nested hulls (:func:`nested_hull_flags`) by certificates without an LP, then
+by one LP whose flags are checked by certificates; every flag equals
+lp_vertex_weights on its hull. The three-way split of both party counts
+lives here too: its pair table, Mermin-partner rule, weights and pair screen.
 """
 
 from __future__ import annotations
@@ -198,9 +199,8 @@ def _screen(stack: np.ndarray, rows: np.ndarray, vertices: np.ndarray, weights: 
 
     - inside, when for the support S of one row of `weights` (targets found
       inside), w = max(t @ P_S, 0) with P_S the right inverse of the rows
-      V_S of S gives ||w @ V_S - t||_1 <= d * EPS_LP_SLACK: w and its
-      slacks are a feasible point of the elastic LP of t at or below the
-      threshold, so its optimum is too. Any P_S keeps this sound;
+      V_S of S gives ||w @ V_S - t||_1 <= d * EPS_LP_SLACK (_rebuilds).
+      Any P_S keeps this sound;
     - outside, when one row of `duals` (targets found outside) proves a gap
       above the threshold (_certified_outside).
     """
@@ -218,11 +218,17 @@ def _screen(stack: np.ndarray, rows: np.ndarray, vertices: np.ndarray, weights: 
     for i in range(0, len(rows), _SCREEN_ROWS):
         t, part = stack[rows[i:i + _SCREEN_ROWS]], slice(i, i + _SCREEN_ROWS)
         for v, right in supports:
-            w = np.clip(t @ right, 0.0, None)
-            proved_in[part] |= np.abs(w @ v - t).sum(axis=1) <= thr
+            proved_in[part] |= _rebuilds(np.clip(t @ right, 0.0, None), v, t, thr)
         for y in duals:
             proved_out[part] |= _certified_outside(t, y, vertices, thr)
     return proved_in, proved_out
+
+
+def _rebuilds(w: np.ndarray, v: np.ndarray, t: np.ndarray, thr: float) -> np.ndarray:
+    """Whether weights w >= 0 on the rows v rebuild the target t, or each of
+    a stack, within `thr` in L1: then w and its slacks are a feasible point
+    of t's elastic LP at or below the threshold, so its optimum is too."""
+    return np.abs(w @ v - t).sum(axis=-1) <= thr
 
 
 def _rows(t: np.ndarray, vertices: np.ndarray) -> np.ndarray:
@@ -431,10 +437,11 @@ def nested_hull_flags(target: np.ndarray, vertices: np.ndarray, starts) -> list[
     Hull h is the hull of vertices[starts[h]:]. `starts` ascends from 0, so
     the rows run from the outermost tier inwards; there are at most three
     tiers. Flag h equals `lp_vertex_weights(target, vertices[starts[h]:]) is
-    not None`. One elastic LP over all rows decides the flags. In it a unit
-    of slack costs 1, and a unit of weight costs _tol.NESTED_COST_OUTER on the
+    not None`. Certificates without an LP settle most flags (_nested_screen).
+    The rest come from one elastic LP over all rows, in which a unit of
+    slack costs 1, and a unit of weight costs _tol.NESTED_COST_OUTER on the
     outermost tier, _tol.NESTED_COST_MIDDLE on the next, nothing on the
-    innermost. Each flag then comes from a certificate:
+    innermost, and from its certificates:
 
     - inside, when the slack sum s and the weight W_out on the rows before
       starts[h] give s + mass * W_out <= d * EPS_LP_SLACK, where `mass` is
@@ -444,14 +451,12 @@ def nested_hull_flags(target: np.ndarray, vertices: np.ndarray, starts) -> list[
     - outside, when the LP's duals prove it (_certified_outside);
     - otherwise, from lp_vertex_weights on hull h alone.
     """
-    t, x, y = _nested_lp(target, vertices, starts)
-    return [_hull_flag(t, vertices, start, x, y) for start in starts]
+    return _nested_flags(target, vertices, starts, len(starts))
 
 
-def _nested_lp(target, vertices: np.ndarray,
-               starts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The checked target, and the optimum and duals of the tier-cost LP of
-    nested_hull_flags, solved on its kept model."""
+def _nested_flags(target, vertices: np.ndarray, starts, asked: int) -> list[bool]:
+    """The first `asked` flags of nested_hull_flags, its inputs checked
+    first; the tier-cost LP runs only if the screen leaves one open."""
     t = _finite(target)
     k, d = vertices.shape
     if t.shape != (d,):
@@ -461,14 +466,107 @@ def _nested_lp(target, vertices: np.ndarray,
     if not 1 <= len(starts) <= 3 or starts[0] != 0 or np.any(np.diff(bounds) <= 0):
         raise ValueError(f"starts {starts} do not ascend from 0 below {k} "
                          f"in one to three tiers")
-    costs = [_tol.NESTED_COST_OUTER, _tol.NESTED_COST_MIDDLE][:len(starts) - 1] + [0.0]
-    return t, *_solve_target(vertices, np.repeat(costs, np.diff(bounds)), t)
+    flags = _nested_screen(t, vertices, tuple(starts))[:asked]
+    if None in flags:
+        costs = [_tol.NESTED_COST_OUTER, _tol.NESTED_COST_MIDDLE][:len(starts) - 1] + [0.0]
+        x, y = _solve_target(vertices, np.repeat(costs, np.diff(bounds)), t)
+        flags = [_hull_flag(t, vertices, start, x, y) if flag is None else flag
+                 for flag, start in zip(flags, starts)]
+    return flags
+
+
+# Step caps of _nested_screen: the requests workload's sparse GHZ boxes need
+# at most 3 Lawson-Hanson steps, its dense boxes at most 4 re-solves
+_NNLS_STEPS, _RESOLVES = 4, 4
+
+
+def _nested_screen(t: np.ndarray, vertices: np.ndarray, starts: tuple) -> list:
+    """The flags of nested_hull_flags settled without an LP, None where
+    open; each certificate is sound for the elastic LP of its hull alone:
+    - outside hull h and every hull inside it, when the sign pattern of an
+      outer-tier vertex separates t from it (_certified_outside): at the 128
+      tripartite vertices, Svetlichny's and the embedded CHSH inequalities;
+    - inside the innermost hull left and every hull around it, when weights
+      w >= 0 on its rows rebuild t (_rebuilds): first by Lawson-Hanson steps
+      if only the outermost of several hulls is left, then by min-norm ones."""
+    basis, coords, signs, maxima, gram = _screen_arrays(_matrix_key(vertices), starts)
+    thr, n, out = len(t) * EPS_LP_SLACK, len(starts), len(starts)
+    if len(signs):
+        # each functional's gap over each hull, as _certified_outside bounds
+        # it: only the largest per hull is worth proving
+        gap = signs @ t - (t.sum() + thr) / vertices[0].sum() * maxima
+        for h, j in enumerate(np.argmax(gap, axis=1)):
+            if gap[h, j] > thr and _certified_outside(t, signs[j], vertices[starts[h]:], thr):
+                out = h
+                break
+    flags, inner = [None] * out + [False] * (n - out), starts[out - 1]
+    try:
+        if out and ((out == 1 < n and _nnls_rebuilds(t, vertices, gram, thr)) or _min_norm_rebuilds(
+                t, vertices[inner:], coords[inner:], basis @ t, thr)):
+            flags[:out] = [True] * out
+    except np.linalg.LinAlgError:  # a singular system proves nothing
+        pass
+    return flags
+
+
+def _nnls_rebuilds(t: np.ndarray, v: np.ndarray, gram: np.ndarray, thr: float) -> bool:
+    """Whether up to _NNLS_STEPS Lawson-Hanson steps of min ||w @ v - t||_2
+    over w >= 0 from w = 0 (gram = v @ v.T) reach weights that rebuild t.
+    Each step frees the row of largest gradient and solves on the free rows;
+    a step whose solution leaves the positive orthant ends the search."""
+    b = v @ t
+    w, free = np.zeros(len(v)), np.zeros(len(v), dtype=bool)
+    for _ in range(_NNLS_STEPS):
+        free[np.argmax(np.where(free, -np.inf, b - gram @ w))] = True  # largest gradient
+        z = np.linalg.solve(gram[np.ix_(free, free)], b[free])
+        if z.min() <= 0.0:
+            return False
+        w[free] = z
+        if _rebuilds(w, v, t, thr):
+            return True
+    return False
+
+
+def _min_norm_rebuilds(t, hull: np.ndarray, coords: np.ndarray, c, thr: float) -> bool:
+    """Whether the min-norm weights w with w @ coords = c, the coordinates
+    of t, clipped at 0 and re-solved on their positive support up to
+    _RESOLVES times, rebuild t from the hull rows."""
+    support = np.ones(len(hull), dtype=bool)
+    for _ in range(1 + _RESOLVES):
+        rows = coords[support]
+        z = np.linalg.solve(rows.T @ rows, c)
+        w = np.zeros(len(hull))
+        w[support] = np.clip(rows @ z, 0.0, None)
+        if _rebuilds(w, hull, t, thr):
+            return True
+        support = w > 0.0
+    return False
+
+
+@functools.lru_cache(maxsize=8)
+def _screen_arrays(key: tuple, starts: tuple) -> tuple:
+    """What _nested_screen keeps per vertex matrix (of _matrix_key `key`)
+    and `starts`: the 0/1 rows that read P(a_S = 0 | x_S) off a flat table
+    of 4**n entries, for every party set S and inputs x_S, the other
+    parties' inputs 0 (coordinates of the nonsignaling span, which they map
+    one to one), the vertex rows in these coordinates, the sign patterns of
+    the outer-tier vertices with the largest value of each over each hull
+    (0 at least), and the vertex rows' Gram matrix."""
+    (k, d), data = key
+    v, side = np.frombuffer(data).reshape(k, d), round(d ** 0.5)
+    x, a = np.divmod(np.arange(d), side)
+    mask, i = np.indices((side, side)).reshape(2, -1, 1)
+    rows = (x == i) & ((a & mask) == 0)
+    basis = rows[(i & ~mask)[:, 0] == 0].astype(float)
+    signs = 2.0 * (v[:starts[-1]] > 0.0) - 1.0
+    maxima = np.array([(v[start:] @ signs.T).max(axis=0, initial=0.0) for start in starts])
+    return basis, v @ basis.T, signs, maxima, v @ v.T
 
 
 def _hull_flag(t: np.ndarray, vertices: np.ndarray, start: int,
                x: np.ndarray, y: np.ndarray) -> bool:
     """Whether target `t` lies in the hull of vertices[start:], from the
-    optimum `x` and duals `y` of _nested_lp over all of `vertices`: its
+    optimum `x` and duals `y` of the tier-cost LP over all of `vertices`: its
     inside certificate, its outside certificate, or else lp_vertex_weights
     on that hull alone."""
     k, d = vertices.shape

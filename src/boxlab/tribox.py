@@ -302,15 +302,13 @@ def in_sv_polytope(box: TripartiteBox) -> bool:
     """Whether the box lies in the 128-vertex polytope; equal to
     lp_vertex_weights over its vertices is not None.
 
-    Asked as the outermost flag of polytope.nested_hull_flags, on the same
-    kept tier-cost model, which solves faster than the zero-cost LP (about
-    0.36 against 0.46 ms); a target neither of its certificates settles
-    gets the zero-cost LP.
+    The outermost flag of polytope.nested_hull_flags, settled the same way:
+    by weights that rebuild the box where they exist, else by the tier-cost
+    LP's certificates, else by the zero-cost LP.
     """
     boxcore._one_box(box, "in_sv_polytope")
-    vertices = tri_vertex_matrix(_sv_polytope_key())
-    t, x, y = polytope._nested_lp(box.table.reshape(-1), vertices, _SV_STARTS)
-    return polytope._hull_flag(t, vertices, 0, x, y)
+    return polytope._nested_flags(box.table.reshape(-1), tri_vertex_matrix(_sv_polytope_key()),
+                                  _SV_STARTS, 1)[0]
 
 
 def three_decomposition3(box: TripartiteBox) -> DecompositionResult:

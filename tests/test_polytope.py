@@ -508,6 +508,67 @@ def test_nested_hull_flags_reject_mismatched_target():
         polytope.nested_hull_flags(TRI[:2], TRI, TRI_STARTS)
 
 
+def _ghz_table(p):
+    return qstate.born_box3(qstate.ghz_state(), qstate.settings_catalog("SMDghz", p)).table
+
+
+def _request_strata(rng, per_stratum):
+    """Tripartite boxes of the request workload's strata: flat polytope
+    mixtures, Svetlichny-heavy mixtures (50-95 % of the weight on the 16
+    Svetlichny rows) and GHZ boxes under SMDghz at p in [0.5, 1)."""
+    for _ in range(per_stratum):
+        yield tribox.random_sv_polytope_box(rng).table.reshape(-1)
+        heavy = rng.uniform(0.5, 0.95)
+        w = [heavy * rng.dirichlet(np.ones(16)), (1 - heavy) * rng.dirichlet(np.ones(112))]
+        yield np.concatenate(w) @ TRI
+        yield _ghz_table(float(rng.uniform(0.5, 1.0))).reshape(-1)
+
+
+def test_certificates_settle_the_request_strata_before_highs(monkeypatch):
+    # every flag equals the LP of its own hull, yet almost no target reaches
+    # HiGHS: the screen's certificates settle the rest
+    targets = list(_request_strata(np.random.default_rng(4501), 40))
+    with monkeypatch.context() as counting:
+        sent = _counting_solves(counting)
+        flags = [polytope.nested_hull_flags(t, TRI, TRI_STARTS) for t in targets]
+        gates = [tribox.in_sv_polytope(tribox.make_box3(t.reshape((2,) * 6))) for t in targets]
+    assert flags == [_separate_flags(t) for t in targets]
+    assert gates == [f[0] for f in flags]
+    assert len(sent) <= 0.05 * len(targets), (len(sent), len(targets))
+    assert {(True, True, True), (True, False, False)} <= set(map(tuple, flags))
+
+
+def _sv_signed(tables):
+    """The 16 signed Svetlichny values of each flat table of a stack."""
+    return tribox.sv_values(tribox.make_box3(tables)).reshape(len(tables), -1)
+
+
+@hypothesis.settings(deadline=None, derandomize=True, max_examples=60)
+@hypothesis.given(seed=st.integers(0, 2**32 - 1), p=st.floats(0.55, 0.99),
+                  log_delta=st.floats(-10.0, -3.0), sign=st.sampled_from([-1.0, 1.0]))
+def test_nested_hull_flags_match_separate_lps_on_the_svetlichny_facet(seed, p, log_delta, sign):
+    # A GHZ box mixed toward a two-way-local box up to where its largest
+    # Svetlichny value is 4 + sign * delta. The values are linear on the
+    # segment, so the crossing is solved exactly. The two-way-local box lies
+    # 4 * delta below the face where the GHZ box's largest Svetlichny
+    # operator reaches 4 on the two-way-local rows, so the mixture is within
+    # about delta of that face: the band where the Svetlichny certificate
+    # must not outrun the slack threshold
+    rng = np.random.default_rng(seed)
+    ghz = _ghz_table(p).reshape(-1)
+    two_way = TRI[16:]
+    face = two_way[np.isclose(_sv_signed(two_way)[:, np.argmax(_sv_signed(ghz[None]))], 4.0)]
+    delta = 10.0 ** log_delta
+    local = ((1 - delta) * rng.dirichlet(np.ones(len(face))) @ face
+             + delta * tribox.noise3_box().table.reshape(-1))
+    (s_ghz, s_local), level = _sv_signed(np.stack([ghz, local])), 4.0 + sign * delta
+    rising = s_ghz > s_local
+    lam = np.min((level - s_local[rising]) / (s_ghz[rising] - s_local[rising]))
+    target = (1 - lam) * local + lam * ghz
+    assert np.max(_sv_signed(target[None])) == pytest.approx(level, abs=1e-12)
+    assert polytope.nested_hull_flags(target, TRI, TRI_STARTS) == _separate_flags(target)
+
+
 def test_dual_certificate_never_rejects_a_target_within_the_threshold():
     # t lies within the slack threshold of the deterministic hull: it is a
     # vertex plus a little weight on one entry p of that vertex
