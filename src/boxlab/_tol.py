@@ -19,19 +19,6 @@ TOL_CLOSED = 1e-9   # acceptance checks against closed-form values
 # measurement direction have no norm; 1e-15 is a few roundings of 1.
 HARDY_DEGENERATE = 1e-15
 
-# Weight costs of the tier-cost LP of polytope.nested_hull_flags, outermost
-# tier first; the innermost tier costs nothing. They steer only that LP, the
-# fallback for flags the certificates before it leave open, and there only
-# which certificate settles a flag, never the flag itself: a flag neither of
-# its certificates settles is asked of its own hull. Both stay far below a
-# unit of slack, since each Svetlichny or embedded-PR vertex lies 8/3 in L1
-# from the hull of the other 127 vertices, so that saving weight is not worth
-# buying slack.
-# Above the middle cost, so that the LP buys outer weight last.
-NESTED_COST_OUTER = 1e-2
-# Above zero, so that a local target carries no middle-tier weight.
-NESTED_COST_MIDDLE = 1e-4
-
 # Primal and dual feasibility tolerances of every membership LP, in place of
 # HiGHS's 1e-7: at 1e-7 HiGHS returns weights down to -1e-7 on sparse
 # near-boundary tripartite targets, which then miss the target by more than

@@ -4,7 +4,7 @@ Membership is decided by elastic LPs over named vertex sets
 (16 deterministic / 24 nonsignaling vertices bipartite; the tripartite sets
 live in :mod:`boxlab.tribox` and reuse :func:`lp_vertex_weights`), and in
 nested hulls (:func:`nested_hull_flags`) by certificates without an LP, then
-by one LP whose flags are checked by certificates; every flag equals
+by lp_vertex_weights on each hull they leave open; every flag equals
 lp_vertex_weights on its hull. The three-way split of both party counts
 lives here too: its pair table, Mermin-partner rule, weights and pair screen.
 """
@@ -255,9 +255,9 @@ def _elastic_block(vertices: np.ndarray) -> np.ndarray:
     return np.hstack([vertices.T, eye, -eye])
 
 
-def _elastic_cost(weight_cost: np.ndarray, d: int) -> np.ndarray:
-    """Costs of one target's variables: `weight_cost` per vertex, 1 per slack."""
-    return np.concatenate([weight_cost, np.ones(2 * d)])
+def _elastic_cost(k: int, d: int) -> np.ndarray:
+    """Costs of one target's variables: 0 per vertex, 1 per slack."""
+    return np.concatenate([np.zeros(k), np.ones(2 * d)])
 
 
 _HIGHS_CORE = "scipy.optimize._highspy._core"
@@ -361,17 +361,16 @@ def _run(model, basis=None):
     return model.getSolution()
 
 
-def _solve_target(vertices: np.ndarray, weight_cost: np.ndarray, targets: np.ndarray,
+def _solve_target(vertices: np.ndarray, targets: np.ndarray,
                   basis=None) -> tuple[np.ndarray, np.ndarray]:
     """_run, from `basis` if given, on the elastic LP of one target (d,)
-    over `vertices`, with `weight_cost` per vertex, or on the block-diagonal
-    LP of a stack (m, d): the optimal point and the duals of the equality
-    rows. Its model is kept per vertex matrix, weight costs, block count m
-    and solver options; a call writes the targets into the kept LP's row
-    bounds and passes the LP to the model again, in one call."""
+    over `vertices`, or on the block-diagonal LP of a stack (m, d): the
+    optimal point and the duals of the equality rows. Its model is kept per
+    vertex matrix, block count m and solver options; a call writes the
+    targets into the kept LP's row bounds and passes the LP to the model
+    again, in one call."""
     m = targets.size // vertices.shape[1]
-    lp, model = _target_model(_matrix_key(vertices), weight_cost.tobytes(), m,
-                              tuple(_HIGHS_OPTIONS.items()))
+    lp, model = _target_model(_matrix_key(vertices), m, tuple(_HIGHS_OPTIONS.items()))
     bounds = targets.reshape(-1).tolist()
     with _TARGET_LOCK:
         lp.row_lower_ = lp.row_upper_ = bounds
@@ -387,14 +386,13 @@ def _matrix_key(matrix: np.ndarray) -> tuple:
 
 
 @functools.lru_cache(maxsize=8)
-def _target_model(key: tuple, cost_bytes: bytes, m: int, options: tuple):
+def _target_model(key: tuple, m: int, options: tuple):
     """The LP and model of m targets kept for _solve_target, over the matrix
     of _matrix_key `key`; `options`, the items of _HIGHS_OPTIONS the model
     is built under, only keys the cache."""
     (k, d), data = key
     vertices = np.frombuffer(data).reshape(k, d)
-    return _highs_model(np.tile(_elastic_cost(np.frombuffer(cost_bytes), d), m),
-                        _elastic_block(vertices), m)
+    return _highs_model(np.tile(_elastic_cost(k, d), m), _elastic_block(vertices), m)
 
 
 @functools.lru_cache(maxsize=8)
@@ -405,7 +403,7 @@ def _start_basis(key: tuple, m: int, options: tuple):
     solved cold on a model of its own; `options` only keys the cache."""
     (k, d), data = key
     vertices = np.frombuffer(data).reshape(k, d)
-    lp, model = _highs_model(_elastic_cost(np.zeros(k), d), _elastic_block(vertices), 1)
+    lp, model = _highs_model(_elastic_cost(k, d), _elastic_block(vertices), 1)
     lp.row_lower_ = lp.row_upper_ = vertices.mean(axis=0)
     model.passModel(lp)
     _run(model)
@@ -421,7 +419,7 @@ def _elastic_lp(targets: np.ndarray, vertices: np.ndarray,
     outside the hull, and the duals of each target's equality rows, shape
     (m, d); the LP starts from `basis` if given."""
     m, (k, d) = len(targets), vertices.shape
-    x, y = _solve_target(vertices, np.zeros(k), targets, basis)
+    x, y = _solve_target(vertices, targets, basis)
     x = x.reshape(m, k + 2 * d)
     w = np.clip(x[:, :k], 0.0, None)
     inside = x[:, k:].sum(axis=1) <= d * EPS_LP_SLACK
@@ -438,40 +436,31 @@ def nested_hull_flags(target: np.ndarray, vertices: np.ndarray, starts) -> list[
     the rows run from the outermost tier inwards; there are at most three
     tiers. Flag h equals `lp_vertex_weights(target, vertices[starts[h]:]) is
     not None`. Certificates without an LP settle most flags (_nested_screen).
-    The rest come from one elastic LP over all rows, in which a unit of
-    slack costs 1, and a unit of weight costs _tol.NESTED_COST_OUTER on the
-    outermost tier, _tol.NESTED_COST_MIDDLE on the next, nothing on the
-    innermost, and from its certificates:
-
-    - inside, when the slack sum s and the weight W_out on the rows before
-      starts[h] give s + mass * W_out <= d * EPS_LP_SLACK, where `mass` is
-      the row sum every vertex shares (2**n). Dropping those rows then
-      leaves weights on hull h that miss the target by at most that much.
-      They must reconstruct it to EPS_LP, or LpNumericalFailure is raised;
-    - outside, when the LP's duals prove it (_certified_outside);
-    - otherwise, from lp_vertex_weights on hull h alone.
+    The flags they leave open are always the outermost ones; each goes to
+    lp_vertex_weights on its own hull, innermost first, and a hull found
+    inside makes every hull around it inside.
     """
     return _nested_flags(target, vertices, starts, len(starts))
 
 
 def _nested_flags(target, vertices: np.ndarray, starts, asked: int) -> list[bool]:
     """The first `asked` flags of nested_hull_flags, its inputs checked
-    first; the tier-cost LP runs only if the screen leaves one open."""
+    first; lp_vertex_weights runs only on the hulls the screen leaves open."""
     t = _finite(target)
     k, d = vertices.shape
     if t.shape != (d,):
         raise ValueError(f"target of shape {t.shape} does not match vertices "
                          f"of {d} entries")
-    bounds = [*starts, k]
-    if not 1 <= len(starts) <= 3 or starts[0] != 0 or np.any(np.diff(bounds) <= 0):
+    if not 1 <= len(starts) <= 3 or starts[0] != 0 or np.any(np.diff([*starts, k]) <= 0):
         raise ValueError(f"starts {starts} do not ascend from 0 below {k} "
                          f"in one to three tiers")
     flags = _nested_screen(t, vertices, tuple(starts))[:asked]
-    if None in flags:
-        costs = [_tol.NESTED_COST_OUTER, _tol.NESTED_COST_MIDDLE][:len(starts) - 1] + [0.0]
-        x, y = _solve_target(vertices, np.repeat(costs, np.diff(bounds)), t)
-        flags = [_hull_flag(t, vertices, start, x, y) if flag is None else flag
-                 for flag, start in zip(flags, starts)]
+    # the innermost open hull found inside, -1 if none: the hulls around it
+    # are inside too, and the open ones within it were found outside
+    n_open = flags.count(None)
+    inner = next((h for h in reversed(range(n_open))
+                  if lp_vertex_weights(t, vertices[starts[h]:]) is not None), -1)
+    flags[:n_open] = [h <= inner for h in range(n_open)]
     return flags
 
 
@@ -563,24 +552,6 @@ def _screen_arrays(key: tuple, starts: tuple) -> tuple:
     return basis, v @ basis.T, signs, maxima, v @ v.T
 
 
-def _hull_flag(t: np.ndarray, vertices: np.ndarray, start: int,
-               x: np.ndarray, y: np.ndarray) -> bool:
-    """Whether target `t` lies in the hull of vertices[start:], from the
-    optimum `x` and duals `y` of the tier-cost LP over all of `vertices`: its
-    inside certificate, its outside certificate, or else lp_vertex_weights
-    on that hull alone."""
-    k, d = vertices.shape
-    w = np.clip(x[:k], 0.0, None)
-    thr, hull = d * EPS_LP_SLACK, vertices[start:]
-    if x[k:].sum() + vertices[0].sum() * w[:start].sum() <= thr:
-        if np.max(np.abs(w[start:] @ hull - t)) > EPS_LP:
-            raise LpNumericalFailure("LP solution does not reconstruct the target")
-        return True
-    if _certified_outside(t, y, hull, thr):
-        return False
-    return lp_vertex_weights(t, hull) is not None
-
-
 def _certified_outside(t: np.ndarray, y: np.ndarray, hull: np.ndarray,
                        thr: float) -> np.ndarray:
     """Whether the dual vector `y` proves that no weights w >= 0 on the hull
@@ -591,7 +562,7 @@ def _certified_outside(t: np.ndarray, y: np.ndarray, hull: np.ndarray,
     |y_i| <= 1, and so ||r||_1 >= y.r for every r:
     ||t - w @ hull||_1 >= y.t - sum(w) * max(0, max_i hull_i.y), and weights
     within `thr` of t have sum(w) <= (sum(t) + thr) / mass, since every row
-    sums to the same mass. Unlike clipping, this undoes the tier-cost scaling.
+    sums to the same mass.
     """
     y = y / (np.max(np.abs(y)) or 1.0)
     cap = (t.sum(axis=-1) + thr) / hull[0].sum()

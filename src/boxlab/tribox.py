@@ -303,8 +303,8 @@ def in_sv_polytope(box: TripartiteBox) -> bool:
     lp_vertex_weights over its vertices is not None.
 
     The outermost flag of polytope.nested_hull_flags, settled the same way:
-    by weights that rebuild the box where they exist, else by the tier-cost
-    LP's certificates, else by the zero-cost LP.
+    by the certificates of its screen where they hold, else by
+    lp_vertex_weights over the 128 vertices.
     """
     boxcore._one_box(box, "in_sv_polytope")
     return polytope._nested_flags(box.table.reshape(-1), tri_vertex_matrix(_sv_polytope_key()),

@@ -416,7 +416,7 @@ def test_per_target_vertex_sets_reject_mismatched_shapes():
             polytope.lp_vertex_weights(bad, [DET, DET])
 
 
-# -- nested hulls from one LP ------------------------------------------------
+# -- nested hulls: certificates, then each open hull's own LP ----------------
 
 # sv_polytope_ids(): 16 Svetlichny, 48 embedded PR, 64 deterministic rows
 TRI = tribox.tri_vertex_matrix(tribox.sv_polytope_ids())
@@ -462,30 +462,26 @@ def test_nested_hull_flags_match_separate_lps(lp_solver):
     assert seen[-1] == (True, True, True)  # the perturbed noise3 table
 
 
-def test_nested_hull_flags_fall_back_to_each_hull_without_costs(monkeypatch):
-    # without weight costs the LP's split over the tiers is arbitrary, so
-    # some flags are left to lp_vertex_weights on their own hull
-    monkeypatch.setattr(_tol, "NESTED_COST_OUTER", 0.0)
-    monkeypatch.setattr(_tol, "NESTED_COST_MIDDLE", 0.0)
-    single = polytope.lp_vertex_weights
-    fallbacks = []
+def test_open_flags_go_to_their_own_hull_innermost_first(monkeypatch):
+    # the screen settles none of these flags; each open hull goes to
+    # lp_vertex_weights alone, innermost first, until one is found inside
+    targets = [tribox.tri_vertex(tribox.parse_tri_vertex_label(label)).table.reshape(-1)
+               for label in ("Det3000001", "Mermin30000", "Class8Rep")]
+    want = [_separate_flags(t) for t in targets]
+    single, hulls = polytope.lp_vertex_weights, []
 
     def counted(target, vertices):
-        fallbacks.append(len(vertices))
+        hulls.append(len(vertices))
         return single(target, vertices)
 
-    monkeypatch.setattr(polytope, "lp_vertex_weights", counted)
-    rng = np.random.default_rng(4107)
-    targets = _tripartite_hull_targets()
-    for inner in TRI_STARTS[1:]:
-        w = rng.exponential(size=len(TRI) - inner)
-        targets.append(0.999 * (w / w.sum()) @ TRI[inner:] + 0.001 * TRI[0])
-    for target in targets:
-        flags = polytope.nested_hull_flags(target, TRI, TRI_STARTS)
-        calls = len(fallbacks)
-        assert flags == [single(target, TRI[start:]) is not None for start in TRI_STARTS]
-        assert len(fallbacks) == calls
-    assert fallbacks
+    with monkeypatch.context() as counting:
+        sent = _counting_solves(counting)
+        counting.setattr(polytope, "lp_vertex_weights", counted)
+        assert all(polytope._nested_screen(t, TRI, TRI_STARTS) == [None] * 3 for t in targets)
+        flags = [polytope.nested_hull_flags(t, TRI, TRI_STARTS) for t in targets]
+    assert flags == want == [[True] * 3, [True, False, False], [False] * 3]
+    assert hulls == [64, 64, 112, 128, 64, 112, 128]
+    assert len(sent) == len(hulls)
 
 
 def test_nested_hull_flags_two_tiers_bipartite():
@@ -611,32 +607,6 @@ def _near_inner_hull_targets(seed):
             yield (1 - eps) * (w / w.sum()) @ TRI[rows] + eps * TRI[outer], outer
 
 
-def test_scaled_outside_certificate_needs_fewer_fallbacks_than_the_clipped_one(monkeypatch):
-    # the duals divided by their largest modulus settle more flags just
-    # outside an inner hull than the same duals clipped to [-1, 1], and
-    # every flag still equals the LP over its own hull alone
-    single, scaled = polytope.lp_vertex_weights, polytope._certified_outside
-
-    def clipped(t, y, hull, thr):
-        y = np.clip(y, -1.0, 1.0)
-        cap = (t.sum() + thr) / hull[0].sum()
-        return bool(y @ t - cap * max(0.0, np.max(hull @ y)) > thr)
-
-    targets = [t for seed in range(6) for t, _ in _near_inner_hull_targets(seed)]
-    want = [_separate_flags(t) for t in targets]
-    fallbacks = {}
-    for name, certificate in (("scaled", scaled), ("clipped", clipped)):
-        calls = []
-        monkeypatch.setattr(polytope, "_certified_outside", certificate)
-        monkeypatch.setattr(polytope, "lp_vertex_weights",
-                            lambda t, v: calls.append(len(v)) or single(t, v))
-        got = [polytope.nested_hull_flags(t, TRI, TRI_STARTS) for t in targets]
-        monkeypatch.undo()
-        assert got == want
-        fallbacks[name] = len(calls)
-    assert 0 < fallbacks["scaled"] < fallbacks["clipped"], fallbacks
-
-
 def test_membership_lps_solve_targets_just_outside_an_inner_hull():
     # At HiGHS's own feasibility tolerances of 1e-7, 46 of these 2,520 LPs
     # return weights that miss their target by more than EPS_LP and raise
@@ -671,21 +641,18 @@ def _equivalence_cases():
     tripartite = [*(tribox.random_sv_polytope_box(rng).table.reshape(-1) for _ in range(4)),
                   *_tripartite_hull_targets()[4:], _perturbed_noise3(),
                   *(t for t, _ in itertools.islice(_near_inner_hull_targets(3), 0, 70, 12))]
-    tiers = np.repeat([_tol.NESTED_COST_OUTER, _tol.NESTED_COST_MIDDLE, 0.0],
-                      np.diff([*TRI_STARTS, len(TRI)]))
-    return [pytest.param(DET, np.zeros(16), bipartite, id="det"),
-            pytest.param(ns, np.zeros(24), bipartite, id="ns"),
-            pytest.param(TRI, np.zeros(128), tripartite, id="sv"),
-            pytest.param(TRI, tiers, tripartite, id="nested-costs")]
+    return [pytest.param(DET, bipartite, id="det"),
+            pytest.param(ns, bipartite, id="ns"),
+            pytest.param(TRI, tripartite, id="sv")]
 
 
-@pytest.mark.parametrize("vertices, weight_cost, targets", _equivalence_cases())
-def test_kept_model_is_bit_identical_to_linprog(vertices, weight_cost, targets):
-    c = polytope._elastic_cost(weight_cost, vertices.shape[1])
+@pytest.mark.parametrize("vertices, targets", _equivalence_cases())
+def test_kept_model_is_bit_identical_to_linprog(vertices, targets):
+    c = polytope._elastic_cost(*vertices.shape)
     block = polytope._elastic_block(vertices)
     answers = []
     for target in [*targets, targets[0]]:
-        x, y = polytope._solve_target(vertices, weight_cost, target)
+        x, y = polytope._solve_target(vertices, target)
         ref_x, ref_y = _linprog(c, block, target)
         assert x.tobytes() == ref_x.tobytes()
         assert y.tobytes() == ref_y.tobytes()
@@ -703,7 +670,7 @@ def test_stacked_and_per_target_lps_are_bit_identical_to_linprog(form):
     vertex_sets = [DET] * len(targets)
     got = [None if np.isnan(w[0]) else w for w in polytope.lp_vertex_weights(targets, DET)]
     # one linprog call over the dense block-diagonal LP of the same targets
-    x, _ = _linprog(np.concatenate([polytope._elastic_cost(np.zeros(len(v)), d)
+    x, _ = _linprog(np.concatenate([polytope._elastic_cost(len(v), d)
                                     for v in vertex_sets]),
                     linalg.block_diag(*[polytope._elastic_block(v) for v in vertex_sets]),
                     targets.reshape(-1))
@@ -736,17 +703,15 @@ def test_kept_stack_models_give_the_same_bits_whatever_they_solved_before(monkey
     assert polytope.lp_vertex_weights(stack_a, DET).tobytes() == first
 
 
-def _verdicts(cases):
-    """Membership verdicts of each case's targets: nested flags under tier
-    costs, else one-target and stacked lp_vertex_weights."""
+def _verdicts(cases, nested):
+    """Membership verdicts: one-target and stacked lp_vertex_weights of each
+    case's targets, then the nested flags of each of `nested` over TRI."""
     out = []
-    for vertices, weight_cost, targets in cases:
-        if weight_cost.any():
-            out += [tuple(polytope.nested_hull_flags(t, vertices, TRI_STARTS)) for t in targets]
-        else:
-            out += [polytope.lp_vertex_weights(t, vertices) is not None for t in targets]
-            stacked = polytope.lp_vertex_weights(np.stack(targets), vertices)
-            out += [bool(v) for v in ~np.isnan(stacked[:, 0])]
+    for vertices, targets in cases:
+        out += [polytope.lp_vertex_weights(t, vertices) is not None for t in targets]
+        stacked = polytope.lp_vertex_weights(np.stack(targets), vertices)
+        out += [bool(v) for v in ~np.isnan(stacked[:, 0])]
+    out += [tuple(polytope.nested_hull_flags(t, TRI, TRI_STARTS)) for t in nested]
     return out
 
 
@@ -755,16 +720,15 @@ def test_membership_verdicts_do_not_depend_on_presolve(monkeypatch):
     # stays, on these cases and on targets within 1e-6 to 1e-2 of a facet
     # or just outside an inner hull
     cases = [param.values for param in _equivalence_cases()]
-    tiers = cases[-1][1]  # the weight costs of the nested-costs case
     near_tri = [t for t, _ in itertools.islice(_near_inner_hull_targets(5), 0, 70, 5)]
-    cases += [(DET, np.zeros(16), list(_near_facet_tables(np.random.default_rng(4111), 40)[0])),
-              (TRI, np.zeros(128), near_tri), (TRI[16:], np.zeros(112), near_tri),
-              (TRI, tiers, near_tri)]
+    nested = [*cases[-1][1], *near_tri]  # the targets of the sv case, then near_tri
+    cases += [(DET, list(_near_facet_tables(np.random.default_rng(4111), 40)[0])),
+              (TRI, near_tri), (TRI[16:], near_tri)]
     assert polytope._HIGHS_OPTIONS["presolve"] == "off"
-    without = _verdicts(cases)
+    without = _verdicts(cases, nested)
     monkeypatch.setitem(polytope._HIGHS_OPTIONS, "presolve", "on")
     built = polytope._target_model.cache_info().misses
-    assert _verdicts(cases) == without
+    assert _verdicts(cases, nested) == without
     assert polytope._target_model.cache_info().misses > built  # fresh kept models
     flat = [v for verdict in without for v in np.atleast_1d(verdict)]
     assert {True, False} <= set(flat)
@@ -826,13 +790,13 @@ def test_kept_model_gives_each_thread_its_own_answer():
     # the answer a lone call gives for its own target
     rng = np.random.default_rng(4110)
     targets = [tribox.random_sv_polytope_box(rng).table.reshape(-1) for _ in range(6)]
-    want = [polytope._solve_target(TRI, np.zeros(128), t)[0].tobytes() for t in targets]
+    want = [polytope._solve_target(TRI, t)[0].tobytes() for t in targets]
     wrong = []
 
     def worker(k):
         for _ in range(25):
             for i in np.roll(np.arange(len(targets)), k):
-                if polytope._solve_target(TRI, np.zeros(128), targets[i])[0].tobytes() != want[i]:
+                if polytope._solve_target(TRI, targets[i])[0].tobytes() != want[i]:
                     wrong.append(i)
 
     interval = sys.getswitchinterval()
@@ -961,9 +925,9 @@ def _counting_solves(monkeypatch):
     target counts it is given, one entry per call."""
     solve, sent = polytope._solve_target, []
 
-    def counted(vertices, weight_cost, targets, *args, **kwargs):
+    def counted(vertices, targets, *args, **kwargs):
         sent.append(targets.size // vertices.shape[1])
-        return solve(vertices, weight_cost, targets, *args, **kwargs)
+        return solve(vertices, targets, *args, **kwargs)
 
     monkeypatch.setattr(polytope, "_solve_target", counted)
     return sent
@@ -1038,7 +1002,7 @@ def test_weight_stacks_of_one_block_are_the_linprog_block(monkeypatch, n):
     sent = _counting_solves(monkeypatch)
     got = polytope.lp_vertex_weights(stack, DET)
     assert sent == [n]
-    x, _ = _linprog(np.tile(polytope._elastic_cost(np.zeros(k), d), n),
+    x, _ = _linprog(np.tile(polytope._elastic_cost(k, d), n),
                     linalg.block_diag(*[polytope._elastic_block(DET)] * n), stack.reshape(-1))
     x = x.reshape(n, k + 2 * d)
     want = np.clip(x[:, :k], 0.0, None)
