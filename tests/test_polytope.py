@@ -641,8 +641,11 @@ def _equivalence_cases():
     tripartite = [*(tribox.random_sv_polytope_box(rng).table.reshape(-1) for _ in range(4)),
                   *_tripartite_hull_targets()[4:], _perturbed_noise3(),
                   *(t for t, _ in itertools.islice(_near_inner_hull_targets(3), 0, 70, 12))]
+    # the two inner hulls are the ones nested_hull_flags sends open flags to
     return [pytest.param(DET, bipartite, id="det"),
             pytest.param(ns, bipartite, id="ns"),
+            pytest.param(TRI[TRI_STARTS[2]:], tripartite, id="local"),
+            pytest.param(TRI[TRI_STARTS[1]:], tripartite, id="two-way-local"),
             pytest.param(TRI, tripartite, id="sv")]
 
 
