@@ -232,7 +232,8 @@ def _validate(values, n: int) -> np.ndarray:
                 raise NegativeEntryError(
                     f"entry {_conditional(n, cell[:n], cell[n:])} = {row[worst]:.3e} < 0")
             row[row < 0] = 0.0
-            residuals = rows @ row - target
+            with np.errstate(over="ignore", invalid="ignore"):  # inf sums are named below
+                residuals = rows @ row - target
             r = int(np.argmax(np.abs(residuals) > EPS_VALID))
             if abs(residuals[r]) > EPS_VALID:
                 error, message = checks[np.searchsorted(ends, r, side="right")]

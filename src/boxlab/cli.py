@@ -1,6 +1,6 @@
 """Command-line front end: measure, decompose, state-box, sweep, verify.
 
-Exit codes: 0 success, 1 verification failure, 2 input error.
+Exit codes: 0 success, 1 verification failure, 2 input error or a failed LP solve.
 
 qstate loads only in the Born-rule commands (state-box, sweep) and
 acceptance only in verify, so measure and decompose start without them.
@@ -38,15 +38,14 @@ def _load_box(args):
             return tribox.box3_from_json(text)
         raise InputError(f"unsupported parties={parties}")
     if args.catalog:
-        label = args.catalog
         try:
-            return boxcore.vertex(boxcore.parse_vertex_label(label))
+            return boxcore.vertex(boxcore.parse_vertex_label(args.catalog))
         except ValueError:
             pass
         try:
-            return tribox.tri_vertex(tribox.parse_tri_vertex_label(label))
+            return tribox.tri_vertex(tribox.parse_tri_vertex_label(args.catalog))
         except ValueError:
-            raise InputError(f"unknown catalog label {label!r}") from None
+            raise InputError(f"unknown catalog label {args.catalog!r}") from None
     raise InputError("need --box FILE or --catalog LABEL")
 
 
@@ -243,6 +242,8 @@ def cmd_sweep(args) -> int:
         raise InputError(f"--sweep expects name:start:stop:steps, got {args.sweep!r}") from exc
     if not np.isfinite([start, stop]).all():
         raise InputError(f"--sweep start and stop must be finite, got {args.sweep!r}")
+    if not np.isfinite(stop - start):
+        raise InputError(f"--sweep range stop - start must be finite, got {args.sweep!r}")
     if steps < 2:
         raise InputError("sweep needs at least 2 steps")
     measures = [m.strip() for m in (args.measures or "G,Q,T").split(",")]
@@ -281,8 +282,7 @@ def cmd_sweep(args) -> int:
         born, table = party
         box = born(rho, frames)
         columns.append(np.column_stack([chunk] + [table[m](box) for m in measures]))
-    rows = np.concatenate(columns).tolist()
-    rows.sort(key=lambda r: r[0])
+    rows = sorted(np.concatenate(columns).tolist(), key=lambda r: r[0])
     row_format = ",".join(["%.12g"] * (1 + len(measures)))
     lines = [",".join([pname] + measures)] + [row_format % tuple(row) for row in rows]
     _write("\n".join(lines), args)
@@ -389,7 +389,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (InputError, boxcore.BoxError, boxcore.InvalidStateError, boxcore.UnknownNameError,
-            OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            polytope.LpNumericalFailure, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

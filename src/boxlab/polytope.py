@@ -517,9 +517,9 @@ def _nnls_rebuilds(t: np.ndarray, v: np.ndarray, gram: np.ndarray, thr: float) -
 
 
 def _min_norm_rebuilds(t, hull: np.ndarray, coords: np.ndarray, c, thr: float) -> bool:
-    """Whether the min-norm weights w with w @ coords = c, the coordinates
-    of t, clipped at 0 and re-solved on their positive support up to
-    _RESOLVES times, rebuild t from the hull rows."""
+    """Whether the min-norm weights w with w @ coords = c, the correlator
+    coordinates of t (_screen_arrays), clipped at 0 and re-solved on their
+    positive support up to _RESOLVES times, rebuild t from the hull rows."""
     support = np.ones(len(hull), dtype=bool)
     for _ in range(1 + _RESOLVES):
         rows = coords[support]
@@ -535,18 +535,16 @@ def _min_norm_rebuilds(t, hull: np.ndarray, coords: np.ndarray, c, thr: float) -
 @functools.lru_cache(maxsize=8)
 def _screen_arrays(key: tuple, starts: tuple) -> tuple:
     """What _nested_screen keeps per vertex matrix (of _matrix_key `key`)
-    and `starts`: the 0/1 rows that read P(a_S = 0 | x_S) off a flat table
-    of 4**n entries, for every party set S and inputs x_S, the other
-    parties' inputs 0 (coordinates of the nonsignaling span, which they map
-    one to one), the vertex rows in these coordinates, the sign patterns of
-    the outer-tier vertices with the largest value of each over each hull
-    (0 at least), and the vertex rows' Gram matrix."""
+    and `starts`: the columns of _corr._MARGINALS that read the correlators
+    of every party set S at inputs x_S, the other parties' inputs 0, off a
+    flat table of 4**n entries (coordinates of the nonsignaling span, which
+    they map one to one), the vertex rows in these coordinates, the sign
+    patterns of the outer-tier vertices with the largest value of each over
+    each hull (0 at least), and the vertex rows' Gram matrix."""
     (k, d), data = key
     v, side = np.frombuffer(data).reshape(k, d), round(d ** 0.5)
-    x, a = np.divmod(np.arange(d), side)
-    mask, i = np.indices((side, side)).reshape(2, -1, 1)
-    rows = (x == i) & ((a & mask) == 0)
-    basis = rows[(i & ~mask)[:, 0] == 0].astype(float)
+    mask, i = np.indices((side, side))
+    basis = _corr._MARGINALS[side.bit_length() - 1][:, (i & ~mask == 0).ravel()].T
     signs = 2.0 * (v[:starts[-1]] > 0.0) - 1.0
     maxima = np.array([(v[start:] @ signs.T).max(axis=0, initial=0.0) for start in starts])
     return basis, v @ basis.T, signs, maxima, v @ v.T

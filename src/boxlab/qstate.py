@@ -54,21 +54,22 @@ def density_matrix(mat) -> DensityMatrix:
     stacked = isinstance(mat, np.ndarray) and m.ndim == 3 and len(m) > 0
     if m.ndim != 2 + stacked or m.shape[-1] != m.shape[-2] or m.shape[-1] not in (4, 8):
         raise InvalidStateError(f"expected a 4x4 or 8x8 matrix, got {m.shape}")
-    if not (stacked and np.isfinite(m).all()
-            and np.abs(m - m.conj().swapaxes(1, 2)).max() <= EPS_VALID
-            and np.abs(np.trace(m, axis1=1, axis2=2) - 1.0).max() <= EPS_VALID
-            and np.linalg.eigvalsh(m)[:, 0].min() >= -EIG_TOL):
-        for one in m.reshape((-1,) + m.shape[-2:]):
-            if not np.isfinite(one).all():
-                raise InvalidStateError("matrix has non-finite entries")
-            if np.abs(one - one.conj().T).max() > EPS_VALID:
-                raise InvalidStateError("matrix is not Hermitian")
-            tr = one.trace()
-            if abs(tr.real - 1.0) > EPS_VALID or abs(tr.imag) > EPS_VALID:
-                raise InvalidStateError(f"trace is {tr:.12f}, expected 1")
-            low = np.linalg.eigvalsh(one)[0]  # ascending
-            if low < -EIG_TOL:
-                raise InvalidStateError(f"negative eigenvalue {low:.3e}")
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf trace is named below
+        if not (stacked and np.isfinite(m).all()
+                and np.abs(m - m.conj().swapaxes(1, 2)).max() <= EPS_VALID
+                and np.abs(np.trace(m, axis1=1, axis2=2) - 1.0).max() <= EPS_VALID
+                and np.linalg.eigvalsh(m)[:, 0].min() >= -EIG_TOL):
+            for one in m.reshape((-1,) + m.shape[-2:]):
+                if not np.isfinite(one).all():
+                    raise InvalidStateError("matrix has non-finite entries")
+                if np.abs(one - one.conj().T).max() > EPS_VALID:
+                    raise InvalidStateError("matrix is not Hermitian")
+                tr = one.trace()
+                if abs(tr.real - 1.0) > EPS_VALID or abs(tr.imag) > EPS_VALID:
+                    raise InvalidStateError(f"trace is {tr:.12f}, expected 1")
+                low = np.linalg.eigvalsh(one)[0]  # ascending
+                if low < -EIG_TOL:
+                    raise InvalidStateError(f"negative eigenvalue {low:.3e}")
     m.setflags(write=False)
     return DensityMatrix(m)
 

@@ -103,6 +103,23 @@ def test_measure_malformed_box_file_exit_2(data, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_measure_box_file_of_huge_entries_exit_2_without_a_warning(capsys, recwarn):
+    # 1e308 entries are finite; their block sums overflow to inf
+    path = Path(__file__).parent / "data" / "huge_entry_box2.json"
+    assert run_cli(["measure", "--box", str(path)]) == 2
+    assert capsys.readouterr().err == "error: sum of P(a,b|x=0,y=0) = inf != 1\n"
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_lp_numerical_failure_exits_2_with_one_line(monkeypatch, capsys):
+    # with no simplex iteration allowed HiGHS stops at its iteration limit
+    monkeypatch.setitem(polytope._HIGHS_OPTIONS, "simplex_iteration_limit", 0)
+    assert run_cli(["measure", "--catalog", "PR000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: HiGHS model status 14: Iteration limit reached\n"
+
+
 def test_measure_box_file_of_another_party_count_exit_2(tmp_path, capsys):
     path = tmp_path / "box4.json"
     path.write_text(json.dumps({"parties": 4, "table": np.full((2,) * 8, 1 / 16).tolist()}))
@@ -403,6 +420,18 @@ def test_sweep_rejects_non_finite_bounds_with_one_line(spec, capsys, recwarn):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: --sweep start and stop must be finite, "
+                                         f"got {spec!r}"]
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_sweep_refuses_a_range_whose_width_overflows_with_one_line(capsys, recwarn):
+    # both ends are finite, but stop - start is not
+    spec = "theta:-1e308:1e308:3"
+    assert run_cli(["sweep", "--family", "Schmidt", "--settings", "PRQ", "--settings-param",
+                    "sweep", "--sweep", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: --sweep range stop - start must be finite, "
                                          f"got {spec!r}"]
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 

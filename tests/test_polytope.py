@@ -465,8 +465,9 @@ def test_nested_hull_flags_match_separate_lps(lp_solver):
 def test_open_flags_go_to_their_own_hull_innermost_first(monkeypatch):
     # the screen settles none of these flags; each open hull goes to
     # lp_vertex_weights alone, innermost first, until one is found inside
-    targets = [tribox.tri_vertex(tribox.parse_tri_vertex_label(label)).table.reshape(-1)
-               for label in ("Det3000001", "Mermin30000", "Class8Rep")]
+    tables = [tribox.tri_vertex(tribox.parse_tri_vertex_label(label)).table.reshape(-1)
+              for label in ("Det3000000", "Det3000001", "Mermin30000", "Class8Rep")]
+    targets = [0.5 * tables[0] + 0.5 * tables[1], *tables[2:]]
     want = [_separate_flags(t) for t in targets]
     single, hulls = polytope.lp_vertex_weights, []
 

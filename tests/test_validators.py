@@ -213,6 +213,32 @@ def test_settings_take_directions_of_any_three_entry_shape():
     np.testing.assert_array_equal(s3.c, [Z, X])
 
 
+# finite entries whose sums overflow: each check names the inf it meets
+HUGE_CASES = [
+    ("box2", boxcore.make_box, np.full(16, 1e308), NotNormalizedError,
+     "sum of P(a,b|x=0,y=0) = inf != 1"),
+    ("box3", tribox.make_box3, np.full(64, 1e308), NotNormalizedError,
+     "sum of P(a,b,c|x=0,y=0,z=0) = inf != 1"),
+    ("box2_stack", boxcore.make_box, np.full((2, 16), 1e308), NotNormalizedError,
+     "sum of P(a,b|x=0,y=0) = inf != 1"),
+    ("matrix4", qstate.density_matrix, 1e308 * np.eye(4), InvalidStateError,
+     "trace is inf+0.000000000000j, expected 1"),
+    ("matrix8", qstate.density_matrix, 1e308 * np.eye(8), InvalidStateError,
+     "trace is inf+0.000000000000j, expected 1"),
+    ("matrix4_stack", qstate.density_matrix, 1e308 * np.stack([np.eye(4)] * 2),
+     InvalidStateError, "trace is inf+0.000000000000j, expected 1"),
+]
+
+
+@pytest.mark.parametrize("check, values, error, message", [c[1:] for c in HUGE_CASES],
+                         ids=[c[0] for c in HUGE_CASES])
+def test_huge_finite_entries_raise_the_documented_error_without_a_warning(check, values, error,
+                                                                         message):
+    with pytest.raises(error) as info:
+        check(values)
+    assert type(info.value) is error and str(info.value) == message
+
+
 def test_pure_dm_rejects_an_overflowing_norm_without_a_warning():
     with pytest.raises(InvalidStateError, match="state vector has norm inf"):
         qstate.pure_dm([1e200, 1e200, 0, 0])
