@@ -111,13 +111,17 @@ def lp_vertex_weights(target: np.ndarray, vertices: np.ndarray) -> np.ndarray | 
     `target` is one flattened probability table of shape (d,) or a stack of
     them, shape (n, d). One target gives its (k,) weights, or None if it lies
     outside the hull of the k vertex rows; a stack gives (n, k) weights with
-    NaN rows for the targets outside. The weights sum to 1 automatically
-    because every vertex row has the same normalization.
+    NaN rows for the targets outside. Every vertex row has one mass (entry
+    sum), and the weights of a target inside sum to 1 within
+    2 * d * EPS_LP_SLACK / mass.
 
     Each target is posed as an elastic LP, minimise sum(s+ + s-) subject to
     w @ vertices + s+ - s- = target and w, s+, s- >= 0, which is always
-    feasible. A target is inside exactly when its slack sum is at most
-    d * EPS_LP_SLACK, which covers the error the table validators admit.
+    feasible. A target is inside exactly when its slack sum and the gap
+    between its entry sum and the mass are both at most d * EPS_LP_SLACK,
+    which covers the error the table validators admit. A target off the
+    mass skips the LP: |sum(t) - mass| <= ||t - w @ vertices||_1 when
+    sum(w) = 1.
     Stacks are solved _LP_BLOCK targets at a time as one block-diagonal LP,
     whose optimum splits into the per-target optima; one target is a block
     of one. Each block size has a HiGHS model kept for its vertex matrix
@@ -167,8 +171,9 @@ def _block_loop(stack: np.ndarray, vertices: np.ndarray,
     cold otherwise; while targets stay open, _screen settles them with the
     block's duals of each target outside, and if `warm` with the weight
     support of each target inside. Both certificates are sound."""
-    w = np.full((len(stack), vertices.shape[0]), np.nan)
-    flags, todo = np.zeros(len(stack), dtype=bool), np.ones(len(stack), dtype=bool)
+    w, flags = np.full((len(stack), vertices.shape[0]), np.nan), np.zeros(len(stack), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN mass is outside
+        todo = np.abs(stack.sum(axis=1) - vertices[0].sum()) <= vertices.shape[1] * EPS_LP_SLACK
     while todo.any():
         block = np.flatnonzero(todo)[:_LP_BLOCK]
         todo[block] = False
@@ -198,22 +203,18 @@ def _screen(stack: np.ndarray, rows: np.ndarray, vertices: np.ndarray, weights: 
     prove outside.
 
     - inside, when for the support S of one row of `weights` (targets found
-      inside), w = max(t @ P_S, 0) with P_S the right inverse of the rows
-      V_S of S gives ||w @ V_S - t||_1 <= d * EPS_LP_SLACK (_rebuilds).
-      Any P_S keeps this sound;
+      inside), w = max(t @ P_S, 0) with P_S the pseudo-inverse of the rows
+      V_S of S (V_S.T @ inv(V_S @ V_S.T) at full row rank) gives
+      ||w @ V_S - t||_1 <= d * EPS_LP_SLACK (_rebuilds). Any P_S keeps this
+      sound;
     - outside, when one row of `duals` (targets found outside) proves a gap
       above the threshold (_certified_outside).
     """
     thr = stack.shape[1] * EPS_LP_SLACK
-    supports = []
     # distinct supports by their bytes: np.unique(..., axis=0) would import
     # numpy.ma, about 1.7 MB
-    for support in {s.tobytes(): s for s in weights > 0.0}.values():
-        v = vertices[support]
-        try:
-            supports.append((v, np.linalg.solve(v @ v.T, v).T))
-        except np.linalg.LinAlgError:
-            pass
+    supports = [(vertices[s], np.linalg.pinv(vertices[s]))
+                for s in {s.tobytes(): s for s in weights > 0.0}.values()]
     proved_in, proved_out = np.zeros((2, len(rows)), dtype=bool)
     for i in range(0, len(rows), _SCREEN_ROWS):
         t, part = stack[rows[i:i + _SCREEN_ROWS]], slice(i, i + _SCREEN_ROWS)
@@ -435,7 +436,9 @@ def nested_hull_flags(target: np.ndarray, vertices: np.ndarray, starts) -> list[
     Hull h is the hull of vertices[starts[h]:]. `starts` ascends from 0, so
     the rows run from the outermost tier inwards; there are at most three
     tiers. Flag h equals `lp_vertex_weights(target, vertices[starts[h]:]) is
-    not None`. Certificates without an LP settle most flags (_nested_screen).
+    not None`: a target whose entries miss the vertex rows' mass by more
+    than d * EPS_LP_SLACK is outside every hull, before any screen or LP.
+    Certificates without an LP settle most other flags (_nested_screen).
     The flags they leave open are always the outermost ones; each goes to
     lp_vertex_weights on its own hull, innermost first, and a hull found
     inside makes every hull around it inside.
@@ -454,6 +457,9 @@ def _nested_flags(target, vertices: np.ndarray, starts, asked: int) -> list[bool
     if not 1 <= len(starts) <= 3 or starts[0] != 0 or np.any(np.diff([*starts, k]) <= 0):
         raise ValueError(f"starts {starts} do not ascend from 0 below {k} "
                          f"in one to three tiers")
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _block_loop
+        if not abs(t.sum() - vertices[0].sum()) <= d * EPS_LP_SLACK:
+            return [False] * asked
     flags = _nested_screen(t, vertices, tuple(starts))[:asked]
     # the innermost open hull found inside, -1 if none: the hulls around it
     # are inside too, and the open ones within it were found outside
@@ -473,37 +479,35 @@ def _nested_screen(t: np.ndarray, vertices: np.ndarray, starts: tuple) -> list:
     """The flags of nested_hull_flags settled without an LP, None where
     open; each certificate is sound for the elastic LP of its hull alone:
     - outside hull h and every hull inside it, when the sign pattern of an
-      outer-tier vertex separates t from it (_certified_outside): at the 128
-      tripartite vertices, Svetlichny's and the embedded CHSH inequalities;
+      outer-tier vertex has a gap above the threshold over its rows: the
+      weak-duality bound of _certified_outside, from the per-hull maxima of
+      _screen_arrays. At the 128 tripartite vertices the patterns are
+      Svetlichny's and the embedded CHSH inequalities;
     - inside the innermost hull left and every hull around it, when weights
       w >= 0 on its rows rebuild t (_rebuilds): first by Lawson-Hanson steps
-      if only the outermost of several hulls is left, then by min-norm ones."""
-    basis, coords, signs, maxima, gram = _screen_arrays(_matrix_key(vertices), starts)
-    thr, n, out = len(t) * EPS_LP_SLACK, len(starts), len(starts)
-    if len(signs):
-        # each functional's gap over each hull, as _certified_outside bounds
-        # it: only the largest per hull is worth proving
-        gap = signs @ t - (t.sum() + thr) / vertices[0].sum() * maxima
-        for h, j in enumerate(np.argmax(gap, axis=1)):
-            if gap[h, j] > thr and _certified_outside(t, signs[j], vertices[starts[h]:], thr):
-                out = h
-                break
+      on the outer-tier rows if only the outermost of several hulls is left,
+      then by min-norm ones."""
+    basis, coords, signs, maxima = _screen_arrays(_matrix_key(vertices), starts)
+    thr, n = len(t) * EPS_LP_SLACK, len(starts)
+    # each functional's weak-duality gap over each hull (_certified_outside)
+    gap = signs @ t - (t.sum() + thr) / vertices[0].sum() * maxima
+    out = next((h for h in range(n) if (gap[h] > thr).any()), n)
     flags, inner = [None] * out + [False] * (n - out), starts[out - 1]
     try:
-        if out and ((out == 1 < n and _nnls_rebuilds(t, vertices, gram, thr)) or _min_norm_rebuilds(
-                t, vertices[inner:], coords[inner:], basis @ t, thr)):
+        if out and ((out == 1 < n and _nnls_rebuilds(t, vertices[:starts[1]], thr))
+                    or _min_norm_rebuilds(t, vertices[inner:], coords[inner:], basis @ t, thr)):
             flags[:out] = [True] * out
     except np.linalg.LinAlgError:  # a singular system proves nothing
         pass
     return flags
 
 
-def _nnls_rebuilds(t: np.ndarray, v: np.ndarray, gram: np.ndarray, thr: float) -> bool:
+def _nnls_rebuilds(t: np.ndarray, v: np.ndarray, thr: float) -> bool:
     """Whether up to _NNLS_STEPS Lawson-Hanson steps of min ||w @ v - t||_2
-    over w >= 0 from w = 0 (gram = v @ v.T) reach weights that rebuild t.
+    over w >= 0 from w = 0 reach weights on the rows v that rebuild t.
     Each step frees the row of largest gradient and solves on the free rows;
     a step whose solution leaves the positive orthant ends the search."""
-    b = v @ t
+    b, gram = v @ t, v @ v.T
     w, free = np.zeros(len(v)), np.zeros(len(v), dtype=bool)
     for _ in range(_NNLS_STEPS):
         free[np.argmax(np.where(free, -np.inf, b - gram @ w))] = True  # largest gradient
@@ -540,14 +544,15 @@ def _screen_arrays(key: tuple, starts: tuple) -> tuple:
     flat table of 4**n entries (coordinates of the nonsignaling span, which
     they map one to one), the vertex rows in these coordinates, the sign
     patterns of the outer-tier vertices with the largest value of each over
-    each hull (0 at least), and the vertex rows' Gram matrix."""
+    each hull (0 at least), which _nested_screen's gap reads. No Gram matrix
+    is kept: _nnls_rebuilds forms the outer tier's own per call."""
     (k, d), data = key
     v, side = np.frombuffer(data).reshape(k, d), round(d ** 0.5)
     mask, i = np.indices((side, side))
     basis = _corr._MARGINALS[side.bit_length() - 1][:, (i & ~mask == 0).ravel()].T
     signs = 2.0 * (v[:starts[-1]] > 0.0) - 1.0
     maxima = np.array([(v[start:] @ signs.T).max(axis=0, initial=0.0) for start in starts])
-    return basis, v @ basis.T, signs, maxima, v @ v.T
+    return basis, v @ basis.T, signs, maxima
 
 
 def _certified_outside(t: np.ndarray, y: np.ndarray, hull: np.ndarray,

@@ -645,7 +645,11 @@ def entanglement_params(name: str, **params) -> dict[str, float]:
             al = be = ga = 1 / np.sqrt(3)
         else:
             v = np.array([params["alpha"], params["beta"], params["gamma"]], float)
-            al, be, ga = v / np.linalg.norm(v)
+            with np.errstate(over="ignore", invalid="ignore"):  # named below, not warned
+                norm = np.linalg.norm(v)
+            if not 0.0 < norm < np.inf:  # as w_class_state refuses them
+                raise InvalidStateError(f"W-class amplitudes have norm {norm}")
+            al, be, ga = v / norm
         c12, c13, c23 = 2 * al * be, 2 * al * ga, 2 * be * ga
         return {"c12": c12, "c13": c13, "c23": c23,
                 "ca_min": min(c12, c13, c23)}

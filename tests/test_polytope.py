@@ -535,6 +535,48 @@ def test_certificates_settle_the_request_strata_before_highs(monkeypatch):
     assert {(True, True, True), (True, False, False)} <= set(map(tuple, flags))
 
 
+def test_the_ghz_tail_is_settled_before_highs(monkeypatch):
+    # GHZ boxes under SMDghz near p = 1 mix few Svetlichny rows, which
+    # Lawson-Hanson steps over the 16 outer-tier rows rebuild. At p = 0.914,
+    # 0.934 and 0.951, steps over all 128 rows free an embedded-PR row
+    # instead and prove nothing
+    ps = [*np.random.default_rng(4125).uniform(0.9, 1.0, 60), 0.914, 0.934, 0.951]
+    targets = [_ghz_table(p).reshape(-1) for p in ps]
+    with monkeypatch.context() as counting:
+        sent = _counting_solves(counting)
+        flags = [polytope.nested_hull_flags(t, TRI, TRI_STARTS) for t in targets]
+        gates = [tribox.in_sv_polytope(tribox.make_box3(t.reshape((2,) * 6))) for t in targets]
+    assert sent == []
+    assert flags == [_separate_flags(t) for t in targets]
+    assert gates == [f[0] for f in flags]
+
+
+# A point of a hull has weights that sum to 1, so a target whose entries miss
+# the rows' mass lies outside every hull, whatever its shape: twice the noise
+# box is outside, and 1e308 entries reach no solver and raise no warning.
+# numpy's pairwise sum of HUGE_SPLIT overflows to inf and -inf in its
+# partial sums, which add to NaN
+HUGE_SPLIT = np.tile([1e308] * 4 + [-1e308] * 4, 8)
+
+
+def test_weights_of_targets_off_the_vertex_mass_are_none_or_nan():
+    noise, huge = boxcore.noise_box().table.reshape(-1), np.full(16, 1e308)
+    assert polytope.lp_vertex_weights(2 * noise, DET) is None
+    w = polytope.lp_vertex_weights(np.stack([noise, 2 * noise, huge]), DET)
+    assert not np.isnan(w[0]).any() and np.isnan(w[1:]).all()
+    assert polytope._inside_flags(np.stack([noise, 2 * noise, huge, HUGE_SPLIT[:16]]),
+                                  DET).tolist() == [True, False, False, False]
+
+
+def test_nested_flags_of_targets_off_the_vertex_mass_are_false_without_an_lp(monkeypatch):
+    noise3 = tribox.noise3_box().table.reshape(-1)
+    sent = _counting_solves(monkeypatch)
+    for target in (np.full(64, 1e308), HUGE_SPLIT, 2 * noise3, 0.5 * noise3):
+        assert polytope.nested_hull_flags(target, TRI, TRI_STARTS) == [False] * 3
+    assert sent == []
+    assert polytope.nested_hull_flags(noise3, TRI, TRI_STARTS) == [True] * 3
+
+
 def _sv_signed(tables):
     """The 16 signed Svetlichny values of each flat table of a stack."""
     return tribox.sv_values(tribox.make_box3(tables)).reshape(len(tables), -1)

@@ -362,6 +362,17 @@ def test_entanglement_params():
         pytest.approx(dict.fromkeys(("c12", "c13", "c23", "ca_min"), 2 / 3))
 
 
+@pytest.mark.parametrize("amplitudes", [(0.0, 0.0, 0.0), (np.nan, 1.0, 1.0), (1e200, 1e200, 1.0)])
+def test_w_class_entanglement_params_refuse_what_the_state_refuses(amplitudes):
+    # zero, NaN and overflowing amplitudes have no normalized state, so no
+    # closed-form concurrences either; neither call warns
+    alpha, beta, gamma = amplitudes
+    with pytest.raises(qstate.InvalidStateError):
+        qstate.w_class_state(alpha, beta, gamma)
+    with pytest.raises(qstate.InvalidStateError, match="W-class amplitudes have norm"):
+        qstate.entanglement_params("WClass", alpha=alpha, beta=beta, gamma=gamma)
+
+
 def test_hardy_probability_values():
     val = qstate.hardy_probability(1 / np.sqrt(3), 1 / np.sqrt(3), 1 / np.sqrt(3))
     assert val == pytest.approx(1 / 12, abs=1e-12)
